@@ -95,8 +95,13 @@ def scheduling_configs(n_beams, sizes):
 
 
 def beam_powers(v, C):
-    """|<v, w>|^2 against every codeword of C."""
-    return np.abs(C.vectors @ np.conj(np.asarray(v, dtype=complex))) ** 2
+    """|<v, w>|^2 against every codeword of C, for one vector v or a stack
+    of them (codewords on the last axis).
+
+    Each vector is its own matrix-vector product, so a stacked row equals
+    the single-vector result bit for bit.
+    """
+    return np.abs(C.vectors @ np.conj(np.asarray(v, dtype=complex))[..., None])[..., 0] ** 2
 
 
 def cross_gram(V, C):
@@ -104,12 +109,17 @@ def cross_gram(V, C):
     return np.abs(V.vectors.conj() @ C.vectors.T) ** 2
 
 
-def _config_rates(powers, own, mask, ks, params):
-    """Rates (nats) of every configuration for raw power vectors `powers`."""
-    noise = params.sigma_sq * ks / params.P
-    intf = powers @ mask.T
-    sig = powers[..., own]
-    return np.log1p(sig / (noise + intf))
+def _config_noise(ks, params):
+    """Normalized noise term of every configuration."""
+    return params.sigma_sq * ks / params.P
+
+
+def _config_rates(powers, own, mask, noise):
+    """Rates (nats) of every configuration for raw power vectors `powers`
+    (beams on the last axis).  Interference sums run row by row, so a
+    stacked row equals the single-vector result bit for bit."""
+    intf = (powers[..., None, :] @ mask.T)[..., 0, :]
+    return np.log1p(powers[..., own] / (noise + intf))
 
 
 def raw_scale_sq(params):
@@ -150,10 +160,10 @@ def ra_distance(eff, theta, nu, C, params, sizes=None):
     every set of distinct interfering beams.
     """
     own, mask, ks, intf = scheduling_configs(len(C), _sizes(params, sizes))
-    p_true = beam_powers(eff.h_hat, C)
-    r_true = _config_rates(p_true, own, mask, ks, params)
+    noise = _config_noise(ks, params)
+    r_true = _config_rates(beam_powers(eff.h_hat, C), own, mask, noise)
     q = (theta * theta * raw_scale_sq(params)) * beam_powers(nu, C)
-    r_hat = _config_rates(q, own, mask, ks, params)
+    r_hat = _config_rates(q, own, mask, noise)
     gaps = np.abs(r_true - r_hat)
     i = int(np.argmax(gaps))
     return GapProfile(
@@ -226,6 +236,14 @@ def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None, sizes=N
     return ra_feedback_batch([(eff, params, subcarrier_effs)], C, V, phi_table=phi_table, sizes=sizes)[0]
 
 
+def ra_batch_group(C, V, params, sizes=None):
+    """Problems per gain search of `ra_feedback_batch`: larger inputs are
+    split into groups of this many, so that the working arrays hold about
+    _BATCH_ELEMENTS (row, configuration) entries."""
+    own = scheduling_configs(len(C), _sizes(params, sizes))[0]
+    return max(1, _BATCH_ELEMENTS // (len(V) * len(own)))
+
+
 def ra_feedback_batch(problems, C, V, phi_table=None, sizes=None):
     """`ra_feedback` for several users (or SNR points) in one gain search.
 
@@ -247,45 +265,51 @@ def ra_feedback_batch(problems, C, V, phi_table=None, sizes=None):
     own, mask, ks, _ = scheduling_configs(len(C), tables.pop())
     phi = cross_gram(V, C) if phi_table is None else phi_table
     n_v = len(V)
-    group = max(1, _BATCH_ELEMENTS // (n_v * len(own)))
+    group = ra_batch_group(C, V, problems[0][1], sizes=sizes)
     if len(problems) > group:  # keep the working arrays cache-sized
         return [
             msg
             for lo in range(0, len(problems), group)
             for msg in ra_feedback_batch(problems[lo : lo + group], C, V, phi_table=phi, sizes=sizes)
         ]
-    r_true, noise, scale2, cands = [], [], [], ([], [])
-    for eff, params, subcarrier_effs in problems:
-        if subcarrier_effs:
-            r_true.append(
-                np.mean(
-                    [_config_rates(beam_powers(e.h_hat, C), own, mask, ks, params) for e in subcarrier_effs],
-                    axis=0,
-                )
-            )
-        else:
-            r_true.append(_config_rates(beam_powers(eff.h_hat, C), own, mask, ks, params))
-        noise.append(params.sigma_sq * ks / params.P)
-        scale2.append(raw_scale_sq(params))
-        # starting candidates: the effective-gain CQI and the constructive closed form
-        align = np.abs(V.vectors @ np.conj(eff.h)) ** 2
-        lam_t = _tt_from_theta_sq(eff.lambda_sq)
-        psi = beam_powers(eff.h, C)
-        w_star = int(np.argmax(psi))
-        eta = float(psi[w_star])
-        cands[0].append(np.clip(_tt_from_theta_sq(eff.lambda_sq * align), _TT_LO, _TT_HI))
-        cands[1].append(
-            np.clip(
-                np.divide(lam_t * eta, phi[:, w_star], out=np.full(n_v, _TT_HI), where=phi[:, w_star] > 0),
-                _TT_LO,
-                _TT_HI,
-            )
-        )
+    noise = np.array([_config_noise(ks, params) for _, params, _ in problems])
+    # true rates of every (problem, subcarrier) channel in one pass; a
+    # frequency-averaged problem takes the mean over its subcarrier rows
+    true_effs = [subcarrier_effs or [eff] for eff, _, subcarrier_effs in problems]
+    bounds = np.cumsum([0] + [len(t) for t in true_effs])
+    rates = _config_rates(
+        beam_powers(np.array([e.h_hat for t in true_effs for e in t]), C),
+        own,
+        mask,
+        np.repeat(noise, np.diff(bounds), axis=0),
+    )
+    r_true = [rates[a:b].mean(axis=0) if b - a > 1 else rates[a] for a, b in zip(bounds[:-1], bounds[1:])]
+    scale2 = [raw_scale_sq(params) for _, params, _ in problems]
+    # starting candidates: the effective-gain CQI and the constructive closed form
+    h = np.array([eff.h for eff, _, _ in problems])
+    lam_sq = np.array([eff.lambda_sq for eff, _, _ in problems])
+    psi = beam_powers(h, C)
+    w_star = np.argmax(psi, axis=1)
+    eta = psi[np.arange(len(problems)), w_star]
+    phi_star = phi[:, w_star].T
+    cands = (
+        np.clip(_tt_from_theta_sq(lam_sq[:, None] * beam_powers(h, V)), _TT_LO, _TT_HI).ravel(),
+        np.clip(
+            np.divide(
+                (_tt_from_theta_sq(lam_sq) * eta)[:, None],
+                phi_star,
+                out=np.full(phi_star.shape, _TT_HI),
+                where=phi_star > 0,
+            ),
+            _TT_LO,
+            _TT_HI,
+        ).ravel(),
+    )
     # one column per (problem, codeword) row: the max over configurations
     # then runs across contiguous rows instead of along short ones
     n = len(problems)
     r_true = np.repeat(np.array(r_true).T, n_v, axis=1)
-    noise = np.repeat(np.array(noise).T, n_v, axis=1)
+    noise = np.repeat(noise.T, n_v, axis=1)
     scale2 = np.repeat(np.array(scale2), n_v)
     phi_cols = np.tile(phi.T, (1, n))
 
@@ -296,7 +320,6 @@ def ra_feedback_batch(problems, C, V, phi_table=None, sizes=None):
 
     tt_best, gap_best = _golden_min_vec(gaps_at, n * n_v)
     for cand in cands:
-        cand = np.concatenate(cand)
         g = gaps_at(cand)
         better = g < gap_best
         tt_best = np.where(better, cand, tt_best)
@@ -339,7 +362,7 @@ def ra_distance_multiantenna(uc, theta, nu, C, params, sizes=None):
     own, mask, ks, intf = scheduling_configs(len(C), _sizes(params, sizes))
     r_true = _true_rates_multiantenna(uc, C, params, sizes)
     q = (theta * theta * raw_scale_sq(params)) * beam_powers(nu, C)
-    gaps = np.abs(_config_rates(q, own, mask, ks, params) - r_true)
+    gaps = np.abs(_config_rates(q, own, mask, _config_noise(ks, params)) - r_true)
     i = int(np.argmax(gaps))
     return GapProfile(float(gaps[i]), int(ks[i]), int(own[i]), intf[i])
 
@@ -357,11 +380,12 @@ def ra_feedback_multiantenna(uc, C, V, params, phi_table=None, sizes=None):
     eff = mrc_effective_channel(uc, params)
     phi = cross_gram(V, C) if phi_table is None else phi_table
     scale2 = raw_scale_sq(params)
+    noise = _config_noise(ks, params)
     n_v = len(V)
 
     def gaps_at(tt):
         t = scale2 * tt / (1.0 - tt)
-        r_hat = _config_rates(t[:, None] * phi, own, mask, ks, params)
+        r_hat = _config_rates(t[:, None] * phi, own, mask, noise)
         return np.max(np.abs(r_hat - r_true), axis=-1)
 
     tt_best, gap_best = _golden_min_vec(gaps_at, n_v)

@@ -32,10 +32,12 @@ from .codebook import (
 )
 from .feedback import (
     STRATEGIES,
+    _require_subset,
     compute_feedback,
     cross_gram,
     feedback_vector,
     gap_sample_delta_ra,
+    ra_batch_group,
     ra_feedback_for_channels,
 )
 from .numerics import SeedSpec
@@ -271,25 +273,47 @@ def _init_worker(kind, cfg_dict):
     _WORKER_CTX["kind"] = kind
 
 
-def _worker_entry(i):
-    kind = _WORKER_CTX["kind"]
-    ctx = _WORKER_CTX["ctx"]
-    if kind == "sum-rate":
-        return _sum_rate_draw(ctx, i)
-    if kind == "delta-ra":
-        return _delta_ra_draw(ctx, i)
-    raise ValueError(kind)
+def _worker_entry(draws):
+    return _BLOCK_FNS[_WORKER_CTX["kind"]](_WORKER_CTX["ctx"], draws)
 
 
-def _map_draws(kind, cfg, n_draws):
+def _feedback_strategy(kind, cfg):
+    """Strategy whose messages the draws of `kind` use; None for none."""
+    if cfg.strategy == "perfect":
+        return "ra-full" if kind == "delta-ra" else None
+    return cfg.strategy
+
+
+def _block_size(ctx, kind):
+    """Draws per block: as many as fit in one group of the batched ra-full
+    gain search (users x SNR points problems each), at least 1.  Other
+    strategies have no batched search and run draw by draw."""
+    cfg = ctx.cfg
+    if _feedback_strategy(kind, cfg) != "ra-full":
+        return 1
+    group = ra_batch_group(ctx.C, ctx.V, cfg.params)
+    return max(1, group // (cfg.num_users * len(cfg.snr_db_list)))
+
+
+def _map_draws(kind, ctx):
+    """Per-draw results of all cfg.num_draws draws, in draw order.
+
+    Draws run in blocks of `_block_size` consecutive indices, in this
+    process or as the work items of a process pool; every draw's result is
+    independent of the block it lands in and of the worker count.
+    """
+    cfg = ctx.cfg
+    size = _block_size(ctx, kind)
+    blocks = [range(lo, min(lo + size, cfg.num_draws)) for lo in range(0, cfg.num_draws, size)]
     if cfg.workers <= 1:
-        ctx = _Context(cfg)
-        return [(_sum_rate_draw if kind == "sum-rate" else _delta_ra_draw)(ctx, i) for i in range(n_draws)]
-    chunk = max(1, n_draws // (cfg.workers * 8))
-    with ProcessPoolExecutor(
-        max_workers=cfg.workers, initializer=_init_worker, initargs=(kind, cfg.to_dict())
-    ) as ex:
-        return list(ex.map(_worker_entry, range(n_draws), chunksize=chunk))
+        per_block = [_BLOCK_FNS[kind](ctx, draws) for draws in blocks]
+    else:
+        chunk = max(1, len(blocks) // (cfg.workers * 8))
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_init_worker, initargs=(kind, cfg.to_dict())
+        ) as ex:
+            per_block = list(ex.map(_worker_entry, blocks, chunksize=chunk))
+    return [r for results in per_block for r in results]
 
 
 def _schedule(vectors, C, params, method):
@@ -345,64 +369,75 @@ def zf_schedule(vectors, params):
     return final, best_sum
 
 
-def _feedback_messages(ctx, strategy, jobs):
-    """Feedback messages for (channel, params) jobs, in job order.
+def _block_messages(ctx, strategy, chans):
+    """Feedback messages of a block: msgs[d][s] maps user -> message for
+    the block's draw d at SNR point s.
 
-    ra-full jobs share one batched gain search, which is where nearly all
-    of a draw's feedback time goes; the other strategies run job by job.
+    ra-full jobs of the whole block share one batched gain search, which
+    is where nearly all of a draw's feedback time goes; the other
+    strategies run job by job.
     """
+    jobs = [(ch, params) for channels in chans for params in ctx.params_by_snr for ch in channels.values()]
     if strategy == "ra-full":
-        return ra_feedback_for_channels(jobs, ctx.C, ctx.V, phi_table=ctx.phi)
-    return [compute_feedback(strategy, ch, ctx.C, ctx.V, params, phi_table=ctx.phi) for ch, params in jobs]
+        flat = ra_feedback_for_channels(jobs, ctx.C, ctx.V, phi_table=ctx.phi)
+    else:
+        flat = [compute_feedback(strategy, ch, ctx.C, ctx.V, params, phi_table=ctx.phi) for ch, params in jobs]
+    it = iter(flat)
+    return [[{m: next(it) for m in channels} for _ in ctx.params_by_snr] for channels in chans]
 
 
-def _scheduler_inputs(ctx, channels, params):
-    """Raw per-user vectors the base station schedules on."""
+def _sum_rate_block(ctx, draws):
+    """Realized sum rate of each draw in `draws`, shape (draws, SNR points)."""
     cfg = ctx.cfg
-    if cfg.strategy == "perfect":
-        return {m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()}, None
-    jobs = [(ch, params) for ch in channels.values()]
-    msgs = dict(zip(channels, _feedback_messages(ctx, cfg.strategy, jobs)))
-    return {m: feedback_vector(msg, ctx.V, params) for m, msg in msgs.items()}, msgs
-
-
-def _sum_rate_draw(ctx, i):
-    cfg = ctx.cfg
-    channels = ctx.channels(i)
-    out = np.empty(len(cfg.snr_db_list))
-    for s, params in enumerate(ctx.params_by_snr):
-        vectors, _ = _scheduler_inputs(ctx, channels, params)
-        if cfg.precoder == "zf":
-            decision, _ = zf_schedule(vectors, params)
-            report = realize_rates(decision, channels, params)
-        else:
-            decision = _schedule(vectors, ctx.C, params, cfg.scheduler)
-            report = realize_rates(decision, channels, params, C=ctx.C)
-        out[s] = report.sum
+    chans = [ctx.channels(i) for i in draws]
+    strategy = _feedback_strategy("sum-rate", cfg)
+    if strategy is not None:
+        msgs = _block_messages(ctx, strategy, chans)
+    out = np.empty((len(chans), len(ctx.params_by_snr)))
+    for d, channels in enumerate(chans):
+        for s, params in enumerate(ctx.params_by_snr):
+            if strategy is None:
+                vectors = {m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()}
+            else:
+                vectors = {m: feedback_vector(msg, ctx.V, params) for m, msg in msgs[d][s].items()}
+            if cfg.precoder == "zf":
+                decision, _ = zf_schedule(vectors, params)
+                report = realize_rates(decision, channels, params)
+            else:
+                decision = _schedule(vectors, ctx.C, params, cfg.scheduler)
+                report = realize_rates(decision, channels, params, C=ctx.C)
+            out[d, s] = report.sum
     return out
 
 
-def _delta_ra_draw(ctx, i):
+def _sum_rate_draw(ctx, i):
+    """Sum rate of draw i at every SNR point: a block of one draw."""
+    return _sum_rate_block(ctx, [i])[0]
+
+
+def _delta_ra_block(ctx, draws):
+    """(gap samples, mean lambda^2) per SNR point for each draw in `draws`."""
     cfg = ctx.cfg
-    channels = ctx.channels(i)
-    gaps = np.empty(len(cfg.snr_db_list))
-    lam_means = np.empty(len(cfg.snr_db_list))
-    # feedback for every (SNR, user) pair of the draw in one call
-    strategy = cfg.strategy if cfg.strategy != "perfect" else "ra-full"
-    jobs = [(ch, params) for params in ctx.params_by_snr for ch in channels.values()]
-    all_msgs = _feedback_messages(ctx, strategy, jobs)
-    n_users = len(channels)
-    for s, params in enumerate(ctx.params_by_snr):
-        effs = {m: mrc_effective_channel(ch, params) for m, ch in channels.items()}
-        msgs = dict(zip(channels, all_msgs[s * n_users : (s + 1) * n_users]))
-        true_vectors = {m: eff.h_hat for m, eff in effs.items()}
-        fb_vectors = {m: feedback_vector(msg, ctx.V, params) for m, msg in msgs.items()}
-        s_h = _schedule(true_vectors, ctx.C, params, cfg.scheduler).assignment.users
-        s_v = _schedule(fb_vectors, ctx.C, params, cfg.scheduler).assignment.users
-        union = set(s_h) | set(s_v)
-        gaps[s] = gap_sample_delta_ra(effs, msgs, ctx.C, ctx.V, params, union)
-        lam_means[s] = float(np.mean([eff.lambda_sq for eff in effs.values()]))
-    return gaps, lam_means
+    chans = [ctx.channels(i) for i in draws]
+    msgs = _block_messages(ctx, _feedback_strategy("delta-ra", cfg), chans)
+    out = []
+    for d, channels in enumerate(chans):
+        gaps = np.empty(len(cfg.snr_db_list))
+        lam_means = np.empty(len(cfg.snr_db_list))
+        for s, params in enumerate(ctx.params_by_snr):
+            effs = {m: mrc_effective_channel(ch, params) for m, ch in channels.items()}
+            true_vectors = {m: eff.h_hat for m, eff in effs.items()}
+            fb_vectors = {m: feedback_vector(msg, ctx.V, params) for m, msg in msgs[d][s].items()}
+            s_h = _schedule(true_vectors, ctx.C, params, cfg.scheduler).assignment.users
+            s_v = _schedule(fb_vectors, ctx.C, params, cfg.scheduler).assignment.users
+            union = set(s_h) | set(s_v)
+            gaps[s] = gap_sample_delta_ra(effs, msgs[d][s], ctx.C, ctx.V, params, union)
+            lam_means[s] = float(np.mean([eff.lambda_sq for eff in effs.values()]))
+        out.append((gaps, lam_means))
+    return out
+
+
+_BLOCK_FNS = {"sum-rate": _sum_rate_block, "delta-ra": _delta_ra_block}
 
 
 def _cdf(samples):
@@ -431,7 +466,7 @@ def _result_skeleton(kind, cfg, extra_meta=None):
 
 def run_sum_rate_experiment(cfg):
     """Realized sum rate of the configured strategy over the SNR grid."""
-    per_draw = np.array(_map_draws("sum-rate", cfg, cfg.num_draws))  # (draws, snr)
+    per_draw = np.array(_map_draws("sum-rate", _Context(cfg)))  # (draws, snr)
     result = _result_skeleton("sum-rate", cfg)
     result.draws["sum_rate_nats"] = per_draw.tolist()
     for s, snr in enumerate(cfg.snr_db_list):
@@ -461,8 +496,9 @@ def _lemma2_preconditions(cfg, C, V):
         return False, "transmit codebook is not tight"
     if abs(a - 1.0) > 1e-9 or len(C) != cfg.params.n_t:
         return False, "transmit codebook is not unitary"
-    diffs = np.abs(V.vectors[None, :, :] - C.vectors[:, None, :]).max(axis=2)
-    if not np.all(diffs.min(axis=1) <= 1e-12):
+    try:
+        _require_subset(C, V)
+    except ValueError:
         return False, "transmit codebook is not contained in the feedback codebook"
     return True, ""
 
@@ -472,7 +508,7 @@ def run_delta_ra_experiment(cfg):
     with the SNR-bounded analytical bound attached when its preconditions
     (unitary transmit codebook contained in the feedback codebook) hold."""
     ctx = _Context(cfg)
-    results = _map_draws("delta-ra", cfg, cfg.num_draws)
+    results = _map_draws("delta-ra", ctx)
     gaps = np.array([g for g, _ in results])  # (draws, snr)
     lams = np.array([l for _, l in results])
     result = _result_skeleton("delta-ra", cfg)

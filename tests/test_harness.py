@@ -124,6 +124,62 @@ def test_sum_rate_worker_count_invariance(tmp_path):
     assert j1 == j2
 
 
+def test_sum_rate_draws_independent_of_block_size(monkeypatch):
+    # draws run in blocks that share one feedback call; a draw's result must
+    # not depend on the block it lands in (13 draws leave a partial block of
+    # 3) or on the worker count
+    import ramimo.harness as harness
+
+    default = harness._block_size
+    ra = dict(strategy="ra-full", scheduler="brute", B=3, feedback_codebook={"kind": "rvq-union-tx"})
+    two_snr = _cfg(num_draws=13, snr_db_list=[0.0, 20.0], **ra)
+    configs = (two_snr, _cfg(num_draws=7, F=4, rho=0.9, **ra), two_snr.replace(workers=2))
+    runs = []
+    for cfg in configs:
+        draws = []
+        for size in (1, 3, None):
+            monkeypatch.setattr(harness, "_block_size", default if size is None else lambda ctx, kind, n=size: n)
+            draws.append(run_sum_rate_experiment(cfg).draws)
+        assert draws[0] == draws[1] == draws[2]
+        runs.append(draws[0])
+    assert len(runs[0]["sum_rate_nats"]) == 13
+    assert runs[2] == runs[0]
+
+
+def test_block_size_rule():
+    from ramimo.harness import _block_size
+
+    criterion_9 = SimConfig.from_dict(
+        {
+            "system": {"n_t": 4, "n_r": 1, "n_s": 2},
+            "num_users": 10,
+            "snr_db_list": [10.0],
+            "B": 4,
+            "scheduler": "brute",
+            "feedback_codebook": {"kind": "rvq-union-tx"},
+            "strategy": "ra-full",
+        }
+    )
+    criterion_7 = SimConfig.from_dict(
+        {
+            "system": {"n_t": 3, "n_r": 1, "n_s": 3},
+            "num_users": 3,
+            "snr_db_list": [0.0, 10.0, 20.0, 30.0, 40.0],
+            "B": 6,
+            "strategy": "ra-full",
+            "scheduler": "brute",
+            "feedback_codebook": {"kind": "rvq-union-tx"},
+        }
+    )
+    assert _block_size(_Context(criterion_9), "sum-rate") > 1
+    assert _block_size(_Context(criterion_7), "delta-ra") == 1
+    for cfg in (criterion_9, criterion_7):
+        for kw in ({}, {"num_users": 1}, {"num_users": 500}, {"strategy": "perfect"}, {"strategy": "chordal"}):
+            ctx = _Context(cfg.replace(**kw))
+            assert _block_size(ctx, "sum-rate") >= 1
+            assert _block_size(ctx, "delta-ra") >= 1
+
+
 def test_perfect_dominates_partial():
     # exact scheduling on true channels can never lose to scheduling on
     # quantized vectors, draw by draw (with n_r = 1 predicted == realized)
