@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import _golden_min_vec
-from .numerics import sample_complex_gaussian
+from .numerics import minimax_log_gain, sample_complex_gaussian
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
 # (Kershner d=2; Bambah d=3; Delone & Ryshkov d=4).
@@ -150,24 +149,29 @@ def covering_number_bound(d, delta):
 def min_weighted_gap(psi, phi_table, lam_tilde):
     """min over (theta_tilde, nu) of max_w |lam_tilde psi_w - theta_tilde phi_w|.
 
-    Convex in theta_tilde for each nu (max of absolute affine functions),
-    so the vectorized golden section finds the exact inner minimum.
+    For each nu the largest overshoot max_w (theta_tilde phi_w - lam_tilde
+    psi_w) rises with theta_tilde and the largest undershoot falls, so
+    `numerics.minimax_log_gain` finds the inner minimum by bisection over
+    x with theta_tilde = 1/(1 + e^{-x}).  theta_tilde moves by at most
+    |dx|/4, so the value is within about 2e-11 of the minimum over
+    theta_tilde in [1/(1+e^40), 1/(1+e^-40)].
     """
     return float(_min_weighted_gaps(np.asarray(psi)[None, :], phi_table, np.array([lam_tilde]))[0])
 
 
 def _min_weighted_gaps(psis, phi_table, lam_tildes):
     """`min_weighted_gap` of every row of psis (n, |C|) with its lam_tilde,
-    in one golden-section search over all (row, codeword) pairs."""
+    in one log-gain bisection over all (row, codeword) pairs."""
     n, n_v = len(psis), phi_table.shape[0]
     # one column per (row, codeword) pair, as in feedback.ra_feedback_batch
     target = np.repeat((lam_tildes[:, None] * psis).T, n_v, axis=1)
     phi_cols = np.tile(phi_table.T, (1, n))
 
-    def gaps_at(tt):
-        return np.abs(target - tt * phi_cols).max(axis=0)
+    def excess(x):
+        d = phi_cols / (1.0 + np.exp(-x)) - target
+        return d.max(axis=0), -d.min(axis=0)
 
-    _, vals = _golden_min_vec(gaps_at, n * n_v)
+    _, vals = minimax_log_gain(excess, n * n_v)
     return vals.reshape(n, n_v).min(axis=1)
 
 

@@ -170,6 +170,30 @@ def test_min_gap_oracle_injection():
     assert min_weighted_gap(psi, phi, 0.5) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("lam_tilde", [0.5, 1.0 - 1e-6, 1.0 - 1e-10])
+def test_min_weighted_gap_matches_dense_grid(lam_tilde):
+    # oracle: the inner minimum over a theta_tilde grid on [0, 1], refined
+    # around each codeword's best point; the value moves by at most the
+    # grid step (phi_w <= 1), so the grid cannot undercut the solver
+    C = canonical_onb(3)
+    V = rvq_codebook(3, 3, SeedSpec(54).derive("v"))
+    phi = np.abs(V.vectors.conj() @ C.vectors.T) ** 2
+    for i in range(20):
+        h = sample_complex_gaussian(3, SeedSpec(55).derive("h", i))
+        psi = np.abs(C.vectors @ np.conj(h / np.linalg.norm(h))) ** 2
+        oracle = np.inf
+        for row in phi:
+            tt = np.linspace(0.0, 1.0, 10_001)
+            for _ in range(3):
+                vals = np.abs(lam_tilde * psi[None, :] - tt[:, None] * row[None, :]).max(axis=1)
+                oracle = min(oracle, float(vals.min()))
+                step = tt[1] - tt[0]
+                tt = np.clip(tt[np.argmin(vals)] + np.linspace(-step, step, 1001), 0.0, 1.0)
+        got = min_weighted_gap(psi, phi, lam_tilde)
+        assert got <= oracle + 1e-10
+        assert got >= oracle - 1e-8
+
+
 def test_empirical_d_nonincreasing_in_b():
     params = SystemParams(n_t=3, n_s=2, P=10.0, sigma_sq=1.0)
     C = canonical_onb(3)

@@ -14,7 +14,6 @@ from ramimo.feedback import (
     chordal_cdi,
     cqi_effective,
     efficient_cdi,
-    evaluate_gap_config,
     feedback_vector,
     gap_sample_delta_ra,
     lemma1_feedback,
@@ -26,6 +25,7 @@ from ramimo.feedback import (
     raw_scale_sq,
 )
 from ramimo.numerics import SeedSpec, sample_complex_gaussian, sample_complex_gaussian_matrix
+from ramimo.rates import rate_with_beams
 
 
 def _unit(v):
@@ -145,7 +145,12 @@ def test_gap_profile_reproduces_value():
     eff = _random_eff(3, params, SeedSpec(8).derive("h"))
     nu = _unit(sample_complex_gaussian(3, SeedSpec(8).derive("nu")))
     prof = ra_distance(eff, 1.1, nu, C, params)
-    assert evaluate_gap_config(eff, 1.1, nu, C, params, prof) == pytest.approx(prof.value, abs=1e-12)
+    # re-evaluate the reported configuration with the explicit-beam rate
+    others = [C[j] for j in prof.interferers]
+    q = 1.1 * np.sqrt(raw_scale_sq(params)) * nu
+    rt = rate_with_beams(eff.h_hat, C[prof.own_beam], others, prof.n_scheduled, params)
+    rh = rate_with_beams(q, C[prof.own_beam], others, prof.n_scheduled, params)
+    assert abs(rt - rh) == pytest.approx(prof.value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +506,96 @@ def test_ra_feedback_batch_rejects_mixed_configuration_tables():
         problems.append((_random_eff(3, params, SeedSpec(66).derive("h", n_s)), params, None))
     with pytest.raises(ValueError, match="scheduling sizes"):
         ra_feedback_batch(problems, C, V)
+
+
+# ---------------------------------------------------------------------------
+# gain solver against a dense log-gain grid, up to 100 dB
+# ---------------------------------------------------------------------------
+
+
+def _grid_min_gap(distance, n_v, x0):
+    """Oracle: min over codewords j and a dense grid of x = log theta^2 of
+    distance(theta, j).
+
+    Each codeword starts on x0 +- 12 (step 0.5); its best grid point is
+    refined three times, twenty-fold each, for as long as the codeword
+    can still beat the best value found.  Rates change by less than |dx|,
+    so a grid of step s cannot miss a value lower than its own minimum
+    minus s / 2.
+    """
+    best = np.inf
+    for j in range(n_v):
+        step = 0.5
+        xs = x0 + np.arange(-12.0, 12.0 + step / 2, step)
+        for _ in range(4):
+            vals = np.array([distance(np.exp(0.5 * x), j) for x in xs])
+            best = min(best, float(vals.min()))
+            if vals.min() - step / 2 > best:
+                break
+            xs = xs[np.argmin(vals)] + np.linspace(-step, step, 41)
+            step /= 20
+    return best
+
+
+@pytest.mark.parametrize("snr_db", [60.0, 80.0, 100.0])
+@pytest.mark.parametrize("n_t,B", [(3, 6), (4, 4)])
+def test_ra_feedback_matches_log_gain_grid_at_high_snr(n_t, B, snr_db):
+    params = SystemParams(n_t=n_t, n_s=n_t, P=1.0).with_snr_db(snr_db)
+    C = canonical_onb(n_t)
+    V = concat_codebooks(C, rvq_codebook(n_t, B, SeedSpec(70).derive("v", n_t)))
+    for i in range(3):
+        eff = _random_eff(n_t, params, SeedSpec(71).derive("h", n_t, int(snr_db), i))
+        msg = ra_feedback(eff, C, V, params)
+        again = ra_distance(eff, msg.cqi, V[msg.cdi_index], C, params).value
+        assert msg.gap == pytest.approx(again, abs=1e-10)
+        oracle = _grid_min_gap(
+            lambda theta, j: ra_distance(eff, theta, V[j], C, params).value, len(V), np.log(eff.lambda_sq)
+        )
+        assert msg.gap <= oracle + 1e-9
+
+
+@pytest.mark.parametrize("snr_db", [60.0, 80.0, 100.0])
+def test_multiantenna_matches_log_gain_grid_at_high_snr(snr_db):
+    params = SystemParams(n_t=3, n_r=2, n_s=2, P=1.0).with_snr_db(snr_db)
+    C = canonical_onb(3)
+    V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(72).derive("v")))
+    for i in range(2):
+        uc = UserChannel(H=sample_complex_gaussian_matrix(2, 3, SeedSpec(73).derive("h", int(snr_db), i)))
+        msg = ra_feedback_multiantenna(uc, C, V, params)
+        again = ra_distance_multiantenna(uc, msg.cqi, V[msg.cdi_index], C, params).value
+        assert msg.gap == pytest.approx(again, abs=1e-10)
+        oracle = _grid_min_gap(
+            lambda theta, j: ra_distance_multiantenna(uc, theta, V[j], C, params).value,
+            len(V),
+            np.log(mrc_effective_channel(uc, params).lambda_sq),
+        )
+        assert msg.gap <= oracle + 1e-9
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 100.0])
+def test_ra_feedback_zero_channel(snr_db):
+    from ramimo.feedback import compute_feedback
+
+    params = SystemParams(n_t=3, n_s=3, P=1.0).with_snr_db(snr_db)
+    C = canonical_onb(3)
+    V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(74).derive("v")))
+    msg = compute_feedback("ra-full", UserChannel(H=np.zeros((1, 3), dtype=complex)), C, V, params)
+    assert np.isfinite(msg.cqi) and msg.cqi >= 0.0
+    assert msg.gap == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 100.0])
+def test_ra_feedback_duplicated_codeword_picks_lower_index(snr_db):
+    params = SystemParams(n_t=3, n_s=3, P=1.0).with_snr_db(snr_db)
+    C = canonical_onb(3)
+    V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(75).derive("v")))
+    for i in range(10):
+        eff = _random_eff(3, params, SeedSpec(76).derive("h", int(snr_db), i))
+        best = ra_feedback(eff, C, V, params)
+        dup = V.vectors[best.cdi_index][None, :]
+        front = ra_feedback(eff, C, Codebook(np.vstack([dup, V.vectors])), params)
+        back = ra_feedback(eff, C, Codebook(np.vstack([V.vectors, dup])), params)
+        assert front.cdi_index == 0
+        assert back.cdi_index == best.cdi_index
+        assert front.gap == pytest.approx(best.gap, abs=1e-12)
+        assert back.gap == best.gap
