@@ -161,17 +161,18 @@ def min_weighted_gap(psi, phi_table, lam_tilde):
 
 def _min_weighted_gaps(psis, phi_table, lam_tildes):
     """`min_weighted_gap` of every row of psis (n, |C|) with its lam_tilde,
-    in one log-gain bisection over all (row, codeword) pairs."""
+    in one log-gain bisection over all (row, codeword) pairs that drops a
+    codeword once it cannot beat its row's minimum."""
     n, n_v = len(psis), phi_table.shape[0]
     # one column per (row, codeword) pair, as in feedback.ra_feedback_batch
-    target = np.repeat((lam_tildes[:, None] * psis).T, n_v, axis=1)
-    phi_cols = np.tile(phi_table.T, (1, n))
+    columns = (np.repeat((lam_tildes[:, None] * psis).T, n_v, axis=1), np.tile(phi_table.T, (1, n)))
 
-    def excess(x):
-        d = phi_cols / (1.0 + np.exp(-x)) - target
+    def excess(x, target, phi_cols):
+        d = phi_cols / (1.0 + np.exp(-x))
+        d -= target
         return d.max(axis=0), -d.min(axis=0)
 
-    _, vals = minimax_log_gain(excess, n * n_v)
+    _, vals = minimax_log_gain(excess, columns, n_v)
     return vals.reshape(n, n_v).min(axis=1)
 
 

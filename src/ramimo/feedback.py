@@ -33,7 +33,11 @@ from .channel import (
 )
 from .numerics import minimax_log_gain
 
-_BATCH_ELEMENTS = 1 << 14  # (row, configuration) entries per batched gain search
+# (column, configuration) entries of one gain search before codeword
+# pruning, which leaves a few percent of the columns after ten halvings:
+# larger searches share the fixed numpy cost of a pass over more problems,
+# and the limit caps the first passes' working arrays (about 0.5 MB each)
+_BATCH_ELEMENTS = 1 << 16
 
 _CONFIG_CACHE = {}
 
@@ -192,8 +196,9 @@ def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None, sizes=N
 
 def ra_batch_group(C, V, params, sizes=None):
     """Problems per gain search of `ra_feedback_batch`: larger inputs are
-    split into groups of this many, so that the working arrays hold about
-    _BATCH_ELEMENTS (row, configuration) entries."""
+    split into groups of this many, so that the first passes' working
+    arrays hold about _BATCH_ELEMENTS (column, configuration) entries.  The
+    harness sizes its draw blocks to fill one group."""
     own = scheduling_configs(len(C), _sizes(params, sizes))[0]
     return max(1, _BATCH_ELEMENTS // (len(V) * len(own)))
 
@@ -205,10 +210,12 @@ def ra_feedback_batch(problems, C, V, phi_table=None, sizes=None):
     subcarrier_effs None for flat channels; all params must give the same
     configuration table.  One log-gain bisection (`minimax_log_gain`, gap
     within about 7e-11 nats of each codeword's minimum) runs over every
-    (problem, codeword) column, and each column goes through the same
-    elementwise arithmetic as in a single call, so the messages match
-    per-problem `ra_feedback` calls; only the per-call numpy overhead is
-    shared.
+    (problem, codeword) column, up to `ra_batch_group` problems at a time,
+    and drops each codeword once its bracket shows it cannot beat its
+    problem's best.  Every column goes through the same elementwise
+    arithmetic as in a single call, whatever else the search holds, so the
+    messages match per-problem `ra_feedback` calls bit for bit; only the
+    per-pass numpy overhead is shared.
     """
     if len(V) == 0:
         raise ValueError("empty feedback codebook")
@@ -220,7 +227,7 @@ def ra_feedback_batch(problems, C, V, phi_table=None, sizes=None):
     own, mask, ks, _ = scheduling_configs(len(C), tables.pop())
     phi = cross_gram(V, C) if phi_table is None else phi_table
     group = ra_batch_group(C, V, problems[0][1], sizes=sizes)
-    if len(problems) > group:  # keep the working arrays cache-sized
+    if len(problems) > group:  # bound the first passes' working arrays
         return [
             msg
             for lo in range(0, len(problems), group)
@@ -242,25 +249,58 @@ def ra_feedback_batch(problems, C, V, phi_table=None, sizes=None):
     return _ra_messages(np.array(r_true), noise, scale2, phi, own, mask, len(C) * len(V) + len(C))
 
 
+def _interferer_table(mask):
+    """Interfering beams of every configuration (row of `mask`) in beam
+    order, padded with len(mask[0]): the index of an all-zero power row."""
+    beams = [np.flatnonzero(row) for row in mask]
+    table = np.full((len(mask), max([1, *map(len, beams)])), mask.shape[1])
+    for row, b in zip(table, beams):
+        row[: len(b)] = b
+    return table
+
+
+def _interference(powers, table):
+    """Interference power of every configuration for every column of
+    `powers` (beam rows plus a final zero row).  The interfering beams are
+    added one by one in beam order, so a column's bits do not depend on how
+    many columns `powers` holds, as they can with a BLAS matrix product."""
+    total = powers[table[:, 0]]
+    for beams in table.T[1:]:
+        total += powers[beams]
+    return total
+
+
 def _ra_messages(r_true, noise, scale2, phi, own, mask, count):
     """Minimax (codeword, gain) message of each problem, given its true
     rates and noise terms (problems x configurations) and CQI^2-to-raw
     scale, from one `minimax_log_gain` search over every (problem,
-    codeword) column."""
+    codeword) column, grouped by problem."""
     # one column per (problem, codeword) pair: the max over configurations
     # then runs across contiguous rows instead of along short ones
     n, n_v = len(r_true), len(phi)
-    r_true = np.repeat(r_true.T, n_v, axis=1)
-    noise = np.repeat(noise.T, n_v, axis=1)
-    scale2 = np.repeat(scale2, n_v)
-    phi_cols = np.tile(phi.T, (1, n))
+    table = _interferer_table(mask)
+    # true rates and noise terms stay per problem and are read through
+    # each column's problem index, so no (configurations x columns) array
+    # outlives a pass
+    r_true, noise = np.ascontiguousarray(r_true.T), np.ascontiguousarray(noise.T)
+    columns = (
+        np.repeat(np.arange(n), n_v),
+        np.repeat(scale2, n_v),
+        np.tile(np.vstack([phi.T, np.zeros(n_v)]), (1, n)),
+    )
 
-    def excess(x):
+    def excess(x, problem, scale2, phi_cols):
         powers = (scale2 * np.exp(x)) * phi_cols
-        d = np.log1p(powers[own] / (noise + mask @ powers)) - r_true
+        denom = _interference(powers, table)
+        denom += noise[:, problem]
+        d = powers[own]
+        d /= denom
+        del denom
+        np.log1p(d, out=d)
+        d -= r_true[:, problem]
         return d.max(axis=0), -d.min(axis=0)
 
-    x, gap = minimax_log_gain(excess, n * n_v)
+    x, gap = minimax_log_gain(excess, columns, n_v)
     x = x.reshape(n, n_v)
     gap = gap.reshape(n, n_v)
     msgs = []
@@ -270,13 +310,17 @@ def _ra_messages(r_true, noise, scale2, phi, own, mask, count):
     return msgs
 
 
-def ra_feedback_for_channels(jobs, C, V, phi_table=None):
+def ra_feedback_for_channels(jobs, C, V, phi_table=None, effs=None):
     """`compute_feedback("ra-full", uc, C, V, params)` for every (uc, params)
-    job, solved together by `ra_feedback_batch`."""
+    job, solved together by `ra_feedback_batch`.  `effs`, if given, holds
+    each job's `mrc_effective_channel(uc, params)`, already built by the
+    caller."""
+    if effs is None:
+        effs = [mrc_effective_channel(uc, params) for uc, params in jobs]
     problems = []
-    for uc, params in jobs:
+    for (uc, params), eff in zip(jobs, effs):
         sub = per_subcarrier_effective_channels(uc, params) if uc.F > 1 else None
-        problems.append((mrc_effective_channel(uc, params), params, sub))
+        problems.append((eff, params, sub))
     return ra_feedback_batch(problems, C, V, phi_table=phi_table)
 
 

@@ -369,17 +369,19 @@ def zf_schedule(vectors, params):
     return final, best_sum
 
 
-def _block_messages(ctx, strategy, chans):
+def _block_messages(ctx, strategy, chans, effs=None):
     """Feedback messages of a block: msgs[d][s] maps user -> message for
     the block's draw d at SNR point s.
 
     ra-full jobs of the whole block share one batched gain search, which
     is where nearly all of a draw's feedback time goes; the other
-    strategies run job by job.
+    strategies run job by job.  `effs`, laid out like the messages, holds
+    effective channels the caller has already built; ra-full reuses them.
     """
     jobs = [(ch, params) for channels in chans for params in ctx.params_by_snr for ch in channels.values()]
     if strategy == "ra-full":
-        flat = ra_feedback_for_channels(jobs, ctx.C, ctx.V, phi_table=ctx.phi)
+        flat_effs = None if effs is None else [e for per_draw in effs for per_snr in per_draw for e in per_snr.values()]
+        flat = ra_feedback_for_channels(jobs, ctx.C, ctx.V, phi_table=ctx.phi, effs=flat_effs)
     else:
         flat = [compute_feedback(strategy, ch, ctx.C, ctx.V, params, phi_table=ctx.phi) for ch, params in jobs]
     it = iter(flat)
@@ -419,13 +421,17 @@ def _delta_ra_block(ctx, draws):
     """(gap samples, mean lambda^2) per SNR point for each draw in `draws`."""
     cfg = ctx.cfg
     chans = [ctx.channels(i) for i in draws]
-    msgs = _block_messages(ctx, _feedback_strategy("delta-ra", cfg), chans)
+    block_effs = [
+        [{m: mrc_effective_channel(ch, params) for m, ch in channels.items()} for params in ctx.params_by_snr]
+        for channels in chans
+    ]
+    msgs = _block_messages(ctx, _feedback_strategy("delta-ra", cfg), chans, block_effs)
     out = []
     for d, channels in enumerate(chans):
         gaps = np.empty(len(cfg.snr_db_list))
         lam_means = np.empty(len(cfg.snr_db_list))
         for s, params in enumerate(ctx.params_by_snr):
-            effs = {m: mrc_effective_channel(ch, params) for m, ch in channels.items()}
+            effs = block_effs[d][s]
             true_vectors = {m: eff.h_hat for m, eff in effs.items()}
             fb_vectors = {m: feedback_vector(msg, ctx.V, params) for m, msg in msgs[d][s].items()}
             s_h = _schedule(true_vectors, ctx.C, params, cfg.scheduler).assignment.users

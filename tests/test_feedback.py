@@ -599,3 +599,100 @@ def test_ra_feedback_duplicated_codeword_picks_lower_index(snr_db):
         assert back.cdi_index == best.cdi_index
         assert front.gap == pytest.approx(best.gap, abs=1e-12)
         assert back.gap == best.gap
+
+
+# ---------------------------------------------------------------------------
+# messages independent of grouping and of codeword pruning
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "system,B,F,snrs,users",
+    [
+        ({"n_t": 3, "n_s": 3}, 6, 1, np.arange(0.0, 101.0, 10.0), 8),  # criterion-7 config
+        ({"n_t": 4, "n_s": 4}, 4, 1, np.arange(0.0, 101.0, 20.0), 8),
+        ({"n_t": 4, "n_s": 2}, 4, 4, (0.0, 30.0, 100.0), 10),
+        ({"n_t": 8, "n_s": 4}, 4, 1, (10.0, 60.0), 5),
+    ],
+)
+def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, system, B, F, snrs, users):
+    # The search groups problems by _BATCH_ELEMENTS and drops losing
+    # codewords mid-search, so it holds a different number of columns from
+    # pass to pass; every (cdi_index, cqi, gap) must stay bit-identical.
+    import ramimo.feedback as fb
+    import ramimo.numerics as nm
+    from ramimo.channel import per_subcarrier_effective_channels
+    from ramimo.harness import SimConfig, _Context
+
+    ctx = _Context(
+        SimConfig.from_dict(
+            {
+                "system": {**system, "n_r": 1},
+                "num_users": users,
+                "snr_db_list": list(snrs),
+                "B": B,
+                "F": F,
+                "feedback_codebook": {"kind": "rvq-union-tx"},
+                "master_seed": 77,
+            }
+        )
+    )
+    problems = [
+        (mrc_effective_channel(uc, params), params, per_subcarrier_effective_channels(uc, params) if F > 1 else None)
+        for d in range(2)
+        for params in ctx.params_by_snr
+        for uc in ctx.channels(d).values()
+    ]
+    zero = UserChannel(H=np.zeros((1, system["n_t"]), dtype=complex))
+    problems.append((mrc_effective_channel(zero, ctx.params_by_snr[-1]), ctx.params_by_snr[-1], None))
+
+    def solve(elements, margin):
+        monkeypatch.setattr(fb, "_BATCH_ELEMENTS", elements)
+        monkeypatch.setattr(nm, "PRUNE_MARGIN", margin)
+        return [(m.cdi_index, m.cqi, m.gap) for m in fb.ra_feedback_batch(problems, ctx.C, ctx.V, phi_table=ctx.phi)]
+
+    default = fb._BATCH_ELEMENTS
+    reference = solve(default, np.inf)  # nothing pruned
+    for elements in (1, 1 << 14, default):
+        assert solve(elements, nm.PRUNE_MARGIN) == reference
+
+
+@pytest.mark.parametrize("n_c,n_s", [(3, 3), (4, 4), (8, 4), (8, 5)])
+def test_interference_sum_is_column_stable(n_c, n_s):
+    # the pruned search evaluates ever fewer columns, down to one; each
+    # column's interference must equal the beam-order sum whatever the
+    # column count (a BLAS product took another path for one column)
+    from ramimo.feedback import _interference, _interferer_table, scheduling_configs
+
+    _, mask, _, intf = scheduling_configs(n_c, tuple(range(1, n_s + 1)))
+    rng = np.random.default_rng(n_c * 10 + n_s)
+    n = 40
+    powers = np.vstack([rng.random((n_c, n)) * np.exp(rng.uniform(-30, 30, size=(1, n))), np.zeros(n)])
+    table = _interferer_table(mask)
+    full = _interference(powers, table)
+    for j in range(n):
+        ref = []
+        for beams in intf:
+            total = 0.0
+            for b in beams:
+                total += float(powers[b, j])
+            ref.append(total)
+        assert full[:, j].tolist() == ref
+        assert _interference(powers[:, j : j + 1], table)[:, 0].tolist() == ref
+
+
+@pytest.mark.parametrize("n_t,n_s", [(3, 2), (4, 4)])
+def test_multiantenna_independent_of_pruning(monkeypatch, n_t, n_s):
+    import ramimo.numerics as nm
+
+    C = canonical_onb(n_t)
+    V = concat_codebooks(C, rvq_codebook(n_t, 4, SeedSpec(78).derive("v", n_t)))
+    for snr in (0.0, 40.0, 100.0):
+        params = SystemParams(n_t=n_t, n_r=2, n_s=n_s, P=1.0).with_snr_db(snr)
+        for i in range(3):
+            uc = UserChannel(H=sample_complex_gaussian_matrix(2, n_t, SeedSpec(79).derive(n_t, int(snr), i)))
+            pruned = ra_feedback_multiantenna(uc, C, V, params)
+            with monkeypatch.context() as mp:
+                mp.setattr(nm, "PRUNE_MARGIN", np.inf)
+                plain = ra_feedback_multiantenna(uc, C, V, params)
+            assert pruned == plain

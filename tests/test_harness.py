@@ -146,7 +146,45 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
     assert runs[2] == runs[0]
 
 
+def test_delta_ra_draws_independent_of_block_size(monkeypatch):
+    # a delta-ra block builds every (draw, SNR point, user) effective
+    # channel once and shares it between the feedback search and the gap
+    # samples; the draws must not depend on the block they land in
+    import ramimo.harness as harness
+
+    default = harness._block_size
+    cfg = SimConfig.from_dict(
+        {
+            "system": {"n_t": 3, "n_r": 1, "n_s": 3},
+            "num_users": 3,
+            "num_draws": 7,
+            "snr_db_list": [0.0, 60.0, 100.0],
+            "B": 4,
+            "strategy": "ra-full",
+            "scheduler": "brute",
+            "feedback_codebook": {"kind": "rvq-union-tx"},
+            "master_seed": 41,
+        }
+    )
+    runs = []
+    for size in (1, 3, None):
+        monkeypatch.setattr(harness, "_block_size", default if size is None else lambda ctx, kind, n=size: n)
+        result = run_delta_ra_experiment(cfg)
+        runs.append((result.draws, result.tables))
+    assert default(harness._Context(cfg), "delta-ra") >= 7
+    assert runs[0] == runs[1] == runs[2]
+    # the prebuilt effective channels reach the jobs they belong to
+    ctx = harness._Context(cfg)
+    chans = [ctx.channels(i) for i in range(3)]
+    effs = [
+        [{m: harness.mrc_effective_channel(ch, p) for m, ch in channels.items()} for p in ctx.params_by_snr]
+        for channels in chans
+    ]
+    assert harness._block_messages(ctx, "ra-full", chans, effs) == harness._block_messages(ctx, "ra-full", chans)
+
+
 def test_block_size_rule():
+    from ramimo.feedback import ra_batch_group
     from ramimo.harness import _block_size
 
     criterion_9 = SimConfig.from_dict(
@@ -172,7 +210,9 @@ def test_block_size_rule():
         }
     )
     assert _block_size(_Context(criterion_9), "sum-rate") > 1
-    assert _block_size(_Context(criterion_7), "delta-ra") == 1
+    ctx = _Context(criterion_7)
+    group = ra_batch_group(ctx.C, ctx.V, criterion_7.params)
+    assert _block_size(ctx, "delta-ra") == max(1, group // (criterion_7.num_users * len(criterion_7.snr_db_list)))
     for cfg in (criterion_9, criterion_7):
         for kw in ({}, {"num_users": 1}, {"num_users": 500}, {"strategy": "perfect"}, {"strategy": "chordal"}):
             ctx = _Context(cfg.replace(**kw))

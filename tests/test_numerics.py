@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from ramimo.numerics import (
+    LOG_GAIN_BRACKET,
+    MINIMAX_ITERS,
     SeedSpec,
     generalized_rayleigh_max,
     inner,
+    minimax_log_gain,
     norm1,
     norm2,
     norm_inf,
@@ -152,3 +155,120 @@ def test_sampling_streams_uncorrelated():
     b = np.concatenate([sample_complex_gaussian(5, SeedSpec(2).derive(1, i)) for i in range(n // 5)])
     corr = np.abs(np.mean(a * np.conj(b)))
     assert corr < 0.02
+
+
+# ---------------------------------------------------------------------------
+# minimax_log_gain
+# ---------------------------------------------------------------------------
+
+
+def _rate_excess(x, s, t):
+    """Largest overshoot and undershoot of log(1 + s e^x) over targets t,
+    one column per problem; s >= 0 makes them monotone in x."""
+    d = np.log1p(s * np.exp(x)) - t
+    return d.max(axis=0), -d.min(axis=0)
+
+
+def _plain_bisection(excess, columns):
+    """The bisection without pruning, written out as a reference."""
+    n = columns[0].shape[-1]
+    lo, hi = np.full(n, -LOG_GAIN_BRACKET), np.full(n, LOG_GAIN_BRACKET)
+    best_x, best = np.zeros(n), np.full(n, np.inf)
+    for _ in range(MINIMAX_ITERS):
+        x = 0.5 * (lo + hi)
+        over, under = excess(x, *columns)
+        val = np.maximum(over, under)
+        better = val <= best
+        best_x, best = np.where(better, x, best_x), np.where(better, val, best)
+        rising = over >= under
+        hi, lo = np.where(rising, x, hi), np.where(rising, lo, x)
+    return best_x, best
+
+
+def _assert_same_winners(s, t, group):
+    """Group minima, argmins (ties to the lowest index) and winning x of a
+    grouped solve equal the group = 1 solve bit for bit; so does every
+    column that survives, and pruned columns read (NaN, +inf)."""
+    x1, v1 = minimax_log_gain(_rate_excess, (s, t), 1)
+    px, pv = _plain_bisection(_rate_excess, (s, t))
+    assert np.array_equal(x1, px) and np.array_equal(v1, pv)
+    xg, vg = minimax_log_gain(_rate_excess, (s, t), group)
+    groups = [slice(lo, lo + group) for lo in range(0, len(vg), group)]
+    for g in groups:
+        i1, ig = int(np.argmin(v1[g])), int(np.argmin(vg[g]))
+        assert i1 == ig
+        assert v1[g][i1].tobytes() == vg[g][ig].tobytes()
+        assert x1[g][i1].tobytes() == xg[g][ig].tobytes()
+    kept = np.isfinite(vg)
+    assert np.array_equal(xg[kept], x1[kept]) and np.array_equal(vg[kept], v1[kept])
+    pruned = np.isnan(xg)
+    assert np.all(np.isinf(vg[pruned]))
+    return pruned
+
+
+def _random_columns(rng, k, n):
+    s = rng.exponential(size=(k, n)) * np.exp(rng.uniform(-20, 20, size=(1, n)))
+    t = rng.exponential(size=(k, n)) * rng.uniform(0, 5, size=(1, n))
+    return s, t
+
+
+def test_minimax_log_gain_pruning_keeps_winners_random_columns():
+    rng = np.random.default_rng(3)
+    s, t = _random_columns(rng, 6, 64 * 30)
+    pruned = _assert_same_winners(s, t, 64)
+    assert pruned.mean() > 0.5  # most columns lose early
+
+
+def test_minimax_log_gain_duplicated_columns_tie_to_lowest_index():
+    rng = np.random.default_rng(4)
+    s, t = _random_columns(rng, 4, 5)
+    # each group repeats its five columns, so every minimum is a tie
+    s, t = np.tile(s, (1, 2)), np.tile(t, (1, 2))
+    _, v1 = minimax_log_gain(_rate_excess, (s, t), 1)
+    _, vg = minimax_log_gain(_rate_excess, (s, t), 10)
+    i = int(np.argmin(v1))
+    assert i < 5 and np.isfinite(vg[i + 5]) and vg[i + 5] == vg[i]
+    _assert_same_winners(s, t, 10)
+
+
+def test_minimax_log_gain_nan_zero_and_flat_columns():
+    rng = np.random.default_rng(5)
+    s, t = _random_columns(rng, 3, 12)
+    s[:, 0:4] = np.nan  # group 0: all NaN, every value +inf, nothing pruned
+    s[:, 4] = 0.0  # group 1: a zero column (value 0) beats the rest
+    t[:, 4] = 0.0
+    s[:, 8:12] = 0.0  # group 2: flat columns, value max(t) wherever x is
+    x, v = minimax_log_gain(_rate_excess, (s, t), 4)
+    assert np.all(np.isinf(v[0:4])) and not np.any(np.isnan(x[0:4]))
+    assert v[4] == 0.0 and np.all(np.isinf(v[5:8]))
+    assert np.array_equal(v[8:12][np.isfinite(v[8:12])], t[:, 8:12].max(axis=0)[np.isfinite(v[8:12])])
+    _assert_same_winners(s, t, 4)
+
+
+def test_minimax_log_gain_one_column_groups():
+    rng = np.random.default_rng(6)
+    s, t = _random_columns(rng, 5, 7)
+    x, v = minimax_log_gain(_rate_excess, (s, t), 1)
+    assert np.all(np.isfinite(v))  # a lone column is its group's best
+    _assert_same_winners(s, t, 3)  # the last of 7 columns is a group alone
+    x0, v0 = minimax_log_gain(_rate_excess, (s[:, :0], t[:, :0]), 4)
+    assert x0.shape == v0.shape == (0,)
+
+
+def test_minimax_log_gain_late_winner():
+    # two linear-regime columns with values 0.25 + 1e-7 (crossing at 17.42)
+    # and 0.25 (crossing at 33.55): only after about 30 halvings does the
+    # second column's best undercut the first column's bound
+    a, delta = 0.25, 1e-7
+    s = np.array([[1.0, 1.0], [np.exp(-2 * (a + delta)), np.exp(-2 * a)]])
+    t = np.array([[17.17, 33.3], [17.17, 33.3]])
+    held = []
+
+    def counting(x, s, t):
+        held.append(x.size)
+        return _rate_excess(x, s, t)
+
+    x, v = minimax_log_gain(counting, (s, t), 2)
+    assert int(np.argmin(v)) == 1 and np.isinf(v[0])
+    assert held.index(1) >= 25
+    _assert_same_winners(s, t, 2)
