@@ -33,7 +33,6 @@ from .channel import (
     effective_channel_state,
     mrc_effective_channel,
     mrc_filter,
-    sinr_optimal_filter,
 )
 from .codebook import (
     Codebook,
@@ -60,7 +59,6 @@ from .feedback import (
     lemma1_rhs,
     ra_distance,
     ra_feedback,
-    ra_feedback_multiantenna,
 )
 from .harness import (
     ExperimentResult,
@@ -72,16 +70,8 @@ from .harness import (
     run_scaling_experiment,
     run_sum_rate_experiment,
 )
-from .numerics import (
-    SeedSpec,
-    generalized_rayleigh_max,
-    inner,
-    norm1,
-    norm2,
-    norm_inf,
-    sample_complex_gaussian,
-)
-from .rates import BeamAssignment, RateReport, averaged_user_rate, sum_rate, user_rate
+from .numerics import SeedSpec, sample_complex_gaussian
+from .rates import BeamAssignment, RateReport, sum_rate, user_rate
 from .scheduler import (
     PrecodedDecision,
     ScheduleDecision,

@@ -73,11 +73,11 @@ def lemma3_bound(B, n_t, mean_lambda_sq):
 
 
 def _lemma2_inner(D, n_t, eps_hi=1e6):
-    """min over eps in (0, eps_hi] of (1+eps) D / (1 + eps D / (n_t - 1)).
+    """min over eps in [1e-12, eps_hi] of (1+eps) D / (1 + eps D / (n_t - 1)).
 
-    The objective is monotone in eps, so the minimum sits at a boundary; a
-    bounded 1-D search plus explicit endpoint evaluation keeps this robust
-    without relying on that structure.
+    The objective is a ratio of two affine functions of eps, so it is
+    monotone (increasing for D < n_t - 1, decreasing above, flat at
+    equality) and its minimum sits at an end of the interval.
     """
     if D <= 0:
         return 0.0
@@ -85,20 +85,7 @@ def _lemma2_inner(D, n_t, eps_hi=1e6):
     def f(eps):
         return (1.0 + eps) * D / (1.0 + eps * D / (n_t - 1))
 
-    lo = 1e-12
-    # two-stage grid on log10(eps): relative resolution across 18 decades
-    def fl(x):
-        return np.array([f(10.0 ** xi) for xi in np.atleast_1d(x)])
-
-    grid = np.linspace(math.log10(lo), math.log10(eps_hi), 481)
-    vals = fl(grid)
-    i = int(np.argmin(vals))
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    x = np.linspace(a, b, 241)
-    vals2 = fl(x)
-    best = min(float(vals.min()), float(vals2.min()), f(lo), f(eps_hi))
-    return best
+    return min(f(1e-12), f(eps_hi))
 
 
 def lemma2_bound(D_values, n_t):
@@ -359,9 +346,3 @@ def measure_worst_case_error(quantizer, n_probes=10**6):
         d = np.abs(block[:, None, :] - pts[None, :, :]).max(axis=2).min(axis=1)
         worst = max(worst, float(d.max()))
     return worst
-
-
-def quantize_on_simplex(quantizer, x):
-    """Index of the max-norm-closest quantization point to x."""
-    x = np.asarray(x, dtype=float)
-    return int(np.argmin(np.abs(quantizer.points - x[None, :]).max(axis=1)))

@@ -3,18 +3,17 @@
 Channels are i.i.d. Rayleigh (CN(0,1) entries), optionally drawn per
 subcarrier with a Gauss-Markov correlation chain across frequency.  A
 receive filter u turns the matrix channel H into the effective vector
-channel h_hat = H^H u seen by the scheduler and the rate formula.
+channel h_hat = H^H u.  Every user applies one filter, the MRC filter of
+its (subcarrier-averaged) channel, and the same effective channel feeds
+the feedback, the scheduler and the realized rates, so with n_r > 1 the
+base station predicts exactly the receiver the user runs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    generalized_rayleigh_max,
-    sample_complex_gaussian_matrix,
-    _fix_phase,
-)
+from .numerics import sample_complex_gaussian_matrix
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,6 @@ class EffectiveChannel:
     h_hat: np.ndarray
     lambda_sq: float
     h: np.ndarray
-    degenerate: bool = False
 
     @property
     def gain_sq(self):
@@ -142,16 +140,24 @@ def effective_channel_state(h_hat, params):
     if gain == 0.0:
         e1 = np.zeros(h_hat.shape[0], dtype=complex)
         e1[0] = 1.0
-        return EffectiveChannel(h_hat=h_hat, lambda_sq=0.0, h=e1, degenerate=True)
+        return EffectiveChannel(h_hat=h_hat, lambda_sq=0.0, h=e1)
     lam_sq = params.P * gain * gain / (params.n_t * params.sigma_sq)
     return EffectiveChannel(h_hat=h_hat, lambda_sq=lam_sq, h=h_hat / gain)
+
+
+def _fix_phase(u):
+    """Rotate a vector so its largest-magnitude entry is real positive."""
+    i = int(np.argmax(np.abs(u)))
+    if np.abs(u[i]) > 0:
+        u = u * (np.conj(u[i]) / np.abs(u[i]))
+    return u
 
 
 def mrc_filter(H):
     """Unit-norm filter maximizing ||H^H u||: dominant left singular vector.
 
-    A zero matrix is degenerate; e_1 is returned and the downstream
-    EffectiveChannel carries the degenerate flag (its rate is 0).
+    A zero matrix gets e_1; its effective channel is zero, with
+    lambda_sq = 0 and rate 0.
     """
     H = np.asarray(H, dtype=complex)
     if H.shape[0] == 1:
@@ -170,61 +176,9 @@ def mrc_effective_channel(uc, params):
     return effective_channel_state(effective_channel(uc.H, u), params)
 
 
-def per_subcarrier_effective_channels(uc, params, u=None):
-    """Effective channels of every subcarrier under one common filter.
-
-    The filter defaults to the MRC filter of the averaged channel, matching
-    how feedback is computed once per resource block.
-    """
-    if u is None:
-        u = mrc_filter(uc.H)
+def per_subcarrier_effective_channels(uc, params):
+    """Effective channels of every subcarrier under the MRC filter of the
+    averaged channel, the one filter feedback, scheduling and
+    `scheduler.realize_rates` all assume."""
+    u = mrc_filter(uc.H)
     return [effective_channel_state(effective_channel(Hf, u), params) for Hf in uc.per_subcarrier()]
-
-
-def sinr_optimal_filter_beams(H, own_beam, other_beams, n_active, params):
-    """Best receive filter and its SINR for a given beam configuration.
-
-    Maximizes u^H S u / u^H Q u with signal S = g g^H, g = H w_own, and
-    interference-plus-noise Q = (sigma_sq * n_active / P) I + sum_l g_l g_l^H.
-    """
-    H = np.asarray(H, dtype=complex)
-    g = H @ np.asarray(own_beam, dtype=complex)
-    S = np.outer(g, g.conj())
-    Q = (params.sigma_sq * n_active / params.P) * np.eye(H.shape[0], dtype=complex)
-    for w in other_beams:
-        gl = H @ np.asarray(w, dtype=complex)
-        Q += np.outer(gl, gl.conj())
-    sinr, u = generalized_rayleigh_max(S, Q)
-    return u, sinr
-
-
-def save_user_channel(uc, path):
-    """Dump a channel in the codebook text format, subcarrier matrices
-    stacked row-wise (size = F * n_r rows of dim = n_t entries)."""
-    from .codebook import save_matrix_text
-
-    mats = uc.per_subcarrier()
-    save_matrix_text(mats.reshape(-1, mats.shape[2]), path)
-
-
-def load_user_channel(path, n_r, rho=0.0):
-    """Inverse of save_user_channel; n_r tells how to split stacked rows."""
-    from .codebook import load_matrix_text
-
-    flat = load_matrix_text(path)
-    if flat.shape[0] % n_r != 0:
-        raise ValueError(f"{path}: {flat.shape[0]} rows do not split into n_r={n_r} blocks")
-    mats = flat.reshape(-1, n_r, flat.shape[1])
-    if mats.shape[0] == 1:
-        return UserChannel(H=mats[0], rho=rho)
-    return UserChannel(H=mats.mean(axis=0), subcarriers=mats, rho=rho)
-
-
-def sinr_optimal_filter(H, assignment, C, m, params):
-    """SINR-optimal filter for user m under a beam assignment into codebook C."""
-    pairs = assignment.pairs
-    if m not in pairs:
-        raise ValueError(f"user {m} is not scheduled")
-    own = C[pairs[m]]
-    others = [C[j] for user, j in sorted(pairs.items()) if user != m]
-    return sinr_optimal_filter_beams(H, own, others, len(pairs), params)

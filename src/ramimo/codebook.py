@@ -158,15 +158,6 @@ def _format_complex(z):
     return f"{re}{sign}{repr(abs(im))}j"
 
 
-def save_codebook(cb, path):
-    """Write a codebook in the textual format described in the module docstring."""
-    lines = [f"dim={cb.dim} size={cb.size}"]
-    for w in cb.vectors:
-        lines.append(" ".join(_format_complex(z) for z in w))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _parse_records(path, expect_unit=True):
     header = None
     rows = []
@@ -217,6 +208,11 @@ def _parse_records(path, expect_unit=True):
 
 def load_codebook(path):
     return Codebook(_parse_records(path, expect_unit=True), kind="file")
+
+
+def save_codebook(cb, path):
+    """Write a codebook in the textual format described in the module docstring."""
+    save_matrix_text(cb.vectors, path)
 
 
 def save_matrix_text(mat, path):

@@ -26,11 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import (
-    mrc_effective_channel,
-    per_subcarrier_effective_channels,
-    sinr_optimal_filter_beams,
-)
+from .channel import mrc_effective_channel, per_subcarrier_effective_channels
 from .numerics import minimax_log_gain
 
 # (column, configuration) entries of one gain search before codeword
@@ -322,45 +318,6 @@ def ra_feedback_for_channels(jobs, C, V, phi_table=None, effs=None):
         sub = per_subcarrier_effective_channels(uc, params) if uc.F > 1 else None
         problems.append((eff, params, sub))
     return ra_feedback_batch(problems, C, V, phi_table=phi_table)
-
-
-def _true_rates_multiantenna(uc, C, params, sizes):
-    """Per-configuration rates with the SINR-optimal receive filter."""
-    own, mask, ks, intf = scheduling_configs(len(C), _sizes(params, sizes))
-    r_true = np.empty(len(own))
-    for c in range(len(own)):
-        others = [C[j] for j in intf[c]]
-        _, sinr = sinr_optimal_filter_beams(uc.H, C[own[c]], others, int(ks[c]), params)
-        r_true[c] = np.log1p(sinr)
-    return r_true
-
-
-def ra_distance_multiantenna(uc, theta, nu, C, params, sizes=None):
-    """Worst-case mismatch between filter-optimized true rates and the
-    rates predicted from (theta, nu)."""
-    own, mask, ks, intf = scheduling_configs(len(C), _sizes(params, sizes))
-    r_true = _true_rates_multiantenna(uc, C, params, sizes)
-    q = (theta * theta * raw_scale_sq(params)) * beam_powers(nu, C)
-    gaps = np.abs(_config_rates(q, own, mask, _config_noise(ks, params)) - r_true)
-    i = int(np.argmax(gaps))
-    return GapProfile(float(gaps[i]), int(ks[i]), int(own[i]), intf[i])
-
-
-def ra_feedback_multiantenna(uc, C, V, params, phi_table=None, sizes=None):
-    """Rate-approximation feedback with the receive filter optimized per
-    scheduling configuration (n_r > 1 extension).
-
-    The true-rate side of every configuration uses the SINR-maximizing
-    filter for that beam layout; the reported direction/gain then minimize
-    the worst-case mismatch with the same log-gain solver as `ra_feedback`,
-    to within about 7e-11 nats of each codeword's minimum.
-    """
-    own, mask, ks, _ = scheduling_configs(len(C), _sizes(params, sizes))
-    r_true = _true_rates_multiantenna(uc, C, params, sizes)
-    phi = cross_gram(V, C) if phi_table is None else phi_table
-    noise = _config_noise(ks, params)
-    count = len(C) * len(V) + len(C) * len(own)
-    return _ra_messages(r_true[None], noise[None], np.array([raw_scale_sq(params)]), phi, own, mask, count)[0]
 
 
 def efficient_cdi(eff, C, V, phi_table=None):

@@ -349,10 +349,10 @@ def zf_schedule(vectors, params):
                 dirs.append(v / norm)
             if not ok:
                 continue
-            A = np.array([np.conj(v) for v in dirs])
-            if np.linalg.matrix_rank(A, tol=1e-10) < len(cand):
+            try:
+                decision = zf_decision_for(cand, dirs, params)
+            except ValueError:  # linearly dependent directions
                 continue
-            decision = zf_decision_for(cand, dirs, params)
             total = sum(
                 rate_with_beams(vectors[u], decision.beams[i], [], len(cand), params)
                 for i, u in enumerate(cand)
@@ -410,11 +410,6 @@ def _sum_rate_block(ctx, draws):
                 report = realize_rates(decision, channels, params, C=ctx.C)
             out[d, s] = report.sum
     return out
-
-
-def _sum_rate_draw(ctx, i):
-    """Sum rate of draw i at every SNR point: a block of one draw."""
-    return _sum_rate_block(ctx, [i])[0]
 
 
 def _delta_ra_block(ctx, draws):

@@ -1,5 +1,4 @@
-"""Complex linear-algebra primitives, the minimax gain solver and
-reproducible random sampling.
+"""The minimax gain solver and reproducible random sampling.
 
 Everything here is deterministic: random draws are pure functions of a
 SeedSpec, so simulation results do not depend on execution order or on
@@ -10,9 +9,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-HERMITIAN_TOL = 1e-10
 LOG_GAIN_BRACKET = 40.0  # x = log theta^2 in [-40, 40]: theta^2 from 4e-18 to 2e17
 MINIMAX_ITERS = 40  # halvings of the bracket: 80 * 2^-40 ~ 7e-11 in x
 PRUNE_MARGIN = 1e-9  # slack over a group's best before a column is dropped, far above rounding
@@ -46,65 +43,6 @@ class SeedSpec:
     def generator(self):
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.stream)
         return np.random.default_rng(seq)
-
-
-def inner(a, b):
-    """Inner product a^H b (conjugate on the first argument)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def norm2(a):
-    return float(np.linalg.norm(np.asarray(a), 2))
-
-
-def norm1(a):
-    return float(np.sum(np.abs(np.asarray(a))))
-
-
-def norm_inf(a):
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def _check_hermitian(M, name):
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if np.max(np.abs(M - M.conj().T)) > HERMITIAN_TOL:
-        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
-    # Symmetrize to guard accumulated roundoff before factorizing.
-    return 0.5 * (M + M.conj().T)
-
-
-def _fix_phase(u):
-    """Rotate a vector so its largest-magnitude entry is real positive."""
-    i = int(np.argmax(np.abs(u)))
-    if np.abs(u[i]) > 0:
-        u = u * (np.conj(u[i]) / np.abs(u[i]))
-    return u
-
-
-def generalized_rayleigh_max(A, B):
-    """Maximize (u^H A u) / (u^H B u) over u != 0.
-
-    A must be Hermitian, B Hermitian positive definite.  Returns the
-    maximum value and a unit-norm attaining vector.  Solved as a dense
-    generalized Hermitian eigenproblem; intended for the small antenna
-    counts (<= 8) used throughout.
-    """
-    A = _check_hermitian(A, "A")
-    B = _check_hermitian(B, "B")
-    try:
-        w, v = scipy.linalg.eigh(A, B)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ValueError(f"B is singular or not positive definite: {exc}") from exc
-    u = v[:, -1]
-    u = u / np.linalg.norm(u)
-    return float(w[-1]), _fix_phase(u)
 
 
 def minimax_log_gain(excess, columns, group):

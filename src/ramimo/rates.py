@@ -68,11 +68,3 @@ def sum_rate(assign, C, vectors, params):
             raise ValueError(f"no channel/feedback entry for scheduled user {m}")
         per_user[m] = user_rate(assign, C, vectors[m], m, params)
     return RateReport(per_user=per_user, sum=float(sum(per_user.values())))
-
-
-def averaged_user_rate(assign, C, subcarrier_vectors, m, params):
-    """Arithmetic mean of user m's rate over per-subcarrier vectors."""
-    vals = [user_rate(assign, C, v, m, params) for v in subcarrier_vectors]
-    if not vals:
-        raise ValueError("need at least one subcarrier")
-    return float(np.mean(vals))

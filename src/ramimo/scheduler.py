@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .channel import sinr_optimal_filter_beams
+from .channel import mrc_filter
 from .rates import BeamAssignment, RateReport, rate_with_beams
 
 BRUTE_MAX_USERS = 12
@@ -179,10 +179,10 @@ def zf_decision_for(users, cdis, params):
 def realize_rates(decision, channels, params, C=None):
     """Actual rates of a decision on the true channels.
 
-    `channels` maps user -> UserChannel.  With n_r == 1 the rate formula is
-    evaluated directly on the effective channel; with n_r > 1 each user
-    applies its SINR-optimal receive filter for the realized beam layout.
-    Multi-subcarrier channels realize the per-subcarrier average.
+    `channels` maps user -> UserChannel.  Each user receives with the MRC
+    filter of its averaged channel, the receiver its feedback and the
+    scheduler assume, and its rate is the rate formula on the filtered
+    channel; multi-subcarrier channels realize the per-subcarrier average.
     """
     if isinstance(decision, PrecodedDecision):
         users = list(decision.users)
@@ -196,13 +196,7 @@ def realize_rates(decision, channels, params, C=None):
         own = beam_of[m]
         others = [beam_of[l] for l in users if l != m]
         uc = channels[m]
-        vals = []
-        for Hf in uc.per_subcarrier():
-            if params.n_r == 1:
-                v = Hf.conj().T @ np.ones(1, dtype=complex)
-                vals.append(rate_with_beams(v, own, others, k, params))
-            else:
-                _, sinr = sinr_optimal_filter_beams(Hf, own, others, k, params)
-                vals.append(float(np.log1p(sinr)))
-        per_user[m] = float(np.mean(vals)) if vals else 0.0
+        u = mrc_filter(uc.H)
+        vals = [rate_with_beams(Hf.conj().T @ u, own, others, k, params) for Hf in uc.per_subcarrier()]
+        per_user[m] = float(np.mean(vals))
     return RateReport(per_user=per_user, sum=float(sum(per_user.values())))

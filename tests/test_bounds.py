@@ -18,7 +18,6 @@ from ramimo.bounds import (
     measure_worst_case_error,
     min_direction_gap,
     min_weighted_gap,
-    quantize_on_simplex,
     ra_nt3_gap,
     simplex_quantizer,
     theorem1_bound,
@@ -98,11 +97,12 @@ def test_lemma2_saturates_for_large_errors():
 
 
 def test_lemma2_matches_dense_grid():
-    D, n_t = 0.25, 3
+    # D below, above and at n_t - 1: the objective rises, falls or is flat in eps
     eps = np.logspace(-9, 6, 2_000_000)
-    inner = (1 + eps) * D / (1 + eps * D / (n_t - 1))
-    expected = 2 * math.log1p(float(inner.min()))
-    assert lemma2_bound([D], n_t) == pytest.approx(expected, abs=1e-6)
+    for D, n_t in ((0.25, 3), (5.0, 3), (2.0, 3), (40.0, 8)):
+        inner = (1 + eps) * D / (1 + eps * D / (n_t - 1))
+        expected = 2 * math.log1p(float(inner.min()))
+        assert lemma2_bound([D], n_t) == pytest.approx(expected, abs=1e-6)
 
 
 def test_lemma2_rejects_negative():
@@ -264,12 +264,6 @@ def test_quantizer_measured_radius_of_centroid_cells():
         k = 2 ** (B // 2)
         measured = measure_worst_case_error(centroids, n_probes=2 * 10**5)
         assert measured == pytest.approx(2.0 / (3 * k), abs=2e-3)
-
-
-def test_quantize_on_simplex_picks_nearest():
-    q = simplex_quantizer(2)
-    for i, p in enumerate(q.points):
-        assert quantize_on_simplex(q, p) == i
 
 
 def test_empirical_d_independent_of_batching(monkeypatch):

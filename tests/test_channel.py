@@ -6,14 +6,9 @@ from ramimo.channel import (
     draw_user_channel,
     effective_channel,
     effective_channel_state,
-    mrc_effective_channel,
     mrc_filter,
-    sinr_optimal_filter,
-    sinr_optimal_filter_beams,
 )
-from ramimo.codebook import canonical_onb
 from ramimo.numerics import SeedSpec
-from ramimo.rates import BeamAssignment, rate_with_beams
 
 P2 = SystemParams(n_t=2, n_r=1, n_s=2, P=1.0, sigma_sq=1.0)
 P24 = SystemParams(n_t=4, n_r=2, n_s=2, P=1.0, sigma_sq=1.0)
@@ -105,7 +100,7 @@ def test_mrc_zero_matrix_degenerate():
     u = mrc_filter(np.zeros((2, 3), dtype=complex))
     assert np.allclose(u, [1.0, 0.0])
     eff = effective_channel_state(effective_channel(np.zeros((2, 3), dtype=complex), u), P24)
-    assert eff.degenerate
+    assert np.array_equal(eff.h, [1.0, 0.0, 0.0])
     assert eff.lambda_sq == 0.0
 
 
@@ -128,67 +123,3 @@ def test_effective_channel_state_lambda():
     eff = effective_channel_state(h_hat, SystemParams(n_t=2, P=4.0, sigma_sq=2.0))
     assert eff.lambda_sq == pytest.approx(4.0 * 4.0 / (2 * 2.0))
     assert np.allclose(eff.h, [1.0, 0.0])
-
-
-def test_sinr_scalar_matches_rate_formula():
-    params = SystemParams(n_t=2, n_r=1, n_s=2, P=3.0, sigma_sq=0.5)
-    rng = np.random.default_rng(7)
-    H = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
-    C = canonical_onb(2)
-    assign = BeamAssignment({0: 0, 1: 1})
-    u, sinr = sinr_optimal_filter(H, assign, C, 0, params)
-    h_hat = effective_channel(H, np.ones(1, dtype=complex))
-    expected = rate_with_beams(h_hat, C[0], [C[1]], 2, params)
-    assert np.log1p(sinr) == pytest.approx(expected, abs=1e-12)
-
-
-def test_sinr_no_interferers_closed_form():
-    params = SystemParams(n_t=2, n_r=2, n_s=1, P=5.0, sigma_sq=2.0)
-    H = np.eye(2, dtype=complex)
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    _, sinr = sinr_optimal_filter_beams(H, e1, [], 1, params)
-    assert sinr == pytest.approx(5.0 / 2.0, abs=1e-10)
-
-
-def test_sinr_dominates_mrc():
-    params = P24
-    C = canonical_onb(4)
-    rng_seed = SeedSpec(8)
-    for i in range(200):
-        uc = draw_user_channel(params, seed=rng_seed.derive("t", i))
-        assign = BeamAssignment({0: 0, 1: 1})
-        _, sinr = sinr_optimal_filter(uc.H, assign, C, 0, params)
-        eff = mrc_effective_channel(uc, params)
-        r_mrc = rate_with_beams(eff.h_hat, C[0], [C[1]], 2, params)
-        assert np.log1p(sinr) >= r_mrc - 1e-10
-
-
-def test_channel_dump_round_trip(tmp_path):
-    from ramimo.channel import load_user_channel, save_user_channel
-
-    uc = draw_user_channel(P24, F=3, rho=0.9, seed=SeedSpec(77).derive("c"))
-    path = tmp_path / "chan.txt"
-    save_user_channel(uc, path)
-    back = load_user_channel(path, n_r=2, rho=0.9)
-    assert back.F == 3
-    assert np.array_equal(back.subcarriers, uc.subcarriers)
-    assert np.allclose(back.H, uc.H)
-
-
-def test_filter_rate_chain():
-    # optimal filter >= MRC >= random filter, through the realized rate
-    params = P24
-    C = canonical_onb(4)
-    rng = np.random.default_rng(10)
-    for i in range(100):
-        uc = draw_user_channel(params, seed=SeedSpec(9).derive("t", i))
-        assign = BeamAssignment({0: 2, 1: 0})
-        _, sinr = sinr_optimal_filter(uc.H, assign, C, 0, params)
-        eff = mrc_effective_channel(uc, params)
-        r_opt = np.log1p(sinr)
-        r_mrc = rate_with_beams(eff.h_hat, C[2], [C[0]], 2, params)
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        u /= np.linalg.norm(u)
-        r_rand = rate_with_beams(effective_channel(uc.H, u), C[2], [C[0]], 2, params)
-        assert r_opt >= r_mrc - 1e-10
-        assert r_opt >= r_rand - 1e-10

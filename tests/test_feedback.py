@@ -12,6 +12,7 @@ from ramimo.channel import (
 from ramimo.codebook import Codebook, canonical_onb, concat_codebooks, rvq_codebook
 from ramimo.feedback import (
     chordal_cdi,
+    compute_feedback,
     cqi_effective,
     efficient_cdi,
     feedback_vector,
@@ -19,9 +20,7 @@ from ramimo.feedback import (
     lemma1_feedback,
     lemma1_rhs,
     ra_distance,
-    ra_distance_multiantenna,
     ra_feedback,
-    ra_feedback_multiantenna,
     raw_scale_sq,
 )
 from ramimo.numerics import SeedSpec, sample_complex_gaussian, sample_complex_gaussian_matrix
@@ -208,54 +207,55 @@ def test_ra_and_chordal_decisions_differ_somewhere():
 
 
 # ---------------------------------------------------------------------------
-# multi-antenna extension
+# multi-antenna users: feedback on the MRC effective channel
 # ---------------------------------------------------------------------------
 
 
 def test_multiantenna_reduces_to_single_antenna():
-    params = SystemParams(n_t=3, n_r=1, n_s=2, P=4.0, sigma_sq=1.0)
+    # a second receive antenna that hears nothing leaves the MRC filter on
+    # the first, so the message is the single-antenna user's
+    params = SystemParams(n_t=3, n_r=2, n_s=2, P=4.0, sigma_sq=1.0)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(12).derive("v")))
     for i in range(20):
         H = sample_complex_gaussian_matrix(1, 3, SeedSpec(13).derive("h", i))
-        uc = UserChannel(H=H)
-        m_ma = ra_feedback_multiantenna(uc, C, V, params)
-        m_sa = ra_feedback(mrc_effective_channel(uc, params), C, V, params)
+        m_ma = compute_feedback("ra-full", UserChannel(H=np.vstack([H, np.zeros((1, 3))])), C, V, params)
+        m_sa = compute_feedback("ra-full", UserChannel(H=H), C, V, params)
         assert m_ma.cdi_index == m_sa.cdi_index
         assert m_ma.cqi == pytest.approx(m_sa.cqi, abs=1e-9)
         assert m_ma.gap == pytest.approx(m_sa.gap, abs=1e-9)
 
 
 def test_multiantenna_rank_one_equivalence():
-    # rank-1 channel: every configuration's optimal filter is the dominant
-    # left singular vector, so decisions match the MRC-effective path
+    # a rank-1 channel u0 row^T has one direction: its MRC effective channel
+    # is ||u0|| conj(row) up to a phase, which no rate sees, so the message
+    # is that of the single-antenna channel ||u0|| row
     params = SystemParams(n_t=3, n_r=2, n_s=2, P=4.0, sigma_sq=1.0)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(14).derive("v")))
     row = sample_complex_gaussian(3, SeedSpec(14).derive("row"))
-    u0 = np.array([0.6, 0.8j], dtype=complex)
-    uc = UserChannel(H=np.outer(u0, row))
-    m_ma = ra_feedback_multiantenna(uc, C, V, params)
-    m_sa = ra_feedback(mrc_effective_channel(uc, params), C, V, params)
+    u0 = np.array([1.2, 1.6j], dtype=complex)
+    m_ma = compute_feedback("ra-full", UserChannel(H=np.outer(u0, row)), C, V, params)
+    m_sa = compute_feedback("ra-full", UserChannel(H=2.0 * row[None, :]), C, V, params)
     assert m_ma.cdi_index == m_sa.cdi_index
+    assert m_ma.cqi == pytest.approx(m_sa.cqi, rel=1e-8)
     assert m_ma.gap == pytest.approx(m_sa.gap, abs=1e-8)
 
 
 def test_multiantenna_argmin_dominance():
-    # under the filter-optimized distance, the jointly optimized message is
-    # at least as good as reusing the MRC-based message
+    # on the MRC effective channel of a two-antenna user, the ra-full
+    # message is at least as good as every other strategy's message
     params = SystemParams(n_t=4, n_r=2, n_s=2, P=10.0, sigma_sq=1.0)
     C = canonical_onb(4)
     V = concat_codebooks(C, rvq_codebook(4, 3, SeedSpec(15).derive("v")))
     for i in range(20):
-        H = sample_complex_gaussian_matrix(2, 4, SeedSpec(16).derive("h", i))
-        uc = UserChannel(H=H)
-        m_ma = ra_feedback_multiantenna(uc, C, V, params)
-        m_sa = ra_feedback(mrc_effective_channel(uc, params), C, V, params)
-        g_ma = ra_distance_multiantenna(uc, m_ma.cqi, V[m_ma.cdi_index], C, params).value
-        g_sa = ra_distance_multiantenna(uc, m_sa.cqi, V[m_sa.cdi_index], C, params).value
-        assert g_ma <= g_sa + 1e-7
-        assert m_ma.gap == pytest.approx(g_ma, abs=1e-9)
+        uc = UserChannel(H=sample_complex_gaussian_matrix(2, 4, SeedSpec(16).derive("h", i)))
+        eff = mrc_effective_channel(uc, params)
+        msg = compute_feedback("ra-full", uc, C, V, params)
+        assert msg.gap == pytest.approx(ra_distance(eff, msg.cqi, V[msg.cdi_index], C, params).value, abs=1e-9)
+        for strategy in ("chordal", "ra-efficient", "lemma1"):
+            other = compute_feedback(strategy, uc, C, V, params)
+            assert msg.gap <= ra_distance(eff, other.cqi, V[other.cdi_index], C, params).value + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +434,6 @@ def test_ra_feedback_frequency_averaged_degenerate_chain():
     # rho = 1 makes all subcarriers identical: averaged true rates collapse
     # to the single-carrier case and the decision must match
     from ramimo.channel import draw_user_channel, per_subcarrier_effective_channels
-    from ramimo.feedback import compute_feedback
-
     params = SystemParams(n_t=3, n_r=1, n_s=2, P=10.0)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(60).derive("v")))
@@ -561,21 +559,18 @@ def test_multiantenna_matches_log_gain_grid_at_high_snr(snr_db):
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(72).derive("v")))
     for i in range(2):
         uc = UserChannel(H=sample_complex_gaussian_matrix(2, 3, SeedSpec(73).derive("h", int(snr_db), i)))
-        msg = ra_feedback_multiantenna(uc, C, V, params)
-        again = ra_distance_multiantenna(uc, msg.cqi, V[msg.cdi_index], C, params).value
+        eff = mrc_effective_channel(uc, params)
+        msg = compute_feedback("ra-full", uc, C, V, params)
+        again = ra_distance(eff, msg.cqi, V[msg.cdi_index], C, params).value
         assert msg.gap == pytest.approx(again, abs=1e-10)
         oracle = _grid_min_gap(
-            lambda theta, j: ra_distance_multiantenna(uc, theta, V[j], C, params).value,
-            len(V),
-            np.log(mrc_effective_channel(uc, params).lambda_sq),
+            lambda theta, j: ra_distance(eff, theta, V[j], C, params).value, len(V), np.log(eff.lambda_sq)
         )
         assert msg.gap <= oracle + 1e-9
 
 
 @pytest.mark.parametrize("snr_db", [10.0, 100.0])
 def test_ra_feedback_zero_channel(snr_db):
-    from ramimo.feedback import compute_feedback
-
     params = SystemParams(n_t=3, n_s=3, P=1.0).with_snr_db(snr_db)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(74).derive("v")))
@@ -691,8 +686,8 @@ def test_multiantenna_independent_of_pruning(monkeypatch, n_t, n_s):
         params = SystemParams(n_t=n_t, n_r=2, n_s=n_s, P=1.0).with_snr_db(snr)
         for i in range(3):
             uc = UserChannel(H=sample_complex_gaussian_matrix(2, n_t, SeedSpec(79).derive(n_t, int(snr), i)))
-            pruned = ra_feedback_multiantenna(uc, C, V, params)
+            pruned = compute_feedback("ra-full", uc, C, V, params)
             with monkeypatch.context() as mp:
                 mp.setattr(nm, "PRUNE_MARGIN", np.inf)
-                plain = ra_feedback_multiantenna(uc, C, V, params)
+                plain = compute_feedback("ra-full", uc, C, V, params)
             assert pruned == plain

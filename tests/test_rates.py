@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ramimo.channel import SystemParams
+from ramimo.channel import SystemParams, UserChannel
 from ramimo.codebook import canonical_onb
-from ramimo.rates import BeamAssignment, averaged_user_rate, sum_rate, user_rate
+from ramimo.rates import BeamAssignment, sum_rate, user_rate
+from ramimo.scheduler import ScheduleDecision, realize_rates
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -101,11 +102,19 @@ def test_joint_power_noise_scaling_invariance():
         )
 
 
+def _averaged_rate(assign, C, subcarrier_vectors, m, params):
+    """User m's rate realized on a channel whose subcarriers have the given
+    single-antenna effective vectors (H_f = v_f^H)."""
+    rows = np.array([np.conj(v)[None, :] for v in subcarrier_vectors])
+    uc = UserChannel(H=rows.mean(axis=0), subcarriers=rows)
+    return realize_rates(ScheduleDecision(assign, 0.0, "brute"), {m: uc}, params, C=C).per_user[m]
+
+
 def test_averaged_rate_single_subcarrier():
     params = SystemParams(n_t=2, n_s=1)
     assign = BeamAssignment({0: 0})
     C = canonical_onb(2)
-    assert averaged_user_rate(assign, C, [E1], 0, params) == pytest.approx(
+    assert _averaged_rate(assign, C, [E1], 0, params) == pytest.approx(
         user_rate(assign, C, E1, 0, params)
     )
 
@@ -114,7 +123,7 @@ def test_averaged_rate_identical_subcarriers():
     params = SystemParams(n_t=2, n_s=1)
     assign = BeamAssignment({0: 0})
     C = canonical_onb(2)
-    assert averaged_user_rate(assign, C, [E1, E1, E1], 0, params) == pytest.approx(
+    assert _averaged_rate(assign, C, [E1, E1, E1], 0, params) == pytest.approx(
         user_rate(assign, C, E1, 0, params)
     )
 
@@ -124,5 +133,5 @@ def test_averaged_rate_mean_of_rate_and_zero():
     assign = BeamAssignment({0: 0})
     C = canonical_onb(2)
     r = user_rate(assign, C, E1, 0, params)
-    avg = averaged_user_rate(assign, C, [E1, E2], 0, params)
+    avg = _averaged_rate(assign, C, [E1, E2], 0, params)
     assert avg == pytest.approx(r / 2.0, abs=1e-12)

@@ -3,7 +3,13 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from ramimo.channel import SystemParams, UserChannel, draw_user_channel, mrc_effective_channel
+from ramimo.channel import (
+    SystemParams,
+    UserChannel,
+    draw_user_channel,
+    mrc_effective_channel,
+    per_subcarrier_effective_channels,
+)
 from ramimo.codebook import canonical_onb, rvq_codebook
 from ramimo.numerics import SeedSpec, sample_complex_gaussian
 from ramimo.rates import BeamAssignment, sum_rate
@@ -162,6 +168,30 @@ def test_realize_matches_predicted_under_perfect_csit():
     decision = schedule_bruteforce(vectors, C, params)
     realized = realize_rates(decision, channels, params, C=C)
     assert realized.sum == pytest.approx(decision.predicted_sum_rate, abs=1e-12)
+
+
+@pytest.mark.parametrize("F", [1, 4])
+def test_realize_multiantenna_on_mrc_channel(F):
+    # two-antenna users receive with the MRC filter of their averaged
+    # channel, the receiver feedback and scheduling assume: a flat channel
+    # realizes exactly the predicted sum rate, and F subcarriers realize the
+    # mean of the rate formula on each subcarrier's filtered channel
+    C = canonical_onb(4)
+    for snr_db in (0.0, 20.0, 40.0):
+        params = SystemParams(n_t=4, n_r=2, n_s=2).with_snr_db(snr_db)
+        for i in range(20):
+            seed = SeedSpec(41).derive(F, int(snr_db), i)
+            channels = {m: draw_user_channel(params, F=F, rho=0.7, seed=seed.derive(m)) for m in range(5)}
+            vectors = {m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()}
+            decision = schedule_bruteforce(vectors, C, params)
+            realized = realize_rates(decision, channels, params, C=C)
+            if F == 1:
+                assert realized.sum == pytest.approx(decision.predicted_sum_rate, abs=1e-12)
+            subs = {m: per_subcarrier_effective_channels(ch, params) for m, ch in channels.items()}
+            expected = np.mean(
+                [sum_rate(decision.assignment, C, {m: e[f].h_hat for m, e in subs.items()}, params).sum for f in range(F)]
+            )
+            assert realized.sum == pytest.approx(expected, abs=1e-12)
 
 
 def test_realize_orthogonal_plugin():
