@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import minimax_log_gain, sample_complex_gaussian
+from .numerics import minimax_log_gain, standard_normal_rows
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
 # (Kershner d=2; Bambah d=3; Delone & Ryshkov d=4).
@@ -179,8 +179,10 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     direction-only min-max error.  The outer minimum over all codebooks in
     the definitions is not searched: the supplied family is evaluated, so
     both numbers are upper estimates for the functionals at the optimum.
-    The gain searches of consecutive samples run in batches; the averages
-    still add the samples one by one in order.
+    The samples h_hat = sample_complex_gaussian(n_t, seed.derive("empD", i))
+    of a batch are drawn in one `standard_normal_rows` call, and their gain
+    searches run together; the averages still add the samples one by one
+    in order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -191,10 +193,11 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     chunk = max(1, _EMPIRICAL_D_ROWS // len(V))
     for lo in range(0, samples, chunk):
         idx = range(lo, min(lo + chunk, samples))
+        normals = standard_normal_rows(seed.master_seed, [seed.derive("empD", i).stream for i in idx], 2 * n_t)
         lam_tilde = np.empty(len(idx))
         psi = np.empty((len(idx), len(C)))
-        for r, i in enumerate(idx):
-            h_hat = sample_complex_gaussian(n_t, seed.derive("empD", i))
+        for r, row in enumerate(normals):
+            h_hat = (row[:n_t] + 1j * row[n_t:]) / np.sqrt(2.0)
             gain_sq = float(np.linalg.norm(h_hat) ** 2)
             lam_sq = params.P * gain_sq / (params.n_t * params.sigma_sq)
             lam_tilde[r] = lam_sq / (1.0 + lam_sq)

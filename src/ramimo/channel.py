@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sample_complex_gaussian_matrix
+from .numerics import SeedSpec, standard_normal_rows
+from .numerics import sample_complex_gaussian_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
+
+_F_KEY = SeedSpec(0).derive("f").stream[0]  # stream word of the subcarrier key "f"
 
 
 @dataclass(frozen=True)
@@ -96,32 +99,43 @@ class EffectiveChannel:
     lambda_sq: float
     h: np.ndarray
 
-    @property
-    def gain_sq(self):
-        return float(np.linalg.norm(self.h_hat) ** 2)
 
-
-def draw_user_channel(params, F=1, rho=0.0, seed=None):
-    """Draw one user's Rayleigh channel, optionally over F correlated subcarriers.
+def draw_channels(params, F, rho, seeds):
+    """Draw the Rayleigh channel of every user seed in `seeds`, each over F
+    correlated subcarriers.
 
     Subcarriers follow H_{f+1} = rho * H_f + sqrt(1 - rho^2) * W_{f+1} with
     i.i.d. CN(0,1) innovations, so each subcarrier is marginally CN(0,1) and
-    neighbors have correlation coefficient rho.
+    neighbors have correlation coefficient rho.  W_f of a user comes from
+    its stream seed.derive("f", f); all (user, subcarrier) streams are
+    drawn in one `standard_normal_rows` call, and the chain runs across all
+    users at once.  The seeds must share one master seed and one stream
+    length.
     """
     if F < 1:
         raise ValueError("F must be >= 1")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
+    if not seeds:
+        return []
+    master_seed = seeds[0].master_seed
+    if any(s.master_seed != master_seed for s in seeds):
+        raise ValueError("seeds must share one master seed")
+    streams = [s.stream + (_F_KEY, f) for s in seeds for f in range(F)]  # the streams of s.derive("f", f)
+    normals = standard_normal_rows(master_seed, streams, 2 * params.n_r * params.n_t)
+    normals = normals.reshape(len(seeds), F, 2, params.n_r, params.n_t)
+    mats = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2.0)  # innovations, (users, F, n_r, n_t)
     if F == 1:
-        H = sample_complex_gaussian_matrix(params.n_r, params.n_t, seed.derive("f", 0))
-        return UserChannel(H=H, rho=rho)
-    mats = np.empty((F, params.n_r, params.n_t), dtype=complex)
-    mats[0] = sample_complex_gaussian_matrix(params.n_r, params.n_t, seed.derive("f", 0))
+        return [UserChannel(H=m[0], rho=rho) for m in mats]
     scale = np.sqrt(max(0.0, 1.0 - rho * rho))
-    for f in range(1, F):
-        w = sample_complex_gaussian_matrix(params.n_r, params.n_t, seed.derive("f", f))
-        mats[f] = rho * mats[f - 1] + scale * w
-    return UserChannel(H=mats.mean(axis=0), subcarriers=mats, rho=rho)
+    for f in range(1, F):  # the chain overwrites the innovations in subcarrier order
+        mats[:, f] = rho * mats[:, f - 1] + scale * mats[:, f]
+    return [UserChannel(H=H, subcarriers=m, rho=rho) for H, m in zip(mats.mean(axis=1), mats)]
+
+
+def draw_user_channel(params, F=1, rho=0.0, seed=None):
+    """Draw one user's Rayleigh channel: `draw_channels` for one seed."""
+    return draw_channels(params, F, rho, [seed])[0]
 
 
 def effective_channel(H, u):

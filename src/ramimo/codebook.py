@@ -158,7 +158,7 @@ def _format_complex(z):
     return f"{re}{sign}{repr(abs(im))}j"
 
 
-def _parse_records(path, expect_unit=True):
+def _parse_records(path):
     header = None
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -196,34 +196,21 @@ def _parse_records(path, expect_unit=True):
     if len(rows) != header["size"]:
         raise ValueError(f"{path}: header declares size={header['size']} but found {len(rows)} records")
     arr = np.array(rows, dtype=complex)
-    if expect_unit:
-        norms = np.linalg.norm(arr, axis=1)
-        bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
-        if bad.size:
-            raise ValueError(
-                f"{path}: record {bad[0] + 1} has norm {norms[bad[0]]:.12g}, not unit within {UNIT_NORM_TOL}"
-            )
+    norms = np.linalg.norm(arr, axis=1)
+    bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+    if bad.size:
+        raise ValueError(f"{path}: record {bad[0] + 1} has norm {norms[bad[0]]:.12g}, not unit within {UNIT_NORM_TOL}")
     return arr
 
 
 def load_codebook(path):
-    return Codebook(_parse_records(path, expect_unit=True), kind="file")
+    return Codebook(_parse_records(path), kind="file")
 
 
 def save_codebook(cb, path):
     """Write a codebook in the textual format described in the module docstring."""
-    save_matrix_text(cb.vectors, path)
-
-
-def save_matrix_text(mat, path):
-    """Persist a complex matrix in the codebook textual format (rows stacked)."""
-    mat = np.asarray(mat, dtype=complex)
-    lines = [f"dim={mat.shape[1]} size={mat.shape[0]}"]
-    for row in mat:
+    lines = [f"dim={cb.vectors.shape[1]} size={cb.vectors.shape[0]}"]
+    for row in cb.vectors:
         lines.append(" ".join(_format_complex(z) for z in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_matrix_text(path):
-    return _parse_records(path, expect_unit=False)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import c_nt, empirical_D, lemma2_bound, lemma3_bound, lemma3_validity_threshold
-from .channel import SystemParams, draw_user_channel, mrc_effective_channel
+from .channel import SystemParams, draw_channels, mrc_effective_channel
+from .channel import draw_user_channel  # noqa: F401  (perfbench/spans.py wraps this name)
 from .codebook import (
     Codebook,
     NotTightFrameError,
@@ -259,12 +260,14 @@ class _Context:
         self.phi = cross_gram(self.V, self.C)
         self.params_by_snr = [cfg.params.with_snr_db(s) for s in cfg.snr_db_list]
 
-    def channels(self, draw_index):
-        seed = SeedSpec(self.cfg.master_seed)
-        return {
-            m: draw_user_channel(self.cfg.params, self.cfg.F, self.cfg.rho, seed.derive("chan", draw_index, m))
-            for m in range(self.cfg.num_users)
-        }
+    def channels(self, draws):
+        """User channels of each draw index in `draws`: a list of
+        {user: UserChannel}, all drawn in one `draw_channels` call."""
+        cfg = self.cfg
+        seed = SeedSpec(cfg.master_seed)
+        users = range(cfg.num_users)
+        it = iter(draw_channels(cfg.params, cfg.F, cfg.rho, [seed.derive("chan", i, m) for i in draws for m in users]))
+        return [{m: next(it) for m in users} for _ in draws]
 
 
 def _init_worker(kind, cfg_dict):
@@ -329,6 +332,11 @@ def zf_schedule(vectors, params):
     at n_s users or when no candidate improves the prediction.
     """
     users = sorted(vectors)
+    units = {}  # unit direction of each user, None for a zero vector
+    for u in users:
+        v = np.asarray(vectors[u], dtype=complex)
+        norm = np.linalg.norm(v)
+        units[u] = None if norm == 0 else v / norm
     chosen = []
     best_sum = 0.0
     limit = min(params.n_s, params.n_t)
@@ -338,16 +346,8 @@ def zf_schedule(vectors, params):
             if m in chosen:
                 continue
             cand = chosen + [m]
-            dirs = []
-            ok = True
-            for u in cand:
-                v = np.asarray(vectors[u], dtype=complex)
-                norm = np.linalg.norm(v)
-                if norm == 0:
-                    ok = False
-                    break
-                dirs.append(v / norm)
-            if not ok:
+            dirs = [units[u] for u in cand]
+            if any(d is None for d in dirs):
                 continue
             try:
                 decision = zf_decision_for(cand, dirs, params)
@@ -391,7 +391,7 @@ def _block_messages(ctx, strategy, chans, effs=None):
 def _sum_rate_block(ctx, draws):
     """Realized sum rate of each draw in `draws`, shape (draws, SNR points)."""
     cfg = ctx.cfg
-    chans = [ctx.channels(i) for i in draws]
+    chans = ctx.channels(draws)
     strategy = _feedback_strategy("sum-rate", cfg)
     if strategy is not None:
         msgs = _block_messages(ctx, strategy, chans)
@@ -415,7 +415,7 @@ def _sum_rate_block(ctx, draws):
 def _delta_ra_block(ctx, draws):
     """(gap samples, mean lambda^2) per SNR point for each draw in `draws`."""
     cfg = ctx.cfg
-    chans = [ctx.channels(i) for i in draws]
+    chans = ctx.channels(draws)
     block_effs = [
         [{m: mrc_effective_channel(ch, params) for m, ch in channels.items()} for params in ctx.params_by_snr]
         for channels in chans

@@ -3,12 +3,14 @@ import pytest
 
 from ramimo.channel import (
     SystemParams,
+    UserChannel,
+    draw_channels,
     draw_user_channel,
     effective_channel,
     effective_channel_state,
     mrc_filter,
 )
-from ramimo.numerics import SeedSpec
+from ramimo.numerics import SeedSpec, sample_complex_gaussian_matrix
 
 P2 = SystemParams(n_t=2, n_r=1, n_s=2, P=1.0, sigma_sq=1.0)
 P24 = SystemParams(n_t=4, n_r=2, n_s=2, P=1.0, sigma_sq=1.0)
@@ -26,6 +28,49 @@ def test_draw_single_subcarrier():
     assert uc.H.shape == (1, 2)
     assert uc.F == 1
     assert uc.per_subcarrier().shape == (1, 1, 2)
+
+
+def _reference_user_channel(params, F, rho, seed):
+    """One generator per (user, subcarrier) and the chain in subcarrier order,
+    written without the block sampler."""
+    mats = np.empty((F, params.n_r, params.n_t), dtype=complex)
+    mats[0] = sample_complex_gaussian_matrix(params.n_r, params.n_t, seed.derive("f", 0))
+    if F == 1:
+        return UserChannel(H=mats[0], rho=rho)
+    scale = np.sqrt(max(0.0, 1.0 - rho * rho))
+    for f in range(1, F):
+        mats[f] = rho * mats[f - 1] + scale * sample_complex_gaussian_matrix(params.n_r, params.n_t, seed.derive("f", f))
+    return UserChannel(H=mats.mean(axis=0), subcarriers=mats, rho=rho)
+
+
+@pytest.mark.parametrize("F", [1, 8])
+@pytest.mark.parametrize("n_r", [1, 2])
+@pytest.mark.parametrize("rho", [0.0, 0.95, 1.0])
+def test_draw_channels_match_per_user_draws(F, n_r, rho):
+    # a block of users drawn at once equals the users drawn one at a time,
+    # and both equal the one-generator-per-stream reference, bit for bit
+    params = SystemParams(n_t=4, n_r=n_r, n_s=2)
+    seeds = [SeedSpec(2**32 + 17).derive("chan", i, m) for i in (0, 2**32 + 3) for m in range(5)]
+    block = draw_channels(params, F, rho, seeds)
+    for seed, uc in zip(seeds, block):
+        for other in (draw_user_channel(params, F, rho, seed), _reference_user_channel(params, F, rho, seed)):
+            assert uc.H.tobytes() == other.H.tobytes()
+            assert uc.rho == other.rho
+            if F == 1:
+                assert uc.subcarriers is None and other.subcarriers is None
+            else:
+                assert uc.subcarriers.tobytes() == other.subcarriers.tobytes()
+
+
+def test_draw_channels_validation():
+    params = SystemParams(n_t=2)
+    assert draw_channels(params, 2, 0.5, []) == []
+    with pytest.raises(ValueError):
+        draw_channels(params, 0, 0.5, [SeedSpec(1)])
+    with pytest.raises(ValueError):
+        draw_channels(params, 1, 1.5, [SeedSpec(1)])
+    with pytest.raises(ValueError):
+        draw_channels(params, 1, 0.5, [SeedSpec(1).derive(0), SeedSpec(2).derive(0)])
 
 
 def test_draw_rho_one_identical_subcarriers():

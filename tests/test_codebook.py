@@ -9,11 +9,9 @@ from ramimo.codebook import (
     dft_codebook,
     frame_constant,
     load_codebook,
-    load_matrix_text,
     random_unitary,
     rvq_codebook,
     save_codebook,
-    save_matrix_text,
 )
 from ramimo.numerics import SeedSpec
 
@@ -134,9 +132,11 @@ def test_codebook_rejects_non_unit():
 
 
 def test_matrix_text_round_trip(tmp_path):
+    # a unit-norm matrix with full-precision entries survives the text format bit for bit
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    cb = Codebook(mat / np.linalg.norm(mat, axis=1, keepdims=True))
     path = tmp_path / "mat.txt"
-    save_matrix_text(mat, path)
-    back = load_matrix_text(path)
-    assert np.array_equal(back, mat)
+    save_codebook(cb, path)
+    back = load_codebook(path)
+    assert back.vectors.tobytes() == cb.vectors.tobytes()

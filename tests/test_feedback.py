@@ -634,9 +634,9 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
     )
     problems = [
         (mrc_effective_channel(uc, params), params, per_subcarrier_effective_channels(uc, params) if F > 1 else None)
-        for d in range(2)
+        for channels in ctx.channels(range(2))
         for params in ctx.params_by_snr
-        for uc in ctx.channels(d).values()
+        for uc in channels.values()
     ]
     zero = UserChannel(H=np.zeros((1, system["n_t"]), dtype=complex))
     problems.append((mrc_effective_channel(zero, ctx.params_by_snr[-1]), ctx.params_by_snr[-1], None))

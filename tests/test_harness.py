@@ -88,7 +88,7 @@ def test_injected_orthogonal_channels_closed_form(monkeypatch):
     cfg = _cfg(num_users=2, num_draws=1, strategy="perfect", scheduler="brute", snr_db_list=[3.0103])
     ctx = _Context(cfg)
     fixed = {0: UserChannel(H=E1[None, :].conj()), 1: UserChannel(H=E2[None, :].conj())}
-    monkeypatch.setattr(ctx, "channels", lambda i: fixed)
+    monkeypatch.setattr(ctx, "channels", lambda draws: [fixed for _ in draws])
     out = _sum_rate_block(ctx, [0])[0]
     P = 10.0 ** (3.0103 / 10.0)
     assert out[0] == pytest.approx(2 * np.log(1 + P / 2.0), abs=1e-9)
@@ -133,7 +133,19 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
     default = harness._block_size
     ra = dict(strategy="ra-full", scheduler="brute", B=3, feedback_codebook={"kind": "rvq-union-tx"})
     two_snr = _cfg(num_draws=13, snr_db_list=[0.0, 20.0], **ra)
-    configs = (two_snr, _cfg(num_draws=7, F=4, rho=0.9, **ra), two_snr.replace(workers=2))
+    zf_ofdm = _cfg(
+        system={"n_t": 4, "n_r": 2, "n_s": 2},
+        num_draws=7,
+        snr_db_list=[30.0],
+        B=4,
+        strategy="chordal",
+        scheduler="brute",
+        precoder="zf",
+        F=8,
+        rho=0.95,
+        feedback_codebook={"kind": "rvq-union-tx"},
+    )
+    configs = (two_snr, _cfg(num_draws=7, F=4, rho=0.9, **ra), two_snr.replace(workers=2), zf_ofdm)
     runs = []
     for cfg in configs:
         draws = []
@@ -175,7 +187,7 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
     # the prebuilt effective channels reach the jobs they belong to
     ctx = harness._Context(cfg)
-    chans = [ctx.channels(i) for i in range(3)]
+    chans = ctx.channels(range(3))
     effs = [
         [{m: harness.mrc_effective_channel(ch, p) for m, ch in channels.items()} for p in ctx.params_by_snr]
         for channels in chans

@@ -13,7 +13,35 @@ from ramimo.numerics import (
     SeedSpec,
     minimax_log_gain,
     sample_complex_gaussian,
+    standard_normal_rows,
 )
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 9])
+def test_standard_normal_rows_match_default_rng(master_seed):
+    # every row equals the draws of its own SeedSequence + default_rng, for
+    # master seeds of one to five 32-bit words, str keys, and draw indices
+    # >= 2^32 that _key_to_int wraps
+    by_length = (
+        [("chan",), (0,), (2**32 + 7,)],
+        [("chan", i, m) for i in (0, 3, 2**32 + 1, 2**40) for m in range(3)],
+        [("chan", i, m, "f", f) for i in (5, 2**33 + 9) for m in range(2) for f in range(4)],
+    )
+    for keys in by_length:
+        specs = [SeedSpec(master_seed).derive(*k) for k in keys]
+        for n in (1, 8, 9):
+            got = standard_normal_rows(master_seed, [s.stream for s in specs], n)
+            want = np.array([s.generator().standard_normal(n) for s in specs])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_standard_normal_rows_rejects_bad_input():
+    with pytest.raises(ValueError):
+        standard_normal_rows(-1, [[0]], 2)
+    with pytest.raises(ValueError):
+        standard_normal_rows(1, [0, 1], 2)
+    assert standard_normal_rows(1, np.zeros((0, 2), dtype=np.uint32), 3).shape == (0, 3)
+
 
 def test_sampling_deterministic():
     a = sample_complex_gaussian(6, SeedSpec(99).derive("exp", 3))

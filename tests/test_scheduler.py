@@ -224,7 +224,7 @@ def test_zf_quantized_cdi_realizes_below_prediction():
         realized = realize_rates(decision, channels, params)
         predicted = sum(
             np.log1p(
-                effs[m].gain_sq
+                np.linalg.norm(effs[m].h_hat) ** 2
                 * np.abs(np.vdot(effs[m].h, decision.beams[i])) ** 2
                 / (params.sigma_sq * 2 / params.P)
             )
