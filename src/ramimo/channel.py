@@ -100,30 +100,35 @@ class EffectiveChannel:
     h: np.ndarray
 
 
-def draw_channels(params, F, rho, seeds):
-    """Draw the Rayleigh channel of every user seed in `seeds`, each over F
-    correlated subcarriers.
+def draw_channels(params, F, rho, master_seed, streams):
+    """Draw the Rayleigh channel of every user stream in `streams`, each over
+    F correlated subcarriers.
 
-    Subcarriers follow H_{f+1} = rho * H_f + sqrt(1 - rho^2) * W_{f+1} with
-    i.i.d. CN(0,1) innovations, so each subcarrier is marginally CN(0,1) and
-    neighbors have correlation coefficient rho.  W_f of a user comes from
-    its stream seed.derive("f", f); all (user, subcarrier) streams are
-    drawn in one `standard_normal_rows` call, and the chain runs across all
-    users at once.  The seeds must share one master seed and one stream
-    length.
+    `streams` is an (S, K) array of stream words: row i is the user stream
+    of SeedSpec(master_seed, streams[i]).  Subcarriers follow
+    H_{f+1} = rho * H_f + sqrt(1 - rho^2) * W_{f+1} with i.i.d. CN(0,1)
+    innovations, so each subcarrier is marginally CN(0,1) and neighbors
+    have correlation coefficient rho.  W_f of a user comes from its stream
+    extended by derive("f", f); all (user, subcarrier) streams are drawn in
+    one `standard_normal_rows` call, and the chain runs across all users
+    at once.
     """
     if F < 1:
         raise ValueError("F must be >= 1")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
-    if not seeds:
+    streams = np.asarray(streams, dtype=np.uint32)
+    if not len(streams):
         return []
-    master_seed = seeds[0].master_seed
-    if any(s.master_seed != master_seed for s in seeds):
-        raise ValueError("seeds must share one master seed")
-    streams = [s.stream + (_F_KEY, f) for s in seeds for f in range(F)]  # the streams of s.derive("f", f)
-    normals = standard_normal_rows(master_seed, streams, 2 * params.n_r * params.n_t)
-    normals = normals.reshape(len(seeds), F, 2, params.n_r, params.n_t)
+    if streams.ndim != 2:
+        raise ValueError("streams must be an (S, K) array of stream words")
+    n_users, n_words = streams.shape
+    sub = np.empty((n_users, F, n_words + 2), dtype=np.uint32)  # the streams of derive("f", f)
+    sub[:, :, :n_words] = streams[:, None, :]
+    sub[:, :, n_words] = _F_KEY
+    sub[:, :, n_words + 1] = np.arange(F)
+    normals = standard_normal_rows(master_seed, sub.reshape(n_users * F, n_words + 2), 2 * params.n_r * params.n_t)
+    normals = normals.reshape(n_users, F, 2, params.n_r, params.n_t)
     mats = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2.0)  # innovations, (users, F, n_r, n_t)
     if F == 1:
         return [UserChannel(H=m[0], rho=rho) for m in mats]
@@ -135,7 +140,7 @@ def draw_channels(params, F, rho, seeds):
 
 def draw_user_channel(params, F=1, rho=0.0, seed=None):
     """Draw one user's Rayleigh channel: `draw_channels` for one seed."""
-    return draw_channels(params, F, rho, [seed])[0]
+    return draw_channels(params, F, rho, seed.master_seed, [seed.stream])[0]
 
 
 def effective_channel(H, u):

@@ -42,14 +42,9 @@ from .feedback import (
     ra_feedback_for_channels,
 )
 from .numerics import SeedSpec
-from .rates import rate_with_beams
-from .scheduler import (
-    PrecodedDecision,
-    realize_rates,
-    schedule_bruteforce,
-    schedule_greedy,
-    zf_decision_for,
-)
+from .rates import rate_with_beams  # noqa: F401  (perfbench/spans.py wraps this name)
+from .scheduler import realize_rates, schedule_bruteforce, schedule_greedy, zf_batch_group, zf_schedule_block
+from .scheduler import zf_decision_for, zf_schedule  # noqa: F401  (perfbench/spans.py wraps these names)
 
 CDF_GRID_POINTS = 200
 
@@ -248,6 +243,7 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 _WORKER_CTX = {}
+_CHAN_KEY = SeedSpec(0).derive("chan").stream[0]  # stream word of the channel key "chan"
 
 
 class _Context:
@@ -262,11 +258,12 @@ class _Context:
 
     def channels(self, draws):
         """User channels of each draw index in `draws`: a list of
-        {user: UserChannel}, all drawn in one `draw_channels` call."""
+        {user: UserChannel}, all drawn in one `draw_channels` call.  User m
+        of draw i has the stream of SeedSpec(master_seed).derive("chan", i, m)."""
         cfg = self.cfg
-        seed = SeedSpec(cfg.master_seed)
         users = range(cfg.num_users)
-        it = iter(draw_channels(cfg.params, cfg.F, cfg.rho, [seed.derive("chan", i, m) for i in draws for m in users]))
+        streams = [(_CHAN_KEY, i % 2**32, m) for i in draws for m in users]
+        it = iter(draw_channels(cfg.params, cfg.F, cfg.rho, cfg.master_seed, streams))
         return [{m: next(it) for m in users} for _ in draws]
 
 
@@ -289,12 +286,16 @@ def _feedback_strategy(kind, cfg):
 
 def _block_size(ctx, kind):
     """Draws per block: as many as fit in one group of the batched ra-full
-    gain search (users x SNR points problems each), at least 1.  Other
-    strategies have no batched search and run draw by draw."""
+    gain search, or else of the stacked zeroforcing scheduler (users x SNR
+    points problems each), at least 1.  Other runs have no batched stage
+    and run draw by draw."""
     cfg = ctx.cfg
-    if _feedback_strategy(kind, cfg) != "ra-full":
+    if _feedback_strategy(kind, cfg) == "ra-full":
+        group = ra_batch_group(ctx.C, ctx.V, cfg.params)
+    elif kind == "sum-rate" and cfg.precoder == "zf":
+        group = zf_batch_group(cfg.params)
+    else:
         return 1
-    group = ra_batch_group(ctx.C, ctx.V, cfg.params)
     return max(1, group // (cfg.num_users * len(cfg.snr_db_list)))
 
 
@@ -324,51 +325,6 @@ def _schedule(vectors, C, params, method):
     return fn(vectors, C, params)
 
 
-def zf_schedule(vectors, params):
-    """Greedy zeroforcing user selection on reported vectors.
-
-    Adds the user maximizing the predicted ZF sum rate (interference nulled
-    by construction, so prediction uses only the own-beam alignment); stops
-    at n_s users or when no candidate improves the prediction.
-    """
-    users = sorted(vectors)
-    units = {}  # unit direction of each user, None for a zero vector
-    for u in users:
-        v = np.asarray(vectors[u], dtype=complex)
-        norm = np.linalg.norm(v)
-        units[u] = None if norm == 0 else v / norm
-    chosen = []
-    best_sum = 0.0
-    limit = min(params.n_s, params.n_t)
-    while len(chosen) < limit:
-        best = None
-        for m in users:
-            if m in chosen:
-                continue
-            cand = chosen + [m]
-            dirs = [units[u] for u in cand]
-            if any(d is None for d in dirs):
-                continue
-            try:
-                decision = zf_decision_for(cand, dirs, params)
-            except ValueError:  # linearly dependent directions
-                continue
-            total = sum(
-                rate_with_beams(vectors[u], decision.beams[i], [], len(cand), params)
-                for i, u in enumerate(cand)
-            )
-            if best is None or total > best[0]:
-                best = (total, m, decision)
-        if best is None or best[0] <= best_sum:
-            break
-        best_sum, m_star, decision = best
-        chosen.append(m_star)
-        final = decision
-    if not chosen:
-        return PrecodedDecision(users=(), beams=()), 0.0
-    return final, best_sum
-
-
 def _block_messages(ctx, strategy, chans, effs=None):
     """Feedback messages of a block: msgs[d][s] maps user -> message for
     the block's draw d at SNR point s.
@@ -396,19 +352,18 @@ def _sum_rate_block(ctx, draws):
     if strategy is not None:
         msgs = _block_messages(ctx, strategy, chans)
     out = np.empty((len(chans), len(ctx.params_by_snr)))
-    for d, channels in enumerate(chans):
-        for s, params in enumerate(ctx.params_by_snr):
-            if strategy is None:
-                vectors = {m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()}
-            else:
-                vectors = {m: feedback_vector(msg, ctx.V, params) for m, msg in msgs[d][s].items()}
-            if cfg.precoder == "zf":
-                decision, _ = zf_schedule(vectors, params)
-                report = realize_rates(decision, channels, params)
-            else:
-                decision = _schedule(vectors, ctx.C, params, cfg.scheduler)
-                report = realize_rates(decision, channels, params, C=ctx.C)
-            out[d, s] = report.sum
+    for s, params in enumerate(ctx.params_by_snr):
+        if strategy is None:
+            vectors = [{m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()} for channels in chans]
+        else:
+            vectors = [{m: feedback_vector(msg, ctx.V, params) for m, msg in per_draw[s].items()} for per_draw in msgs]
+        if cfg.precoder == "zf":
+            for d, (decision, _) in enumerate(zf_schedule_block(vectors, params)):
+                out[d, s] = realize_rates(decision, chans[d], params).sum
+        else:
+            for d, channels in enumerate(chans):
+                decision = _schedule(vectors[d], ctx.C, params, cfg.scheduler)
+                out[d, s] = realize_rates(decision, channels, params, C=ctx.C).sum
     return out
 
 

@@ -4,7 +4,11 @@ Scheduling maximizes the sum rate computed from whatever per-user vectors
 the base station holds (true effective channels under perfect CSIT, scaled
 quantization vectors under partial CSIT).  Brute force solves the
 combinatorial problem exactly; the greedy variant inserts the best
-(user, beam) pair until no insertion improves the rate.
+(user, beam) pair until no insertion improves the rate.  The zeroforcing
+baseline selects users greedily too, with beams from the pseudo-inverse of
+the chosen directions; `zf_schedule_block` runs that selection for a
+block of draws at once, one stacked rank test and pseudo-inverse per
+greedy step, and `zf_schedule` is its one-draw case.
 """
 
 from dataclasses import dataclass
@@ -149,6 +153,29 @@ def schedule_greedy(vectors, C, params):
     return ScheduleDecision(assignment, current, "greedy")
 
 
+_ZF_BATCH_ELEMENTS = 1 << 11  # direction entries (candidate sets x n_s x n_t) one stacked greedy step holds
+
+
+def zf_batch_group(params):
+    """(draw, user) pairs of one `zf_schedule_block` call: the harness
+    sizes zeroforcing blocks by it, as it sizes ra-full blocks by
+    `feedback.ra_batch_group`."""
+    return max(1, _ZF_BATCH_ELEMENTS // (params.n_s * params.n_t))
+
+
+def _zf_solve(A):
+    """Full-rank mask of a stack of (k, n_t) conjugated-direction matrices,
+    and the pseudo-inverses of its full-rank members.  numpy solves a
+    stack matrix by matrix, so each equals the call on that matrix alone."""
+    full = np.linalg.matrix_rank(A, tol=1e-10) == A.shape[-2]
+    return full, np.linalg.pinv(A[full])
+
+
+def _unit_columns(B):
+    """The columns of B, each divided by its own 1-D norm."""
+    return tuple(b / np.linalg.norm(b) for b in B.T)
+
+
 def zf_precode(cdis, params):
     """Zeroforcing beams for the given channel directions.
 
@@ -159,21 +186,96 @@ def zf_precode(cdis, params):
     cdis = [np.asarray(v, dtype=complex) for v in cdis]
     if not cdis:
         raise ValueError("need at least one direction")
-    A = np.array([np.conj(v) for v in cdis])
-    if np.linalg.matrix_rank(A, tol=1e-10) < len(cdis):
+    full, B = _zf_solve(np.array([np.conj(v) for v in cdis])[None])
+    if not full[0]:
         raise ValueError("channel directions are linearly dependent; cannot zeroforce")
-    B = np.linalg.pinv(A)
-    beams = []
-    for i in range(len(cdis)):
-        b = B[:, i]
-        beams.append(b / np.linalg.norm(b))
-    return PrecodedDecision(users=tuple(range(len(cdis))), beams=tuple(beams))
+    return PrecodedDecision(users=tuple(range(len(cdis))), beams=_unit_columns(B[0]))
 
 
 def zf_decision_for(users, cdis, params):
     """PrecodedDecision with explicit user ids attached."""
     base = zf_precode(cdis, params)
     return PrecodedDecision(users=tuple(users), beams=base.beams)
+
+
+def zf_schedule_block(vectors_per_draw, params):
+    """Greedy zeroforcing user selection on the reported vectors of many draws.
+
+    For each draw (a dict user -> reported vector) the user maximizing the
+    predicted ZF sum rate is added, one at a time: interference is nulled
+    by construction, so each user's prediction uses only its own-beam
+    alignment.  A draw stops at n_s users or when no candidate strictly
+    improves its prediction; ties go to the smallest user.  Zero vectors
+    and linearly dependent direction sets are never scheduled.  Returns one
+    (PrecodedDecision, predicted sum rate) per draw, users in the order
+    they were added; a draw that schedules nobody gets ((), ()) and 0.0.
+
+    Every draw still running takes greedy step k together: the (chosen
+    users + one candidate) sets of all of them go through one stacked rank
+    test and pseudo-inverse.  Unit directions and the winners' beams are
+    normalized vector by vector, so each beam equals `zf_precode`'s on the
+    same set bit for bit; the stacked scores only pick the winner.
+    """
+    ids = [sorted(vectors) for vectors in vectors_per_draw]
+    n_draws, width = len(ids), max(map(len, ids), default=0)
+    raw = np.zeros((n_draws, width, params.n_t), dtype=complex)
+    conj_units = np.zeros_like(raw)  # conjugated unit directions; zero for a zero vector
+    usable = np.zeros((n_draws, width), dtype=bool)
+    for d, vectors in enumerate(vectors_per_draw):
+        for j, m in enumerate(ids[d]):
+            v = np.asarray(vectors[m], dtype=complex)
+            norm = np.linalg.norm(v)
+            raw[d, j] = v
+            if norm != 0:
+                conj_units[d, j] = np.conj(v / norm)
+                usable[d, j] = True
+    running = np.arange(n_draws)
+    chosen = np.zeros((n_draws, 0), dtype=int)  # slots each running draw has added, in order
+    best_sum = np.zeros(n_draws)
+    final = [None] * n_draws  # (chosen slots, pseudo-inverse) of each draw's last step
+    for k in range(1, min(params.n_s, params.n_t) + 1):
+        open_ = usable[running]
+        open_[np.arange(len(running))[:, None], chosen] = False
+        r_idx, j_idx = np.nonzero(open_)  # row-major: a draw's sets in user order
+        if not len(r_idx):
+            break
+        sets = np.concatenate([chosen[r_idx], j_idx[:, None]], axis=1)
+        d_idx = running[r_idx]
+        full, B = _zf_solve(conj_units[d_idx[:, None], sets])
+        beams = B / np.linalg.norm(B, axis=1, keepdims=True)
+        v = raw[d_idx[full][:, None], sets[full]]
+        sig = np.abs(np.einsum("cin,cni->ci", v.conj(), beams)) ** 2
+        rates = np.log1p(sig / (params.sigma_sq * k / params.P))
+        total = rates[:, 0]
+        for i in range(1, k):  # added in position order, as a sum over users
+            total = total + rates[:, i]
+        score = np.full((len(running), width), -np.inf)
+        score[r_idx[full], j_idx[full]] = total
+        where = np.zeros((len(running), width), dtype=int)
+        where[r_idx[full], j_idx[full]] = np.arange(len(total))
+        pick = np.argmax(score, axis=1)
+        top = score[np.arange(len(running)), pick]
+        grow = ~(top <= best_sum[running])
+        chosen = np.concatenate([chosen, pick[:, None]], axis=1)[grow]
+        running = running[grow]
+        best_sum[running] = top[grow]
+        for d, slots, c in zip(running, chosen, where[grow, pick[grow]]):
+            final[d] = (slots, B[c])
+    out = []
+    for d, last in enumerate(final):
+        if last is None:
+            out.append((PrecodedDecision(users=(), beams=()), 0.0))
+        else:
+            slots, B = last
+            users = tuple(ids[d][j] for j in slots)
+            out.append((PrecodedDecision(users=users, beams=_unit_columns(B)), float(best_sum[d])))
+    return out
+
+
+def zf_schedule(vectors, params):
+    """Greedy zeroforcing selection on one draw's reported vectors: the
+    one-draw case of `zf_schedule_block`."""
+    return zf_schedule_block([vectors], params)[0]
 
 
 def realize_rates(decision, channels, params, C=None):

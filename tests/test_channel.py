@@ -51,7 +51,7 @@ def test_draw_channels_match_per_user_draws(F, n_r, rho):
     # and both equal the one-generator-per-stream reference, bit for bit
     params = SystemParams(n_t=4, n_r=n_r, n_s=2)
     seeds = [SeedSpec(2**32 + 17).derive("chan", i, m) for i in (0, 2**32 + 3) for m in range(5)]
-    block = draw_channels(params, F, rho, seeds)
+    block = draw_channels(params, F, rho, 2**32 + 17, [seed.stream for seed in seeds])
     for seed, uc in zip(seeds, block):
         for other in (draw_user_channel(params, F, rho, seed), _reference_user_channel(params, F, rho, seed)):
             assert uc.H.tobytes() == other.H.tobytes()
@@ -64,13 +64,13 @@ def test_draw_channels_match_per_user_draws(F, n_r, rho):
 
 def test_draw_channels_validation():
     params = SystemParams(n_t=2)
-    assert draw_channels(params, 2, 0.5, []) == []
+    assert draw_channels(params, 2, 0.5, 1, []) == []
     with pytest.raises(ValueError):
-        draw_channels(params, 0, 0.5, [SeedSpec(1)])
+        draw_channels(params, 0, 0.5, 1, [(0,)])
     with pytest.raises(ValueError):
-        draw_channels(params, 1, 1.5, [SeedSpec(1)])
+        draw_channels(params, 1, 1.5, 1, [(0,)])
     with pytest.raises(ValueError):
-        draw_channels(params, 1, 0.5, [SeedSpec(1).derive(0), SeedSpec(2).derive(0)])
+        draw_channels(params, 1, 0.5, 1, [0, 1])
 
 
 def test_draw_rho_one_identical_subcarriers():

@@ -16,9 +16,9 @@ from ramimo.harness import (
     run_delta_ra_experiment,
     run_scaling_experiment,
     run_sum_rate_experiment,
-    zf_schedule,
 )
 from ramimo.numerics import SeedSpec
+from ramimo.scheduler import zf_schedule
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -145,14 +145,23 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
         rho=0.95,
         feedback_codebook={"kind": "rvq-union-tx"},
     )
-    configs = (two_snr, _cfg(num_draws=7, F=4, rho=0.9, **ra), two_snr.replace(workers=2), zf_ofdm)
+    zf_perfect = _cfg(
+        system={"n_t": 4, "n_r": 1, "n_s": 4},
+        num_users=6,
+        num_draws=37,
+        snr_db_list=[0.0, 30.0],
+        strategy="perfect",
+        scheduler="brute",
+        precoder="zf",
+    )
+    configs = (two_snr, _cfg(num_draws=7, F=4, rho=0.9, **ra), two_snr.replace(workers=2), zf_ofdm, zf_perfect)
     runs = []
     for cfg in configs:
         draws = []
-        for size in (1, 3, None):
+        for size in (1, 3, 16, None):
             monkeypatch.setattr(harness, "_block_size", default if size is None else lambda ctx, kind, n=size: n)
             draws.append(run_sum_rate_experiment(cfg).draws)
-        assert draws[0] == draws[1] == draws[2]
+        assert draws[0] == draws[1] == draws[2] == draws[3]
         runs.append(draws[0])
     assert len(runs[0]["sum_rate_nats"]) == 13
     assert runs[2] == runs[0]
@@ -222,6 +231,9 @@ def test_block_size_rule():
         }
     )
     assert _block_size(_Context(criterion_9), "sum-rate") > 1
+    zf = criterion_9.replace(strategy="chordal", precoder="zf", F=8)
+    assert _block_size(_Context(zf), "sum-rate") > 1
+    assert _block_size(_Context(zf.replace(strategy="perfect", snr_db_list=[0.0, 30.0])), "sum-rate") > 1
     ctx = _Context(criterion_7)
     group = ra_batch_group(ctx.C, ctx.V, criterion_7.params)
     assert _block_size(ctx, "delta-ra") == max(1, group // (criterion_7.num_users * len(criterion_7.snr_db_list)))
@@ -413,3 +425,17 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_context_channels_use_derived_streams():
+    # a block's channels are the per-user draws of the streams
+    # SeedSpec(master_seed).derive("chan", draw, user)
+    from ramimo.channel import draw_user_channel
+
+    cfg = _cfg(num_users=3, F=4, rho=0.9, master_seed=2**33 + 5)
+    draws = [0, 7, 2**32 + 1]
+    for i, channels in zip(draws, _Context(cfg).channels(draws)):
+        for m, uc in channels.items():
+            ref = draw_user_channel(cfg.params, cfg.F, cfg.rho, SeedSpec(cfg.master_seed).derive("chan", i, m))
+            assert uc.subcarriers.tobytes() == ref.subcarriers.tobytes()
+            assert uc.H.tobytes() == ref.H.tobytes()

@@ -12,13 +12,16 @@ from ramimo.channel import (
 )
 from ramimo.codebook import canonical_onb, rvq_codebook
 from ramimo.numerics import SeedSpec, sample_complex_gaussian
-from ramimo.rates import BeamAssignment, sum_rate
+from ramimo.rates import BeamAssignment, rate_with_beams, sum_rate
 from ramimo.scheduler import (
+    PrecodedDecision,
     realize_rates,
     schedule_bruteforce,
     schedule_greedy,
     zf_decision_for,
     zf_precode,
+    zf_schedule,
+    zf_schedule_block,
 )
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -261,3 +264,120 @@ def test_brute_zero_channels_schedule_nobody():
     decision = schedule_bruteforce({0: zero, 1: zero}, C, params)
     assert decision.assignment.pairs == {}
     assert decision.predicted_sum_rate == 0.0
+
+
+def _reference_zf_beams(dirs):
+    """Unit pseudo-inverse columns of one direction set, None when the
+    directions are linearly dependent (the arithmetic of zf_precode,
+    written out so the oracle shares no code with the scheduler)."""
+    A = np.array([np.conj(d) for d in dirs])
+    if np.linalg.matrix_rank(A, tol=1e-10) < len(dirs):
+        return None
+    B = np.linalg.pinv(A)
+    return tuple(B[:, i] / np.linalg.norm(B[:, i]) for i in range(len(dirs)))
+
+
+def reference_zf_schedule(vectors, params):
+    """Scalar greedy zeroforcing oracle: one pseudo-inverse and one rate per
+    (step, candidate user), the winner the first strict maximum."""
+    users = sorted(vectors)
+    units = {}  # unit direction of each user, None for a zero vector
+    for u in users:
+        v = np.asarray(vectors[u], dtype=complex)
+        norm = np.linalg.norm(v)
+        units[u] = None if norm == 0 else v / norm
+    chosen = []
+    best_sum = 0.0
+    while len(chosen) < min(params.n_s, params.n_t):
+        best = None
+        for m in users:
+            if m in chosen:
+                continue
+            cand = chosen + [m]
+            dirs = [units[u] for u in cand]
+            if any(d is None for d in dirs):
+                continue
+            beams = _reference_zf_beams(dirs)
+            if beams is None:
+                continue
+            total = sum(rate_with_beams(vectors[u], beams[i], [], len(cand), params) for i, u in enumerate(cand))
+            if best is None or total > best[0]:
+                best = (total, m, PrecodedDecision(users=tuple(cand), beams=beams))
+        if best is None or best[0] <= best_sum:
+            break
+        best_sum, m_star, final = best
+        chosen.append(m_star)
+    if not chosen:
+        return PrecodedDecision(users=(), beams=()), 0.0
+    return final, best_sum
+
+
+def _assert_same_zf(got, expected):
+    (decision, predicted), (ref, ref_predicted) = got, expected
+    assert decision.users == ref.users
+    assert len(decision.beams) == len(ref.beams)
+    for b, r in zip(decision.beams, ref.beams):
+        assert b.tobytes() == r.tobytes()
+    # the stacked scores only pick the winner and may differ in the last bit
+    assert predicted == pytest.approx(ref_predicted, rel=1e-12, abs=1e-15)
+
+
+def _zf_draw(n_users, n_t, seed, zero=(), copies=(), scaled=()):
+    vectors = _random_vectors(n_users, n_t, seed)
+    for m in zero:
+        vectors[m] = np.zeros(n_t, dtype=complex)
+    for m, src in copies:
+        vectors[m] = vectors[src].copy()
+    for m, src in scaled:
+        vectors[m] = (0.3 - 1.7j) * vectors[src]
+    return vectors
+
+
+@pytest.mark.parametrize("n_t, n_s", [(4, 2), (4, 4), (3, 3), (2, 1), (5, 3)])
+def test_zf_block_matches_scalar_oracle(n_t, n_s):
+    # every draw of a block gets the oracle's users and beams bit for bit:
+    # random draws at 0-60 dB, zero vectors, duplicated and linearly
+    # dependent directions, single-user draws and all-zero draws, in blocks
+    # whose draws stop at different greedy steps
+    for snr_db in (0.0, 20.0, 60.0):
+        params = SystemParams(n_t=n_t, n_s=n_s).with_snr_db(snr_db)
+        seed = SeedSpec(42).derive(n_t, n_s, int(snr_db))
+        block = [_zf_draw(7, n_t, seed.derive(i)) for i in range(12)]
+        block += [
+            _zf_draw(6, n_t, seed.derive("z"), zero=(0, 3)),
+            _zf_draw(6, n_t, seed.derive("d"), copies=((1, 0), (4, 0))),
+            _zf_draw(6, n_t, seed.derive("s"), scaled=((2, 5), (3, 5)), zero=(1,)),
+            _zf_draw(1, n_t, seed.derive("one")),
+            _zf_draw(3, n_t, seed.derive("zero"), zero=(0, 1, 2)),
+            {5: np.ones(n_t, dtype=complex), 2: 2.0 * np.ones(n_t, dtype=complex)},
+        ]
+        got = zf_schedule_block(block, params)
+        assert len(got) == len(block)
+        for vectors, out in zip(block, got):
+            expected = reference_zf_schedule(vectors, params)
+            _assert_same_zf(out, expected)
+            _assert_same_zf(zf_schedule(vectors, params), expected)
+        assert got[-2] == (PrecodedDecision(users=(), beams=()), 0.0)
+        assert got[-1][0].users == (2,)
+        assert len({len(decision.users) for decision, _ in got}) >= min(n_s, 2) + 1
+    assert zf_schedule_block([], SystemParams(n_t=n_t, n_s=n_s)) == []
+
+
+def test_zf_stops_when_no_candidate_improves():
+    # at -40 dB the predicted rates of 3e-161-scaled vectors underflow to
+    # exactly 0, which does not improve on the empty schedule's 0
+    params = SystemParams(n_t=4, n_s=2).with_snr_db(-40.0)
+    block = [{m: 3e-161 * v for m, v in _random_vectors(5, 4, SeedSpec(43).derive(i)).items()} for i in range(4)]
+    for vectors, out in zip(block, zf_schedule_block(block, params)):
+        assert out == (PrecodedDecision(users=(), beams=()), 0.0)
+        _assert_same_zf(out, reference_zf_schedule(vectors, params))
+    assert zf_schedule({0: 1e-150 * np.ones(4, dtype=complex)}, params)[0].users == (0,)
+
+
+def test_zf_all_zero_draw_realizes_nothing():
+    params = SystemParams(n_t=3, n_s=2).with_snr_db(20.0)
+    channels = {m: UserChannel(H=np.zeros((1, 3))) for m in range(3)}
+    vectors = {m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()}
+    decision, predicted = zf_schedule(vectors, params)
+    assert decision.users == () and predicted == 0.0
+    assert realize_rates(decision, channels, params).sum == 0.0
