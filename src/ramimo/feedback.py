@@ -399,14 +399,49 @@ def lemma1_rhs(eff, nu, C):
     return best
 
 
+def gap_samples_delta_ra(samples, C, V, sizes=None):
+    """Worst-case rate-gap samples of many draws: for each (effs, msgs,
+    params, users) sample, 2 * the sum over `users` of their `ra_distance`
+    on the reported message.
+
+    Every (sample, user) row goes through one `beam_powers`/`_config_rates`
+    pass, each row with its own noise terms and by the same elementwise
+    arithmetic as `ra_distance` alone; a sample's mismatches are added in
+    sorted user order, so each sample equals the one-draw sum bit for bit.
+    All params must give the same configuration table.
+    """
+    tables = {_sizes(params, sizes) for _, _, params, _ in samples}
+    if len(tables) > 1:
+        raise ValueError("stacked gap samples must share one set of scheduling sizes")
+    samples = [(effs, msgs, params, sorted(users)) for effs, msgs, params, users in samples]
+    rows = [(effs[m], msgs[m], params) for effs, msgs, params, users in samples for m in users]
+    values = []
+    if rows:
+        own, mask, ks, _ = scheduling_configs(len(C), tables.pop())
+        # the `_config_noise` terms of every row
+        sigma_sq, power = np.array([(params.sigma_sq, params.P) for _, _, params in rows]).T
+        noise = sigma_sq[:, None] * ks / power[:, None]
+        # true channels, then reported codewords scaled by their CQI, in one pass
+        h_hat = np.array([eff.h_hat for eff, _, _ in rows])
+        powers = beam_powers(np.concatenate([h_hat, V.vectors[[msg.cdi_index for _, msg, _ in rows]]]), C)
+        powers[len(rows) :] *= np.array([[msg.cqi * msg.cqi * raw_scale_sq(params)] for _, msg, params in rows])
+        rates = _config_rates(powers, own, mask, np.concatenate([noise, noise]))
+        values = np.abs(rates[: len(rows)] - rates[len(rows) :]).max(axis=1).tolist()
+    out, lo = [], 0
+    for *_, users in samples:
+        total = 0.0
+        for value in values[lo : lo + len(users)]:
+            total += value
+        out.append(2.0 * total)
+        lo += len(users)
+    return out
+
+
 def gap_sample_delta_ra(effs, msgs, C, V, params, users, sizes=None):
     """One draw's contribution to the worst-case rate-gap estimate:
-    2 * sum over the scheduled-union users of their rate mismatch."""
-    total = 0.0
-    for m in sorted(users):
-        msg = msgs[m]
-        total += ra_distance(effs[m], msg.cqi, V[msg.cdi_index], C, params, sizes=sizes).value
-    return 2.0 * total
+    2 * sum over the scheduled-union users of their rate mismatch; the
+    one-draw case of `gap_samples_delta_ra`."""
+    return gap_samples_delta_ra([(effs, msgs, params, users)], C, V, sizes=sizes)[0]
 
 
 STRATEGIES = ("perfect", "chordal", "ra-full", "ra-efficient", "lemma1")

@@ -37,14 +37,15 @@ from .feedback import (
     compute_feedback,
     cross_gram,
     feedback_vector,
-    gap_sample_delta_ra,
+    gap_samples_delta_ra,
     ra_batch_group,
     ra_feedback_for_channels,
 )
+from .feedback import gap_sample_delta_ra  # noqa: F401  (perfbench/spans.py wraps this name)
 from .numerics import SeedSpec
 from .rates import rate_with_beams  # noqa: F401  (perfbench/spans.py wraps this name)
-from .scheduler import realize_rates, schedule_bruteforce, schedule_greedy, zf_batch_group, zf_schedule_block
-from .scheduler import zf_decision_for, zf_schedule  # noqa: F401  (perfbench/spans.py wraps these names)
+from .scheduler import realize_rates, schedule_bruteforce_block, schedule_greedy, zf_batch_group, zf_schedule_block
+from .scheduler import schedule_bruteforce, zf_decision_for, zf_schedule  # noqa: F401  (perfbench/spans.py wraps these names)
 
 CDF_GRID_POINTS = 200
 
@@ -170,12 +171,11 @@ class SimConfig:
         }
 
     def replace(self, **kw):
+        """Copy with the given top-level keys replaced; a `system` dict
+        replaces the system keys it names and keeps the others."""
         d = self.to_dict()
-        system = d.pop("system")
-        d.update(kw)
-        cfg = dict(d)
-        cfg["system"] = system
-        return SimConfig.from_dict(cfg)
+        d["system"].update(kw.pop("system", {}))
+        return SimConfig.from_dict({**d, **kw})
 
     def config_hash(self):
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -320,9 +320,12 @@ def _map_draws(kind, ctx):
     return [r for results in per_block for r in results]
 
 
-def _schedule(vectors, C, params, method):
-    fn = schedule_bruteforce if method == "brute" else schedule_greedy
-    return fn(vectors, C, params)
+def _schedule_block(vectors_per_problem, C, params_per_problem, method):
+    """Fixed-codebook decision of every (vectors, params) problem: the
+    brute scheduler takes them all in one stacked call, greedy one by one."""
+    if method == "brute":
+        return schedule_bruteforce_block(vectors_per_problem, C, params_per_problem)
+    return [schedule_greedy(v, C, params) for v, params in zip(vectors_per_problem, params_per_problem)]
 
 
 def _block_messages(ctx, strategy, chans, effs=None):
@@ -352,23 +355,32 @@ def _sum_rate_block(ctx, draws):
     if strategy is not None:
         msgs = _block_messages(ctx, strategy, chans)
     out = np.empty((len(chans), len(ctx.params_by_snr)))
+    vectors = []  # vectors[s][d]: user -> vector the scheduler sees
     for s, params in enumerate(ctx.params_by_snr):
         if strategy is None:
-            vectors = [{m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()} for channels in chans]
+            vectors.append([{m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()} for channels in chans])
         else:
-            vectors = [{m: feedback_vector(msg, ctx.V, params) for m, msg in per_draw[s].items()} for per_draw in msgs]
-        if cfg.precoder == "zf":
-            for d, (decision, _) in enumerate(zf_schedule_block(vectors, params)):
+            vectors.append([{m: feedback_vector(msg, ctx.V, params) for m, msg in per_draw[s].items()} for per_draw in msgs])
+    if cfg.precoder == "zf":
+        for s, params in enumerate(ctx.params_by_snr):
+            for d, (decision, _) in enumerate(zf_schedule_block(vectors[s], params)):
                 out[d, s] = realize_rates(decision, chans[d], params).sum
-        else:
-            for d, channels in enumerate(chans):
-                decision = _schedule(vectors[d], ctx.C, params, cfg.scheduler)
-                out[d, s] = realize_rates(decision, channels, params, C=ctx.C).sum
+    else:
+        problems = [(s, d) for s in range(len(ctx.params_by_snr)) for d in range(len(chans))]
+        decisions = _schedule_block(
+            [vectors[s][d] for s, d in problems], ctx.C, [ctx.params_by_snr[s] for s, _ in problems], cfg.scheduler
+        )
+        for (s, d), decision in zip(problems, decisions):
+            out[d, s] = realize_rates(decision, chans[d], ctx.params_by_snr[s], C=ctx.C).sum
     return out
 
 
 def _delta_ra_block(ctx, draws):
-    """(gap samples, mean lambda^2) per SNR point for each draw in `draws`."""
+    """(gap samples, mean lambda^2) per SNR point for each draw in `draws`.
+
+    The true and the reported vectors of every (draw, SNR point) are
+    scheduled in one `_schedule_block` call, and the gap samples of the
+    whole block come from one `gap_samples_delta_ra` pass."""
     cfg = ctx.cfg
     chans = ctx.channels(draws)
     block_effs = [
@@ -376,21 +388,20 @@ def _delta_ra_block(ctx, draws):
         for channels in chans
     ]
     msgs = _block_messages(ctx, _feedback_strategy("delta-ra", cfg), chans, block_effs)
-    out = []
-    for d, channels in enumerate(chans):
-        gaps = np.empty(len(cfg.snr_db_list))
-        lam_means = np.empty(len(cfg.snr_db_list))
-        for s, params in enumerate(ctx.params_by_snr):
-            effs = block_effs[d][s]
-            true_vectors = {m: eff.h_hat for m, eff in effs.items()}
-            fb_vectors = {m: feedback_vector(msg, ctx.V, params) for m, msg in msgs[d][s].items()}
-            s_h = _schedule(true_vectors, ctx.C, params, cfg.scheduler).assignment.users
-            s_v = _schedule(fb_vectors, ctx.C, params, cfg.scheduler).assignment.users
-            union = set(s_h) | set(s_v)
-            gaps[s] = gap_sample_delta_ra(effs, msgs[d][s], ctx.C, ctx.V, params, union)
-            lam_means[s] = float(np.mean([eff.lambda_sq for eff in effs.values()]))
-        out.append((gaps, lam_means))
-    return out
+    points = [(d, s, params) for d in range(len(chans)) for s, params in enumerate(ctx.params_by_snr)]
+    vectors, params_list = [], []
+    for d, s, params in points:
+        vectors.append({m: eff.h_hat for m, eff in block_effs[d][s].items()})
+        vectors.append({m: feedback_vector(msg, ctx.V, params) for m, msg in msgs[d][s].items()})
+        params_list += [params, params]
+    decisions = _schedule_block(vectors, ctx.C, params_list, cfg.scheduler)
+    samples = [
+        (block_effs[d][s], msgs[d][s], params, set(s_h.assignment.users) | set(s_v.assignment.users))
+        for (d, s, params), s_h, s_v in zip(points, decisions[::2], decisions[1::2])
+    ]
+    gaps = np.reshape(gap_samples_delta_ra(samples, ctx.C, ctx.V), (len(chans), len(ctx.params_by_snr)))
+    lam_means = [[float(np.mean([eff.lambda_sq for eff in effs.values()])) for effs in per_draw] for per_draw in block_effs]
+    return [(gaps[d], np.array(lam_means[d])) for d in range(len(chans))]
 
 
 _BLOCK_FNS = {"sum-rate": _sum_rate_block, "delta-ra": _delta_ra_block}

@@ -3,12 +3,15 @@
 Scheduling maximizes the sum rate computed from whatever per-user vectors
 the base station holds (true effective channels under perfect CSIT, scaled
 quantization vectors under partial CSIT).  Brute force solves the
-combinatorial problem exactly; the greedy variant inserts the best
-(user, beam) pair until no insertion improves the rate.  The zeroforcing
-baseline selects users greedily too, with beams from the pseudo-inverse of
-the chosen directions; `zf_schedule_block` runs that selection for a
-block of draws at once, one stacked rank test and pseudo-inverse per
-greedy step, and `zf_schedule` is its one-draw case.
+combinatorial problem exactly: `schedule_bruteforce_block` scores every
+(problem, user subset, beam tuple) candidate of many problems, each with
+its own noise term, in stacked numpy passes, and `schedule_bruteforce` is
+its one-problem case.  The greedy variant inserts the best (user, beam)
+pair until no insertion improves the rate.  The zeroforcing baseline
+selects users greedily too, with beams from the pseudo-inverse of the
+chosen directions; `zf_schedule_block` runs that selection for a block of
+draws at once, one stacked rank test and pseudo-inverse per greedy step,
+and `zf_schedule` is its one-draw case.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .channel import mrc_filter
+from .feedback import beam_powers
 from .rates import BeamAssignment, RateReport, rate_with_beams
 
 BRUTE_MAX_USERS = 12
@@ -39,12 +43,8 @@ class PrecodedDecision:
     method: str = "zeroforcing"
 
 
-def _power_table(users, vectors, C):
-    return np.array([np.abs(C.vectors @ np.conj(vectors[m])) ** 2 for m in users])
-
-
 _BRUTE_TABLES = {}
-_BRUTE_BLOCK = 1 << 16  # (subset, beam tuple) candidates evaluated per numpy block
+_BRUTE_BLOCK = 1 << 16  # (problem, subset, beam tuple) candidates evaluated per numpy block
 
 
 def _brute_tables(n_users, n_beams, k):
@@ -57,58 +57,115 @@ def _brute_tables(n_users, n_beams, k):
     return _BRUTE_TABLES[key]
 
 
-def schedule_bruteforce(vectors, C, params):
-    """Exact maximizer of the sum rate over user subsets and injective beam maps.
+def _brute_scores(pw, noise, k, beam_tuples):
+    """Sum rate of every (row, beam tuple) candidate: pw[r, i] is the power
+    row of the i-th user of row r's subset, noise[r] its noise term.
+    Interference is summed over the other positions in order and the rates
+    are added position by position, the operation order of the rate
+    formula, so no candidate's bits depend on what else the pass holds."""
+    # gains[i][j][r, t]: power of row r's i-th user on the beam at position j of tuple t
+    gains = [[pw[:, i][:, beam_tuples[:, j]] for j in range(k)] for i in range(k)]
+    total = 0.0
+    for i in range(k):
+        intf = 0
+        for j in range(k):
+            if j != i:
+                intf = intf + gains[i][j]
+        total = total + np.log1p(gains[i][i] / (noise[:, None] + intf))
+    return total
 
-    Ties break to the lexicographically smallest (sorted user tuple, beam
-    tuple).  Guarded against combinatorial blowup; use the greedy scheduler
-    for larger instances.
 
-    Every (subset, beam tuple) candidate is scored in numpy blocks with the
-    same operation order as the scalar rate formula (interference summed
-    over the other positions in order, rates added position by position),
-    so the scores, and hence the argmax and its tie-break, do not depend on
-    the blocking.
+def schedule_bruteforce_block(vectors_per_problem, C, params_per_problem):
+    """Exact maximizers of the sum rate over user subsets and injective
+    beam maps, one `ScheduleDecision` per problem (a dict user -> vector
+    and its SystemParams).
+
+    Each problem's winner is its largest sum rate, ties to the
+    lexicographically smallest (sorted user tuple, beam tuple); a best rate
+    of 0 schedules nobody.  Guarded against combinatorial blowup; use the
+    greedy scheduler for larger instances.
+
+    The power tables of all problems are stacked (problems x users x
+    beams), and for each set size k every (problem, subset, beam tuple)
+    candidate is scored in numpy passes of about `_BRUTE_BLOCK`
+    candidates, each problem with its own noise term, by the same
+    elementwise arithmetic as the rate formula on that candidate alone.
+    Subsets and beam tuples run in lexicographic order, so the first
+    row-major hit of a problem's maximum within one k is that k's smallest
+    key; the keys of different k are compared explicitly.
     """
-    users = sorted(vectors)
-    if len(users) < 1:
-        raise ValueError("need at least one user")
-    if len(users) > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
-        raise ValueError(
-            f"brute-force scheduling refused for |U|={len(users)}, |C|={len(C)}; use greedy"
-        )
-    if len(C) < params.n_s:
-        raise ValueError(f"codebook too small: |C|={len(C)} < n_s={params.n_s}")
-    pw = _power_table(users, vectors, C)
-    best_rate = 0.0
-    best_key = ((), ())
-    for k in range(1, params.n_s + 1):
-        subsets, beam_tuples = _brute_tables(len(users), len(C), k)
-        noise = params.sigma_sq * k / params.P
+    ids = [sorted(vectors) for vectors in vectors_per_problem]
+    for users, params in zip(ids, params_per_problem):
+        if len(users) < 1:
+            raise ValueError("need at least one user")
+        if len(users) > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
+            raise ValueError(f"brute-force scheduling refused for |U|={len(users)}, |C|={len(C)}; use greedy")
+        if len(C) < params.n_s:
+            raise ValueError(f"codebook too small: |C|={len(C)} < n_s={params.n_s}")
+    if not ids:
+        return []
+    n_users = np.array([len(users) for users in ids])
+    n_s = np.array([params.n_s for params in params_per_problem])
+    sigma_sq = np.array([params.sigma_sq for params in params_per_problem])
+    power = np.array([params.P for params in params_per_problem])
+    rows = beam_powers(np.array([vectors[m] for users, vectors in zip(ids, vectors_per_problem) for m in users]), C)
+    owner = np.repeat(np.arange(len(ids)), n_users)
+    pw = np.zeros((len(ids), n_users.max(), len(C)))
+    pw[owner, np.arange(len(owner)) - np.repeat(np.cumsum(n_users) - n_users, n_users)] = rows
+
+    def key(p, k, s, t):
+        """(sorted users, beam tuple) of problem p's subset s and beam tuple t of size k."""
+        subsets, beam_tuples = _brute_tables(pw.shape[1], len(C), k)
+        return tuple(ids[p][u] for u in subsets[s].tolist()), tuple(beam_tuples[t].tolist())
+
+    best_rate = np.zeros(len(ids))
+    best = np.zeros((len(ids), 3), dtype=int)  # (k, subset, beam tuple) of each winner; k = 0 schedules nobody
+    for k in range(1, n_s.max() + 1):
+        subsets, beam_tuples = _brute_tables(pw.shape[1], len(C), k)
+        # (problem, subset) rows, problem-major: the subsets of each
+        # problem's own users in lexicographic order
+        prob, sub = np.nonzero((subsets[:, -1] < n_users[:, None]) & (n_s >= k)[:, None])
+        if not len(prob):
+            break
+        noise = sigma_sq[prob] * k / power[prob]
+        row_top = np.empty(len(prob))
+        row_arg = np.empty(len(prob), dtype=int)
         step = max(1, _BRUTE_BLOCK // len(beam_tuples))
-        for lo in range(0, len(subsets), step):
-            block = subsets[lo : lo + step]
-            # gains[i][j][s, b]: power of the block's i-th user on beam position j
-            gains = [[pw[block[:, i]][:, beam_tuples[:, j]] for j in range(k)] for i in range(k)]
-            total = 0.0
-            for i in range(k):
-                intf = 0
-                for j in range(k):
-                    if j != i:
-                        intf = intf + gains[i][j]
-                total = total + np.log1p(gains[i][i] / (noise + intf))
-            top = np.fmax.reduce(total, axis=None)
-            if not top >= best_rate:  # also skips an all-NaN block
-                continue
-            hits = np.argwhere(total == top)
-            key = min(
-                (tuple(users[u] for u in block[s]), tuple(int(b) for b in beam_tuples[t])) for s, t in hits
-            )
-            if top > best_rate or key < best_key:
-                best_rate = float(top)
-                best_key = key
-    assignment = BeamAssignment(dict(zip(best_key[0], best_key[1])))
-    return ScheduleDecision(assignment, best_rate, "brute")
+        for lo in range(0, len(prob), step):
+            part = slice(lo, lo + step)
+            total = _brute_scores(pw[prob[part, None], subsets[sub[part]]], noise[part], k, beam_tuples)
+            row_top[part] = np.fmax.reduce(total, axis=1)  # NaN only where a whole row is NaN
+            row_arg[part] = np.argmax(total == row_top[part, None], axis=1)
+        starts = np.flatnonzero(np.concatenate([[True], prob[1:] != prob[:-1]]))
+        owners = prob[starts]
+        tops = np.fmax.reduceat(row_top, starts)
+        hit = row_top == np.repeat(tops, np.diff(np.append(starts, len(prob))))
+        # row of each problem's first hit, its smallest key of size k (none for an all-NaN problem)
+        first = np.minimum.reduceat(np.where(hit, np.arange(len(prob)), len(prob)), starts)
+        held = best_rate[owners]
+        win = tops > held  # False for NaN
+        # an exact tie with a scheduled winner goes to the smaller key; a 0 rate keeps ((), ())
+        for i in np.flatnonzero((tops == held) & (tops > 0)).tolist():
+            p, r = owners[i], first[i]
+            win[i] = key(p, k, sub[r], row_arg[r]) < key(p, *best[p].tolist())
+        p, r = owners[win], first[win]
+        best_rate[p] = tops[win]
+        best[p, 0] = k
+        best[p, 1] = sub[r]
+        best[p, 2] = row_arg[r]
+    pairs = [{} for _ in ids]
+    for k in set(best[:, 0].tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (~30 ms)
+        subsets, beam_tuples = _brute_tables(pw.shape[1], len(C), k)
+        won = np.flatnonzero(best[:, 0] == k)
+        for p, slots, beams in zip(won.tolist(), subsets[best[won, 1]].tolist(), beam_tuples[best[won, 2]].tolist()):
+            pairs[p] = {ids[p][u]: b for u, b in zip(slots, beams)}
+    return [ScheduleDecision(BeamAssignment(q), rate, "brute") for q, rate in zip(pairs, best_rate.tolist())]
+
+
+def schedule_bruteforce(vectors, C, params):
+    """Exact maximizer of the sum rate over user subsets and injective beam
+    maps for one problem: the one-problem case of `schedule_bruteforce_block`."""
+    return schedule_bruteforce_block([vectors], C, [params])[0]
 
 
 def schedule_greedy(vectors, C, params):
@@ -120,8 +177,7 @@ def schedule_greedy(vectors, C, params):
         raise ValueError("need at least one user")
     if len(C) < params.n_s:
         raise ValueError(f"codebook too small: |C|={len(C)} < n_s={params.n_s}")
-    pw = _power_table(users, vectors, C)
-    uidx = {m: i for i, m in enumerate(users)}
+    pw = beam_powers(np.array([vectors[m] for m in users]), C)
     members = []  # row indices into pw
     beams = []
     current = 0.0
@@ -138,7 +194,6 @@ def schedule_greedy(vectors, C, params):
             new_user = np.log1p(pw[i, free_beams] / (noise + intf_existing[i]))
             rest = np.zeros(len(free_beams))
             for pos, l in enumerate(members):
-                sig = pw[l, beams[pos]]
                 base_intf = intf_existing[l] - pw[l, beams[pos]]
                 rest += np.log1p(pw[l, beams[pos]] / (noise + base_intf + pw[l, free_beams]))
             cand[a] = new_user + rest

@@ -17,6 +17,7 @@ from ramimo.feedback import (
     efficient_cdi,
     feedback_vector,
     gap_sample_delta_ra,
+    gap_samples_delta_ra,
     lemma1_feedback,
     lemma1_rhs,
     ra_distance,
@@ -428,6 +429,30 @@ def test_gap_sample_sums_over_union():
         ra_distance(effs[m], msgs[m].cqi, V[msgs[m].cdi_index], C, params).value for m in (0, 2)
     )
     assert gap_sample_delta_ra(effs, msgs, C, V, params, {0, 2}) == pytest.approx(expected, abs=1e-12)
+
+
+def test_gap_samples_stack_matches_per_user_distances():
+    # one stacked pass over draws at -20..100 dB, with empty, partial and
+    # full user sets, gives each draw 2 * the sum of its users' ra_distance
+    # in sorted user order, bit for bit, as does the one-draw case
+    C = canonical_onb(3)
+    V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(29).derive("v")))
+    samples = []
+    for i, (snr_db, users) in enumerate([(-20.0, {2, 0}), (40.0, set()), (100.0, {3, 1, 0, 2}), (0.0, {1})]):
+        params = SystemParams(n_t=3, n_s=3).with_snr_db(snr_db)
+        effs = {m: _random_eff(3, params, SeedSpec(29).derive(i, m)) for m in range(4)}
+        msgs = {m: ra_feedback(effs[m], C, V, params) for m in range(4)}
+        msgs[3] = type(msgs[3])(cdi_index=5, cqi=0.0, strategy_tag="zero", scalar_product_count=0)
+        samples.append((effs, msgs, params, users))
+    got = gap_samples_delta_ra(samples, C, V)
+    for (effs, msgs, params, users), value in zip(samples, got):
+        total = 0.0
+        for m in sorted(users):
+            total += ra_distance(effs[m], msgs[m].cqi, V[msgs[m].cdi_index], C, params).value
+        assert value == 2.0 * total
+        assert gap_sample_delta_ra(effs, msgs, C, V, params, users) == value
+    assert got[1] == 0.0
+    assert gap_samples_delta_ra([], C, V) == []
 
 
 def test_ra_feedback_frequency_averaged_degenerate_chain():

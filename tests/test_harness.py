@@ -154,7 +154,25 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
         scheduler="brute",
         precoder="zf",
     )
-    configs = (two_snr, _cfg(num_draws=7, F=4, rho=0.9, **ra), two_snr.replace(workers=2), zf_ofdm, zf_perfect)
+    # chordal feedback on the stacked brute scheduler, SNR points -20..100 dB
+    brute_chordal = _cfg(
+        system={"n_t": 3, "n_r": 1, "n_s": 3},
+        num_users=5,
+        num_draws=11,
+        snr_db_list=[-20.0, 30.0, 100.0],
+        B=4,
+        strategy="chordal",
+        scheduler="brute",
+        feedback_codebook={"kind": "rvq-union-tx"},
+    )
+    configs = (
+        two_snr,
+        _cfg(num_draws=7, F=4, rho=0.9, **ra),
+        two_snr.replace(workers=2),
+        zf_ofdm,
+        zf_perfect,
+        brute_chordal,
+    )
     runs = []
     for cfg in configs:
         draws = []
@@ -165,6 +183,23 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
         runs.append(draws[0])
     assert len(runs[0]["sum_rate_nats"]) == 13
     assert runs[2] == runs[0]
+
+
+def test_replace_applies_system_keys():
+    cfg = _cfg(system={"n_t": 4, "n_r": 2, "n_s": 2, "P": 3.0})
+    new = cfg.replace(system={"n_r": 1, "n_s": 4}, strategy="perfect")
+    assert new.params == SystemParams(n_t=4, n_r=1, n_s=4, P=3.0, sigma_sq=1.0)
+    assert new.strategy == "perfect"
+    assert cfg.params == SystemParams(n_t=4, n_r=2, n_s=2, P=3.0, sigma_sq=1.0)
+    with pytest.raises(ValueError, match="unknown system keys"):
+        cfg.replace(system={"n_x": 1})
+
+
+def test_replace_keeps_system_when_not_given():
+    cfg = _cfg(system={"n_t": 4, "n_r": 2, "n_s": 3, "P": 3.0, "sigma_sq": 0.5})
+    new = cfg.replace(num_draws=5, workers=2)
+    assert new.params == cfg.params
+    assert new.to_dict() == {**cfg.to_dict(), "num_draws": 5, "workers": 2}
 
 
 def test_delta_ra_draws_independent_of_block_size(monkeypatch):

@@ -10,13 +10,14 @@ from ramimo.channel import (
     mrc_effective_channel,
     per_subcarrier_effective_channels,
 )
-from ramimo.codebook import canonical_onb, rvq_codebook
+from ramimo.codebook import Codebook, canonical_onb, rvq_codebook
 from ramimo.numerics import SeedSpec, sample_complex_gaussian
 from ramimo.rates import BeamAssignment, rate_with_beams, sum_rate
 from ramimo.scheduler import (
     PrecodedDecision,
     realize_rates,
     schedule_bruteforce,
+    schedule_bruteforce_block,
     schedule_greedy,
     zf_decision_for,
     zf_precode,
@@ -30,7 +31,9 @@ E2 = np.array([0.0, 1.0], dtype=complex)
 
 def reference_enumerator(vectors, C, params):
     """Independent oracle written directly against the definition: loop over
-    all subsets and beam tuples, tracking the best sum rate via sum_rate."""
+    all subsets and beam tuples, tracking the best sum rate via sum_rate.
+    Ties go to the smallest (sorted users, beam tuple) over all set sizes;
+    a best rate of 0 schedules nobody."""
     users = sorted(vectors)
     best = (0.0, (), ())
     for k in range(1, params.n_s + 1):
@@ -38,7 +41,7 @@ def reference_enumerator(vectors, C, params):
             for beams in permutations(range(len(C)), k):
                 assign = BeamAssignment(dict(zip(S, beams)))
                 total = sum_rate(assign, C, vectors, params).sum
-                if total > best[0]:
+                if total > best[0] or (total == best[0] > 0 and (S, beams) < best[1:]):
                     best = (total, S, beams)
     return best
 
@@ -264,6 +267,69 @@ def test_brute_zero_channels_schedule_nobody():
     decision = schedule_bruteforce({0: zero, 1: zero}, C, params)
     assert decision.assignment.pairs == {}
     assert decision.predicted_sum_rate == 0.0
+
+
+def _brute_problems(n_t, seed):
+    """Problems of one stacked brute-force call: random users at -20..100
+    dB with their own n_s, plus zero vectors, duplicated users (exact ties),
+    fewer users than n_s, an all-zero problem, and saturated (infinite)
+    powers whose equal rates tie across set sizes."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i in range(8):
+        n_users = int(rng.integers(1, 5))
+        ids = rng.choice(9, n_users, replace=False).tolist()
+        vectors = {m: sample_complex_gaussian(n_t, SeedSpec(seed).derive(i, m)) for m in ids}
+        if i % 4 == 1:
+            vectors[ids[0]] = np.zeros(n_t, dtype=complex)
+        if i % 4 == 2 and n_users > 1:
+            vectors[ids[1]] = vectors[ids[0]].copy()
+        n_s = int(rng.integers(1, n_t + 1))
+        problems.append((vectors, n_s, float(rng.uniform(-20.0, 100.0))))
+    e = np.eye(n_t, dtype=complex)
+    problems += [
+        ({3: sample_complex_gaussian(n_t, SeedSpec(seed).derive("one"))}, n_t, 100.0),
+        ({0: np.zeros(n_t, dtype=complex), 4: np.zeros(n_t, dtype=complex)}, n_t, 30.0),
+        ({5: 0.4 * e[0], 2: 0.4 * e[0], 7: 0.1 * e[-1]}, 1, -20.0),
+        # user 1 alone and users (0, 1) both reach an infinite rate: the
+        # two-user key is the smaller one
+        ({0: e[1], 1: 1e200 * e[0]}, 2, 20.0),
+        # users 0 and 1 alone tie with the pair: the one-user key wins
+        ({0: 1e200 * e[0], 1: 1e200 * e[1]}, 2, 60.0),
+    ]
+    return [(vectors, SystemParams(n_t=n_t, n_s=n_s).with_snr_db(snr)) for vectors, n_s, snr in problems]
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_brute_block_matches_scalar_oracle(monkeypatch, block):
+    # one stacked call, every problem with its own noise term and n_s, and
+    # candidates scored in passes of `block` (default or tiny), matches the
+    # enumeration oracle's winner, tie-break and predicted rate exactly: on
+    # codebooks of unit vectors (duplicated codewords included) the oracle's
+    # rates are bit-identical to the scheduler's, so exact ties agree too
+    import ramimo.scheduler as sched
+
+    if block is not None:
+        monkeypatch.setattr(sched, "_BRUTE_BLOCK", block)
+    for n_t in (2, 3, 4):
+        onb = canonical_onb(n_t).vectors
+        problems = _brute_problems(n_t, 44 + n_t)
+        for C in (canonical_onb(n_t), Codebook(np.vstack([onb, onb[::-1][:2]]), kind="dup")):
+            # saturated powers overflow to inf, and inf / inf candidates score NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = schedule_bruteforce_block([v for v, _ in problems], C, [p for _, p in problems])
+                assert len(got) == len(problems)
+                for (vectors, params), decision in zip(problems, got):
+                    ref_rate, ref_S, ref_beams = reference_enumerator(vectors, C, params)
+                    assert tuple(decision.assignment.users) == ref_S
+                    assert tuple(decision.assignment.pairs[m] for m in ref_S) == ref_beams
+                    assert decision.predicted_sum_rate == ref_rate
+                    assert decision == schedule_bruteforce(vectors, C, params)
+            assert got[-4].assignment.pairs == {}  # all-zero problem
+            assert got[-3].assignment.pairs == {2: 0}  # twins 2 and 5 tie: the smaller user
+            assert got[-2].assignment.pairs == {0: 1, 1: 0}
+            assert got[-1].assignment.pairs == {0: 0}
+    assert schedule_bruteforce_block([], canonical_onb(2), []) == []
 
 
 def _reference_zf_beams(dirs):
