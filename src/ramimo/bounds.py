@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import minimax_log_gain, standard_normal_rows
+from .feedback import beam_powers
+from .numerics import abs_sq, minimax_log_gain, row_norms, standard_normal_rows
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
 # (Kershner d=2; Bambah d=3; Delone & Ryshkov d=4).
@@ -180,9 +181,10 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     the definitions is not searched: the supplied family is evaluated, so
     both numbers are upper estimates for the functionals at the optimum.
     The samples h_hat = sample_complex_gaussian(n_t, seed.derive("empD", i))
-    of a batch are drawn in one `standard_normal_rows` call, and their gain
-    searches run together; the averages still add the samples one by one
-    in order.
+    of a batch are drawn in one `standard_normal_rows` call, their gains,
+    lam_tilde and alignments psi computed as stacked rows (each equal to
+    the one-sample arithmetic bit for bit), and their gain searches run
+    together; the averages still add the samples one by one in order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -194,15 +196,11 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     for lo in range(0, samples, chunk):
         idx = range(lo, min(lo + chunk, samples))
         normals = standard_normal_rows(seed.master_seed, [seed.derive("empD", i).stream for i in idx], 2 * n_t)
-        lam_tilde = np.empty(len(idx))
-        psi = np.empty((len(idx), len(C)))
-        for r, row in enumerate(normals):
-            h_hat = (row[:n_t] + 1j * row[n_t:]) / np.sqrt(2.0)
-            gain_sq = float(np.linalg.norm(h_hat) ** 2)
-            lam_sq = params.P * gain_sq / (params.n_t * params.sigma_sq)
-            lam_tilde[r] = lam_sq / (1.0 + lam_sq)
-            h = h_hat / math.sqrt(gain_sq)
-            psi[r] = np.abs(C.vectors @ np.conj(h)) ** 2
+        h_hat = (normals[:, :n_t] + 1j * normals[:, n_t:]) / np.sqrt(2.0)
+        gain_sq = abs_sq(row_norms(h_hat))
+        lam_sq = params.P * gain_sq / (params.n_t * params.sigma_sq)
+        lam_tilde = lam_sq / (1.0 + lam_sq)
+        psi = beam_powers(h_hat / np.sqrt(gain_sq)[:, None], C)
         weighted = _min_weighted_gaps(psi, phi, lam_tilde)
         direction = np.max(np.abs(psi[:, None, :] - phi[None, :, :]), axis=2).min(axis=1)
         for r in range(len(idx)):

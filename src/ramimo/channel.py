@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeedSpec, standard_normal_rows
+from .numerics import SeedSpec, row_norms, standard_normal_rows
 from .numerics import sample_complex_gaussian_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
 
 _F_KEY = SeedSpec(0).derive("f").stream[0]  # stream word of the subcarrier key "f"
@@ -152,23 +152,48 @@ def effective_channel(H, u):
     return H.conj().T @ u
 
 
+def _unit_rows(h_hat):
+    """Norm of every row of an effective-channel stack (..., n_t) and the
+    row divided by it; a zero row gets e_1."""
+    gain = row_norms(h_hat)
+    zero = gain == 0
+    h = h_hat / np.where(zero, 1.0, gain)[..., None]
+    h[zero] = np.eye(h_hat.shape[-1], 1, dtype=complex)[:, 0]
+    return gain, h
+
+
+def _lambda_sq(gain, params):
+    """P ||h_hat||^2 / (n_t sigma^2) of every gain; 0 for a zero channel."""
+    return params.P * gain * gain / (params.n_t * params.sigma_sq)
+
+
 def effective_channel_state(h_hat, params):
     """Package a raw effective vector into an EffectiveChannel."""
     h_hat = np.asarray(h_hat, dtype=complex)
-    gain = float(np.linalg.norm(h_hat))
-    if gain == 0.0:
-        e1 = np.zeros(h_hat.shape[0], dtype=complex)
-        e1[0] = 1.0
-        return EffectiveChannel(h_hat=h_hat, lambda_sq=0.0, h=e1)
-    lam_sq = params.P * gain * gain / (params.n_t * params.sigma_sq)
-    return EffectiveChannel(h_hat=h_hat, lambda_sq=lam_sq, h=h_hat / gain)
+    gain, h = _unit_rows(h_hat[None])
+    return EffectiveChannel(h_hat=h_hat, lambda_sq=float(_lambda_sq(gain, params)[0]), h=h[0])
 
 
 def _fix_phase(u):
-    """Rotate a vector so its largest-magnitude entry is real positive."""
-    i = int(np.argmax(np.abs(u)))
-    if np.abs(u[i]) > 0:
-        u = u * (np.conj(u[i]) / np.abs(u[i]))
+    """Rotate every row of u so its largest-magnitude entry is real positive."""
+    rows = np.arange(len(u))
+    top = u[rows, np.argmax(np.abs(u), axis=1)]
+    mag = np.abs(top)
+    live = mag > 0
+    u[live] *= (np.conj(top[live]) / mag[live])[:, None]
+    return u
+
+
+def _mrc_filters(H):
+    """MRC filter of every matrix of an (N, n_r, n_t) stack: one stacked
+    SVD, which numpy runs matrix by matrix.  n_r = 1 needs no SVD: the
+    filter is 1."""
+    u = np.zeros(H.shape[:2], dtype=complex)
+    u[:, 0] = 1.0
+    if H.shape[1] > 1:
+        live = np.any(H, axis=(1, 2))
+        if live.any():
+            u[live] = _fix_phase(np.linalg.svd(H[live])[0][:, :, 0])
     return u
 
 
@@ -178,26 +203,70 @@ def mrc_filter(H):
     A zero matrix gets e_1; its effective channel is zero, with
     lambda_sq = 0 and rate 0.
     """
-    H = np.asarray(H, dtype=complex)
-    if H.shape[0] == 1:
-        return np.ones(1, dtype=complex)
-    if not np.any(H):
-        u = np.zeros(H.shape[0], dtype=complex)
-        u[0] = 1.0
-        return u
-    U, _, _ = np.linalg.svd(H)
-    return _fix_phase(U[:, 0])
+    return _mrc_filters(np.asarray(H, dtype=complex)[None])[0]
+
+
+def _filtered(H, u):
+    """H^H u of every (..., n_r, n_t) matrix and its (..., n_r) filter; for
+    n_r = 1, where u = 1, that is the conjugated row."""
+    if H.shape[-2] == 1:
+        return np.conj(H[..., 0, :])
+    return (np.conj(H).swapaxes(-1, -2) @ u[..., None])[..., 0]
+
+
+@dataclass(frozen=True)
+class EffectiveBlock:
+    """SNR-free effective channels of a block of users under the MRC
+    filter of each user's averaged channel, the one filter feedback,
+    scheduling and realized rates all assume.
+
+    h_hat (users, n_t) and its norms `gain` and unit rows `h` (e_1 for a
+    zero channel) belong to the averaged channels; sub_h_hat (users, F,
+    n_t) to the subcarriers, F = 1 for flat channels.  Each row equals the
+    one-user computation bit for bit.
+    """
+
+    h_hat: np.ndarray
+    gain: np.ndarray
+    h: np.ndarray
+    sub_h_hat: np.ndarray
+
+    def lambda_sq(self, params):
+        """lambda^2 of every user's averaged channel at `params`."""
+        return _lambda_sq(self.gain, params)
+
+    def effective(self, params):
+        """EffectiveChannel of every user's averaged channel at `params`."""
+        return [EffectiveChannel(*row) for row in zip(self.h_hat, self.lambda_sq(params).tolist(), self.h)]
+
+    def subcarrier_effective(self, params):
+        """Per user, the EffectiveChannel of every subcarrier at `params`."""
+        gain, unit = _unit_rows(self.sub_h_hat)
+        lam = _lambda_sq(gain, params).tolist()
+        return [
+            [EffectiveChannel(*row) for row in zip(h_hat, lam_u, h)]
+            for h_hat, lam_u, h in zip(self.sub_h_hat, lam, unit)
+        ]
+
+
+def effective_block(channels):
+    """The EffectiveBlock of a sequence of UserChannels of one shape: every
+    MRC filter from one stacked SVD, every effective channel from one
+    stacked product, norms and unit rows as array arithmetic."""
+    H = np.array([uc.H for uc in channels], dtype=complex)
+    sub = np.array([uc.per_subcarrier() for uc in channels], dtype=complex)
+    u = _mrc_filters(H)
+    h_hat = _filtered(H, u)
+    return EffectiveBlock(h_hat, *_unit_rows(h_hat), _filtered(sub, u[:, None, :]))
 
 
 def mrc_effective_channel(uc, params):
-    """MRC-filtered effective channel of the (averaged) user channel."""
-    u = mrc_filter(uc.H)
-    return effective_channel_state(effective_channel(uc.H, u), params)
+    """MRC-filtered effective channel of the (averaged) user channel: the
+    one-user case of `effective_block`."""
+    return effective_block([uc]).effective(params)[0]
 
 
 def per_subcarrier_effective_channels(uc, params):
     """Effective channels of every subcarrier under the MRC filter of the
-    averaged channel, the one filter feedback, scheduling and
-    `scheduler.realize_rates` all assume."""
-    u = mrc_filter(uc.H)
-    return [effective_channel_state(effective_channel(Hf, u), params) for Hf in uc.per_subcarrier()]
+    averaged channel: the one-user case of `effective_block`."""
+    return effective_block([uc]).subcarrier_effective(params)[0]

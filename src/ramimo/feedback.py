@@ -26,8 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import mrc_effective_channel, per_subcarrier_effective_channels
-from .numerics import minimax_log_gain
+from .channel import effective_block
+from .numerics import abs_sq, minimax_log_gain
 
 # (column, configuration) entries of one gain search before codeword
 # pruning, which leaves a few percent of the columns after ten halvings:
@@ -124,24 +124,47 @@ def raw_scale_sq(params):
     return params.n_t * params.sigma_sq / params.P
 
 
+def feedback_vectors(cdi, cqi, V, scale_sq):
+    """Raw-scale vectors the scheduler treats like effective channels, one
+    row per (CDI, CQI, `raw_scale_sq`) entry of the three arrays."""
+    return (np.asarray(cqi) * np.sqrt(scale_sq))[:, None] * V.vectors[cdi]
+
+
 def feedback_vector(msg, V, params):
-    """Raw-scale vector the scheduler treats like an effective channel."""
-    return msg.cqi * np.sqrt(raw_scale_sq(params)) * V[msg.cdi_index]
+    """Raw-scale vector the scheduler treats like an effective channel: the
+    one-message case of `feedback_vectors`."""
+    return feedback_vectors([msg.cdi_index], [msg.cqi], V, [raw_scale_sq(params)])[0]
+
+
+def _cqi(lambda_sq, h, nu):
+    """theta = sqrt(lambda^2 |<h, nu>|^2) of every row of the stacks h, nu."""
+    return np.sqrt(lambda_sq * abs_sq(np.vecdot(h, nu)))
 
 
 def cqi_effective(lambda_sq, h, nu):
     """Effective channel gain over the quantized direction: theta^2 = lambda^2 |<h, nu>|^2."""
-    return float(np.sqrt(lambda_sq * np.abs(np.vdot(h, nu)) ** 2))
+    return float(_cqi(lambda_sq, h, nu))
+
+
+def chordal_feedback_block(h, lambda_sq, V):
+    """Classical feedback for every row of a stack of unit directions h
+    (rows, n_t) with their lambda^2: the index of the codeword closest to
+    h in chordal distance (the largest |<nu, h>|^2, ties to the lowest
+    index) and the CQI over it, as two arrays.  Every row equals the
+    one-row computation bit for bit."""
+    idx = np.argmax(beam_powers(h, V), axis=-1)
+    return idx, _cqi(np.asarray(lambda_sq), h, V.vectors[idx])
+
+
+def chordal_messages(idx, theta, V):
+    """FeedbackMessages of `chordal_feedback_block`'s arrays."""
+    return [FeedbackMessage(i, t, "chordal", len(V)) for i, t in zip(idx.tolist(), theta.tolist())]
 
 
 def chordal_cdi(eff, V):
-    """Classical feedback: direction closest to h in chordal distance."""
-    if len(V) == 0:
-        raise ValueError("empty feedback codebook")
-    align = np.abs(V.vectors @ np.conj(eff.h)) ** 2
-    idx = int(np.argmax(align))
-    theta = cqi_effective(eff.lambda_sq, eff.h, V[idx])
-    return FeedbackMessage(idx, theta, "chordal", scalar_product_count=len(V))
+    """Classical feedback: direction closest to h in chordal distance; the
+    one-row case of `chordal_feedback_block`."""
+    return chordal_messages(*chordal_feedback_block(eff.h[None], [eff.lambda_sq], V), V)[0]
 
 
 def _sizes(params, sizes):
@@ -306,20 +329,6 @@ def _ra_messages(r_true, noise, scale2, phi, own, mask, count):
     return msgs
 
 
-def ra_feedback_for_channels(jobs, C, V, phi_table=None, effs=None):
-    """`compute_feedback("ra-full", uc, C, V, params)` for every (uc, params)
-    job, solved together by `ra_feedback_batch`.  `effs`, if given, holds
-    each job's `mrc_effective_channel(uc, params)`, already built by the
-    caller."""
-    if effs is None:
-        effs = [mrc_effective_channel(uc, params) for uc, params in jobs]
-    problems = []
-    for (uc, params), eff in zip(jobs, effs):
-        sub = per_subcarrier_effective_channels(uc, params) if uc.F > 1 else None
-        problems.append((eff, params, sub))
-    return ra_feedback_batch(problems, C, V, phi_table=phi_table)
-
-
 def efficient_cdi(eff, C, V, phi_table=None):
     """Low-complexity rate-approximation surrogate.
 
@@ -451,9 +460,11 @@ def compute_feedback(strategy, uc, C, V, params, phi_table=None):
     """Dispatch one user's feedback message for the named strategy."""
     if strategy == "perfect":
         raise ValueError("perfect CSIT bypasses feedback; schedule on the effective channel")
+    block = effective_block([uc])
+    eff = block.effective(params)[0]
     if strategy == "ra-full":
-        return ra_feedback_for_channels([(uc, params)], C, V, phi_table=phi_table)[0]
-    eff = mrc_effective_channel(uc, params)
+        sub = block.subcarrier_effective(params)[0] if uc.F > 1 else None
+        return ra_feedback(eff, C, V, params, subcarrier_effs=sub, phi_table=phi_table)
     if strategy == "chordal":
         return chordal_cdi(eff, V)
     if strategy == "ra-efficient":

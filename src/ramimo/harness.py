@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import c_nt, empirical_D, lemma2_bound, lemma3_bound, lemma3_validity_threshold
-from .channel import SystemParams, draw_channels, mrc_effective_channel
-from .channel import draw_user_channel  # noqa: F401  (perfbench/spans.py wraps this name)
+from .channel import SystemParams, draw_channels, effective_block
+from .channel import draw_user_channel, mrc_effective_channel  # noqa: F401  (perfbench/spans.py wraps these names)
 from .codebook import (
     Codebook,
     NotTightFrameError,
@@ -34,18 +34,22 @@ from .codebook import (
 from .feedback import (
     STRATEGIES,
     _require_subset,
-    compute_feedback,
+    chordal_feedback_block,
+    chordal_messages,
     cross_gram,
-    feedback_vector,
+    efficient_cdi,
+    feedback_vectors,
     gap_samples_delta_ra,
+    lemma1_feedback,
     ra_batch_group,
-    ra_feedback_for_channels,
+    ra_feedback_batch,
+    raw_scale_sq,
 )
-from .feedback import gap_sample_delta_ra  # noqa: F401  (perfbench/spans.py wraps this name)
+from .feedback import compute_feedback, feedback_vector, gap_sample_delta_ra  # noqa: F401  (perfbench/spans.py wraps these names)
 from .numerics import SeedSpec
 from .rates import rate_with_beams  # noqa: F401  (perfbench/spans.py wraps this name)
-from .scheduler import realize_rates, schedule_bruteforce_block, schedule_greedy, zf_batch_group, zf_schedule_block
-from .scheduler import schedule_bruteforce, zf_decision_for, zf_schedule  # noqa: F401  (perfbench/spans.py wraps these names)
+from .scheduler import realize_rates_block, schedule_bruteforce_block, schedule_greedy, zf_batch_group, zf_schedule_block
+from .scheduler import realize_rates, schedule_bruteforce, zf_decision_for, zf_schedule  # noqa: F401  (perfbench/spans.py wraps these names)
 
 CDF_GRID_POINTS = 200
 
@@ -266,6 +270,11 @@ class _Context:
         it = iter(draw_channels(cfg.params, cfg.F, cfg.rho, cfg.master_seed, streams))
         return [{m: next(it) for m in users} for _ in draws]
 
+    def effective(self, draws):
+        """The EffectiveBlock of the channels of `draws`: row
+        d * num_users + m is user m of the d-th draw."""
+        return effective_block([ch for channels in self.channels(draws) for ch in channels.values()])
+
 
 def _init_worker(kind, cfg_dict):
     cfg = SimConfig.from_dict(cfg_dict)
@@ -284,18 +293,23 @@ def _feedback_strategy(kind, cfg):
     return cfg.strategy
 
 
+_BLOCK_ROWS = 1 << 8  # (draw, SNR point, user) rows of a block with neither a gain search nor zeroforcing
+
+
 def _block_size(ctx, kind):
-    """Draws per block: as many as fit in one group of the batched ra-full
-    gain search, or else of the stacked zeroforcing scheduler (users x SNR
-    points problems each), at least 1.  Other runs have no batched stage
-    and run draw by draw."""
+    """Draws per block, at least 1: as many as fit in one group of the
+    batched ra-full gain search, or else of the stacked zeroforcing
+    scheduler (users x SNR points problems each), or else _BLOCK_ROWS
+    (draw, SNR point, user) rows.  Every block builds its effective
+    channels, chordal feedback, brute-force schedules and realized rates
+    in one stacked pass each."""
     cfg = ctx.cfg
     if _feedback_strategy(kind, cfg) == "ra-full":
         group = ra_batch_group(ctx.C, ctx.V, cfg.params)
     elif kind == "sum-rate" and cfg.precoder == "zf":
         group = zf_batch_group(cfg.params)
     else:
-        return 1
+        group = _BLOCK_ROWS
     return max(1, group // (cfg.num_users * len(cfg.snr_db_list)))
 
 
@@ -328,80 +342,127 @@ def _schedule_block(vectors_per_problem, C, params_per_problem, method):
     return [schedule_greedy(v, C, params) for v, params in zip(vectors_per_problem, params_per_problem)]
 
 
-def _block_messages(ctx, strategy, chans, effs=None):
-    """Feedback messages of a block: msgs[d][s] maps user -> message for
-    the block's draw d at SNR point s.
+def _rows(ctx, block):
+    """The block row (d * num_users + m) and the SNR point s of every
+    (draw d, SNR point s, user m) row of a block, in that order."""
+    n_users = ctx.cfg.num_users
+    d, s, m = np.indices((len(block.h) // n_users, len(ctx.params_by_snr), n_users)).reshape(3, -1)
+    return d * n_users + m, s
 
-    ra-full jobs of the whole block share one batched gain search, which
-    is where nearly all of a draw's feedback time goes; the other
-    strategies run job by job.  `effs`, laid out like the messages, holds
-    effective channels the caller has already built; ra-full reuses them.
+
+def _block_effs(ctx, block):
+    """EffectiveChannel of every (draw, SNR point, user) row of `block`."""
+    by_snr = [block.effective(params) for params in ctx.params_by_snr]
+    return [by_snr[s][u] for u, s in zip(*(a.tolist() for a in _rows(ctx, block)))]
+
+
+def _block_feedback(ctx, strategy, block, effs=None):
+    """Feedback of every (draw, SNR point, user) row of a block, from its
+    effective-channel pass: the CDI and CQI arrays and the rows'
+    FeedbackMessages.
+
+    Chordal rows come from one stacked pass as arrays only, with messages
+    None; ra-full rows share one batched gain search; the other strategies
+    run row by row.  `effs`, the rows' EffectiveChannels, is built here
+    unless the caller already has it.
     """
-    jobs = [(ch, params) for channels in chans for params in ctx.params_by_snr for ch in channels.values()]
+    user, snr = _rows(ctx, block)
+    if strategy == "chordal":
+        lam = np.array([block.lambda_sq(params) for params in ctx.params_by_snr])
+        return (*chordal_feedback_block(block.h[user], lam[snr, user], ctx.V), None)
+    if effs is None:
+        effs = _block_effs(ctx, block)
     if strategy == "ra-full":
-        flat_effs = None if effs is None else [e for per_draw in effs for per_snr in per_draw for e in per_snr.values()]
-        flat = ra_feedback_for_channels(jobs, ctx.C, ctx.V, phi_table=ctx.phi, effs=flat_effs)
+        subs = [None] * len(effs)
+        if ctx.cfg.F > 1:
+            by_snr = [block.subcarrier_effective(params) for params in ctx.params_by_snr]
+            subs = [by_snr[s][u] for u, s in zip(user.tolist(), snr.tolist())]
+        params = [ctx.params_by_snr[s] for s in snr.tolist()]
+        msgs = ra_feedback_batch(list(zip(effs, params, subs)), ctx.C, ctx.V, phi_table=ctx.phi)
+    elif strategy == "ra-efficient":
+        msgs = [efficient_cdi(eff, ctx.C, ctx.V, phi_table=ctx.phi) for eff in effs]
     else:
-        flat = [compute_feedback(strategy, ch, ctx.C, ctx.V, params, phi_table=ctx.phi) for ch, params in jobs]
-    it = iter(flat)
-    return [[{m: next(it) for m in channels} for _ in ctx.params_by_snr] for channels in chans]
+        msgs = [lemma1_feedback(eff, ctx.C, ctx.V) for eff in effs]
+    return np.array([msg.cdi_index for msg in msgs]), np.array([msg.cqi for msg in msgs]), msgs
+
+
+def _feedback_rows(ctx, block, cdi, cqi):
+    """Feedback vectors of every (draw, SNR point, user) row of a block."""
+    scale_sq = np.array([raw_scale_sq(params) for params in ctx.params_by_snr])
+    return feedback_vectors(cdi, cqi, ctx.V, scale_sq[_rows(ctx, block)[1]])
 
 
 def _sum_rate_block(ctx, draws):
-    """Realized sum rate of each draw in `draws`, shape (draws, SNR points)."""
+    """Realized sum rate of each draw in `draws`, shape (draws, SNR points).
+
+    The scheduler sees, for each (draw, SNR point, user) row, the true
+    effective channel under perfect CSIT or else the feedback vector, all
+    built in one pass; every decision of the block is realized in one
+    `realize_rates_block` pass."""
     cfg = ctx.cfg
-    chans = ctx.channels(draws)
+    block = ctx.effective(draws)
+    n_draws, n_snr, n_users = len(draws), len(ctx.params_by_snr), cfg.num_users
     strategy = _feedback_strategy("sum-rate", cfg)
-    if strategy is not None:
-        msgs = _block_messages(ctx, strategy, chans)
-    out = np.empty((len(chans), len(ctx.params_by_snr)))
-    vectors = []  # vectors[s][d]: user -> vector the scheduler sees
-    for s, params in enumerate(ctx.params_by_snr):
-        if strategy is None:
-            vectors.append([{m: mrc_effective_channel(ch, params).h_hat for m, ch in channels.items()} for channels in chans])
-        else:
-            vectors.append([{m: feedback_vector(msg, ctx.V, params) for m, msg in per_draw[s].items()} for per_draw in msgs])
-    if cfg.precoder == "zf":
-        for s, params in enumerate(ctx.params_by_snr):
-            for d, (decision, _) in enumerate(zf_schedule_block(vectors[s], params)):
-                out[d, s] = realize_rates(decision, chans[d], params).sum
+    if strategy is None:
+        vecs = np.broadcast_to(block.h_hat.reshape(n_draws, 1, n_users, -1), (n_draws, n_snr, n_users, cfg.params.n_t))
     else:
-        problems = [(s, d) for s in range(len(ctx.params_by_snr)) for d in range(len(chans))]
+        vecs = _feedback_rows(ctx, block, *_block_feedback(ctx, strategy, block)[:2])
+        vecs = vecs.reshape(n_draws, n_snr, n_users, -1)
+    # vectors[s][d] maps user -> the vector the scheduler sees
+    vectors = [[dict(enumerate(vecs[d, s])) for d in range(n_draws)] for s in range(n_snr)]
+    sub = block.sub_h_hat.reshape(n_draws, n_users, cfg.F, -1)
+    points = [(s, d) for s in range(n_snr) for d in range(n_draws)]
+    if cfg.precoder == "zf":
+        decisions = []
+        for s, params in enumerate(ctx.params_by_snr):
+            decisions += [decision for decision, _ in zf_schedule_block(vectors[s], params)]
+    else:
         decisions = _schedule_block(
-            [vectors[s][d] for s, d in problems], ctx.C, [ctx.params_by_snr[s] for s, _ in problems], cfg.scheduler
+            [vectors[s][d] for s, d in points], ctx.C, [ctx.params_by_snr[s] for s, _ in points], cfg.scheduler
         )
-        for (s, d), decision in zip(problems, decisions):
-            out[d, s] = realize_rates(decision, chans[d], ctx.params_by_snr[s], C=ctx.C).sum
+    problems = [(dec, sub[d], ctx.params_by_snr[s]) for (s, d), dec in zip(points, decisions)]
+    out = np.empty((n_draws, n_snr))
+    for (s, d), report in zip(points, realize_rates_block(problems, C=ctx.C)):
+        out[d, s] = report.sum
     return out
 
 
 def _delta_ra_block(ctx, draws):
     """(gap samples, mean lambda^2) per SNR point for each draw in `draws`.
 
-    The true and the reported vectors of every (draw, SNR point) are
-    scheduled in one `_schedule_block` call, and the gap samples of the
-    whole block come from one `gap_samples_delta_ra` pass."""
+    Every (draw, SNR point, user) effective channel comes from the block's
+    one effective-channel pass and serves the feedback search, the true
+    vectors and the gap samples.  The true and the reported vectors of
+    every (draw, SNR point) are scheduled in one `_schedule_block` call,
+    and the gap samples of the whole block come from one
+    `gap_samples_delta_ra` pass."""
     cfg = ctx.cfg
-    chans = ctx.channels(draws)
-    block_effs = [
-        [{m: mrc_effective_channel(ch, params) for m, ch in channels.items()} for params in ctx.params_by_snr]
-        for channels in chans
-    ]
-    msgs = _block_messages(ctx, _feedback_strategy("delta-ra", cfg), chans, block_effs)
-    points = [(d, s, params) for d in range(len(chans)) for s, params in enumerate(ctx.params_by_snr)]
+    block = ctx.effective(draws)
+    n_draws, n_snr, n_users = len(draws), len(ctx.params_by_snr), cfg.num_users
+    effs = _block_effs(ctx, block)
+    cdi, cqi, msgs = _block_feedback(ctx, _feedback_strategy("delta-ra", cfg), block, effs)
+    if msgs is None:
+        msgs = chordal_messages(cdi, cqi, ctx.V)
+    reported = _feedback_rows(ctx, block, cdi, cqi)
+    points = [((d * n_snr + s) * n_users, params) for d in range(n_draws) for s, params in enumerate(ctx.params_by_snr)]
     vectors, params_list = [], []
-    for d, s, params in points:
-        vectors.append({m: eff.h_hat for m, eff in block_effs[d][s].items()})
-        vectors.append({m: feedback_vector(msg, ctx.V, params) for m, msg in msgs[d][s].items()})
+    for lo, params in points:
+        vectors.append({m: eff.h_hat for m, eff in enumerate(effs[lo : lo + n_users])})
+        vectors.append(dict(enumerate(reported[lo : lo + n_users])))
         params_list += [params, params]
     decisions = _schedule_block(vectors, ctx.C, params_list, cfg.scheduler)
     samples = [
-        (block_effs[d][s], msgs[d][s], params, set(s_h.assignment.users) | set(s_v.assignment.users))
-        for (d, s, params), s_h, s_v in zip(points, decisions[::2], decisions[1::2])
+        (
+            dict(enumerate(effs[lo : lo + n_users])),
+            dict(enumerate(msgs[lo : lo + n_users])),
+            params,
+            set(s_h.assignment.users) | set(s_v.assignment.users),
+        )
+        for (lo, params), s_h, s_v in zip(points, decisions[::2], decisions[1::2])
     ]
-    gaps = np.reshape(gap_samples_delta_ra(samples, ctx.C, ctx.V), (len(chans), len(ctx.params_by_snr)))
-    lam_means = [[float(np.mean([eff.lambda_sq for eff in effs.values()])) for effs in per_draw] for per_draw in block_effs]
-    return [(gaps[d], np.array(lam_means[d])) for d in range(len(chans))]
+    gaps = np.reshape(gap_samples_delta_ra(samples, ctx.C, ctx.V), (n_draws, n_snr))
+    lam_means = np.mean(np.reshape([eff.lambda_sq for eff in effs], (n_draws, n_snr, n_users)), axis=2)
+    return [(gaps[d], lam_means[d]) for d in range(n_draws)]
 
 
 _BLOCK_FNS = {"sum-rate": _sum_rate_block, "delta-ra": _delta_ra_block}

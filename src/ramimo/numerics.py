@@ -203,6 +203,23 @@ def minimax_log_gain(excess, columns, group):
     return out_x, out
 
 
+def row_norms(v):
+    """Euclidean norm of every row (last axis) of a complex stack, each
+    equal to np.linalg.norm of that row alone: the same two real dot
+    products over the same strides, added and square-rooted."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def abs_sq(z):
+    """|z|^2 elementwise, equal to the numpy-scalar form np.abs(z) ** 2.
+
+    A numpy scalar squares through C pow, while an array's ** 2 is x * x,
+    which differs in the last bit for about 1 in 1,000 values;
+    float_power keeps pow."""
+    return np.float_power(np.abs(z), 2.0)
+
+
 def sample_complex_gaussian(n, seed):
     """n i.i.d. CN(0, 1) entries (real/imag parts each variance 1/2)."""
     if n < 1:

@@ -11,7 +11,9 @@ pair until no insertion improves the rate.  The zeroforcing baseline
 selects users greedily too, with beams from the pseudo-inverse of the
 chosen directions; `zf_schedule_block` runs that selection for a block of
 draws at once, one stacked rank test and pseudo-inverse per greedy step,
-and `zf_schedule` is its one-draw case.
+and `zf_schedule` is its one-draw case.  `realize_rates_block` realizes
+the decisions of many problems on the true channels in one stacked pass,
+and `realize_rates` is its one-draw case.
 """
 
 from dataclasses import dataclass
@@ -19,9 +21,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .channel import mrc_filter
+from .channel import effective_block
 from .feedback import beam_powers
-from .rates import BeamAssignment, RateReport, rate_with_beams
+from .numerics import abs_sq, row_norms
+from .rates import BeamAssignment, RateReport
 
 BRUTE_MAX_USERS = 12
 BRUTE_MAX_BEAMS = 32
@@ -267,23 +270,20 @@ def zf_schedule_block(vectors_per_draw, params):
 
     Every draw still running takes greedy step k together: the (chosen
     users + one candidate) sets of all of them go through one stacked rank
-    test and pseudo-inverse.  Unit directions and the winners' beams are
-    normalized vector by vector, so each beam equals `zf_precode`'s on the
-    same set bit for bit; the stacked scores only pick the winner.
+    test and pseudo-inverse.  Unit directions come from one stacked
+    `row_norms` pass and the winners' beams are normalized vector by
+    vector, so each beam equals `zf_precode`'s on the same set bit for bit;
+    the stacked scores only pick the winner.
     """
     ids = [sorted(vectors) for vectors in vectors_per_draw]
     n_draws, width = len(ids), max(map(len, ids), default=0)
     raw = np.zeros((n_draws, width, params.n_t), dtype=complex)
-    conj_units = np.zeros_like(raw)  # conjugated unit directions; zero for a zero vector
-    usable = np.zeros((n_draws, width), dtype=bool)
     for d, vectors in enumerate(vectors_per_draw):
-        for j, m in enumerate(ids[d]):
-            v = np.asarray(vectors[m], dtype=complex)
-            norm = np.linalg.norm(v)
-            raw[d, j] = v
-            if norm != 0:
-                conj_units[d, j] = np.conj(v / norm)
-                usable[d, j] = True
+        if ids[d]:
+            raw[d, : len(ids[d])] = [vectors[m] for m in ids[d]]
+    norm = row_norms(raw)
+    usable = norm != 0  # False for zero vectors and padding
+    conj_units = np.conj(raw / np.where(usable, norm, 1.0)[..., None])  # conjugated unit directions
     running = np.arange(n_draws)
     chosen = np.zeros((n_draws, 0), dtype=int)  # slots each running draw has added, in order
     best_sum = np.zeros(n_draws)
@@ -333,27 +333,63 @@ def zf_schedule(vectors, params):
     return zf_schedule_block([vectors], params)[0]
 
 
-def realize_rates(decision, channels, params, C=None):
-    """Actual rates of a decision on the true channels.
+def realize_rates_block(problems, C=None):
+    """Actual rates of many decisions on the true channels, one RateReport
+    per (decision, sub_h_hat, params) problem.
 
-    `channels` maps user -> UserChannel.  Each user receives with the MRC
-    filter of its averaged channel, the receiver its feedback and the
-    scheduler assume, and its rate is the rate formula on the filtered
-    channel; multi-subcarrier channels realize the per-subcarrier average.
+    sub_h_hat[m] is user m's (F, n_t) stack of filtered subcarrier
+    channels (`channel.EffectiveBlock.sub_h_hat`): each user receives with
+    the MRC filter of its averaged channel, the receiver its feedback and
+    the scheduler assume, and realizes the mean over subcarriers of the
+    rate formula.  Codebook decisions take their beams from C.
+
+    Every (problem, scheduled user, subcarrier) row goes through one
+    stacked pass with the operation order of `rates.rate_with_beams`:
+    powers squared as numpy scalars square (`numerics.abs_sq`),
+    interference summed over the other users in order, the per-user mean
+    over subcarriers and the sum over users in user order.  So every
+    report equals the scalar computation on that problem alone bit for bit.
     """
-    if isinstance(decision, PrecodedDecision):
-        users = list(decision.users)
-        beam_of = dict(zip(decision.users, decision.beams))
-    else:
-        users = decision.assignment.users
-        beam_of = {m: C[j] for m, j in decision.assignment.pairs.items()}
-    k = len(users)
-    per_user = {}
-    for m in users:
-        own = beam_of[m]
-        others = [beam_of[l] for l in users if l != m]
-        uc = channels[m]
-        u = mrc_filter(uc.H)
-        vals = [rate_with_beams(Hf.conj().T @ u, own, others, k, params) for Hf in uc.per_subcarrier()]
-        per_user[m] = float(np.mean(vals))
-    return RateReport(per_user=per_user, sum=float(sum(per_user.values())))
+    users, beams = [], []
+    for decision, _, _ in problems:
+        if isinstance(decision, PrecodedDecision):
+            users.append(list(decision.users))
+            beams.append(list(decision.beams))
+        else:
+            users.append(decision.assignment.users)
+            beams.append([C[decision.assignment.pairs[m]] for m in users[-1]])
+    k = np.array([len(u) for u in users], dtype=int)
+    width = max(k.tolist(), default=0)
+    per_user = np.zeros((len(problems), width))
+    if width:
+        v = np.array([sub[m] for (_, sub, _), us in zip(problems, users) for m in us])  # (rows, F, n_t)
+        table = np.zeros((len(problems), width, v.shape[-1]), dtype=complex)  # each problem's beams, zero-padded
+        for p, b in enumerate(beams):
+            if b:
+                table[p, : len(b)] = b
+        prob = np.repeat(np.arange(len(problems)), k)
+        own = np.arange(len(prob)) - np.repeat(np.cumsum(k) - k, k)  # position of each row's user
+        gains = abs_sq(np.vecdot(v[:, :, None, :], table[prob][:, None, :, :]))  # (rows, F, beam positions)
+        intf = 0.0
+        for j in range(width):  # padding beams add 0.0, which changes no sum
+            intf = intf + np.where((j != own)[:, None], gains[:, :, j], 0.0)
+        sigma_sq, power = np.array([(params.sigma_sq, params.P) for _, _, params in problems]).T
+        noise = sigma_sq[prob] * k[prob] / power[prob]
+        rates = np.log1p(gains[np.arange(len(prob)), :, own] / (noise[:, None] + intf))
+        per_user[prob, own] = np.mean(rates, axis=1)
+    total = 0.0
+    for j in range(width):  # in user order, as the scalar sum; padding adds 0.0
+        total = total + per_user[:, j]
+    totals = np.broadcast_to(total, len(problems)).tolist()
+    return [
+        RateReport(per_user=dict(zip(us, row[: len(us)].tolist())), sum=t)
+        for us, row, t in zip(users, per_user, totals)
+    ]
+
+
+def realize_rates(decision, channels, params, C=None):
+    """Actual rates of a decision on the true channels: the one-draw case
+    of `realize_rates_block`.  `channels` maps user -> UserChannel."""
+    users = list(decision.users) if isinstance(decision, PrecodedDecision) else decision.assignment.users
+    sub = dict(zip(users, effective_block([channels[m] for m in users]).sub_h_hat)) if users else {}
+    return realize_rates_block([(decision, sub, params)], C=C)[0]

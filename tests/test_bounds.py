@@ -283,3 +283,41 @@ def test_empirical_d_independent_of_batching(monkeypatch):
         psi = np.abs(C.vectors @ np.conj(h)) ** 2
         one_by_one.append(min_direction_gap(psi, np.abs(V.vectors.conj() @ C.vectors.T) ** 2))
     assert whole[1] == pytest.approx(sum(one_by_one) / 150, abs=1e-12)
+
+
+def test_empirical_d_matches_per_sample_oracle(monkeypatch):
+    # the stacked lam_tilde and alignments of 5,000 samples equal the
+    # one-sample arithmetic (norm squared as a numpy scalar) bit for bit,
+    # so both estimates are byte-equal to the per-sample loop that adds
+    # them in order
+    import ramimo.bounds as bounds_mod
+    from ramimo.bounds import _min_weighted_gaps
+
+    params = SystemParams(n_t=4, n_s=2).with_snr_db(-10.0)  # low SNR, where lam_tilde follows every bit of the gain
+    C = canonical_onb(4)
+    V = rvq_codebook(4, 4, SeedSpec(56).derive("fam"))
+    seed = SeedSpec(57).derive("mc")
+    phi = np.abs(V.vectors.conj() @ C.vectors.T) ** 2
+    n = 5000
+    lam_tilde, psi = np.empty(n), np.empty((n, len(C)))
+    for i in range(n):
+        h_hat = sample_complex_gaussian(4, seed.derive("empD", i))
+        gain_sq = float(np.linalg.norm(h_hat) ** 2)
+        lam_sq = params.P * gain_sq / (params.n_t * params.sigma_sq)
+        lam_tilde[i] = lam_sq / (1.0 + lam_sq)
+        psi[i] = np.abs(C.vectors @ np.conj(h_hat / math.sqrt(gain_sq))) ** 2
+    weighted = _min_weighted_gaps(psi, phi, lam_tilde)
+    d_sum = dhat_sum = 0.0
+    for i in range(n):
+        d_sum += float(weighted[i]) / (1.0 - float(lam_tilde[i]))
+        dhat_sum += min_direction_gap(psi[i], phi)
+    seen = []
+
+    def recording(psis, phi_table, lam_tildes):
+        seen.append((psis, lam_tildes))
+        return _min_weighted_gaps(psis, phi_table, lam_tildes)
+
+    monkeypatch.setattr(bounds_mod, "_min_weighted_gaps", recording)
+    assert empirical_D(4, 4, C, V, params, samples=n, seed=seed) == (d_sum / n, dhat_sum / n)
+    assert np.concatenate([p for p, _ in seen]).tobytes() == psi.tobytes()
+    assert np.concatenate([t for _, t in seen]).tobytes() == lam_tilde.tobytes()

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from ramimo.channel import (
+    EffectiveChannel,
     SystemParams,
     UserChannel,
     draw_channels,
     draw_user_channel,
+    effective_block,
     effective_channel,
     effective_channel_state,
+    mrc_effective_channel,
     mrc_filter,
+    per_subcarrier_effective_channels,
 )
 from ramimo.numerics import SeedSpec, sample_complex_gaussian_matrix
 
@@ -168,3 +172,75 @@ def test_effective_channel_state_lambda():
     eff = effective_channel_state(h_hat, SystemParams(n_t=2, P=4.0, sigma_sq=2.0))
     assert eff.lambda_sq == pytest.approx(4.0 * 4.0 / (2 * 2.0))
     assert np.allclose(eff.h, [1.0, 0.0])
+
+
+def _reference_state(h_hat, params):
+    """One user's EffectiveChannel, scalar arithmetic (the oracle of the
+    block pass)."""
+    gain = float(np.linalg.norm(h_hat))
+    if gain == 0.0:
+        return EffectiveChannel(h_hat=h_hat, lambda_sq=0.0, h=np.eye(len(h_hat), 1, dtype=complex)[:, 0])
+    lam_sq = params.P * gain * gain / (params.n_t * params.sigma_sq)
+    return EffectiveChannel(h_hat=h_hat, lambda_sq=lam_sq, h=h_hat / gain)
+
+
+def _reference_mrc_filter(H):
+    """Dominant left singular vector of one matrix, its largest-magnitude
+    entry rotated real positive; 1 for n_r = 1 and e_1 for a zero matrix."""
+    if H.shape[0] == 1:
+        return np.ones(1, dtype=complex)
+    if not np.any(H):
+        return np.eye(H.shape[0], 1, dtype=complex)[:, 0]
+    u = np.linalg.svd(H)[0][:, 0]
+    i = int(np.argmax(np.abs(u)))
+    if np.abs(u[i]) > 0:
+        u = u * (np.conj(u[i]) / np.abs(u[i]))
+    return u
+
+
+def _assert_same_effective(got, ref):
+    # equal values; with n_r = 1 an exactly real entry may differ in the sign of its zero imaginary part
+    assert np.array_equal(got.h_hat, ref.h_hat)
+    assert got.lambda_sq == ref.lambda_sq
+    assert np.array_equal(got.h, ref.h)
+
+
+@pytest.mark.parametrize("F", [1, 4])
+@pytest.mark.parametrize("n_r", [1, 2, 3])
+def test_effective_block_matches_per_user_oracle(n_r, F):
+    # 1,000 users x 5 SNR points (-20..100 dB) of block rows, plus zero
+    # and rank-one channels and subcarriers, each equal to the scalar
+    # per-user computation: the filter of the averaged channel applied to
+    # it and to every subcarrier
+    params = SystemParams(n_t=4, n_r=n_r, n_s=2)
+    chans = draw_channels(params, F, 0.7, 29, [(n_r, F, i) for i in range(1000)])
+    zero = np.zeros((n_r, 4), dtype=complex)
+    rank_one = np.outer(np.arange(1.0, n_r + 1), [1.0, 2.0j, 0.0, -3.0 + 1.0j])
+    if F == 1:
+        chans += [UserChannel(H=zero), UserChannel(H=rank_one)]
+    else:
+        chans += [
+            UserChannel(H=zero, subcarriers=np.array([zero] * F)),
+            UserChannel(H=rank_one, subcarriers=np.array([rank_one, zero, 2.0 * rank_one, 1.0j * rank_one])),
+            UserChannel(H=zero, subcarriers=np.array([rank_one, -rank_one, rank_one, -rank_one])),
+        ]
+    block = effective_block(chans)
+    assert block.h_hat.shape == (len(chans), 4) and block.sub_h_hat.shape == (len(chans), F, 4)
+    for snr_db in (-20.0, 0.0, 30.0, 60.0, 100.0):
+        p = params.with_snr_db(snr_db)
+        effs, subs = block.effective(p), block.subcarrier_effective(p)
+        assert np.array_equal(block.lambda_sq(p), [e.lambda_sq for e in effs])
+        for uc, eff, sub in zip(chans, effs, subs):
+            u = _reference_mrc_filter(uc.H)
+            _assert_same_effective(eff, _reference_state(uc.H.conj().T @ u, p))
+            assert len(sub) == F
+            for got, Hf in zip(sub, uc.per_subcarrier()):
+                _assert_same_effective(got, _reference_state(Hf.conj().T @ u, p))
+    # the one-user functions are the block's one-user case
+    for uc, eff, sub in list(zip(chans, block.effective(p), block.subcarrier_effective(p)))[-5:]:
+        assert mrc_filter(uc.H).tobytes() == _reference_mrc_filter(uc.H).tobytes()
+        _assert_same_effective(mrc_effective_channel(uc, p), eff)
+        for got, ref in zip(per_subcarrier_effective_channels(uc, p), sub):
+            _assert_same_effective(got, ref)
+    zero_eff = block.effective(p)[-3 if F > 1 else -2]
+    assert zero_eff.lambda_sq == 0.0 and zero_eff.h.tolist() == [1.0, 0.0, 0.0, 0.0]

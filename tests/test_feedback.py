@@ -12,10 +12,12 @@ from ramimo.channel import (
 from ramimo.codebook import Codebook, canonical_onb, concat_codebooks, rvq_codebook
 from ramimo.feedback import (
     chordal_cdi,
+    chordal_feedback_block,
     compute_feedback,
     cqi_effective,
     efficient_cdi,
     feedback_vector,
+    feedback_vectors,
     gap_sample_delta_ra,
     gap_samples_delta_ra,
     lemma1_feedback,
@@ -96,6 +98,55 @@ def test_cqi_effective_cases():
     assert cqi_effective(4.0, h, np.array([0.0, 1.0], dtype=complex)) == 0.0
     nu = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     assert cqi_effective(4.0, h, nu) ** 2 == pytest.approx(2.0)
+
+
+def _reference_chordal(eff, V):
+    """Scalar chordal feedback of one user: the first codeword maximizing
+    |<nu, h>|^2, and theta = sqrt(lambda^2 |<h, nu>|^2) squared as a numpy
+    scalar."""
+    idx = int(np.argmax(np.abs(V.vectors @ np.conj(eff.h)) ** 2))
+    return idx, float(np.sqrt(eff.lambda_sq * np.abs(np.vdot(eff.h, V[idx])) ** 2))
+
+
+@pytest.mark.parametrize("n_t, B", [(4, 4), (3, 6), (2, 1)])
+def test_chordal_block_matches_scalar_oracle(n_t, B):
+    # 6,000 channels at -20..100 dB, on an rvq codebook with every
+    # codeword duplicated (argmax ties go to the first copy), with zero
+    # channels mixed in: the stacked pass equals the scalar oracle bit for
+    # bit, and chordal_cdi is its one-row case
+    base = rvq_codebook(n_t, B, SeedSpec(61).derive(n_t))
+    V = concat_codebooks(base, base, kind="rvq")
+    effs = []
+    for i in range(6000):
+        params = SystemParams(n_t=n_t, n_s=min(2, n_t)).with_snr_db((-20.0, 0.0, 30.0, 60.0, 100.0)[i % 5])
+        h_hat = np.zeros(n_t, dtype=complex) if i % 97 == 0 else sample_complex_gaussian(n_t, SeedSpec(62).derive(i))
+        effs.append(effective_channel_state(h_hat, params))
+    idx, theta = chordal_feedback_block(np.array([e.h for e in effs]), np.array([e.lambda_sq for e in effs]), V)
+    assert len(idx) == 6000
+    for i, t, eff in zip(idx.tolist(), theta.tolist(), effs):
+        assert (i, t) == _reference_chordal(eff, V)
+        assert i < len(base)
+    for eff in effs[:300]:
+        msg = chordal_cdi(eff, V)
+        assert (msg.cdi_index, msg.cqi, msg.scalar_product_count) == (*_reference_chordal(eff, V), len(V))
+    assert chordal_cdi(effs[0], V).cqi == 0.0
+
+
+def test_feedback_vectors_match_scalar_oracle():
+    # each row is cqi * sqrt(raw_scale_sq) times the codeword, the scalar
+    # association order, over 6,000 rows with per-row scales
+    V = rvq_codebook(4, 4, SeedSpec(63))
+    rng = np.random.default_rng(64)
+    cdi = rng.integers(0, len(V), 6000)
+    cqi = np.exp(rng.uniform(-12.0, 12.0, 6000))
+    scale_sq = np.exp(rng.uniform(-25.0, 5.0, 6000))
+    got = feedback_vectors(cdi, cqi, V, scale_sq)
+    for row, i, t, s in zip(got, cdi.tolist(), cqi.tolist(), scale_sq.tolist()):
+        assert row.tobytes() == (t * np.sqrt(s) * V[i]).tobytes()
+    params = SystemParams(n_t=4, n_s=2, P=7.0, sigma_sq=0.4)
+    msg = chordal_cdi(_random_eff(4, params, SeedSpec(65)), V)
+    expected = msg.cqi * np.sqrt(raw_scale_sq(params)) * V[msg.cdi_index]
+    assert feedback_vector(msg, V, params).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

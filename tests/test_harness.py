@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ramimo.channel import SystemParams, UserChannel
+from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel
 from ramimo.cli import main as cli_main
 from ramimo.harness import (
     SimConfig,
@@ -165,6 +165,10 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
         scheduler="brute",
         feedback_codebook={"kind": "rvq-union-tx"},
     )
+    # chordal feedback, brute scheduling and realization over F = 4
+    # subcarriers of two-antenna users, all stacked per block
+    chordal_ofdm = brute_chordal.replace(system={"n_t": 4, "n_r": 2, "n_s": 2}, F=4, rho=0.9)
+    efficient = _cfg(num_draws=9, snr_db_list=[0.0, 60.0], strategy="ra-efficient", scheduler="brute", B=3)
     configs = (
         two_snr,
         _cfg(num_draws=7, F=4, rho=0.9, **ra),
@@ -172,6 +176,8 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
         zf_ofdm,
         zf_perfect,
         brute_chordal,
+        chordal_ofdm,
+        efficient,
     )
     runs = []
     for cfg in configs:
@@ -229,14 +235,17 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
         runs.append((result.draws, result.tables))
     assert default(harness._Context(cfg), "delta-ra") >= 7
     assert runs[0] == runs[1] == runs[2]
-    # the prebuilt effective channels reach the jobs they belong to
+    # the block's effective channels are laid out (draw, SNR point, user),
+    # and prebuilt ones reach the jobs they belong to
     ctx = harness._Context(cfg)
+    block = ctx.effective(range(3))
+    effs = harness._block_effs(ctx, block)
     chans = ctx.channels(range(3))
-    effs = [
-        [{m: harness.mrc_effective_channel(ch, p) for m, ch in channels.items()} for p in ctx.params_by_snr]
-        for channels in chans
-    ]
-    assert harness._block_messages(ctx, "ra-full", chans, effs) == harness._block_messages(ctx, "ra-full", chans)
+    expected = [mrc_effective_channel(ch, p) for channels in chans for p in ctx.params_by_snr for ch in channels.values()]
+    assert len(effs) == len(expected) == 3 * 3 * 3
+    for eff, ref in zip(effs, expected):
+        assert np.array_equal(eff.h_hat, ref.h_hat) and np.array_equal(eff.h, ref.h) and eff.lambda_sq == ref.lambda_sq
+    assert harness._block_feedback(ctx, "ra-full", block, effs)[2] == harness._block_feedback(ctx, "ra-full", block)[2]
 
 
 def test_block_size_rule():
@@ -266,6 +275,8 @@ def test_block_size_rule():
         }
     )
     assert _block_size(_Context(criterion_9), "sum-rate") > 1
+    for strategy in ("chordal", "ra-efficient", "lemma1", "perfect"):  # stacked passes only, no gain search
+        assert _block_size(_Context(criterion_9.replace(strategy=strategy)), "sum-rate") > 1
     zf = criterion_9.replace(strategy="chordal", precoder="zf", F=8)
     assert _block_size(_Context(zf), "sum-rate") > 1
     assert _block_size(_Context(zf.replace(strategy="perfect", snr_db_list=[0.0, 30.0])), "sum-rate") > 1

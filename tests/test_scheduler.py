@@ -6,16 +6,20 @@ import pytest
 from ramimo.channel import (
     SystemParams,
     UserChannel,
+    draw_channels,
     draw_user_channel,
+    effective_block,
     mrc_effective_channel,
     per_subcarrier_effective_channels,
 )
 from ramimo.codebook import Codebook, canonical_onb, rvq_codebook
 from ramimo.numerics import SeedSpec, sample_complex_gaussian
-from ramimo.rates import BeamAssignment, rate_with_beams, sum_rate
+from ramimo.rates import BeamAssignment, RateReport, rate_with_beams, sum_rate
 from ramimo.scheduler import (
     PrecodedDecision,
+    ScheduleDecision,
     realize_rates,
+    realize_rates_block,
     schedule_bruteforce,
     schedule_bruteforce_block,
     schedule_greedy,
@@ -447,3 +451,62 @@ def test_zf_all_zero_draw_realizes_nothing():
     decision, predicted = zf_schedule(vectors, params)
     assert decision.users == () and predicted == 0.0
     assert realize_rates(decision, channels, params).sum == 0.0
+
+
+def reference_realize(decision, sub, params, C=None):
+    """Scalar realization: one `rate_with_beams` per (scheduled user,
+    subcarrier) on the filtered subcarrier channels sub[m], the per-user
+    mean over subcarriers and the sum in user order."""
+    if isinstance(decision, PrecodedDecision):
+        users, beam_of = list(decision.users), dict(zip(decision.users, decision.beams))
+    else:
+        users, beam_of = decision.assignment.users, {m: C[j] for m, j in decision.assignment.pairs.items()}
+    per_user = {}
+    for m in users:
+        others = [beam_of[l] for l in users if l != m]
+        per_user[m] = float(np.mean([rate_with_beams(v, beam_of[m], others, len(users), params) for v in sub[m]]))
+    return RateReport(per_user=per_user, sum=float(sum(per_user.values())))
+
+
+@pytest.mark.parametrize("F, n_r", [(1, 1), (4, 2), (12, 1)])
+def test_realize_block_matches_scalar_oracle(F, n_r):
+    # zeroforcing, codebook and empty decisions of many draws at -20..100
+    # dB, at least 5,000 (user, subcarrier) rows, realized in one stacked
+    # call: every report equals the scalar oracle bit for bit (F = 12
+    # takes numpy's pairwise mean past its 8-term block)
+    params = SystemParams(n_t=4, n_r=n_r, n_s=3)
+    C = rvq_codebook(4, 3, SeedSpec(44))
+    n_draws, n_users = 1500 // F + 40, 6
+    chans = draw_channels(params, F, 0.8, 45, [(F, i) for i in range(n_draws * n_users)])
+    block = effective_block(chans)
+    subs = block.sub_h_hat.reshape(n_draws, n_users, F, 4)
+    h_hat = block.h_hat.reshape(n_draws, n_users, 4)
+    rng = np.random.default_rng(46)
+    snrs = (-20.0, 0.0, 30.0, 60.0, 100.0)
+    problems = []
+    for lo in range(0, n_draws, 8):
+        p = params.with_snr_db(snrs[(lo // 8) % len(snrs)])
+        draws = range(lo, min(lo + 8, n_draws))
+        for d, (decision, _) in zip(draws, zf_schedule_block([dict(enumerate(h_hat[d])) for d in draws], p)):
+            problems.append((decision, subs[d], p))
+            k = int(rng.integers(0, 4))
+            users = rng.choice(n_users, k, replace=False).tolist()
+            beams = rng.choice(len(C), k, replace=False).tolist()
+            problems.append((ScheduleDecision(BeamAssignment(dict(zip(users, beams))), 0.0, "brute"), subs[d], p))
+    problems.append((PrecodedDecision(users=(), beams=()), subs[0], params))
+    problems.append((ScheduleDecision(BeamAssignment({}), 0.0, "brute"), subs[0], params))
+    got = realize_rates_block(problems, C=C)
+    rows = sum(len(r.per_user) for r in got) * F
+    assert rows >= 5000
+    for report, (decision, sub, p) in zip(got, problems):
+        ref = reference_realize(decision, sub, p, C=C)
+        assert list(report.per_user.items()) == list(ref.per_user.items())
+        assert report.sum == ref.sum
+    assert got[-1] == got[-2] == RateReport(per_user={}, sum=0.0)
+    assert {len(r.per_user) for r in got} == {0, 1, 2, 3}
+    assert realize_rates_block([], C=C) == []
+    # realize_rates is the one-draw case, on the users' UserChannels
+    for d in range(0, n_draws, 37):
+        channels = dict(enumerate(chans[d * n_users : (d + 1) * n_users]))
+        for decision, sub, p in problems[2 * d : 2 * d + 2]:
+            assert realize_rates(decision, channels, p, C=C) == reference_realize(decision, sub, p, C=C)
