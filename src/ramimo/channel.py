@@ -100,9 +100,10 @@ class EffectiveChannel:
     h: np.ndarray
 
 
-def draw_channels(params, F, rho, master_seed, streams):
+def draw_channel_stack(params, F, rho, master_seed, streams):
     """Draw the Rayleigh channel of every user stream in `streams`, each over
-    F correlated subcarriers.
+    F correlated subcarriers, as arrays: the averaged channels (S, n_r, n_t)
+    and the subcarriers (S, F, n_r, n_t).
 
     `streams` is an (S, K) array of stream words: row i is the user stream
     of SeedSpec(master_seed, streams[i]).  Subcarriers follow
@@ -111,7 +112,7 @@ def draw_channels(params, F, rho, master_seed, streams):
     have correlation coefficient rho.  W_f of a user comes from its stream
     extended by derive("f", f); all (user, subcarrier) streams are drawn in
     one `standard_normal_rows` call, and the chain runs across all users
-    at once.
+    at once.  With F = 1 the averaged channel is the one subcarrier.
     """
     if F < 1:
         raise ValueError("F must be >= 1")
@@ -119,7 +120,8 @@ def draw_channels(params, F, rho, master_seed, streams):
         raise ValueError("rho must be in [0, 1]")
     streams = np.asarray(streams, dtype=np.uint32)
     if not len(streams):
-        return []
+        mats = np.zeros((0, F, params.n_r, params.n_t), dtype=complex)
+        return mats[:, 0], mats
     if streams.ndim != 2:
         raise ValueError("streams must be an (S, K) array of stream words")
     n_users, n_words = streams.shape
@@ -131,25 +133,28 @@ def draw_channels(params, F, rho, master_seed, streams):
     normals = normals.reshape(n_users, F, 2, params.n_r, params.n_t)
     mats = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2.0)  # innovations, (users, F, n_r, n_t)
     if F == 1:
-        return [UserChannel(H=m[0], rho=rho) for m in mats]
+        return mats[:, 0], mats
     scale = np.sqrt(max(0.0, 1.0 - rho * rho))
     for f in range(1, F):  # the chain overwrites the innovations in subcarrier order
         mats[:, f] = rho * mats[:, f - 1] + scale * mats[:, f]
-    return [UserChannel(H=H, subcarriers=m, rho=rho) for H, m in zip(mats.mean(axis=1), mats)]
+    return mats.mean(axis=1), mats
 
 
 def draw_user_channel(params, F=1, rho=0.0, seed=None):
-    """Draw one user's Rayleigh channel: `draw_channels` for one seed."""
-    return draw_channels(params, F, rho, seed.master_seed, [seed.stream])[0]
+    """Draw one user's Rayleigh channel: `draw_channel_stack` for one seed."""
+    H, sub = draw_channel_stack(params, F, rho, seed.master_seed, [seed.stream])
+    return UserChannel(H=H[0], subcarriers=None if F == 1 else sub[0], rho=rho)
 
 
 def effective_channel(H, u):
-    """h_hat = H^H u, so that <u, H x> = <h_hat, x> for every x."""
+    """h_hat = H^H u, so that <u, H x> = <h_hat, x> for every x; stacks of
+    matrices (..., n_r, n_t) and filters (..., n_r) broadcast, and every
+    row equals the product of its matrix and filter alone."""
     H = np.asarray(H, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    if u.shape != (H.shape[0],):
-        raise ValueError(f"filter dim {u.shape} does not match n_r={H.shape[0]}")
-    return H.conj().T @ u
+    if H.ndim < 2 or u.shape[-1:] != H.shape[-2:-1]:
+        raise ValueError(f"filter dim {u.shape} does not match n_r={H.shape[-2:-1]}")
+    return (np.conj(H).swapaxes(-1, -2) @ u[..., None])[..., 0]
 
 
 def _unit_rows(h_hat):
@@ -206,14 +211,6 @@ def mrc_filter(H):
     return _mrc_filters(np.asarray(H, dtype=complex)[None])[0]
 
 
-def _filtered(H, u):
-    """H^H u of every (..., n_r, n_t) matrix and its (..., n_r) filter; for
-    n_r = 1, where u = 1, that is the conjugated row."""
-    if H.shape[-2] == 1:
-        return np.conj(H[..., 0, :])
-    return (np.conj(H).swapaxes(-1, -2) @ u[..., None])[..., 0]
-
-
 @dataclass(frozen=True)
 class EffectiveBlock:
     """SNR-free effective channels of a block of users under the MRC
@@ -249,24 +246,30 @@ class EffectiveBlock:
         ]
 
 
-def effective_block(channels):
-    """The EffectiveBlock of a sequence of UserChannels of one shape: every
-    MRC filter from one stacked SVD, every effective channel from one
-    stacked product, norms and unit rows as array arithmetic."""
-    H = np.array([uc.H for uc in channels], dtype=complex)
-    sub = np.array([uc.per_subcarrier() for uc in channels], dtype=complex)
+def effective_block(H, sub):
+    """The EffectiveBlock of users with averaged channels H (users, n_r,
+    n_t) and subcarriers sub (users, F, n_r, n_t), as `draw_channel_stack`
+    returns them: every MRC filter from one stacked SVD, every effective
+    channel from one stacked product, norms and unit rows as array
+    arithmetic."""
     u = _mrc_filters(H)
-    h_hat = _filtered(H, u)
-    return EffectiveBlock(h_hat, *_unit_rows(h_hat), _filtered(sub, u[:, None, :]))
+    h_hat = effective_channel(H, u)
+    return EffectiveBlock(h_hat, *_unit_rows(h_hat), effective_channel(sub, u[:, None, :]))
+
+
+def user_channels_block(channels):
+    """The EffectiveBlock of a sequence of UserChannels of one shape."""
+    H = np.array([uc.H for uc in channels], dtype=complex)
+    return effective_block(H, np.array([uc.per_subcarrier() for uc in channels], dtype=complex))
 
 
 def mrc_effective_channel(uc, params):
     """MRC-filtered effective channel of the (averaged) user channel: the
     one-user case of `effective_block`."""
-    return effective_block([uc]).effective(params)[0]
+    return user_channels_block([uc]).effective(params)[0]
 
 
 def per_subcarrier_effective_channels(uc, params):
     """Effective channels of every subcarrier under the MRC filter of the
     averaged channel: the one-user case of `effective_block`."""
-    return effective_block([uc]).subcarrier_effective(params)[0]
+    return user_channels_block([uc]).subcarrier_effective(params)[0]

@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import effective_block
+from .channel import user_channels_block
 from .numerics import abs_sq, minimax_log_gain
 
 # (column, configuration) entries of one gain search before codeword
@@ -460,7 +460,7 @@ def compute_feedback(strategy, uc, C, V, params, phi_table=None):
     """Dispatch one user's feedback message for the named strategy."""
     if strategy == "perfect":
         raise ValueError("perfect CSIT bypasses feedback; schedule on the effective channel")
-    block = effective_block([uc])
+    block = user_channels_block([uc])
     eff = block.effective(params)[0]
     if strategy == "ra-full":
         sub = block.subcarrier_effective(params)[0] if uc.F > 1 else None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import c_nt, empirical_D, lemma2_bound, lemma3_bound, lemma3_validity_threshold
-from .channel import SystemParams, draw_channels, effective_block
+from .channel import SystemParams, draw_channel_stack, effective_block
 from .channel import draw_user_channel, mrc_effective_channel  # noqa: F401  (perfbench/spans.py wraps these names)
 from .codebook import (
     Codebook,
@@ -260,20 +260,20 @@ class _Context:
         self.phi = cross_gram(self.V, self.C)
         self.params_by_snr = [cfg.params.with_snr_db(s) for s in cfg.snr_db_list]
 
-    def channels(self, draws):
-        """User channels of each draw index in `draws`: a list of
-        {user: UserChannel}, all drawn in one `draw_channels` call.  User m
-        of draw i has the stream of SeedSpec(master_seed).derive("chan", i, m)."""
+    def channel_stack(self, draws):
+        """The averaged channels (rows, n_r, n_t) and subcarriers (rows, F,
+        n_r, n_t) of every user of each draw index in `draws`, all drawn in
+        one `draw_channel_stack` call: row d * num_users + m is user m of
+        the d-th draw, with the stream of
+        SeedSpec(master_seed).derive("chan", draws[d], m)."""
         cfg = self.cfg
-        users = range(cfg.num_users)
-        streams = [(_CHAN_KEY, i % 2**32, m) for i in draws for m in users]
-        it = iter(draw_channels(cfg.params, cfg.F, cfg.rho, cfg.master_seed, streams))
-        return [{m: next(it) for m in users} for _ in draws]
+        streams = [(_CHAN_KEY, i % 2**32, m) for i in draws for m in range(cfg.num_users)]
+        return draw_channel_stack(cfg.params, cfg.F, cfg.rho, cfg.master_seed, streams)
 
     def effective(self, draws):
-        """The EffectiveBlock of the channels of `draws`: row
-        d * num_users + m is user m of the d-th draw."""
-        return effective_block([ch for channels in self.channels(draws) for ch in channels.values()])
+        """The EffectiveBlock of the channels of `draws`, rows laid out as
+        in `channel_stack`."""
+        return effective_block(*self.channel_stack(draws))
 
 
 def _init_worker(kind, cfg_dict):
@@ -293,7 +293,10 @@ def _feedback_strategy(kind, cfg):
     return cfg.strategy
 
 
-_BLOCK_ROWS = 1 << 8  # (draw, SNR point, user) rows of a block with neither a gain search nor zeroforcing
+# (draw, SNR point, user) rows of a block with neither a gain search nor
+# zeroforcing; run times of criterion 9's configs level off from about 250
+# rows per block on (block-size sweep in CHANGES.md)
+_BLOCK_ROWS = 1 << 8
 
 
 def _block_size(ctx, kind):

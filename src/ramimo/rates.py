@@ -6,11 +6,15 @@ The per-user rate with equal power split over the scheduled set S is
 
 in nats, where v is the user's effective channel h_hat for true rates or
 the scaled quantization vector for rates predicted from feedback.
+`rates_with_beams` evaluates it over a whole stack of rows, and
+`rate_with_beams` is its one-row case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import abs_sq
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,31 @@ class RateReport:
     sum: float
 
 
+def rates_with_beams(v, beams, own, noise):
+    """Rate of every row of a stack: v (..., n_t) is the row's vector,
+    beams (..., k, n_t) the beams of its scheduled set (zero rows pad a
+    smaller set and interfere with nothing), own (...) the position of its
+    own beam and noise (...) its sigma^2 |S| / P; all four broadcast.
+
+    Powers are squared as numpy scalars square (`numerics.abs_sq`) and the
+    interference is summed over the other positions in order, so every
+    row's rate equals the computation on that row alone bit for bit.
+    """
+    gains = abs_sq(np.vecdot(v[..., None, :], beams))
+    own = np.asarray(own)
+    sig, intf = np.zeros(gains.shape[:-1]), 0.0
+    for j in range(gains.shape[-1]):
+        sig = np.where(own == j, gains[..., j], sig)
+        intf = intf + np.where(own == j, 0.0, gains[..., j])
+    return np.log1p(sig / (noise + intf))
+
+
 def rate_with_beams(v, own_beam, other_beams, n_active, params):
-    """Rate of one user given explicit beam vectors (not codebook indices)."""
-    v = np.asarray(v, dtype=complex)
-    sig = np.abs(np.vdot(v, own_beam)) ** 2
-    intf = sum(np.abs(np.vdot(v, w)) ** 2 for w in other_beams)
+    """Rate of one user given explicit beam vectors (not codebook indices):
+    the one-row case of `rates_with_beams`."""
+    beams = np.array([own_beam, *other_beams], dtype=complex)
     noise = params.sigma_sq * n_active / params.P
-    return float(np.log1p(sig / (noise + intf)))
+    return float(rates_with_beams(np.asarray(v, dtype=complex), beams, 0, noise))
 
 
 def user_rate(assign, C, v, m, params):

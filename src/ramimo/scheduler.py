@@ -21,10 +21,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .channel import effective_block
+from .channel import user_channels_block
 from .feedback import beam_powers
-from .numerics import abs_sq, row_norms
-from .rates import BeamAssignment, RateReport
+from .numerics import row_norms
+from .rates import BeamAssignment, RateReport, rates_with_beams
 
 BRUTE_MAX_USERS = 12
 BRUTE_MAX_BEAMS = 32
@@ -344,11 +344,10 @@ def realize_rates_block(problems, C=None):
     rate formula.  Codebook decisions take their beams from C.
 
     Every (problem, scheduled user, subcarrier) row goes through one
-    stacked pass with the operation order of `rates.rate_with_beams`:
-    powers squared as numpy scalars square (`numerics.abs_sq`),
-    interference summed over the other users in order, the per-user mean
-    over subcarriers and the sum over users in user order.  So every
-    report equals the scalar computation on that problem alone bit for bit.
+    `rates.rates_with_beams` pass against its problem's zero-padded beams;
+    the per-user mean over subcarriers and the sum over users run in user
+    order.  So every report equals the computation on that problem alone
+    bit for bit.
     """
     users, beams = [], []
     for decision, _, _ in problems:
@@ -369,13 +368,9 @@ def realize_rates_block(problems, C=None):
                 table[p, : len(b)] = b
         prob = np.repeat(np.arange(len(problems)), k)
         own = np.arange(len(prob)) - np.repeat(np.cumsum(k) - k, k)  # position of each row's user
-        gains = abs_sq(np.vecdot(v[:, :, None, :], table[prob][:, None, :, :]))  # (rows, F, beam positions)
-        intf = 0.0
-        for j in range(width):  # padding beams add 0.0, which changes no sum
-            intf = intf + np.where((j != own)[:, None], gains[:, :, j], 0.0)
         sigma_sq, power = np.array([(params.sigma_sq, params.P) for _, _, params in problems]).T
         noise = sigma_sq[prob] * k[prob] / power[prob]
-        rates = np.log1p(gains[np.arange(len(prob)), :, own] / (noise[:, None] + intf))
+        rates = rates_with_beams(v, table[prob][:, None], own[:, None], noise[:, None])  # (rows, F)
         per_user[prob, own] = np.mean(rates, axis=1)
     total = 0.0
     for j in range(width):  # in user order, as the scalar sum; padding adds 0.0
@@ -391,5 +386,5 @@ def realize_rates(decision, channels, params, C=None):
     """Actual rates of a decision on the true channels: the one-draw case
     of `realize_rates_block`.  `channels` maps user -> UserChannel."""
     users = list(decision.users) if isinstance(decision, PrecodedDecision) else decision.assignment.users
-    sub = dict(zip(users, effective_block([channels[m] for m in users]).sub_h_hat)) if users else {}
+    sub = dict(zip(users, user_channels_block([channels[m] for m in users]).sub_h_hat)) if users else {}
     return realize_rates_block([(decision, sub, params)], C=C)[0]

@@ -5,7 +5,7 @@ from ramimo.channel import (
     EffectiveChannel,
     SystemParams,
     UserChannel,
-    draw_channels,
+    draw_channel_stack,
     draw_user_channel,
     effective_block,
     effective_channel,
@@ -55,26 +55,26 @@ def test_draw_channels_match_per_user_draws(F, n_r, rho):
     # and both equal the one-generator-per-stream reference, bit for bit
     params = SystemParams(n_t=4, n_r=n_r, n_s=2)
     seeds = [SeedSpec(2**32 + 17).derive("chan", i, m) for i in (0, 2**32 + 3) for m in range(5)]
-    block = draw_channels(params, F, rho, 2**32 + 17, [seed.stream for seed in seeds])
-    for seed, uc in zip(seeds, block):
+    H, sub = draw_channel_stack(params, F, rho, 2**32 + 17, [seed.stream for seed in seeds])
+    assert H.shape == (len(seeds), n_r, 4) and sub.shape == (len(seeds), F, n_r, 4)
+    for seed, H_u, sub_u in zip(seeds, H, sub):
         for other in (draw_user_channel(params, F, rho, seed), _reference_user_channel(params, F, rho, seed)):
-            assert uc.H.tobytes() == other.H.tobytes()
-            assert uc.rho == other.rho
-            if F == 1:
-                assert uc.subcarriers is None and other.subcarriers is None
-            else:
-                assert uc.subcarriers.tobytes() == other.subcarriers.tobytes()
+            assert H_u.tobytes() == other.H.tobytes()
+            assert sub_u.tobytes() == other.per_subcarrier().tobytes()
+            assert other.rho == rho
+            assert (other.subcarriers is None) == (F == 1)
 
 
 def test_draw_channels_validation():
     params = SystemParams(n_t=2)
-    assert draw_channels(params, 2, 0.5, 1, []) == []
+    H, sub = draw_channel_stack(params, 2, 0.5, 1, [])
+    assert H.shape == (0, 1, 2) and sub.shape == (0, 2, 1, 2)
     with pytest.raises(ValueError):
-        draw_channels(params, 0, 0.5, 1, [(0,)])
+        draw_channel_stack(params, 0, 0.5, 1, [(0,)])
     with pytest.raises(ValueError):
-        draw_channels(params, 1, 1.5, 1, [(0,)])
+        draw_channel_stack(params, 1, 1.5, 1, [(0,)])
     with pytest.raises(ValueError):
-        draw_channels(params, 1, 0.5, 1, [0, 1])
+        draw_channel_stack(params, 1, 0.5, 1, [0, 1])
 
 
 def test_draw_rho_one_identical_subcarriers():
@@ -133,6 +133,24 @@ def test_effective_channel_adjoint_identity():
 def test_effective_channel_dimension_mismatch():
     with pytest.raises(ValueError):
         effective_channel(np.eye(2, dtype=complex), np.ones(3, dtype=complex))
+    with pytest.raises(ValueError):
+        effective_channel(np.ones(2, dtype=complex), np.ones(1, dtype=complex))
+
+
+def test_effective_channel_stack_matches_per_matrix():
+    # a stack of matrices and filters, broadcast, equals the product of
+    # each matrix and filter alone bit for bit
+    rng = np.random.default_rng(8)
+    for n_r in (1, 2, 3):
+        H = rng.standard_normal((50, 3, n_r, 4)) + 1j * rng.standard_normal((50, 3, n_r, 4))
+        H[0] = H[0].real  # exactly real entries keep the sign of their zero imaginary parts
+        u = rng.standard_normal((50, 1, n_r)) + 1j * rng.standard_normal((50, 1, n_r))
+        got = effective_channel(H, u)
+        assert got.shape == (50, 3, 4)
+        for i in range(50):
+            for f in range(3):
+                assert got[i, f].tobytes() == effective_channel(H[i, f], u[i, 0]).tobytes()
+                assert got[i, f].tobytes() == (H[i, f].conj().T @ u[i, 0]).tobytes()
 
 
 def test_mrc_single_antenna():
@@ -199,10 +217,9 @@ def _reference_mrc_filter(H):
 
 
 def _assert_same_effective(got, ref):
-    # equal values; with n_r = 1 an exactly real entry may differ in the sign of its zero imaginary part
-    assert np.array_equal(got.h_hat, ref.h_hat)
+    assert got.h_hat.tobytes() == ref.h_hat.tobytes()
     assert got.lambda_sq == ref.lambda_sq
-    assert np.array_equal(got.h, ref.h)
+    assert got.h.tobytes() == ref.h.tobytes()
 
 
 @pytest.mark.parametrize("F", [1, 4])
@@ -213,7 +230,8 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
     # per-user computation: the filter of the averaged channel applied to
     # it and to every subcarrier
     params = SystemParams(n_t=4, n_r=n_r, n_s=2)
-    chans = draw_channels(params, F, 0.7, 29, [(n_r, F, i) for i in range(1000)])
+    H, sub = draw_channel_stack(params, F, 0.7, 29, [(n_r, F, i) for i in range(1000)])
+    chans = [UserChannel(H=h, subcarriers=None if F == 1 else s) for h, s in zip(H, sub)]
     zero = np.zeros((n_r, 4), dtype=complex)
     rank_one = np.outer(np.arange(1.0, n_r + 1), [1.0, 2.0j, 0.0, -3.0 + 1.0j])
     if F == 1:
@@ -224,7 +242,7 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
             UserChannel(H=rank_one, subcarriers=np.array([rank_one, zero, 2.0 * rank_one, 1.0j * rank_one])),
             UserChannel(H=zero, subcarriers=np.array([rank_one, -rank_one, rank_one, -rank_one])),
         ]
-    block = effective_block(chans)
+    block = effective_block(np.array([uc.H for uc in chans]), np.array([uc.per_subcarrier() for uc in chans]))
     assert block.h_hat.shape == (len(chans), 4) and block.sub_h_hat.shape == (len(chans), F, 4)
     for snr_db in (-20.0, 0.0, 30.0, 60.0, 100.0):
         p = params.with_snr_db(snr_db)

@@ -708,11 +708,13 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
             }
         )
     )
+    H, sub = ctx.channel_stack(range(2))
+    chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
     problems = [
         (mrc_effective_channel(uc, params), params, per_subcarrier_effective_channels(uc, params) if F > 1 else None)
-        for channels in ctx.channels(range(2))
+        for d in range(2)
         for params in ctx.params_by_snr
-        for uc in channels.values()
+        for uc in chans[d * users : (d + 1) * users]
     ]
     zero = UserChannel(H=np.zeros((1, system["n_t"]), dtype=complex))
     problems.append((mrc_effective_channel(zero, ctx.params_by_snr[-1]), ctx.params_by_snr[-1], None))

@@ -87,8 +87,10 @@ def test_injected_orthogonal_channels_closed_form(monkeypatch):
     # the schedule must realize exactly 2 log(1 + P / (2 sigma^2))
     cfg = _cfg(num_users=2, num_draws=1, strategy="perfect", scheduler="brute", snr_db_list=[3.0103])
     ctx = _Context(cfg)
-    fixed = {0: UserChannel(H=E1[None, :].conj()), 1: UserChannel(H=E2[None, :].conj())}
-    monkeypatch.setattr(ctx, "channels", lambda draws: [fixed for _ in draws])
+    H = np.array([E1[None, :].conj(), E2[None, :].conj()])  # (users, n_r, n_t); F = 1
+    monkeypatch.setattr(
+        ctx, "channel_stack", lambda draws: (np.concatenate([H] * len(draws)), np.concatenate([H[:, None]] * len(draws)))
+    )
     out = _sum_rate_block(ctx, [0])[0]
     P = 10.0 ** (3.0103 / 10.0)
     assert out[0] == pytest.approx(2 * np.log(1 + P / 2.0), abs=1e-9)
@@ -240,8 +242,9 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
     ctx = harness._Context(cfg)
     block = ctx.effective(range(3))
     effs = harness._block_effs(ctx, block)
-    chans = ctx.channels(range(3))
-    expected = [mrc_effective_channel(ch, p) for channels in chans for p in ctx.params_by_snr for ch in channels.values()]
+    H, sub = ctx.channel_stack(range(3))
+    chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
+    expected = [mrc_effective_channel(chans[3 * d + m], p) for d in range(3) for p in ctx.params_by_snr for m in range(3)]
     assert len(effs) == len(expected) == 3 * 3 * 3
     for eff, ref in zip(effs, expected):
         assert np.array_equal(eff.h_hat, ref.h_hat) and np.array_equal(eff.h, ref.h) and eff.lambda_sq == ref.lambda_sq
@@ -480,8 +483,9 @@ def test_context_channels_use_derived_streams():
 
     cfg = _cfg(num_users=3, F=4, rho=0.9, master_seed=2**33 + 5)
     draws = [0, 7, 2**32 + 1]
-    for i, channels in zip(draws, _Context(cfg).channels(draws)):
-        for m, uc in channels.items():
+    H, sub = _Context(cfg).channel_stack(draws)
+    for d, i in enumerate(draws):
+        for m in range(cfg.num_users):
             ref = draw_user_channel(cfg.params, cfg.F, cfg.rho, SeedSpec(cfg.master_seed).derive("chan", i, m))
-            assert uc.subcarriers.tobytes() == ref.subcarriers.tobytes()
-            assert uc.H.tobytes() == ref.H.tobytes()
+            assert sub[d * cfg.num_users + m].tobytes() == ref.subcarriers.tobytes()
+            assert H[d * cfg.num_users + m].tobytes() == ref.H.tobytes()

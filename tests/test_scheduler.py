@@ -6,7 +6,7 @@ import pytest
 from ramimo.channel import (
     SystemParams,
     UserChannel,
-    draw_channels,
+    draw_channel_stack,
     draw_user_channel,
     effective_block,
     mrc_effective_channel,
@@ -453,8 +453,16 @@ def test_zf_all_zero_draw_realizes_nothing():
     assert realize_rates(decision, channels, params).sum == 0.0
 
 
+def scalar_rate(v, own_beam, other_beams, n_active, params):
+    """The rate formula one user at a time, in numpy scalars."""
+    sig = np.abs(np.vdot(v, own_beam)) ** 2
+    intf = sum(np.abs(np.vdot(v, w)) ** 2 for w in other_beams)
+    noise = params.sigma_sq * n_active / params.P
+    return float(np.log1p(sig / (noise + intf)))
+
+
 def reference_realize(decision, sub, params, C=None):
-    """Scalar realization: one `rate_with_beams` per (scheduled user,
+    """Scalar realization: one `scalar_rate` per (scheduled user,
     subcarrier) on the filtered subcarrier channels sub[m], the per-user
     mean over subcarriers and the sum in user order."""
     if isinstance(decision, PrecodedDecision):
@@ -464,7 +472,7 @@ def reference_realize(decision, sub, params, C=None):
     per_user = {}
     for m in users:
         others = [beam_of[l] for l in users if l != m]
-        per_user[m] = float(np.mean([rate_with_beams(v, beam_of[m], others, len(users), params) for v in sub[m]]))
+        per_user[m] = float(np.mean([scalar_rate(v, beam_of[m], others, len(users), params) for v in sub[m]]))
     return RateReport(per_user=per_user, sum=float(sum(per_user.values())))
 
 
@@ -477,8 +485,9 @@ def test_realize_block_matches_scalar_oracle(F, n_r):
     params = SystemParams(n_t=4, n_r=n_r, n_s=3)
     C = rvq_codebook(4, 3, SeedSpec(44))
     n_draws, n_users = 1500 // F + 40, 6
-    chans = draw_channels(params, F, 0.8, 45, [(F, i) for i in range(n_draws * n_users)])
-    block = effective_block(chans)
+    H, sub = draw_channel_stack(params, F, 0.8, 45, [(F, i) for i in range(n_draws * n_users)])
+    chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
+    block = effective_block(H, sub)
     subs = block.sub_h_hat.reshape(n_draws, n_users, F, 4)
     h_hat = block.h_hat.reshape(n_draws, n_users, 4)
     rng = np.random.default_rng(46)
