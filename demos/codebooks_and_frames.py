@@ -3,6 +3,7 @@
 Run:  python demos/codebooks_and_frames.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -50,11 +51,11 @@ def main():
     print(f"\nmean pairwise |<v_i, v_j>|^2 of random directions: {off.mean():.4f} "
           f"(isotropic value {1 / rvq.dim:.4f})")
 
-    with tempfile.NamedTemporaryFile(suffix=".txt", delete=False) as fh:
-        path = fh.name
-    save_codebook(rvq, path)
-    back = load_codebook(path)
-    print(f"save -> load round trip bit-exact: {back == rvq}  ({path})")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rvq.txt")
+        save_codebook(rvq, path)
+        back = load_codebook(path)
+    print(f"save -> load round trip bit-exact: {back == rvq}")
 
     # duplicates are allowed (unions may repeat codewords)
     dup = Codebook(np.vstack([onb.vectors, onb.vectors[:1]]))

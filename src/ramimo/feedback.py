@@ -106,11 +106,6 @@ def cross_gram(V, C):
     return np.abs(V.vectors.conj() @ C.vectors.T) ** 2
 
 
-def _config_noise(ks, params):
-    """Normalized noise term of every configuration."""
-    return params.sigma_sq * ks / params.P
-
-
 def _config_rates(powers, own, mask, noise):
     """Rates (nats) of every configuration for raw power vectors `powers`
     (beams on the last axis).  Interference sums run row by row, so a
@@ -126,8 +121,9 @@ def raw_scale_sq(params):
 
 def feedback_vectors(cdi, cqi, V, scale_sq):
     """Raw-scale vectors the scheduler treats like effective channels, one
-    row per (CDI, CQI, `raw_scale_sq`) entry of the three arrays."""
-    return (np.asarray(cqi) * np.sqrt(scale_sq))[:, None] * V.vectors[cdi]
+    row per (CDI, CQI, `raw_scale_sq`) entry of the three arrays, which
+    broadcast."""
+    return (np.asarray(cqi) * np.sqrt(scale_sq))[..., None] * V.vectors[cdi]
 
 
 def feedback_vector(msg, V, params):
@@ -156,15 +152,11 @@ def chordal_feedback_block(h, lambda_sq, V):
     return idx, _cqi(np.asarray(lambda_sq), h, V.vectors[idx])
 
 
-def chordal_messages(idx, theta, V):
-    """FeedbackMessages of `chordal_feedback_block`'s arrays."""
-    return [FeedbackMessage(i, t, "chordal", len(V)) for i, t in zip(idx.tolist(), theta.tolist())]
-
-
 def chordal_cdi(eff, V):
     """Classical feedback: direction closest to h in chordal distance; the
     one-row case of `chordal_feedback_block`."""
-    return chordal_messages(*chordal_feedback_block(eff.h[None], [eff.lambda_sq], V), V)[0]
+    idx, theta = chordal_feedback_block(eff.h[None], [eff.lambda_sq], V)
+    return FeedbackMessage(int(idx[0]), float(theta[0]), "chordal", len(V))
 
 
 def _sizes(params, sizes):
@@ -180,7 +172,7 @@ def ra_distance(eff, theta, nu, C, params, sizes=None):
     every set of distinct interfering beams.
     """
     own, mask, ks, intf = scheduling_configs(len(C), _sizes(params, sizes))
-    noise = _config_noise(ks, params)
+    noise = _noise_and_scale([params], ks)[0][0]
     r_true = _config_rates(beam_powers(eff.h_hat, C), own, mask, noise)
     q = (theta * theta * raw_scale_sq(params)) * beam_powers(nu, C)
     r_hat = _config_rates(q, own, mask, noise)
@@ -210,62 +202,52 @@ def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None, sizes=N
     (frequency-averaged feedback); the reported direction/gain still refer
     to the averaged channel in `eff`.
     """
-    return ra_feedback_batch([(eff, params, subcarrier_effs)], C, V, phi_table=phi_table, sizes=sizes)[0]
+    h_hat = np.array([e.h_hat for e in subcarrier_effs or [eff]])
+    cdi, cqi, gap = ra_feedback_batch(h_hat[None], [params], C, V, phi_table=phi_table, sizes=sizes)
+    return FeedbackMessage(int(cdi[0]), float(cqi[0]), "ra-full", len(C) * len(V) + len(C), gap=float(gap[0]))
 
 
-def ra_batch_group(C, V, params, sizes=None):
-    """Problems per gain search of `ra_feedback_batch`: larger inputs are
-    split into groups of this many, so that the first passes' working
-    arrays hold about _BATCH_ELEMENTS (column, configuration) entries.  The
-    harness sizes its draw blocks to fill one group."""
-    own = scheduling_configs(len(C), _sizes(params, sizes))[0]
-    return max(1, _BATCH_ELEMENTS // (len(V) * len(own)))
+def _noise_and_scale(params, ks):
+    """The normalized noise terms sigma^2 |S| / P of every configuration
+    (rows x configurations) and the `raw_scale_sq` of every SystemParams
+    in `params`, in the scalar operation order."""
+    n_t, sigma_sq, power = np.array([(p.n_t, p.sigma_sq, p.P) for p in params]).T
+    return sigma_sq[:, None] * ks / power[:, None], n_t * sigma_sq / power
 
 
-def ra_feedback_batch(problems, C, V, phi_table=None, sizes=None):
-    """`ra_feedback` for several users (or SNR points) in one gain search.
+def ra_feedback_batch(h_hat, params, C, V, phi_table=None, sizes=None):
+    """`ra_feedback` for a stack of rows (users or SNR points): h_hat
+    (rows, F, n_t) holds each row's true-rate channels, its F subcarriers
+    (whose rates are averaged) or its one flat channel, and `params` each
+    row's SystemParams, all with the same configuration table.  Returns
+    the CDI, CQI and gap arrays.
 
-    `problems` is a sequence of (eff, params, subcarrier_effs) triples,
-    subcarrier_effs None for flat channels; all params must give the same
-    configuration table.  One log-gain bisection (`minimax_log_gain`, gap
-    within about 7e-11 nats of each codeword's minimum) runs over every
-    (problem, codeword) column, up to `ra_batch_group` problems at a time,
-    and drops each codeword once its bracket shows it cannot beat its
-    problem's best.  Every column goes through the same elementwise
-    arithmetic as in a single call, whatever else the search holds, so the
-    messages match per-problem `ra_feedback` calls bit for bit; only the
+    One log-gain bisection runs over every (row, codeword) column, in
+    groups of rows whose first passes' working arrays hold about
+    _BATCH_ELEMENTS (column, configuration) entries, and drops each
+    codeword once its bracket shows it cannot beat its row's best.  Every
+    column goes through the same elementwise arithmetic as alone, so every
+    row matches its one-row `ra_feedback` call bit for bit; only the
     per-pass numpy overhead is shared.
     """
     if len(V) == 0:
         raise ValueError("empty feedback codebook")
-    if not problems:
-        return []
-    tables = {_sizes(params, sizes) for _, params, _ in problems}
-    if len(tables) != 1:
+    tables = {_sizes(p, sizes) for p in params}
+    if len(tables) > 1:
         raise ValueError("batched problems must share one set of scheduling sizes")
     own, mask, ks, _ = scheduling_configs(len(C), tables.pop())
     phi = cross_gram(V, C) if phi_table is None else phi_table
-    group = ra_batch_group(C, V, problems[0][1], sizes=sizes)
-    if len(problems) > group:  # bound the first passes' working arrays
-        return [
-            msg
-            for lo in range(0, len(problems), group)
-            for msg in ra_feedback_batch(problems[lo : lo + group], C, V, phi_table=phi, sizes=sizes)
-        ]
-    noise = np.array([_config_noise(ks, params) for _, params, _ in problems])
-    # true rates of every (problem, subcarrier) channel in one pass; a
-    # frequency-averaged problem takes the mean over its subcarrier rows
-    true_effs = [subcarrier_effs or [eff] for eff, _, subcarrier_effs in problems]
-    bounds = np.cumsum([0] + [len(t) for t in true_effs])
-    rates = _config_rates(
-        beam_powers(np.array([e.h_hat for t in true_effs for e in t]), C),
-        own,
-        mask,
-        np.repeat(noise, np.diff(bounds), axis=0),
-    )
-    r_true = [rates[a:b].mean(axis=0) if b - a > 1 else rates[a] for a, b in zip(bounds[:-1], bounds[1:])]
-    scale2 = np.array([raw_scale_sq(params) for _, params, _ in problems])
-    return _ra_messages(np.array(r_true), noise, scale2, phi, own, mask, len(C) * len(V) + len(C))
+    noise, scale2 = _noise_and_scale(params, ks)
+    # true rates of every (row, subcarrier) channel in one pass; a
+    # frequency-averaged row takes the mean over its subcarriers
+    rates = _config_rates(beam_powers(h_hat, C), own, mask, noise[:, None])
+    r_true = rates.mean(axis=1) if rates.shape[1] > 1 else rates[:, 0]
+    group = max(1, _BATCH_ELEMENTS // (len(V) * len(own)))  # bounds the first passes' working arrays
+    parts = [
+        _ra_messages(r_true[lo : lo + group], noise[lo : lo + group], scale2[lo : lo + group], phi, own, mask)
+        for lo in range(0, len(r_true), group)
+    ]
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _interferer_table(mask):
@@ -289,11 +271,11 @@ def _interference(powers, table):
     return total
 
 
-def _ra_messages(r_true, noise, scale2, phi, own, mask, count):
-    """Minimax (codeword, gain) message of each problem, given its true
-    rates and noise terms (problems x configurations) and CQI^2-to-raw
-    scale, from one `minimax_log_gain` search over every (problem,
-    codeword) column, grouped by problem."""
+def _ra_messages(r_true, noise, scale2, phi, own, mask):
+    """Minimax (codeword, gain, gap) of each problem as three arrays,
+    given its true rates and noise terms (problems x configurations) and
+    CQI^2-to-raw scale, from one `minimax_log_gain` search over every
+    (problem, codeword) column, grouped by problem."""
     # one column per (problem, codeword) pair: the max over configurations
     # then runs across contiguous rows instead of along short ones
     n, n_v = len(r_true), len(phi)
@@ -320,31 +302,38 @@ def _ra_messages(r_true, noise, scale2, phi, own, mask, count):
         return d.max(axis=0), -d.min(axis=0)
 
     x, gap = minimax_log_gain(excess, columns, n_v)
-    x = x.reshape(n, n_v)
-    gap = gap.reshape(n, n_v)
-    msgs = []
-    for p in range(n):
-        idx = int(np.argmin(gap[p]))
-        msgs.append(FeedbackMessage(idx, float(np.exp(0.5 * x[p, idx])), "ra-full", count, gap=float(gap[p, idx])))
-    return msgs
+    idx = np.argmin(gap.reshape(n, n_v), axis=1)
+    best = np.arange(n) * n_v + idx
+    return idx, np.exp(0.5 * x[best]), gap[best]
 
 
-def efficient_cdi(eff, C, V, phi_table=None):
-    """Low-complexity rate-approximation surrogate.
+def efficient_feedback_block(h, lambda_sq, C, V, phi_table=None):
+    """Low-complexity rate-approximation surrogate for every row of a stack
+    of unit directions h (rows, n_t) with their lambda^2: the CDI, CQI and
+    gap arrays.
 
-    Picks argmin over nu of max_w ||<h, w>|^2 - |<nu, w>|^2| using the
-    stored |<nu, w>|^2 table; only the |C| products |<h, w>|^2 are computed
-    online.  The instrumented count follows the protocol budget |C| * |V|
-    (|C| fresh products plus |C| * (|V| - 1) stored-table differences).
+    Each row picks argmin over nu of max_w ||<h, w>|^2 - |<nu, w>|^2|
+    (ties to the lowest index) using the stored |<nu, w>|^2 table; only
+    the |C| products |<h, w>|^2 are computed online, one matrix-vector
+    product per row, so every row equals the one-row computation bit for
+    bit.
     """
     if len(V) == 0 or len(C) == 0:
         raise ValueError("empty codebook")
-    psi = beam_powers(eff.h, C)
     phi = cross_gram(V, C) if phi_table is None else phi_table
-    d = np.max(np.abs(psi[None, :] - phi), axis=1)
-    idx = int(np.argmin(d))
-    theta = cqi_effective(eff.lambda_sq, eff.h, V[idx])
-    return FeedbackMessage(idx, theta, "ra-efficient", scalar_product_count=len(C) * len(V), gap=float(d[idx]))
+    d = np.max(np.abs(beam_powers(h, C)[:, None, :] - phi), axis=2)
+    idx = np.argmin(d, axis=1)
+    return idx, _cqi(np.asarray(lambda_sq), h, V.vectors[idx]), d[np.arange(len(d)), idx]
+
+
+def efficient_cdi(eff, C, V, phi_table=None):
+    """Low-complexity rate-approximation surrogate: the one-row case of
+    `efficient_feedback_block`.  The instrumented count follows the
+    protocol budget |C| * |V| (|C| fresh products plus |C| * (|V| - 1)
+    stored-table differences).
+    """
+    idx, theta, gap = efficient_feedback_block(eff.h[None], [eff.lambda_sq], C, V, phi_table=phi_table)
+    return FeedbackMessage(int(idx[0]), float(theta[0]), "ra-efficient", len(C) * len(V), gap=float(gap[0]))
 
 
 def _require_subset(C, V, tol=1e-12):
@@ -353,30 +342,39 @@ def _require_subset(C, V, tol=1e-12):
         raise ValueError("transmit codebook is not contained in the feedback codebook")
 
 
-def lemma1_feedback(eff, C, V):
-    """Constructive feedback strategy behind the worst-case gap bound.
+def lemma1_feedback_block(h, lambda_sq, C, V):
+    """Constructive feedback strategy behind the worst-case gap bound, for
+    every row of a stack of unit directions h (rows, n_t) with their
+    lambda^2: the CDI and CQI arrays.
 
     (a) find the transmit beam w* best aligned with h; (b) among codewords
     at least as aligned with w* as h is (nonempty because C is contained in
     V), pick the chordal-closest to h; (c) set the gain by the closed form
-    theta_tilde = lambda_tilde * eta / theta_w*.
+    theta_tilde = lambda_tilde * eta / theta_w*.  Every alignment is one
+    matrix-vector product per row, so every row equals the one-row
+    computation bit for bit.
     """
     _require_subset(C, V)
-    psi = beam_powers(eff.h, C)
-    w_star = int(np.argmax(psi))
-    eta = float(psi[w_star])
-    theta_w = np.abs(V.vectors @ np.conj(C[w_star])) ** 2
-    feasible = theta_w >= eta - 1e-12
-    align = np.abs(V.vectors @ np.conj(eff.h)) ** 2
-    score = np.where(feasible, align, -1.0)
-    idx = int(np.argmax(score))
+    psi = beam_powers(h, C)
+    rows = np.arange(len(psi))
+    w_star = np.argmax(psi, axis=1)
+    eta = psi[rows, w_star]
+    theta_w = beam_powers(C.vectors[w_star], V)
+    feasible = theta_w >= eta[:, None] - 1e-12
+    idx = np.argmax(np.where(feasible, beam_powers(h, V), -1.0), axis=1)
     # theta_tilde = theta^2 / (1 + theta^2), capped below 1
-    lam_t = eff.lambda_sq / (1.0 + eff.lambda_sq)
-    th = float(theta_w[idx])
-    tt = min(lam_t * eta / th, 1.0 - 1e-12) if th > 0 else 0.0
-    theta = float(np.sqrt(tt / (1.0 - tt)))
-    count = len(C) + 2 * len(V)
-    return FeedbackMessage(idx, theta, "lemma1", scalar_product_count=count)
+    lam = np.asarray(lambda_sq)
+    lam_t = lam / (1.0 + lam)
+    th = theta_w[rows, idx]
+    tt = np.where(th > 0, np.minimum(lam_t * eta / np.where(th > 0, th, 1.0), 1.0 - 1e-12), 0.0)
+    return idx, np.sqrt(tt / (1.0 - tt))
+
+
+def lemma1_feedback(eff, C, V):
+    """Constructive feedback strategy behind the worst-case gap bound: the
+    one-row case of `lemma1_feedback_block`."""
+    idx, theta = lemma1_feedback_block(eff.h[None], [eff.lambda_sq], C, V)
+    return FeedbackMessage(int(idx[0]), float(theta[0]), "lemma1", scalar_product_count=len(C) + 2 * len(V))
 
 
 def lemma1_rhs(eff, nu, C):
@@ -408,49 +406,47 @@ def lemma1_rhs(eff, nu, C):
     return best
 
 
-def gap_samples_delta_ra(samples, C, V, sizes=None):
-    """Worst-case rate-gap samples of many draws: for each (effs, msgs,
-    params, users) sample, 2 * the sum over `users` of their `ra_distance`
-    on the reported message.
+def gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, C, V, sizes=None):
+    """Worst-case rate-gap samples of many draws: for each sample (row) of
+    the (samples, users) arrays, 2 * the sum over the users `scheduled`
+    marks of their `ra_distance` on the reported (CDI, CQI); h_hat
+    (samples, users, n_t) holds the true channels and `params` each
+    sample's SystemParams, all with the same configuration table.
 
-    Every (sample, user) row goes through one `beam_powers`/`_config_rates`
-    pass, each row with its own noise terms and by the same elementwise
-    arithmetic as `ra_distance` alone; a sample's mismatches are added in
-    sorted user order, so each sample equals the one-draw sum bit for bit.
-    All params must give the same configuration table.
+    Every scheduled (sample, user) row goes through one
+    `beam_powers`/`_config_rates` pass, each row with its own noise terms
+    and by the same elementwise arithmetic as `ra_distance` alone; a
+    sample's mismatches are added in user order, unscheduled users adding
+    0.0, so each sample equals the one-draw sum bit for bit.
     """
-    tables = {_sizes(params, sizes) for _, _, params, _ in samples}
+    tables = {_sizes(p, sizes) for p in params}
     if len(tables) > 1:
         raise ValueError("stacked gap samples must share one set of scheduling sizes")
-    samples = [(effs, msgs, params, sorted(users)) for effs, msgs, params, users in samples]
-    rows = [(effs[m], msgs[m], params) for effs, msgs, params, users in samples for m in users]
-    values = []
-    if rows:
+    sample, user = np.nonzero(scheduled)
+    values = np.zeros(np.shape(scheduled))
+    if len(sample):
         own, mask, ks, _ = scheduling_configs(len(C), tables.pop())
-        # the `_config_noise` terms of every row
-        sigma_sq, power = np.array([(params.sigma_sq, params.P) for _, _, params in rows]).T
-        noise = sigma_sq[:, None] * ks / power[:, None]
+        noise, scale2 = _noise_and_scale(params, ks)
         # true channels, then reported codewords scaled by their CQI, in one pass
-        h_hat = np.array([eff.h_hat for eff, _, _ in rows])
-        powers = beam_powers(np.concatenate([h_hat, V.vectors[[msg.cdi_index for _, msg, _ in rows]]]), C)
-        powers[len(rows) :] *= np.array([[msg.cqi * msg.cqi * raw_scale_sq(params)] for _, msg, params in rows])
-        rates = _config_rates(powers, own, mask, np.concatenate([noise, noise]))
-        values = np.abs(rates[: len(rows)] - rates[len(rows) :]).max(axis=1).tolist()
-    out, lo = [], 0
-    for *_, users in samples:
-        total = 0.0
-        for value in values[lo : lo + len(users)]:
-            total += value
-        out.append(2.0 * total)
-        lo += len(users)
-    return out
+        q = np.asarray(cqi)[sample, user]
+        powers = beam_powers(np.concatenate([h_hat[sample, user], V.vectors[np.asarray(cdi)[sample, user]]]), C)
+        powers[len(sample) :] *= (q * q * scale2[sample])[:, None]
+        rates = _config_rates(powers, own, mask, np.concatenate([noise[sample], noise[sample]]))
+        values[sample, user] = np.abs(rates[: len(sample)] - rates[len(sample) :]).max(axis=1)
+    total = np.zeros(len(values))
+    for column in values.T:
+        total = total + column
+    return 2.0 * total
 
 
 def gap_sample_delta_ra(effs, msgs, C, V, params, users, sizes=None):
     """One draw's contribution to the worst-case rate-gap estimate:
     2 * sum over the scheduled-union users of their rate mismatch; the
     one-draw case of `gap_samples_delta_ra`."""
-    return gap_samples_delta_ra([(effs, msgs, params, users)], C, V, sizes=sizes)[0]
+    ids = sorted(users)
+    h_hat = np.array([effs[m].h_hat for m in ids], dtype=complex).reshape(1, len(ids), C.dim)
+    cdi, cqi = [[msgs[m].cdi_index for m in ids]], [[msgs[m].cqi for m in ids]]
+    return float(gap_samples_delta_ra(h_hat, cdi, cqi, np.ones((1, len(ids)), bool), [params], C, V, sizes=sizes)[0])
 
 
 STRATEGIES = ("perfect", "chordal", "ra-full", "ra-efficient", "lemma1")

@@ -35,20 +35,18 @@ from .feedback import (
     STRATEGIES,
     _require_subset,
     chordal_feedback_block,
-    chordal_messages,
     cross_gram,
-    efficient_cdi,
+    efficient_feedback_block,
     feedback_vectors,
     gap_samples_delta_ra,
-    lemma1_feedback,
-    ra_batch_group,
+    lemma1_feedback_block,
     ra_feedback_batch,
     raw_scale_sq,
 )
 from .feedback import compute_feedback, feedback_vector, gap_sample_delta_ra  # noqa: F401  (perfbench/spans.py wraps these names)
 from .numerics import SeedSpec
 from .rates import rate_with_beams  # noqa: F401  (perfbench/spans.py wraps this name)
-from .scheduler import realize_rates_block, schedule_bruteforce_block, schedule_greedy, zf_batch_group, zf_schedule_block
+from .scheduler import realize_rates_block, schedule_bruteforce_block, schedule_greedy_block, zf_schedule_block
 from .scheduler import realize_rates, schedule_bruteforce, zf_decision_for, zf_schedule  # noqa: F401  (perfbench/spans.py wraps these names)
 
 CDF_GRID_POINTS = 200
@@ -293,27 +291,18 @@ def _feedback_strategy(kind, cfg):
     return cfg.strategy
 
 
-# (draw, SNR point, user) rows of a block with neither a gain search nor
-# zeroforcing; run times of criterion 9's configs level off from about 250
-# rows per block on (block-size sweep in CHANGES.md)
+# (draw, SNR point, user) rows per block: run times of criterion 9's
+# configs level off from about 250 rows per block on (block-size sweep in
+# CHANGES.md); the ra-full gain search splits a block into groups of its own
 _BLOCK_ROWS = 1 << 8
 
 
-def _block_size(ctx, kind):
-    """Draws per block, at least 1: as many as fit in one group of the
-    batched ra-full gain search, or else of the stacked zeroforcing
-    scheduler (users x SNR points problems each), or else _BLOCK_ROWS
-    (draw, SNR point, user) rows.  Every block builds its effective
-    channels, chordal feedback, brute-force schedules and realized rates
-    in one stacked pass each."""
-    cfg = ctx.cfg
-    if _feedback_strategy(kind, cfg) == "ra-full":
-        group = ra_batch_group(ctx.C, ctx.V, cfg.params)
-    elif kind == "sum-rate" and cfg.precoder == "zf":
-        group = zf_batch_group(cfg.params)
-    else:
-        group = _BLOCK_ROWS
-    return max(1, group // (cfg.num_users * len(cfg.snr_db_list)))
+def _block_size(n_users, n_snr):
+    """Draws per block, at least 1, for draws of `n_users` users at `n_snr`
+    SNR points: as many as fill _BLOCK_ROWS (draw, SNR point, user) rows.
+    Every block builds its effective channels, feedback, schedules and
+    realized rates in one stacked pass each."""
+    return max(1, _BLOCK_ROWS // (n_users * n_snr))
 
 
 def _map_draws(kind, ctx):
@@ -324,7 +313,7 @@ def _map_draws(kind, ctx):
     independent of the block it lands in and of the worker count.
     """
     cfg = ctx.cfg
-    size = _block_size(ctx, kind)
+    size = _block_size(cfg.num_users, len(cfg.snr_db_list))
     blocks = [range(lo, min(lo + size, cfg.num_draws)) for lo in range(0, cfg.num_draws, size)]
     if cfg.workers <= 1:
         per_block = [_BLOCK_FNS[kind](ctx, draws) for draws in blocks]
@@ -337,97 +326,68 @@ def _map_draws(kind, ctx):
     return [r for results in per_block for r in results]
 
 
-def _schedule_block(vectors_per_problem, C, params_per_problem, method):
-    """Fixed-codebook decision of every (vectors, params) problem: the
-    brute scheduler takes them all in one stacked call, greedy one by one."""
-    if method == "brute":
-        return schedule_bruteforce_block(vectors_per_problem, C, params_per_problem)
-    return [schedule_greedy(v, C, params) for v, params in zip(vectors_per_problem, params_per_problem)]
+# fixed-codebook schedulers, all called as `schedule_bruteforce_block`
+_SCHEDULERS = {"brute": schedule_bruteforce_block, "greedy": schedule_greedy_block}
 
 
-def _rows(ctx, block):
-    """The block row (d * num_users + m) and the SNR point s of every
-    (draw d, SNR point s, user m) row of a block, in that order."""
-    n_users = ctx.cfg.num_users
-    d, s, m = np.indices((len(block.h) // n_users, len(ctx.params_by_snr), n_users)).reshape(3, -1)
-    return d * n_users + m, s
+def _by_point(ctx, a):
+    """A per-user block array (draws * users, ...) as one row of users per
+    (draw, SNR point), in that order: (draws * SNR points, users, ...)."""
+    a = a.reshape(-1, 1, ctx.cfg.num_users, *a.shape[1:])
+    return np.repeat(a, len(ctx.params_by_snr), axis=1).reshape(-1, *a.shape[2:])
 
 
-def _block_effs(ctx, block):
-    """EffectiveChannel of every (draw, SNR point, user) row of `block`."""
-    by_snr = [block.effective(params) for params in ctx.params_by_snr]
-    return [by_snr[s][u] for u, s in zip(*(a.tolist() for a in _rows(ctx, block)))]
+def _lambda_sq(ctx, block):
+    """lambda^2 of every (draw, SNR point, user) of a block, (draws * SNR
+    points, users), contiguous."""
+    lam = np.array([block.lambda_sq(params) for params in ctx.params_by_snr])  # (SNR points, draws * users)
+    return lam.reshape(len(lam), -1, ctx.cfg.num_users).transpose(1, 0, 2).reshape(-1, ctx.cfg.num_users)
 
 
-def _block_feedback(ctx, strategy, block, effs=None):
-    """Feedback of every (draw, SNR point, user) row of a block, from its
-    effective-channel pass: the CDI and CQI arrays and the rows'
-    FeedbackMessages.
-
-    Chordal rows come from one stacked pass as arrays only, with messages
-    None; ra-full rows share one batched gain search; the other strategies
-    run row by row.  `effs`, the rows' EffectiveChannels, is built here
-    unless the caller already has it.
-    """
-    user, snr = _rows(ctx, block)
-    if strategy == "chordal":
-        lam = np.array([block.lambda_sq(params) for params in ctx.params_by_snr])
-        return (*chordal_feedback_block(block.h[user], lam[snr, user], ctx.V), None)
-    if effs is None:
-        effs = _block_effs(ctx, block)
+def _block_feedback(ctx, strategy, block, params):
+    """CDI and CQI (draws * SNR points, users) of every (draw, SNR point,
+    user) of a block, from one stacked pass of `strategy`, and the
+    feedback vectors (draws * SNR points, users, n_t) the scheduler sees;
+    `params` holds the SystemParams of every (draw, SNR point)."""
+    n_t = ctx.cfg.params.n_t
     if strategy == "ra-full":
-        subs = [None] * len(effs)
-        if ctx.cfg.F > 1:
-            by_snr = [block.subcarrier_effective(params) for params in ctx.params_by_snr]
-            subs = [by_snr[s][u] for u, s in zip(user.tolist(), snr.tolist())]
-        params = [ctx.params_by_snr[s] for s in snr.tolist()]
-        msgs = ra_feedback_batch(list(zip(effs, params, subs)), ctx.C, ctx.V, phi_table=ctx.phi)
-    elif strategy == "ra-efficient":
-        msgs = [efficient_cdi(eff, ctx.C, ctx.V, phi_table=ctx.phi) for eff in effs]
+        # true rates on the subcarriers (F = 1: the averaged channel itself, bit for bit)
+        rows = [p for p in params for _ in range(ctx.cfg.num_users)]
+        out = ra_feedback_batch(_by_point(ctx, block.sub_h_hat).reshape(len(rows), -1, n_t), rows, ctx.C, ctx.V, ctx.phi)
     else:
-        msgs = [lemma1_feedback(eff, ctx.C, ctx.V) for eff in effs]
-    return np.array([msg.cdi_index for msg in msgs]), np.array([msg.cqi for msg in msgs]), msgs
-
-
-def _feedback_rows(ctx, block, cdi, cqi):
-    """Feedback vectors of every (draw, SNR point, user) row of a block."""
-    scale_sq = np.array([raw_scale_sq(params) for params in ctx.params_by_snr])
-    return feedback_vectors(cdi, cqi, ctx.V, scale_sq[_rows(ctx, block)[1]])
+        h, lam = _by_point(ctx, block.h).reshape(-1, n_t), _lambda_sq(ctx, block).ravel()
+        if strategy == "chordal":
+            out = chordal_feedback_block(h, lam, ctx.V)
+        elif strategy == "ra-efficient":
+            out = efficient_feedback_block(h, lam, ctx.C, ctx.V, phi_table=ctx.phi)
+        else:
+            out = lemma1_feedback_block(h, lam, ctx.C, ctx.V)
+    cdi, cqi = out[0].reshape(len(params), -1), out[1].reshape(len(params), -1)
+    return cdi, cqi, feedback_vectors(cdi, cqi, ctx.V, np.array([raw_scale_sq(p) for p in params])[:, None])
 
 
 def _sum_rate_block(ctx, draws):
     """Realized sum rate of each draw in `draws`, shape (draws, SNR points).
 
-    The scheduler sees, for each (draw, SNR point, user) row, the true
+    The scheduler sees, for each (draw, SNR point, user), the true
     effective channel under perfect CSIT or else the feedback vector, all
     built in one pass; every decision of the block is realized in one
     `realize_rates_block` pass."""
     cfg = ctx.cfg
     block = ctx.effective(draws)
-    n_draws, n_snr, n_users = len(draws), len(ctx.params_by_snr), cfg.num_users
+    params = ctx.params_by_snr * len(draws)  # every (draw, SNR point), in that order
     strategy = _feedback_strategy("sum-rate", cfg)
     if strategy is None:
-        vecs = np.broadcast_to(block.h_hat.reshape(n_draws, 1, n_users, -1), (n_draws, n_snr, n_users, cfg.params.n_t))
+        vectors = _by_point(ctx, block.h_hat)
     else:
-        vecs = _feedback_rows(ctx, block, *_block_feedback(ctx, strategy, block)[:2])
-        vecs = vecs.reshape(n_draws, n_snr, n_users, -1)
-    # vectors[s][d] maps user -> the vector the scheduler sees
-    vectors = [[dict(enumerate(vecs[d, s])) for d in range(n_draws)] for s in range(n_snr)]
-    sub = block.sub_h_hat.reshape(n_draws, n_users, cfg.F, -1)
-    points = [(s, d) for s in range(n_snr) for d in range(n_draws)]
+        vectors = _block_feedback(ctx, strategy, block, params)[2]
     if cfg.precoder == "zf":
-        decisions = []
-        for s, params in enumerate(ctx.params_by_snr):
-            decisions += [decision for decision, _ in zf_schedule_block(vectors[s], params)]
+        users, beams, _ = zf_schedule_block(vectors, params)
     else:
-        decisions = _schedule_block(
-            [vectors[s][d] for s, d in points], ctx.C, [ctx.params_by_snr[s] for s, _ in points], cfg.scheduler
-        )
-    problems = [(dec, sub[d], ctx.params_by_snr[s]) for (s, d), dec in zip(points, decisions)]
-    out = np.empty((n_draws, n_snr))
-    for (s, d), report in zip(points, realize_rates_block(problems, C=ctx.C)):
-        out[d, s] = report.sum
-    return out
+        users, beams, _ = _SCHEDULERS[cfg.scheduler](vectors, ctx.C, params)
+    C = None if cfg.precoder == "zf" else ctx.C
+    sums = realize_rates_block(users, beams, _by_point(ctx, block.sub_h_hat), params, C=C)[1]
+    return sums.reshape(len(draws), -1)
 
 
 def _delta_ra_block(ctx, draws):
@@ -436,36 +396,20 @@ def _delta_ra_block(ctx, draws):
     Every (draw, SNR point, user) effective channel comes from the block's
     one effective-channel pass and serves the feedback search, the true
     vectors and the gap samples.  The true and the reported vectors of
-    every (draw, SNR point) are scheduled in one `_schedule_block` call,
-    and the gap samples of the whole block come from one
-    `gap_samples_delta_ra` pass."""
+    every (draw, SNR point) are scheduled in one call, and the gap samples
+    of the whole block come from one `gap_samples_delta_ra` pass over the
+    users either schedule picks."""
     cfg = ctx.cfg
     block = ctx.effective(draws)
-    n_draws, n_snr, n_users = len(draws), len(ctx.params_by_snr), cfg.num_users
-    effs = _block_effs(ctx, block)
-    cdi, cqi, msgs = _block_feedback(ctx, _feedback_strategy("delta-ra", cfg), block, effs)
-    if msgs is None:
-        msgs = chordal_messages(cdi, cqi, ctx.V)
-    reported = _feedback_rows(ctx, block, cdi, cqi)
-    points = [((d * n_snr + s) * n_users, params) for d in range(n_draws) for s, params in enumerate(ctx.params_by_snr)]
-    vectors, params_list = [], []
-    for lo, params in points:
-        vectors.append({m: eff.h_hat for m, eff in enumerate(effs[lo : lo + n_users])})
-        vectors.append(dict(enumerate(reported[lo : lo + n_users])))
-        params_list += [params, params]
-    decisions = _schedule_block(vectors, ctx.C, params_list, cfg.scheduler)
-    samples = [
-        (
-            dict(enumerate(effs[lo : lo + n_users])),
-            dict(enumerate(msgs[lo : lo + n_users])),
-            params,
-            set(s_h.assignment.users) | set(s_v.assignment.users),
-        )
-        for (lo, params), s_h, s_v in zip(points, decisions[::2], decisions[1::2])
-    ]
-    gaps = np.reshape(gap_samples_delta_ra(samples, ctx.C, ctx.V), (n_draws, n_snr))
-    lam_means = np.mean(np.reshape([eff.lambda_sq for eff in effs], (n_draws, n_snr, n_users)), axis=2)
-    return [(gaps[d], lam_means[d]) for d in range(n_draws)]
+    params = ctx.params_by_snr * len(draws)  # every (draw, SNR point), in that order
+    cdi, cqi, reported = _block_feedback(ctx, _feedback_strategy("delta-ra", cfg), block, params)
+    h_hat = _by_point(ctx, block.h_hat)
+    users = _SCHEDULERS[cfg.scheduler](np.concatenate([h_hat, reported]), ctx.C, params + params)[0]
+    picked = (users[:, :, None] == np.arange(cfg.num_users)).any(axis=1)  # (2 * points, users)
+    scheduled = picked[: len(params)] | picked[len(params) :]
+    gaps = gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, ctx.C, ctx.V).reshape(len(draws), -1)
+    lam_means = np.mean(_lambda_sq(ctx, block).reshape(len(draws), len(ctx.params_by_snr), -1), axis=2)
+    return list(zip(gaps, lam_means))
 
 
 _BLOCK_FNS = {"sum-rate": _sum_rate_block, "delta-ra": _delta_ra_block}

@@ -3,17 +3,14 @@
 Scheduling maximizes the sum rate computed from whatever per-user vectors
 the base station holds (true effective channels under perfect CSIT, scaled
 quantization vectors under partial CSIT).  Brute force solves the
-combinatorial problem exactly: `schedule_bruteforce_block` scores every
-(problem, user subset, beam tuple) candidate of many problems, each with
-its own noise term, in stacked numpy passes, and `schedule_bruteforce` is
-its one-problem case.  The greedy variant inserts the best (user, beam)
-pair until no insertion improves the rate.  The zeroforcing baseline
+combinatorial problem exactly; the greedy variant inserts the best (user,
+beam) pair until no insertion improves the rate; the zeroforcing baseline
 selects users greedily too, with beams from the pseudo-inverse of the
-chosen directions; `zf_schedule_block` runs that selection for a block of
-draws at once, one stacked rank test and pseudo-inverse per greedy step,
-and `zf_schedule` is its one-draw case.  `realize_rates_block` realizes
-the decisions of many problems on the true channels in one stacked pass,
-and `realize_rates` is its one-draw case.
+chosen directions.  Each takes a stack of problems as arrays and returns
+padded (users, beams, predicted sum) arrays, which `realize_rates_block`
+realizes on the true channels in one stacked pass.  The dict and object
+forms (`schedule_bruteforce`, `schedule_greedy`, `zf_schedule`,
+`realize_rates`) are their one-problem cases.
 """
 
 from dataclasses import dataclass
@@ -78,58 +75,46 @@ def _brute_scores(pw, noise, k, beam_tuples):
     return total
 
 
-def schedule_bruteforce_block(vectors_per_problem, C, params_per_problem):
+def schedule_bruteforce_block(vectors, C, params):
     """Exact maximizers of the sum rate over user subsets and injective
-    beam maps, one `ScheduleDecision` per problem (a dict user -> vector
-    and its SystemParams).
+    beam maps for a stack of problems: vectors (problems, users, n_t) the
+    vectors the base station holds, `params` each problem's SystemParams.
 
-    Each problem's winner is its largest sum rate, ties to the
-    lexicographically smallest (sorted user tuple, beam tuple); a best rate
-    of 0 schedules nobody.  Guarded against combinatorial blowup; use the
-    greedy scheduler for larger instances.
+    Returns (users, beams, rate): each winner's users in increasing order
+    and their codeword indices, both (problems, largest n_s) padded with
+    -1, and its predicted sum rate.  Each problem's winner is its largest
+    sum rate, ties to the lexicographically smallest (user tuple, beam
+    tuple); a best rate of 0 schedules nobody.  Guarded against
+    combinatorial blowup; use the greedy scheduler for larger instances.
 
-    The power tables of all problems are stacked (problems x users x
-    beams), and for each set size k every (problem, subset, beam tuple)
-    candidate is scored in numpy passes of about `_BRUTE_BLOCK`
-    candidates, each problem with its own noise term, by the same
-    elementwise arithmetic as the rate formula on that candidate alone.
-    Subsets and beam tuples run in lexicographic order, so the first
-    row-major hit of a problem's maximum within one k is that k's smallest
-    key; the keys of different k are compared explicitly.
+    For each set size k every (problem, subset, beam tuple) candidate is
+    scored in numpy passes of about `_BRUTE_BLOCK` candidates, each problem
+    with its own noise term, by the same elementwise arithmetic as the
+    rate formula on that candidate alone.  Subsets and beam tuples run in
+    lexicographic order, so the first row-major hit of a problem's maximum
+    within one k is that k's smallest key; the keys of different k are
+    compared explicitly.
     """
-    ids = [sorted(vectors) for vectors in vectors_per_problem]
-    for users, params in zip(ids, params_per_problem):
-        if len(users) < 1:
-            raise ValueError("need at least one user")
-        if len(users) > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
-            raise ValueError(f"brute-force scheduling refused for |U|={len(users)}, |C|={len(C)}; use greedy")
-        if len(C) < params.n_s:
-            raise ValueError(f"codebook too small: |C|={len(C)} < n_s={params.n_s}")
-    if not ids:
-        return []
-    n_users = np.array([len(users) for users in ids])
-    n_s = np.array([params.n_s for params in params_per_problem])
-    sigma_sq = np.array([params.sigma_sq for params in params_per_problem])
-    power = np.array([params.P for params in params_per_problem])
-    rows = beam_powers(np.array([vectors[m] for users, vectors in zip(ids, vectors_per_problem) for m in users]), C)
-    owner = np.repeat(np.arange(len(ids)), n_users)
-    pw = np.zeros((len(ids), n_users.max(), len(C)))
-    pw[owner, np.arange(len(owner)) - np.repeat(np.cumsum(n_users) - n_users, n_users)] = rows
+    n_users, n_s = _check_problems(vectors, C, params)
+    if n_users > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
+        raise ValueError(f"brute-force scheduling refused for |U|={n_users}, |C|={len(C)}; use greedy")
+    sigma_sq, power = np.array([(p.sigma_sq, p.P) for p in params]).reshape(-1, 2).T
+    pw = beam_powers(vectors, C)  # (problems, users, beams)
 
-    def key(p, k, s, t):
-        """(sorted users, beam tuple) of problem p's subset s and beam tuple t of size k."""
-        subsets, beam_tuples = _brute_tables(pw.shape[1], len(C), k)
-        return tuple(ids[p][u] for u in subsets[s].tolist()), tuple(beam_tuples[t].tolist())
+    def key(k, s, t):
+        """(users, beam tuple) of subset s and beam tuple t of size k."""
+        subsets, beam_tuples = _brute_tables(n_users, len(C), k)
+        return tuple(subsets[s].tolist()), tuple(beam_tuples[t].tolist())
 
-    best_rate = np.zeros(len(ids))
-    best = np.zeros((len(ids), 3), dtype=int)  # (k, subset, beam tuple) of each winner; k = 0 schedules nobody
-    for k in range(1, n_s.max() + 1):
-        subsets, beam_tuples = _brute_tables(pw.shape[1], len(C), k)
-        # (problem, subset) rows, problem-major: the subsets of each
-        # problem's own users in lexicographic order
-        prob, sub = np.nonzero((subsets[:, -1] < n_users[:, None]) & (n_s >= k)[:, None])
-        if not len(prob):
+    best_rate = np.zeros(len(n_s))
+    best = np.zeros((len(n_s), 3), dtype=int)  # (k, subset, beam tuple) of each winner; k = 0 schedules nobody
+    for k in range(1, n_s.max(initial=0) + 1):
+        subsets, beam_tuples = _brute_tables(n_users, len(C), k)
+        if not len(subsets):
             break
+        live = np.flatnonzero(n_s >= k)
+        # (problem, subset) rows, problem-major, subsets in lexicographic order
+        prob, sub = np.repeat(live, len(subsets)), np.tile(np.arange(len(subsets)), len(live))
         noise = sigma_sq[prob] * k / power[prob]
         row_top = np.empty(len(prob))
         row_arg = np.empty(len(prob), dtype=int)
@@ -139,86 +124,104 @@ def schedule_bruteforce_block(vectors_per_problem, C, params_per_problem):
             total = _brute_scores(pw[prob[part, None], subsets[sub[part]]], noise[part], k, beam_tuples)
             row_top[part] = np.fmax.reduce(total, axis=1)  # NaN only where a whole row is NaN
             row_arg[part] = np.argmax(total == row_top[part, None], axis=1)
-        starts = np.flatnonzero(np.concatenate([[True], prob[1:] != prob[:-1]]))
-        owners = prob[starts]
-        tops = np.fmax.reduceat(row_top, starts)
-        hit = row_top == np.repeat(tops, np.diff(np.append(starts, len(prob))))
-        # row of each problem's first hit, its smallest key of size k (none for an all-NaN problem)
-        first = np.minimum.reduceat(np.where(hit, np.arange(len(prob)), len(prob)), starts)
-        held = best_rate[owners]
+        row_top, row_arg = row_top.reshape(len(live), -1), row_arg.reshape(len(live), -1)
+        tops = np.fmax.reduce(row_top, axis=1)
+        # each problem's first hit, its smallest key of size k
+        first = np.argmax(row_top == tops[:, None], axis=1)
+        arg = row_arg[np.arange(len(live)), first]
+        held = best_rate[live]
         win = tops > held  # False for NaN
         # an exact tie with a scheduled winner goes to the smaller key; a 0 rate keeps ((), ())
         for i in np.flatnonzero((tops == held) & (tops > 0)).tolist():
-            p, r = owners[i], first[i]
-            win[i] = key(p, k, sub[r], row_arg[r]) < key(p, *best[p].tolist())
-        p, r = owners[win], first[win]
+            win[i] = key(k, first[i], arg[i]) < key(*best[live[i]].tolist())
+        p = live[win]
         best_rate[p] = tops[win]
         best[p, 0] = k
-        best[p, 1] = sub[r]
-        best[p, 2] = row_arg[r]
-    pairs = [{} for _ in ids]
+        best[p, 1] = first[win]
+        best[p, 2] = arg[win]
+    users = np.full((len(n_s), n_s.max(initial=0)), -1)
+    beams = users.copy()
     for k in set(best[:, 0].tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (~30 ms)
-        subsets, beam_tuples = _brute_tables(pw.shape[1], len(C), k)
+        subsets, beam_tuples = _brute_tables(n_users, len(C), k)
         won = np.flatnonzero(best[:, 0] == k)
-        for p, slots, beams in zip(won.tolist(), subsets[best[won, 1]].tolist(), beam_tuples[best[won, 2]].tolist()):
-            pairs[p] = {ids[p][u]: b for u, b in zip(slots, beams)}
-    return [ScheduleDecision(BeamAssignment(q), rate, "brute") for q, rate in zip(pairs, best_rate.tolist())]
+        users[won, :k] = subsets[best[won, 1]]
+        beams[won, :k] = beam_tuples[best[won, 2]]
+    return users, beams, best_rate
+
+
+def _check_problems(vectors, C, params):
+    """Users per problem and the n_s of every problem of a scheduling stack."""
+    n_s = np.array([p.n_s for p in params], dtype=int)
+    if vectors.shape[1] < 1:
+        raise ValueError("need at least one user")
+    if len(C) < n_s.max(initial=0):
+        raise ValueError(f"codebook too small: |C|={len(C)} < n_s={n_s.max()}")
+    return vectors.shape[1], n_s
+
+
+def _one_problem(block_fn, vectors, C, params, method):
+    """ScheduleDecision of one problem (a dict user -> vector) from the
+    stacked scheduler `block_fn`."""
+    ids = sorted(vectors)
+    users, beams, rate = block_fn(np.array([[vectors[m] for m in ids]], dtype=complex), C, [params])
+    pairs = {ids[u]: b for u, b in zip(users[0].tolist(), beams[0].tolist()) if u >= 0}
+    return ScheduleDecision(BeamAssignment(pairs), float(rate[0]), method)
 
 
 def schedule_bruteforce(vectors, C, params):
     """Exact maximizer of the sum rate over user subsets and injective beam
-    maps for one problem: the one-problem case of `schedule_bruteforce_block`."""
-    return schedule_bruteforce_block([vectors], C, [params])[0]
+    maps for one problem (a dict user -> vector): the one-problem case of
+    `schedule_bruteforce_block`."""
+    return _one_problem(schedule_bruteforce_block, vectors, C, params, "brute")
+
+
+def schedule_greedy_block(vectors, C, params):
+    """Greedy insertion for a stack of problems, arguments and padded
+    result as in `schedule_bruteforce_block`: repeatedly add the (user,
+    beam) pair that most increases the re-evaluated sum rate; stop at n_s
+    users or when no insertion strictly improves.  Ties go to the smallest
+    (user, beam).  The power tables come from one stacked pass; the search
+    runs problem by problem."""
+    _, n_s = _check_problems(vectors, C, params)
+    users = np.full((len(n_s), n_s.max(initial=0)), -1)
+    beams = users.copy()
+    rate = np.zeros(len(n_s))
+    for p, (pw, problem) in enumerate(zip(beam_powers(vectors, C), params)):
+        members = []  # row indices into pw
+        chosen = []
+        while len(members) < problem.n_s:
+            k_new = len(members) + 1
+            noise = problem.sigma_sq * k_new / problem.P
+            free_users = [i for i in range(len(pw)) if i not in members]
+            free_beams = [j for j in range(len(C)) if j not in chosen]
+            if not free_users or not free_beams:
+                break
+            cand = np.full((len(free_users), len(free_beams)), -np.inf)
+            intf_existing = pw[:, chosen].sum(axis=1) if chosen else np.zeros(len(pw))
+            for a, i in enumerate(free_users):
+                new_user = np.log1p(pw[i, free_beams] / (noise + intf_existing[i]))
+                rest = np.zeros(len(free_beams))
+                for pos, l in enumerate(members):
+                    base_intf = intf_existing[l] - pw[l, chosen[pos]]
+                    rest += np.log1p(pw[l, chosen[pos]] / (noise + base_intf + pw[l, free_beams]))
+                cand[a] = new_user + rest
+            flat = int(np.argmax(cand))
+            a, b = divmod(flat, len(free_beams))
+            if cand[a, b] <= rate[p]:
+                break
+            members.append(free_users[a])
+            chosen.append(free_beams[b])
+            rate[p] = cand[a, b]
+        pairs = sorted(zip(members, chosen))  # users in increasing order
+        users[p, : len(pairs)] = [u for u, _ in pairs]
+        beams[p, : len(pairs)] = [b for _, b in pairs]
+    return users, beams, rate
 
 
 def schedule_greedy(vectors, C, params):
-    """Greedy insertion: repeatedly add the (user, beam) pair that most
-    increases the re-evaluated sum rate; stop at n_s users or when no
-    insertion strictly improves.  Ties go to the smallest (user, beam)."""
-    users = sorted(vectors)
-    if len(users) < 1:
-        raise ValueError("need at least one user")
-    if len(C) < params.n_s:
-        raise ValueError(f"codebook too small: |C|={len(C)} < n_s={params.n_s}")
-    pw = beam_powers(np.array([vectors[m] for m in users]), C)
-    members = []  # row indices into pw
-    beams = []
-    current = 0.0
-    while len(members) < params.n_s:
-        k_new = len(members) + 1
-        noise = params.sigma_sq * k_new / params.P
-        free_users = [i for i in range(len(users)) if i not in members]
-        free_beams = [j for j in range(len(C)) if j not in beams]
-        if not free_users or not free_beams:
-            break
-        cand = np.full((len(free_users), len(free_beams)), -np.inf)
-        intf_existing = pw[:, beams].sum(axis=1) if beams else np.zeros(len(users))
-        for a, i in enumerate(free_users):
-            new_user = np.log1p(pw[i, free_beams] / (noise + intf_existing[i]))
-            rest = np.zeros(len(free_beams))
-            for pos, l in enumerate(members):
-                base_intf = intf_existing[l] - pw[l, beams[pos]]
-                rest += np.log1p(pw[l, beams[pos]] / (noise + base_intf + pw[l, free_beams]))
-            cand[a] = new_user + rest
-        flat = int(np.argmax(cand))
-        a, b = divmod(flat, len(free_beams))
-        if cand[a, b] <= current:
-            break
-        members.append(free_users[a])
-        beams.append(free_beams[b])
-        current = float(cand[a, b])
-    assignment = BeamAssignment({users[i]: beams[pos] for pos, i in enumerate(members)})
-    return ScheduleDecision(assignment, current, "greedy")
-
-
-_ZF_BATCH_ELEMENTS = 1 << 11  # direction entries (candidate sets x n_s x n_t) one stacked greedy step holds
-
-
-def zf_batch_group(params):
-    """(draw, user) pairs of one `zf_schedule_block` call: the harness
-    sizes zeroforcing blocks by it, as it sizes ra-full blocks by
-    `feedback.ra_batch_group`."""
-    return max(1, _ZF_BATCH_ELEMENTS // (params.n_s * params.n_t))
+    """Greedy insertion on one problem (a dict user -> vector): the
+    one-problem case of `schedule_greedy_block`."""
+    return _one_problem(schedule_greedy_block, vectors, C, params, "greedy")
 
 
 def _zf_solve(A):
@@ -227,11 +230,6 @@ def _zf_solve(A):
     stack matrix by matrix, so each equals the call on that matrix alone."""
     full = np.linalg.matrix_rank(A, tol=1e-10) == A.shape[-2]
     return full, np.linalg.pinv(A[full])
-
-
-def _unit_columns(B):
-    """The columns of B, each divided by its own 1-D norm."""
-    return tuple(b / np.linalg.norm(b) for b in B.T)
 
 
 def zf_precode(cdis, params):
@@ -247,7 +245,8 @@ def zf_precode(cdis, params):
     full, B = _zf_solve(np.array([np.conj(v) for v in cdis])[None])
     if not full[0]:
         raise ValueError("channel directions are linearly dependent; cannot zeroforce")
-    return PrecodedDecision(users=tuple(range(len(cdis))), beams=_unit_columns(B[0]))
+    # each column over its own norm, as `zf_schedule_block` normalizes its beams
+    return PrecodedDecision(users=tuple(range(len(cdis))), beams=tuple(B[0].T / row_norms(B[0].T)[:, None]))
 
 
 def zf_decision_for(users, cdis, params):
@@ -256,39 +255,42 @@ def zf_decision_for(users, cdis, params):
     return PrecodedDecision(users=tuple(users), beams=base.beams)
 
 
-def zf_schedule_block(vectors_per_draw, params):
-    """Greedy zeroforcing user selection on the reported vectors of many draws.
+def zf_schedule_block(vectors, params):
+    """Greedy zeroforcing user selection on the reported vectors (draws,
+    users, n_t) of many draws, `params` holding each draw's SystemParams.
 
-    For each draw (a dict user -> reported vector) the user maximizing the
-    predicted ZF sum rate is added, one at a time: interference is nulled
-    by construction, so each user's prediction uses only its own-beam
-    alignment.  A draw stops at n_s users or when no candidate strictly
-    improves its prediction; ties go to the smallest user.  Zero vectors
-    and linearly dependent direction sets are never scheduled.  Returns one
-    (PrecodedDecision, predicted sum rate) per draw, users in the order
-    they were added; a draw that schedules nobody gets ((), ()) and 0.0.
+    For each draw the user maximizing the predicted ZF sum rate is added,
+    one at a time: interference is nulled by construction, so each user's
+    prediction uses only its own-beam alignment.  A draw stops at n_s
+    users or when no candidate strictly improves its prediction; ties go
+    to the smallest user.  Zero vectors and linearly dependent direction
+    sets are never scheduled.  Returns (users, beams, predicted): each
+    draw's users in the order they were added, padded with -1, their unit
+    beams (draws, largest min(n_s, n_t), n_t), zero-padded, and the
+    predicted sum rate, 0.0 for a draw that schedules nobody.
 
     Every draw still running takes greedy step k together: the (chosen
     users + one candidate) sets of all of them go through one stacked rank
-    test and pseudo-inverse.  Unit directions come from one stacked
-    `row_norms` pass and the winners' beams are normalized vector by
-    vector, so each beam equals `zf_precode`'s on the same set bit for bit;
-    the stacked scores only pick the winner.
+    test and pseudo-inverse.  Unit directions and the winners' beams are
+    normalized by stacked `row_norms` passes, each norm equal to that of
+    its vector alone, so each beam equals `zf_precode`'s on the same set
+    bit for bit; the stacked scores only pick the winner.
     """
-    ids = [sorted(vectors) for vectors in vectors_per_draw]
-    n_draws, width = len(ids), max(map(len, ids), default=0)
-    raw = np.zeros((n_draws, width, params.n_t), dtype=complex)
-    for d, vectors in enumerate(vectors_per_draw):
-        if ids[d]:
-            raw[d, : len(ids[d])] = [vectors[m] for m in ids[d]]
+    raw = np.asarray(vectors, dtype=complex)
+    n_draws, width, n_t = raw.shape
+    n_s = np.array([p.n_s for p in params], dtype=int)
+    sigma_sq, power = np.array([(p.sigma_sq, p.P) for p in params]).reshape(-1, 2).T
     norm = row_norms(raw)
-    usable = norm != 0  # False for zero vectors and padding
+    usable = norm != 0  # False for zero vectors
     conj_units = np.conj(raw / np.where(usable, norm, 1.0)[..., None])  # conjugated unit directions
     running = np.arange(n_draws)
-    chosen = np.zeros((n_draws, 0), dtype=int)  # slots each running draw has added, in order
+    chosen = np.zeros((n_draws, 0), dtype=int)  # users each running draw has added, in order
     best_sum = np.zeros(n_draws)
-    final = [None] * n_draws  # (chosen slots, pseudo-inverse) of each draw's last step
-    for k in range(1, min(params.n_s, params.n_t) + 1):
+    k_max = min(n_s.max(initial=0), n_t)
+    users = np.full((n_draws, k_max), -1)  # each draw's users, in the order they were added
+    beams = np.zeros((n_draws, k_max, n_t), dtype=complex)  # the pseudo-inverse columns of their last step
+    for k in range(1, k_max + 1):
+        chosen, running = chosen[n_s[running] >= k], running[n_s[running] >= k]
         open_ = usable[running]
         open_[np.arange(len(running))[:, None], chosen] = False
         r_idx, j_idx = np.nonzero(open_)  # row-major: a draw's sets in user order
@@ -297,10 +299,10 @@ def zf_schedule_block(vectors_per_draw, params):
         sets = np.concatenate([chosen[r_idx], j_idx[:, None]], axis=1)
         d_idx = running[r_idx]
         full, B = _zf_solve(conj_units[d_idx[:, None], sets])
-        beams = B / np.linalg.norm(B, axis=1, keepdims=True)
+        units = B / np.linalg.norm(B, axis=1, keepdims=True)
         v = raw[d_idx[full][:, None], sets[full]]
-        sig = np.abs(np.einsum("cin,cni->ci", v.conj(), beams)) ** 2
-        rates = np.log1p(sig / (params.sigma_sq * k / params.P))
+        sig = np.abs(np.einsum("cin,cni->ci", v.conj(), units)) ** 2
+        rates = np.log1p(sig / (sigma_sq[d_idx[full]] * k / power[d_idx[full]])[:, None])
         total = rates[:, 0]
         for i in range(1, k):  # added in position order, as a sum over users
             total = total + rates[:, i]
@@ -314,77 +316,71 @@ def zf_schedule_block(vectors_per_draw, params):
         chosen = np.concatenate([chosen, pick[:, None]], axis=1)[grow]
         running = running[grow]
         best_sum[running] = top[grow]
-        for d, slots, c in zip(running, chosen, where[grow, pick[grow]]):
-            final[d] = (slots, B[c])
-    out = []
-    for d, last in enumerate(final):
-        if last is None:
-            out.append((PrecodedDecision(users=(), beams=()), 0.0))
-        else:
-            slots, B = last
-            users = tuple(ids[d][j] for j in slots)
-            out.append((PrecodedDecision(users=users, beams=_unit_columns(B)), float(best_sum[d])))
-    return out
+        users[running, :k] = chosen
+        beams[running, :k] = np.swapaxes(B[where[grow, pick[grow]]], 1, 2)
+    norm = row_norms(beams)
+    return users, beams / np.where(norm == 0, 1.0, norm)[..., None], best_sum
 
 
 def zf_schedule(vectors, params):
-    """Greedy zeroforcing selection on one draw's reported vectors: the
-    one-draw case of `zf_schedule_block`."""
-    return zf_schedule_block([vectors], params)[0]
+    """Greedy zeroforcing selection on one draw's reported vectors (a dict
+    user -> vector): the one-draw case of `zf_schedule_block`, as a
+    (PrecodedDecision, predicted sum rate) pair."""
+    ids = sorted(vectors)
+    stack = np.array([vectors[m] for m in ids], dtype=complex).reshape(1, len(ids), params.n_t)
+    users, beams, predicted = zf_schedule_block(stack, [params])
+    k = np.count_nonzero(users[0] >= 0)
+    return PrecodedDecision(tuple(ids[u] for u in users[0, :k].tolist()), tuple(beams[0, :k])), float(predicted[0])
 
 
-def realize_rates_block(problems, C=None):
-    """Actual rates of many decisions on the true channels, one RateReport
-    per (decision, sub_h_hat, params) problem.
+def realize_rates_block(users, beams, sub_h_hat, params, C=None):
+    """Actual rates of many decisions on the true channels, given as the
+    padded arrays the schedulers return: users (problems, k) by position,
+    -1 for none, and their beams, codeword indices into C or, with C None,
+    beam vectors (problems, k, n_t).  Returns the rate of every position
+    (0.0 where nobody is scheduled) and the sum rate of every problem.
 
-    sub_h_hat[m] is user m's (F, n_t) stack of filtered subcarrier
-    channels (`channel.EffectiveBlock.sub_h_hat`): each user receives with
-    the MRC filter of its averaged channel, the receiver its feedback and
-    the scheduler assume, and realizes the mean over subcarriers of the
-    rate formula.  Codebook decisions take their beams from C.
+    sub_h_hat (problems, users, F, n_t) holds every user's filtered
+    subcarrier channels (`channel.EffectiveBlock.sub_h_hat`): each user
+    receives with the MRC filter of its averaged channel, the receiver its
+    feedback and the scheduler assume, and realizes the mean over
+    subcarriers of the rate formula; `params` holds each problem's
+    SystemParams.
 
     Every (problem, scheduled user, subcarrier) row goes through one
     `rates.rates_with_beams` pass against its problem's zero-padded beams;
-    the per-user mean over subcarriers and the sum over users run in user
-    order.  So every report equals the computation on that problem alone
+    the per-user mean over subcarriers and the sum over positions run in
+    position order.  So every problem equals the computation on it alone
     bit for bit.
     """
-    users, beams = [], []
-    for decision, _, _ in problems:
-        if isinstance(decision, PrecodedDecision):
-            users.append(list(decision.users))
-            beams.append(list(decision.beams))
-        else:
-            users.append(decision.assignment.users)
-            beams.append([C[decision.assignment.pairs[m]] for m in users[-1]])
-    k = np.array([len(u) for u in users], dtype=int)
-    width = max(k.tolist(), default=0)
-    per_user = np.zeros((len(problems), width))
-    if width:
-        v = np.array([sub[m] for (_, sub, _), us in zip(problems, users) for m in us])  # (rows, F, n_t)
-        table = np.zeros((len(problems), width, v.shape[-1]), dtype=complex)  # each problem's beams, zero-padded
-        for p, b in enumerate(beams):
-            if b:
-                table[p, : len(b)] = b
-        prob = np.repeat(np.arange(len(problems)), k)
-        own = np.arange(len(prob)) - np.repeat(np.cumsum(k) - k, k)  # position of each row's user
-        sigma_sq, power = np.array([(params.sigma_sq, params.P) for _, _, params in problems]).T
+    users = np.asarray(users)
+    live = users >= 0
+    table = np.where(live[..., None], np.asarray(beams) if C is None else C.vectors[beams], 0.0)
+    prob, own = np.nonzero(live)  # problem-major, positions in order
+    per_user = np.zeros(users.shape)
+    if len(prob):
+        k = np.count_nonzero(live, axis=1)
+        sigma_sq, power = np.array([(p.sigma_sq, p.P) for p in params]).T
         noise = sigma_sq[prob] * k[prob] / power[prob]
+        v = sub_h_hat[prob, users[prob, own]]  # (rows, F, n_t)
         rates = rates_with_beams(v, table[prob][:, None], own[:, None], noise[:, None])  # (rows, F)
         per_user[prob, own] = np.mean(rates, axis=1)
-    total = 0.0
-    for j in range(width):  # in user order, as the scalar sum; padding adds 0.0
+    total = np.zeros(len(users))
+    for j in range(users.shape[1]):  # in position order, as the scalar sum; nobody adds 0.0
         total = total + per_user[:, j]
-    totals = np.broadcast_to(total, len(problems)).tolist()
-    return [
-        RateReport(per_user=dict(zip(us, row[: len(us)].tolist())), sum=t)
-        for us, row, t in zip(users, per_user, totals)
-    ]
+    return per_user, total
 
 
 def realize_rates(decision, channels, params, C=None):
     """Actual rates of a decision on the true channels: the one-draw case
     of `realize_rates_block`.  `channels` maps user -> UserChannel."""
-    users = list(decision.users) if isinstance(decision, PrecodedDecision) else decision.assignment.users
-    sub = dict(zip(users, user_channels_block([channels[m] for m in users]).sub_h_hat)) if users else {}
-    return realize_rates_block([(decision, sub, params)], C=C)[0]
+    if isinstance(decision, PrecodedDecision):
+        users, beams, C = list(decision.users), [list(decision.beams)], None
+    else:
+        users = decision.assignment.users
+        beams = [[decision.assignment.pairs[m] for m in users]]
+    if not users:
+        return RateReport(per_user={}, sum=0.0)
+    sub = user_channels_block([channels[m] for m in users]).sub_h_hat
+    per_user, total = realize_rates_block([range(len(users))], beams, sub[None], [params], C=C)
+    return RateReport(per_user=dict(zip(users, per_user[0].tolist())), sum=float(total[0]))

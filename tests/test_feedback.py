@@ -6,21 +6,27 @@ import pytest
 from ramimo.channel import (
     SystemParams,
     UserChannel,
+    draw_channel_stack,
+    effective_block,
     effective_channel_state,
     mrc_effective_channel,
 )
-from ramimo.codebook import Codebook, canonical_onb, concat_codebooks, rvq_codebook
+from ramimo.codebook import Codebook, canonical_onb, concat_codebooks, random_unitary, rvq_codebook
 from ramimo.feedback import (
+    beam_powers,
     chordal_cdi,
     chordal_feedback_block,
     compute_feedback,
     cqi_effective,
+    cross_gram,
     efficient_cdi,
+    efficient_feedback_block,
     feedback_vector,
     feedback_vectors,
     gap_sample_delta_ra,
     gap_samples_delta_ra,
     lemma1_feedback,
+    lemma1_feedback_block,
     lemma1_rhs,
     ra_distance,
     ra_feedback,
@@ -130,6 +136,66 @@ def test_chordal_block_matches_scalar_oracle(n_t, B):
         msg = chordal_cdi(eff, V)
         assert (msg.cdi_index, msg.cqi, msg.scalar_product_count) == (*_reference_chordal(eff, V), len(V))
     assert chordal_cdi(effs[0], V).cqi == 0.0
+
+
+def _reference_efficient(eff, C, V):
+    """Per-row ra-efficient feedback, as computed one user at a time before
+    the stacked pass: (index, CQI, gap)."""
+    psi = beam_powers(eff.h, C)
+    d = np.max(np.abs(psi[None, :] - cross_gram(V, C)), axis=1)
+    idx = int(np.argmin(d))
+    return idx, cqi_effective(eff.lambda_sq, eff.h, V[idx]), float(d[idx])
+
+
+def _reference_lemma1(eff, C, V):
+    """Per-row lemma1 feedback, as computed one user at a time before the
+    stacked pass: (index, CQI)."""
+    psi = beam_powers(eff.h, C)
+    w_star = int(np.argmax(psi))
+    eta = float(psi[w_star])
+    theta_w = np.abs(V.vectors @ np.conj(C[w_star])) ** 2
+    feasible = theta_w >= eta - 1e-12
+    align = np.abs(V.vectors @ np.conj(eff.h)) ** 2
+    idx = int(np.argmax(np.where(feasible, align, -1.0)))
+    lam_t = eff.lambda_sq / (1.0 + eff.lambda_sq)
+    th = float(theta_w[idx])
+    tt = min(lam_t * eta / th, 1.0 - 1e-12) if th > 0 else 0.0
+    return idx, float(np.sqrt(tt / (1.0 - tt)))
+
+
+@pytest.mark.parametrize("n_t, B, unitary", [(4, 3, False), (3, 4, True), (2, 2, False)])
+def test_efficient_and_lemma1_blocks_match_per_row_oracles(n_t, B, unitary):
+    # 5,600 rows at 0..100 dB, from n_r = 1 and n_r = 2 users under their
+    # MRC filters, with zero channels (lambda^2 = 0, h = e_1) mixed in, on
+    # a feedback codebook holding every codeword twice (argmin and argmax
+    # ties go to the first copy): each stacked pass equals its per-row
+    # oracle exactly, and efficient_cdi and lemma1_feedback are its
+    # one-row cases
+    C = random_unitary(n_t, SeedSpec(80).derive(n_t)) if unitary else canonical_onb(n_t)
+    base = concat_codebooks(C, rvq_codebook(n_t, B, SeedSpec(81).derive(n_t)))
+    V = concat_codebooks(base, base, kind="rvq")
+    effs = []
+    for n_r in (1, 2):
+        params = SystemParams(n_t=n_t, n_r=n_r, n_s=min(2, n_t))
+        H, sub = draw_channel_stack(params, 1, 0.0, 82, [(n_t, n_r, i) for i in range(2800)])
+        for i, h_hat in enumerate(effective_block(H, sub).h_hat):
+            h_hat = np.zeros(n_t, dtype=complex) if i % 97 == 0 else h_hat
+            effs.append(effective_channel_state(h_hat, params.with_snr_db(10.0 * (i % 11))))
+    h, lam = np.array([e.h for e in effs]), np.array([e.lambda_sq for e in effs])
+    assert len(effs) >= 5000 and (lam == 0.0).sum() >= 50
+    idx, theta, gap = efficient_feedback_block(h, lam, C, V, phi_table=cross_gram(V, C))
+    for row, eff in zip(zip(idx.tolist(), theta.tolist(), gap.tolist()), effs):
+        assert row == _reference_efficient(eff, C, V)
+        assert row[0] < len(base)
+    idx, theta = lemma1_feedback_block(h, lam, C, V)
+    for row, eff in zip(zip(idx.tolist(), theta.tolist()), effs):
+        assert row == _reference_lemma1(eff, C, V)
+        assert row[0] < len(base)
+    for eff in effs[::97][:30] + effs[1:200]:
+        msg = efficient_cdi(eff, C, V)
+        assert (msg.cdi_index, msg.cqi, msg.gap) == _reference_efficient(eff, C, V)
+        msg = lemma1_feedback(eff, C, V)
+        assert (msg.cdi_index, msg.cqi) == _reference_lemma1(eff, C, V)
 
 
 def test_feedback_vectors_match_scalar_oracle():
@@ -495,7 +561,11 @@ def test_gap_samples_stack_matches_per_user_distances():
         msgs = {m: ra_feedback(effs[m], C, V, params) for m in range(4)}
         msgs[3] = type(msgs[3])(cdi_index=5, cqi=0.0, strategy_tag="zero", scalar_product_count=0)
         samples.append((effs, msgs, params, users))
-    got = gap_samples_delta_ra(samples, C, V)
+    h_hat = np.array([[effs[m].h_hat for m in range(4)] for effs, *_ in samples])
+    cdi = [[msgs[m].cdi_index for m in range(4)] for _, msgs, *_ in samples]
+    cqi = [[msgs[m].cqi for m in range(4)] for _, msgs, *_ in samples]
+    scheduled = [[m in users for m in range(4)] for *_, users in samples]
+    got = gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, [params for *_, params, _ in samples], C, V).tolist()
     for (effs, msgs, params, users), value in zip(samples, got):
         total = 0.0
         for m in sorted(users):
@@ -503,7 +573,8 @@ def test_gap_samples_stack_matches_per_user_distances():
         assert value == 2.0 * total
         assert gap_sample_delta_ra(effs, msgs, C, V, params, users) == value
     assert got[1] == 0.0
-    assert gap_samples_delta_ra([], C, V) == []
+    empty = gap_samples_delta_ra(np.zeros((0, 4, 3)), np.zeros((0, 4), int), np.zeros((0, 4)), np.zeros((0, 4), bool), [], C, V)
+    assert empty.tolist() == []
 
 
 def test_ra_feedback_frequency_averaged_degenerate_chain():
@@ -550,8 +621,8 @@ def test_feedback_vector_reproduces_exact_channel():
 
 
 def test_ra_feedback_batch_matches_single_calls():
-    # users at different SNRs, flat and frequency-selective, in one batch:
-    # every message equals the one-problem call exactly
+    # users at different SNRs, flat and frequency-selective, in one batch
+    # per subcarrier count: every message equals the one-problem call exactly
     from ramimo.channel import draw_user_channel, per_subcarrier_effective_channels
     from ramimo.feedback import ra_feedback_batch
 
@@ -564,9 +635,13 @@ def test_ra_feedback_batch_matches_single_calls():
         uc = draw_user_channel(params, F=1 + 3 * (m % 2), rho=0.8, seed=SeedSpec(65).derive("c", m))
         subs = per_subcarrier_effective_channels(uc, params) if uc.F > 1 else None
         problems.append((mrc_effective_channel(uc, params), params, subs))
-    batch = ra_feedback_batch(problems, C, V)
-    single = [ra_feedback(eff, C, V, params, subcarrier_effs=subs) for eff, params, subs in problems]
-    assert batch == single
+    for F in (1, 4):
+        group = [(eff, params, subs) for eff, params, subs in problems if len(subs or [eff]) == F]
+        h_hat = np.array([[e.h_hat for e in subs or [eff]] for eff, _, subs in group])
+        batch = zip(*(a.tolist() for a in ra_feedback_batch(h_hat, [params for _, params, _ in group], C, V)))
+        single = [ra_feedback(eff, C, V, params, subcarrier_effs=subs) for eff, params, subs in group]
+        assert list(batch) == [(msg.cdi_index, msg.cqi, msg.gap) for msg in single]
+        assert len(single) == 2
 
 
 def test_ra_feedback_batch_rejects_mixed_configuration_tables():
@@ -574,12 +649,12 @@ def test_ra_feedback_batch_rejects_mixed_configuration_tables():
 
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(66).derive("v")))
-    problems = []
+    h_hat, params = [], []
     for n_s in (2, 3):
-        params = SystemParams(n_t=3, n_s=n_s, P=5.0)
-        problems.append((_random_eff(3, params, SeedSpec(66).derive("h", n_s)), params, None))
+        params.append(SystemParams(n_t=3, n_s=n_s, P=5.0))
+        h_hat.append([_random_eff(3, params[-1], SeedSpec(66).derive("h", n_s)).h_hat])
     with pytest.raises(ValueError, match="scheduling sizes"):
-        ra_feedback_batch(problems, C, V)
+        ra_feedback_batch(np.array(h_hat), params, C, V)
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +791,19 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
         for params in ctx.params_by_snr
         for uc in chans[d * users : (d + 1) * users]
     ]
-    zero = UserChannel(H=np.zeros((1, system["n_t"]), dtype=complex))
-    problems.append((mrc_effective_channel(zero, ctx.params_by_snr[-1]), ctx.params_by_snr[-1], None))
+    zero = UserChannel(
+        H=np.zeros((1, system["n_t"]), dtype=complex),
+        subcarriers=np.zeros((F, 1, system["n_t"]), dtype=complex) if F > 1 else None,
+    )
+    top = ctx.params_by_snr[-1]
+    problems.append((mrc_effective_channel(zero, top), top, per_subcarrier_effective_channels(zero, top) if F > 1 else None))
+    h_hat = np.array([[e.h_hat for e in subs or [eff]] for eff, _, subs in problems])
 
     def solve(elements, margin):
         monkeypatch.setattr(fb, "_BATCH_ELEMENTS", elements)
         monkeypatch.setattr(nm, "PRUNE_MARGIN", margin)
-        return [(m.cdi_index, m.cqi, m.gap) for m in fb.ra_feedback_batch(problems, ctx.C, ctx.V, phi_table=ctx.phi)]
+        out = fb.ra_feedback_batch(h_hat, [params for _, params, _ in problems], ctx.C, ctx.V, phi_table=ctx.phi)
+        return list(zip(*(a.tolist() for a in out)))
 
     default = fb._BATCH_ELEMENTS
     reference = solve(default, np.inf)  # nothing pruned

@@ -5,6 +5,7 @@ import pytest
 
 from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel
 from ramimo.cli import main as cli_main
+from ramimo.feedback import compute_feedback
 from ramimo.harness import (
     SimConfig,
     _Context,
@@ -235,25 +236,93 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
         monkeypatch.setattr(harness, "_block_size", default if size is None else lambda ctx, kind, n=size: n)
         result = run_delta_ra_experiment(cfg)
         runs.append((result.draws, result.tables))
-    assert default(harness._Context(cfg), "delta-ra") >= 7
+    assert default(cfg.num_users, len(cfg.snr_db_list)) >= 7
     assert runs[0] == runs[1] == runs[2]
-    # the block's effective channels are laid out (draw, SNR point, user),
-    # and prebuilt ones reach the jobs they belong to
+    # the block's effective channels and feedback are laid out (draw, SNR
+    # point, user), and every row is the one its user's own call gives
     ctx = harness._Context(cfg)
     block = ctx.effective(range(3))
-    effs = harness._block_effs(ctx, block)
+    h_hat, h, lam = harness._by_point(ctx, block.h_hat), harness._by_point(ctx, block.h), harness._lambda_sq(ctx, block)
+    cdi, cqi, _ = harness._block_feedback(ctx, "ra-full", block, ctx.params_by_snr * 3)
     H, sub = ctx.channel_stack(range(3))
     chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
-    expected = [mrc_effective_channel(chans[3 * d + m], p) for d in range(3) for p in ctx.params_by_snr for m in range(3)]
-    assert len(effs) == len(expected) == 3 * 3 * 3
-    for eff, ref in zip(effs, expected):
-        assert np.array_equal(eff.h_hat, ref.h_hat) and np.array_equal(eff.h, ref.h) and eff.lambda_sq == ref.lambda_sq
-    assert harness._block_feedback(ctx, "ra-full", block, effs)[2] == harness._block_feedback(ctx, "ra-full", block)[2]
+    expected = [(chans[3 * d + m], p) for d in range(3) for p in ctx.params_by_snr for m in range(3)]
+    assert h_hat.shape == h.shape == (3 * 3, 3, 3) and lam.shape == cdi.shape == cqi.shape == (3 * 3, 3)
+    rows = zip(h_hat.reshape(-1, 3), h.reshape(-1, 3), lam.ravel().tolist(), cdi.ravel().tolist(), cqi.ravel().tolist())
+    for (uc, p), (row_h_hat, row_h, row_lam, i, q) in zip(expected, rows):
+        ref = mrc_effective_channel(uc, p)
+        assert np.array_equal(row_h_hat, ref.h_hat) and np.array_equal(row_h, ref.h) and row_lam == ref.lambda_sq
+        msg = compute_feedback("ra-full", uc, ctx.C, ctx.V, p)
+        assert (i, q) == (msg.cdi_index, msg.cqi)
+
+
+def test_draws_independent_of_gain_search_groups(monkeypatch):
+    # ra_feedback_batch splits a block's rows into gain-search groups of its
+    # own; with a small group limit one delta-ra block and one ra-full
+    # sum-rate block each span at least 3 groups, and every draw equals
+    # its value at block sizes 1 and 3
+    import ramimo.feedback as fb
+    import ramimo.harness as harness
+
+    monkeypatch.setattr(fb, "_BATCH_ELEMENTS", 1 << 12)
+    default = harness._block_size
+    ra = {"strategy": "ra-full", "scheduler": "brute", "B": 4, "feedback_codebook": {"kind": "rvq-union-tx"}}
+    delta = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 3}, snr_db_list=[0.0, 60.0, 100.0], master_seed=43, **ra)
+    sum_rate = _cfg(system={"n_t": 4, "n_r": 1, "n_s": 2}, num_users=10, num_draws=27, **ra)
+    for cfg, run in ((delta, run_delta_ra_experiment), (sum_rate, run_sum_rate_experiment)):
+        ctx = harness._Context(cfg)
+        configs = fb.scheduling_configs(len(ctx.C), range(1, cfg.params.n_s + 1))[0]
+        group = fb._BATCH_ELEMENTS // (len(ctx.V) * len(configs))
+        size = default(cfg.num_users, len(cfg.snr_db_list))
+        assert size * cfg.num_users * len(cfg.snr_db_list) >= 3 * group and cfg.num_draws > size
+        results = []
+        for n in (1, 3, None):
+            monkeypatch.setattr(harness, "_block_size", default if n is None else lambda n_users, n_snr, n=n: n)
+            result = run(cfg)
+            results.append((result.draws, result.tables))
+        assert results[0] == results[1] == results[2]
+
+
+def test_harness_hands_arrays_between_stages(monkeypatch):
+    # no stage of a block builds a per-row result object: with every such
+    # type made unbuildable, sum-rate runs of each strategy, scheduler and
+    # precoder and delta-ra runs still complete
+    import ramimo.channel
+    import ramimo.feedback
+    import ramimo.rates
+    import ramimo.scheduler
+    from ramimo.feedback import STRATEGIES
+
+    class Forbidden:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the harness path")
+
+    names = ("EffectiveChannel", "FeedbackMessage", "ScheduleDecision", "PrecodedDecision", "RateReport")
+    for module in (ramimo.channel, ramimo.feedback, ramimo.rates, ramimo.scheduler):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, type(name, (Forbidden,), {}))
+    with pytest.raises(AssertionError, match="EffectiveChannel built"):
+        mrc_effective_channel(UserChannel(H=np.ones((1, 4))), SystemParams(n_t=4))
+    base = _cfg(
+        system={"n_t": 4, "n_r": 2, "n_s": 2},
+        num_users=4,
+        num_draws=3,
+        snr_db_list=[0.0, 30.0],
+        scheduler="brute",
+        feedback_codebook={"kind": "rvq-union-tx"},
+        F=2,
+    )
+    for strategy in STRATEGIES:
+        assert len(run_sum_rate_experiment(base.replace(strategy=strategy)).draws["sum_rate_nats"]) == 3
+    run_sum_rate_experiment(base.replace(strategy="ra-full", scheduler="greedy"))
+    run_sum_rate_experiment(base.replace(precoder="zf"))
+    for strategy in ("ra-full", "chordal"):
+        assert len(run_delta_ra_experiment(base.replace(strategy=strategy)).draws["gap_samples_nats"]) == 3
 
 
 def test_block_size_rule():
-    from ramimo.feedback import ra_batch_group
-    from ramimo.harness import _block_size
+    from ramimo.harness import _BLOCK_ROWS, _block_size
 
     criterion_9 = SimConfig.from_dict(
         {
@@ -277,20 +346,16 @@ def test_block_size_rule():
             "feedback_codebook": {"kind": "rvq-union-tx"},
         }
     )
-    assert _block_size(_Context(criterion_9), "sum-rate") > 1
-    for strategy in ("chordal", "ra-efficient", "lemma1", "perfect"):  # stacked passes only, no gain search
-        assert _block_size(_Context(criterion_9.replace(strategy=strategy)), "sum-rate") > 1
-    zf = criterion_9.replace(strategy="chordal", precoder="zf", F=8)
-    assert _block_size(_Context(zf), "sum-rate") > 1
-    assert _block_size(_Context(zf.replace(strategy="perfect", snr_db_list=[0.0, 30.0])), "sum-rate") > 1
-    ctx = _Context(criterion_7)
-    group = ra_batch_group(ctx.C, ctx.V, criterion_7.params)
-    assert _block_size(ctx, "delta-ra") == max(1, group // (criterion_7.num_users * len(criterion_7.snr_db_list)))
+    # one rule for every experiment, strategy, scheduler and precoder:
+    # _BLOCK_ROWS (draw, SNR point, user) rows, at least one draw
+    assert _block_size(criterion_9.num_users, len(criterion_9.snr_db_list)) == 25
+    assert _block_size(criterion_7.num_users, len(criterion_7.snr_db_list)) == 17
+    assert _block_size(3, 6) == 14  # the benchmark's delta-ra sweep
     for cfg in (criterion_9, criterion_7):
-        for kw in ({}, {"num_users": 1}, {"num_users": 500}, {"strategy": "perfect"}, {"strategy": "chordal"}):
-            ctx = _Context(cfg.replace(**kw))
-            assert _block_size(ctx, "sum-rate") >= 1
-            assert _block_size(ctx, "delta-ra") >= 1
+        for kw in ({}, {"num_users": 1}, {"num_users": 500}, {"snr_db_list": [0.0] * 300}):
+            n_users, n_snr = cfg.replace(**kw).num_users, len(cfg.replace(**kw).snr_db_list)
+            assert _block_size(n_users, n_snr) == max(1, _BLOCK_ROWS // (n_users * n_snr))
+    assert _block_size(500, 1) == _block_size(3, 300) == 1
 
 
 def test_perfect_dominates_partial():

@@ -304,9 +304,26 @@ def _brute_problems(n_t, seed):
     return [(vectors, SystemParams(n_t=n_t, n_s=n_s).with_snr_db(snr)) for vectors, n_s, snr in problems]
 
 
+def _brute_block_decisions(problems, C):
+    """ScheduleDecision of every (vectors, params) problem, from one
+    `schedule_bruteforce_block` call per user count."""
+    out = [None] * len(problems)
+    for n in sorted({len(vectors) for vectors, _ in problems}):
+        group = [i for i, (vectors, _) in enumerate(problems) if len(vectors) == n]
+        ids = [sorted(problems[i][0]) for i in group]
+        stack = np.array([[problems[i][0][m] for m in u] for i, u in zip(group, ids)])
+        users, beams, rate = schedule_bruteforce_block(stack, C, [problems[i][1] for i in group])
+        assert ((users < 0) == (beams < 0)).all()
+        for i, u, row_u, row_b, r in zip(group, ids, users.tolist(), beams.tolist(), rate.tolist()):
+            assert row_u == sorted(row_u, key=lambda a: (a < 0, a))  # increasing, padding last
+            out[i] = ScheduleDecision(BeamAssignment({u[a]: b for a, b in zip(row_u, row_b) if a >= 0}), r, "brute")
+    return out
+
+
 @pytest.mark.parametrize("block", [None, 5])
 def test_brute_block_matches_scalar_oracle(monkeypatch, block):
-    # one stacked call, every problem with its own noise term and n_s, and
+    # one stacked call per user count, every problem with its own noise
+    # term and n_s, and
     # candidates scored in passes of `block` (default or tiny), matches the
     # enumeration oracle's winner, tie-break and predicted rate exactly: on
     # codebooks of unit vectors (duplicated codewords included) the oracle's
@@ -321,7 +338,7 @@ def test_brute_block_matches_scalar_oracle(monkeypatch, block):
         for C in (canonical_onb(n_t), Codebook(np.vstack([onb, onb[::-1][:2]]), kind="dup")):
             # saturated powers overflow to inf, and inf / inf candidates score NaN
             with np.errstate(over="ignore", invalid="ignore"):
-                got = schedule_bruteforce_block([v for v, _ in problems], C, [p for _, p in problems])
+                got = _brute_block_decisions(problems, C)
                 assert len(got) == len(problems)
                 for (vectors, params), decision in zip(problems, got):
                     ref_rate, ref_S, ref_beams = reference_enumerator(vectors, C, params)
@@ -333,7 +350,8 @@ def test_brute_block_matches_scalar_oracle(monkeypatch, block):
             assert got[-3].assignment.pairs == {2: 0}  # twins 2 and 5 tie: the smaller user
             assert got[-2].assignment.pairs == {0: 1, 1: 0}
             assert got[-1].assignment.pairs == {0: 0}
-    assert schedule_bruteforce_block([], canonical_onb(2), []) == []
+    users, beams, rate = schedule_bruteforce_block(np.zeros((0, 3, 2)), canonical_onb(2), [])
+    assert users.shape == beams.shape == (0, 0) and rate.shape == (0,)
 
 
 def _reference_zf_beams(dirs):
@@ -392,6 +410,23 @@ def _assert_same_zf(got, expected):
     assert predicted == pytest.approx(ref_predicted, rel=1e-12, abs=1e-15)
 
 
+def _zf_block(block, params):
+    """(PrecodedDecision, predicted) of every draw (a dict user -> vector)
+    of `block`, from one `zf_schedule_block` call; the users a draw lacks
+    get zero vectors, which are never scheduled."""
+    ids = [sorted(vectors) for vectors in block]
+    stack = np.zeros((len(block), max(map(len, ids), default=0), params.n_t), dtype=complex)
+    for d, vectors in enumerate(block):
+        if ids[d]:
+            stack[d, : len(ids[d])] = [vectors[m] for m in ids[d]]
+    out = []
+    for u, b, predicted, draw_ids in zip(*zf_schedule_block(stack, [params] * len(block)), ids):
+        k = np.count_nonzero(u >= 0)
+        assert (u[k:] == -1).all() and not b[k:].any()
+        out.append((PrecodedDecision(users=tuple(draw_ids[j] for j in u[:k].tolist()), beams=tuple(b[:k])), predicted))
+    return out
+
+
 def _zf_draw(n_users, n_t, seed, zero=(), copies=(), scaled=()):
     vectors = _random_vectors(n_users, n_t, seed)
     for m in zero:
@@ -421,7 +456,7 @@ def test_zf_block_matches_scalar_oracle(n_t, n_s):
             _zf_draw(3, n_t, seed.derive("zero"), zero=(0, 1, 2)),
             {5: np.ones(n_t, dtype=complex), 2: 2.0 * np.ones(n_t, dtype=complex)},
         ]
-        got = zf_schedule_block(block, params)
+        got = _zf_block(block, params)
         assert len(got) == len(block)
         for vectors, out in zip(block, got):
             expected = reference_zf_schedule(vectors, params)
@@ -430,7 +465,8 @@ def test_zf_block_matches_scalar_oracle(n_t, n_s):
         assert got[-2] == (PrecodedDecision(users=(), beams=()), 0.0)
         assert got[-1][0].users == (2,)
         assert len({len(decision.users) for decision, _ in got}) >= min(n_s, 2) + 1
-    assert zf_schedule_block([], SystemParams(n_t=n_t, n_s=n_s)) == []
+    users, beams, predicted = zf_schedule_block(np.zeros((0, 3, n_t)), [])
+    assert users.shape == (0, 0) and beams.shape == (0, 0, n_t) and predicted.shape == (0,)
 
 
 def test_zf_stops_when_no_candidate_improves():
@@ -438,7 +474,7 @@ def test_zf_stops_when_no_candidate_improves():
     # exactly 0, which does not improve on the empty schedule's 0
     params = SystemParams(n_t=4, n_s=2).with_snr_db(-40.0)
     block = [{m: 3e-161 * v for m, v in _random_vectors(5, 4, SeedSpec(43).derive(i)).items()} for i in range(4)]
-    for vectors, out in zip(block, zf_schedule_block(block, params)):
+    for vectors, out in zip(block, _zf_block(block, params)):
         assert out == (PrecodedDecision(users=(), beams=()), 0.0)
         _assert_same_zf(out, reference_zf_schedule(vectors, params))
     assert zf_schedule({0: 1e-150 * np.ones(4, dtype=complex)}, params)[0].users == (0,)
@@ -476,12 +512,36 @@ def reference_realize(decision, sub, params, C=None):
     return RateReport(per_user=per_user, sum=float(sum(per_user.values())))
 
 
+def _realize_block(problems, C):
+    """RateReport of every (decision, sub, params) problem, from one
+    `realize_rates_block` call for the zeroforcing decisions and one for
+    the codebook decisions."""
+    out = [None] * len(problems)
+    for zf in (True, False):
+        group = [i for i, (decision, _, _) in enumerate(problems) if isinstance(decision, PrecodedDecision) == zf]
+        decisions = [problems[i][0] for i in group]
+        users_of = [list(d.users) if zf else d.assignment.users for d in decisions]
+        width = max(map(len, users_of), default=0)
+        users = np.full((len(group), width), -1)
+        beams = np.zeros((len(group), width, C.dim), dtype=complex) if zf else np.full((len(group), width), -1)
+        for r, (d, us) in enumerate(zip(decisions, users_of)):
+            if us:
+                users[r, : len(us)] = us
+                beams[r, : len(us)] = list(d.beams) if zf else [d.assignment.pairs[m] for m in us]
+        subs = np.array([problems[i][1] for i in group])
+        per_user, total = realize_rates_block(users, beams, subs, [problems[i][2] for i in group], C=None if zf else C)
+        for r, (i, us) in enumerate(zip(group, users_of)):
+            assert not per_user[r, len(us) :].any()
+            out[i] = RateReport(per_user=dict(zip(us, per_user[r, : len(us)].tolist())), sum=float(total[r]))
+    return out
+
+
 @pytest.mark.parametrize("F, n_r", [(1, 1), (4, 2), (12, 1)])
 def test_realize_block_matches_scalar_oracle(F, n_r):
     # zeroforcing, codebook and empty decisions of many draws at -20..100
     # dB, at least 5,000 (user, subcarrier) rows, realized in one stacked
-    # call: every report equals the scalar oracle bit for bit (F = 12
-    # takes numpy's pairwise mean past its 8-term block)
+    # call per decision kind: every report equals the scalar oracle bit
+    # for bit (F = 12 takes numpy's pairwise mean past its 8-term block)
     params = SystemParams(n_t=4, n_r=n_r, n_s=3)
     C = rvq_codebook(4, 3, SeedSpec(44))
     n_draws, n_users = 1500 // F + 40, 6
@@ -496,7 +556,7 @@ def test_realize_block_matches_scalar_oracle(F, n_r):
     for lo in range(0, n_draws, 8):
         p = params.with_snr_db(snrs[(lo // 8) % len(snrs)])
         draws = range(lo, min(lo + 8, n_draws))
-        for d, (decision, _) in zip(draws, zf_schedule_block([dict(enumerate(h_hat[d])) for d in draws], p)):
+        for d, (decision, _) in zip(draws, _zf_block([dict(enumerate(h_hat[d])) for d in draws], p)):
             problems.append((decision, subs[d], p))
             k = int(rng.integers(0, 4))
             users = rng.choice(n_users, k, replace=False).tolist()
@@ -504,7 +564,7 @@ def test_realize_block_matches_scalar_oracle(F, n_r):
             problems.append((ScheduleDecision(BeamAssignment(dict(zip(users, beams))), 0.0, "brute"), subs[d], p))
     problems.append((PrecodedDecision(users=(), beams=()), subs[0], params))
     problems.append((ScheduleDecision(BeamAssignment({}), 0.0, "brute"), subs[0], params))
-    got = realize_rates_block(problems, C=C)
+    got = _realize_block(problems, C)
     rows = sum(len(r.per_user) for r in got) * F
     assert rows >= 5000
     for report, (decision, sub, p) in zip(got, problems):
@@ -513,7 +573,8 @@ def test_realize_block_matches_scalar_oracle(F, n_r):
         assert report.sum == ref.sum
     assert got[-1] == got[-2] == RateReport(per_user={}, sum=0.0)
     assert {len(r.per_user) for r in got} == {0, 1, 2, 3}
-    assert realize_rates_block([], C=C) == []
+    per_user, total = realize_rates_block(np.zeros((0, 0), dtype=int), np.zeros((0, 0), dtype=int), subs[:0], [], C=C)
+    assert per_user.shape == (0, 0) and total.shape == (0,)
     # realize_rates is the one-draw case, on the users' UserChannels
     for d in range(0, n_draws, 37):
         channels = dict(enumerate(chans[d * n_users : (d + 1) * n_users]))
