@@ -27,7 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from .channel import user_channels_block
-from .numerics import abs_sq, minimax_log_gain
+from .numerics import abs_sq, minimax_log_gain, ordered_sum
+from .rates import rate
 
 # (column, configuration) entries of one gain search before codeword
 # pruning, which leaves a few percent of the columns after ten halvings:
@@ -63,32 +64,38 @@ def scheduling_configs(n_beams, sizes):
     The rate of a user depends on the scheduling decision only through the
     number of active users, its own beam, and the set of distinct
     interfering beams, so the worst case over explicit user sets and
-    injective mappings reduces to this table.
+    injective mappings reduces to this table.  Returns the interferer-index
+    table, one row per configuration holding its own beam and then its
+    interfering beams in beam order, padded with n_beams, the index of a
+    zero-power column, to at least one interferer column; and |S| of every
+    configuration.
     """
     key = (n_beams, tuple(sizes))
-    if key in _CONFIG_CACHE:
-        return _CONFIG_CACHE[key]
-    own, masks, ks, intf = [], [], [], []
-    for k in sizes:
-        if k < 1 or k > n_beams:
-            raise ValueError(f"cannot schedule {k} users on {n_beams} beams")
-        for j in range(n_beams):
-            others = [i for i in range(n_beams) if i != j]
-            for T in combinations(others, k - 1):
-                own.append(j)
-                ks.append(k)
-                intf.append(T)
-                row = np.zeros(n_beams)
-                row[list(T)] = 1.0
-                masks.append(row)
-    table = (
-        np.array(own, dtype=int),
-        np.array(masks),
-        np.array(ks, dtype=float),
-        tuple(intf),
-    )
-    _CONFIG_CACHE[key] = table
-    return table
+    if key not in _CONFIG_CACHE:
+        rows, ks = [], []
+        width = max([2, *key[1]])
+        for k in key[1]:
+            if k < 1 or k > n_beams:
+                raise ValueError(f"cannot schedule {k} users on {n_beams} beams")
+            for j in range(n_beams):
+                for T in combinations([i for i in range(n_beams) if i != j], k - 1):
+                    rows.append((j, *T) + (n_beams,) * (width - k))
+                    ks.append(k)
+        _CONFIG_CACHE[key] = (np.array(rows, dtype=int).reshape(-1, width), np.array(ks, dtype=float))
+    return _CONFIG_CACHE[key]
+
+
+def _stacked_configs(n_beams, params):
+    """The configuration table of stacked problems `params`, whose n_s must
+    agree, the noise terms sigma^2 |S| / P of every (problem,
+    configuration) and every problem's `raw_scale_sq`, in the scalar
+    operation order."""
+    n_s = {p.n_s for p in params}
+    if len(n_s) > 1:
+        raise ValueError("stacked problems must share one n_s, so one set of scheduling sizes")
+    table, ks = scheduling_configs(n_beams, range(1, max(n_s, default=0) + 1))
+    n_t, sigma_sq, power = np.array([(p.n_t, p.sigma_sq, p.P) for p in params]).reshape(-1, 3).T
+    return table, sigma_sq[:, None] * ks / power[:, None], n_t * sigma_sq / power
 
 
 def beam_powers(v, C):
@@ -106,12 +113,13 @@ def cross_gram(V, C):
     return np.abs(V.vectors.conj() @ C.vectors.T) ** 2
 
 
-def _config_rates(powers, own, mask, noise):
-    """Rates (nats) of every configuration for raw power vectors `powers`
-    (beams on the last axis).  Interference sums run row by row, so a
-    stacked row equals the single-vector result bit for bit."""
-    intf = (powers[..., None, :] @ mask.T)[..., 0, :]
-    return np.log1p(powers[..., own] / (noise + intf))
+def _config_rates(powers, table, noise):
+    """Rates (nats) of every configuration of `table` for raw power vectors
+    `powers` (beams on the last axis), from `rates.rate` with each
+    configuration's interferers in table order, so a stacked row equals
+    the single-vector result bit for bit."""
+    powers = np.concatenate([powers, np.zeros((*powers.shape[:-1], 1))], axis=-1)
+    return rate(powers[..., table[:, 0]], (powers[..., beams] for beams in table.T[1:]), noise)
 
 
 def raw_scale_sq(params):
@@ -159,10 +167,6 @@ def chordal_cdi(eff, V):
     return FeedbackMessage(int(idx[0]), float(theta[0]), "chordal", len(V))
 
 
-def _sizes(params, sizes):
-    return tuple(range(1, params.n_s + 1)) if sizes is None else tuple(sizes)
-
-
 def ra_distance(eff, theta, nu, C, params, sizes=None):
     """Worst-case |true rate - approximated rate| over scheduling configurations.
 
@@ -171,22 +175,23 @@ def ra_distance(eff, theta, nu, C, params, sizes=None):
     over user-set sizes in `sizes` (default 1..n_s), every own beam, and
     every set of distinct interfering beams.
     """
-    own, mask, ks, intf = scheduling_configs(len(C), _sizes(params, sizes))
-    noise = _noise_and_scale([params], ks)[0][0]
-    r_true = _config_rates(beam_powers(eff.h_hat, C), own, mask, noise)
+    table, ks = scheduling_configs(len(C), range(1, params.n_s + 1) if sizes is None else sizes)
+    noise = params.sigma_sq * ks / params.P
+    r_true = _config_rates(beam_powers(eff.h_hat, C), table, noise)
     q = (theta * theta * raw_scale_sq(params)) * beam_powers(nu, C)
-    r_hat = _config_rates(q, own, mask, noise)
+    r_hat = _config_rates(q, table, noise)
     gaps = np.abs(r_true - r_hat)
     i = int(np.argmax(gaps))
+    own, *intf = table[i].tolist()
     return GapProfile(
         value=float(gaps[i]),
         n_scheduled=int(ks[i]),
-        own_beam=int(own[i]),
-        interferers=intf[i],
+        own_beam=own,
+        interferers=tuple(b for b in intf if b < len(C)),
     )
 
 
-def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None, sizes=None):
+def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None):
     """Full rate-approximation feedback: argmin over (theta, nu) of the
     worst-case rate mismatch.
 
@@ -203,23 +208,15 @@ def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None, sizes=N
     to the averaged channel in `eff`.
     """
     h_hat = np.array([e.h_hat for e in subcarrier_effs or [eff]])
-    cdi, cqi, gap = ra_feedback_batch(h_hat[None], [params], C, V, phi_table=phi_table, sizes=sizes)
+    cdi, cqi, gap = ra_feedback_batch(h_hat[None], [params], C, V, phi_table=phi_table)
     return FeedbackMessage(int(cdi[0]), float(cqi[0]), "ra-full", len(C) * len(V) + len(C), gap=float(gap[0]))
 
 
-def _noise_and_scale(params, ks):
-    """The normalized noise terms sigma^2 |S| / P of every configuration
-    (rows x configurations) and the `raw_scale_sq` of every SystemParams
-    in `params`, in the scalar operation order."""
-    n_t, sigma_sq, power = np.array([(p.n_t, p.sigma_sq, p.P) for p in params]).T
-    return sigma_sq[:, None] * ks / power[:, None], n_t * sigma_sq / power
-
-
-def ra_feedback_batch(h_hat, params, C, V, phi_table=None, sizes=None):
+def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
     """`ra_feedback` for a stack of rows (users or SNR points): h_hat
     (rows, F, n_t) holds each row's true-rate channels, its F subcarriers
     (whose rates are averaged) or its one flat channel, and `params` each
-    row's SystemParams, all with the same configuration table.  Returns
+    row's SystemParams, all with the same n_s.  Returns
     the CDI, CQI and gap arrays.
 
     One log-gain bisection runs over every (row, codeword) column, in
@@ -232,46 +229,32 @@ def ra_feedback_batch(h_hat, params, C, V, phi_table=None, sizes=None):
     """
     if len(V) == 0:
         raise ValueError("empty feedback codebook")
-    tables = {_sizes(p, sizes) for p in params}
-    if len(tables) > 1:
-        raise ValueError("batched problems must share one set of scheduling sizes")
-    own, mask, ks, _ = scheduling_configs(len(C), tables.pop())
+    table, noise, scale2 = _stacked_configs(len(C), params)
     phi = cross_gram(V, C) if phi_table is None else phi_table
-    noise, scale2 = _noise_and_scale(params, ks)
     # true rates of every (row, subcarrier) channel in one pass; a
     # frequency-averaged row takes the mean over its subcarriers
-    rates = _config_rates(beam_powers(h_hat, C), own, mask, noise[:, None])
+    rates = _config_rates(beam_powers(h_hat, C), table, noise[:, None])
     r_true = rates.mean(axis=1) if rates.shape[1] > 1 else rates[:, 0]
-    group = max(1, _BATCH_ELEMENTS // (len(V) * len(own)))  # bounds the first passes' working arrays
+    group = max(1, _BATCH_ELEMENTS // (len(V) * len(table)))  # bounds the first passes' working arrays
     parts = [
-        _ra_messages(r_true[lo : lo + group], noise[lo : lo + group], scale2[lo : lo + group], phi, own, mask)
+        _ra_messages(r_true[lo : lo + group], noise[lo : lo + group], scale2[lo : lo + group], phi, table)
         for lo in range(0, len(r_true), group)
     ]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _interferer_table(mask):
-    """Interfering beams of every configuration (row of `mask`) in beam
-    order, padded with len(mask[0]): the index of an all-zero power row."""
-    beams = [np.flatnonzero(row) for row in mask]
-    table = np.full((len(mask), max([1, *map(len, beams)])), mask.shape[1])
-    for row, b in zip(table, beams):
-        row[: len(b)] = b
-    return table
-
-
 def _interference(powers, table):
-    """Interference power of every configuration for every column of
-    `powers` (beam rows plus a final zero row).  The interfering beams are
-    added one by one in beam order, so a column's bits do not depend on how
-    many columns `powers` holds, as they can with a BLAS matrix product."""
-    total = powers[table[:, 0]]
-    for beams in table.T[1:]:
+    """Interference power of every configuration of `table` for every
+    column of `powers` (beam rows plus a final zero row).  The interfering
+    beams are added one by one in table order, as `rates.rate` adds them,
+    so a column's bits do not depend on how many columns `powers` holds."""
+    total = powers[table[:, 1]]
+    for beams in table.T[2:]:
         total += powers[beams]
     return total
 
 
-def _ra_messages(r_true, noise, scale2, phi, own, mask):
+def _ra_messages(r_true, noise, scale2, phi, table):
     """Minimax (codeword, gain, gap) of each problem as three arrays,
     given its true rates and noise terms (problems x configurations) and
     CQI^2-to-raw scale, from one `minimax_log_gain` search over every
@@ -279,7 +262,6 @@ def _ra_messages(r_true, noise, scale2, phi, own, mask):
     # one column per (problem, codeword) pair: the max over configurations
     # then runs across contiguous rows instead of along short ones
     n, n_v = len(r_true), len(phi)
-    table = _interferer_table(mask)
     # true rates and noise terms stay per problem and are read through
     # each column's problem index, so no (configurations x columns) array
     # outlives a pass
@@ -290,11 +272,13 @@ def _ra_messages(r_true, noise, scale2, phi, own, mask):
         np.tile(np.vstack([phi.T, np.zeros(n_v)]), (1, n)),
     )
 
+    # the rate formula in place, adding in `rates.rate`'s order: routed
+    # through the kernel, its temporaries made ra-full runs slower
     def excess(x, problem, scale2, phi_cols):
         powers = (scale2 * np.exp(x)) * phi_cols
         denom = _interference(powers, table)
         denom += noise[:, problem]
-        d = powers[own]
+        d = powers[table[:, 0]]
         d /= denom
         del denom
         np.log1p(d, out=d)
@@ -406,12 +390,12 @@ def lemma1_rhs(eff, nu, C):
     return best
 
 
-def gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, C, V, sizes=None):
+def gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, C, V):
     """Worst-case rate-gap samples of many draws: for each sample (row) of
     the (samples, users) arrays, 2 * the sum over the users `scheduled`
     marks of their `ra_distance` on the reported (CDI, CQI); h_hat
     (samples, users, n_t) holds the true channels and `params` each
-    sample's SystemParams, all with the same configuration table.
+    sample's SystemParams, all with the same n_s.
 
     Every scheduled (sample, user) row goes through one
     `beam_powers`/`_config_rates` pass, each row with its own noise terms
@@ -419,34 +403,27 @@ def gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, C, V, sizes=None):
     sample's mismatches are added in user order, unscheduled users adding
     0.0, so each sample equals the one-draw sum bit for bit.
     """
-    tables = {_sizes(p, sizes) for p in params}
-    if len(tables) > 1:
-        raise ValueError("stacked gap samples must share one set of scheduling sizes")
+    table, noise, scale2 = _stacked_configs(len(C), params)
     sample, user = np.nonzero(scheduled)
     values = np.zeros(np.shape(scheduled))
     if len(sample):
-        own, mask, ks, _ = scheduling_configs(len(C), tables.pop())
-        noise, scale2 = _noise_and_scale(params, ks)
         # true channels, then reported codewords scaled by their CQI, in one pass
         q = np.asarray(cqi)[sample, user]
         powers = beam_powers(np.concatenate([h_hat[sample, user], V.vectors[np.asarray(cdi)[sample, user]]]), C)
         powers[len(sample) :] *= (q * q * scale2[sample])[:, None]
-        rates = _config_rates(powers, own, mask, np.concatenate([noise[sample], noise[sample]]))
+        rates = _config_rates(powers, table, np.concatenate([noise[sample], noise[sample]]))
         values[sample, user] = np.abs(rates[: len(sample)] - rates[len(sample) :]).max(axis=1)
-    total = np.zeros(len(values))
-    for column in values.T:
-        total = total + column
-    return 2.0 * total
+    return 2.0 * ordered_sum(values.T, np.zeros(len(values)))
 
 
-def gap_sample_delta_ra(effs, msgs, C, V, params, users, sizes=None):
+def gap_sample_delta_ra(effs, msgs, C, V, params, users):
     """One draw's contribution to the worst-case rate-gap estimate:
     2 * sum over the scheduled-union users of their rate mismatch; the
     one-draw case of `gap_samples_delta_ra`."""
     ids = sorted(users)
     h_hat = np.array([effs[m].h_hat for m in ids], dtype=complex).reshape(1, len(ids), C.dim)
     cdi, cqi = [[msgs[m].cdi_index for m in ids]], [[msgs[m].cqi for m in ids]]
-    return float(gap_samples_delta_ra(h_hat, cdi, cqi, np.ones((1, len(ids)), bool), [params], C, V, sizes=sizes)[0])
+    return float(gap_samples_delta_ra(h_hat, cdi, cqi, np.ones((1, len(ids)), bool), [params], C, V)[0])
 
 
 STRATEGIES = ("perfect", "chordal", "ra-full", "ra-efficient", "lemma1")

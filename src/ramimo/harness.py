@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -73,6 +74,14 @@ _TOP_KEYS = {
 }
 
 
+def _integer(name, value):
+    """`value` as an int; a boolean or a non-integral number is an error."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: SystemParams
@@ -92,12 +101,11 @@ class SimConfig:
     b_list: tuple = ()
 
     def __post_init__(self):
-        if self.num_draws < 1:
-            raise ValueError("num_draws must be >= 1")
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
-        if self.B < 0:
-            raise ValueError("B must be >= 0")
+        for name, least in (("num_draws", 1), ("num_users", 1), ("B", 0), ("F", 1), ("master_seed", 0), ("workers", 1)):
+            value = _integer(name, getattr(self, name))
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, value)
         if not self.snr_db_list or not all(math.isfinite(s) for s in self.snr_db_list):
             raise ValueError("snr_db_list must be a non-empty list of finite values")
         if self.strategy not in STRATEGIES:
@@ -106,14 +114,13 @@ class SimConfig:
             raise ValueError(f"scheduler must be 'brute' or 'greedy', got {self.scheduler!r}")
         if self.precoder not in ("fixed-codebook", "zf"):
             raise ValueError(f"precoder must be 'fixed-codebook' or 'zf', got {self.precoder!r}")
-        if self.F < 1:
-            raise ValueError("F must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
-        object.__setattr__(self, "b_list", tuple(int(b) for b in self.b_list))
+        keys = [f"snr={s:g}" for s in self.snr_db_list]  # the CDF keys of result.json
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"snr_db_list points must differ in their output keys, got {keys}")
+        object.__setattr__(self, "b_list", tuple(_integer("b_list entry", b) for b in self.b_list))
 
     @classmethod
     def from_dict(cls, d):
@@ -125,9 +132,9 @@ class SimConfig:
         if unknown_sys:
             raise ValueError(f"unknown system keys: {sorted(unknown_sys)}")
         params = SystemParams(
-            n_t=int(system.get("n_t", 4)),
-            n_r=int(system.get("n_r", 1)),
-            n_s=int(system.get("n_s", 2)),
+            n_t=_integer("n_t", system.get("n_t", 4)),
+            n_r=_integer("n_r", system.get("n_r", 1)),
+            n_s=_integer("n_s", system.get("n_s", 2)),
             P=float(system.get("P", 1.0)),
             sigma_sq=float(system.get("sigma_sq", 1.0)),
         )

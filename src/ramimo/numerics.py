@@ -211,6 +211,16 @@ def row_norms(v):
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
+def ordered_sum(terms, start=0.0):
+    """Elementwise sum of `terms` added one by one in the order given, after
+    `start`: the order of a scalar loop, which numpy's sums over an axis
+    and matrix products do not keep."""
+    total = start
+    for term in terms:
+        total = total + term
+    return total
+
+
 def abs_sq(z):
     """|z|^2 elementwise, equal to the numpy-scalar form np.abs(z) ** 2.
 

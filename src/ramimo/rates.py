@@ -6,15 +6,16 @@ The per-user rate with equal power split over the scheduled set S is
 
 in nats, where v is the user's effective channel h_hat for true rates or
 the scaled quantization vector for rates predicted from feedback.
-`rates_with_beams` evaluates it over a whole stack of rows, and
-`rate_with_beams` is its one-row case.
+`rate` is that formula on given powers, `rates_with_beams` evaluates it
+from beam vectors over a whole stack of rows, and `rate_with_beams` is
+its one-row case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import abs_sq
+from .numerics import abs_sq, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,15 @@ class RateReport:
     sum: float
 
 
+def rate(sig, interferers, noise):
+    """The rate formula log(1 + sig / (noise + sum of interferers)) in
+    nats, elementwise over broadcasting arrays: the interferer powers are
+    added in the order given, then the noise.  Every rate of the package,
+    predicted or true, comes from here, except the gain search's in-place
+    `feedback._ra_messages` pass, which adds in the same order."""
+    return np.log1p(sig / (noise + ordered_sum(interferers)))
+
+
 def rates_with_beams(v, beams, own, noise):
     """Rate of every row of a stack: v (..., n_t) is the row's vector,
     beams (..., k, n_t) the beams of its scheduled set (zero rows pad a
@@ -54,12 +64,10 @@ def rates_with_beams(v, beams, own, noise):
     row's rate equals the computation on that row alone bit for bit.
     """
     gains = abs_sq(np.vecdot(v[..., None, :], beams))
-    own = np.asarray(own)
-    sig, intf = np.zeros(gains.shape[:-1]), 0.0
-    for j in range(gains.shape[-1]):
-        sig = np.where(own == j, gains[..., j], sig)
-        intf = intf + np.where(own == j, 0.0, gains[..., j])
-    return np.log1p(sig / (noise + intf))
+    is_own = np.asarray(own)[..., None] == np.arange(gains.shape[-1])
+    # the own power is its row's one nonzero term, so the sum is exact
+    sig = np.where(is_own, gains, 0.0).sum(axis=-1)
+    return rate(sig, np.moveaxis(np.where(is_own, 0.0, gains), -1, 0), noise)
 
 
 def rate_with_beams(v, own_beam, other_beams, n_active, params):

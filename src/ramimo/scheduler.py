@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import user_channels_block
 from .feedback import beam_powers
-from .numerics import row_norms
-from .rates import BeamAssignment, RateReport, rates_with_beams
+from .numerics import ordered_sum, row_norms
+from .rates import BeamAssignment, RateReport, rate, rates_with_beams
 
 BRUTE_MAX_USERS = 12
 BRUTE_MAX_BEAMS = 32
@@ -57,22 +57,14 @@ def _brute_tables(n_users, n_beams, k):
     return _BRUTE_TABLES[key]
 
 
-def _brute_scores(pw, noise, k, beam_tuples):
-    """Sum rate of every (row, beam tuple) candidate: pw[r, i] is the power
-    row of the i-th user of row r's subset, noise[r] its noise term.
-    Interference is summed over the other positions in order and the rates
-    are added position by position, the operation order of the rate
-    formula, so no candidate's bits depend on what else the pass holds."""
-    # gains[i][j][r, t]: power of row r's i-th user on the beam at position j of tuple t
-    gains = [[pw[:, i][:, beam_tuples[:, j]] for j in range(k)] for i in range(k)]
-    total = 0.0
-    for i in range(k):
-        intf = 0
-        for j in range(k):
-            if j != i:
-                intf = intf + gains[i][j]
-        total = total + np.log1p(gains[i][i] / (noise[:, None] + intf))
-    return total
+def _brute_scores(gains, noise):
+    """Predicted sum rate of scheduled sets, as both schedulers score them:
+    gains[i][j] holds, for every set, the power of its i-th user (users in
+    increasing order) on the beam of its j-th user, and noise the sets'
+    noise terms.  Each user's rate is `rates.rate` with its interferers in
+    position order, and the rates are added position by position, so no
+    set's bits depend on what else the pass holds."""
+    return ordered_sum(rate(row[i], row[:i] + row[i + 1 :], noise) for i, row in enumerate(gains))
 
 
 def schedule_bruteforce_block(vectors, C, params):
@@ -95,10 +87,9 @@ def schedule_bruteforce_block(vectors, C, params):
     within one k is that k's smallest key; the keys of different k are
     compared explicitly.
     """
-    n_users, n_s = _check_problems(vectors, C, params)
+    n_users, n_s, sigma_sq, power = _check_problems(vectors, C, params)
     if n_users > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
         raise ValueError(f"brute-force scheduling refused for |U|={n_users}, |C|={len(C)}; use greedy")
-    sigma_sq, power = np.array([(p.sigma_sq, p.P) for p in params]).reshape(-1, 2).T
     pw = beam_powers(vectors, C)  # (problems, users, beams)
 
     def key(k, s, t):
@@ -121,7 +112,10 @@ def schedule_bruteforce_block(vectors, C, params):
         step = max(1, _BRUTE_BLOCK // len(beam_tuples))
         for lo in range(0, len(prob), step):
             part = slice(lo, lo + step)
-            total = _brute_scores(pw[prob[part, None], subsets[sub[part]]], noise[part], k, beam_tuples)
+            held = pw[prob[part, None], subsets[sub[part]]]  # (rows, k, beams): power rows of each row's subset
+            # gains[i][j][r, t]: power of row r's i-th user on the beam at position j of tuple t
+            gains = [[held[:, i][:, beam_tuples[:, j]] for j in range(k)] for i in range(k)]
+            total = _brute_scores(gains, noise[part, None])
             row_top[part] = np.fmax.reduce(total, axis=1)  # NaN only where a whole row is NaN
             row_arg[part] = np.argmax(total == row_top[part, None], axis=1)
         row_top, row_arg = row_top.reshape(len(live), -1), row_arg.reshape(len(live), -1)
@@ -150,13 +144,14 @@ def schedule_bruteforce_block(vectors, C, params):
 
 
 def _check_problems(vectors, C, params):
-    """Users per problem and the n_s of every problem of a scheduling stack."""
+    """Users per problem and the n_s, sigma^2 and P of every problem of a
+    scheduling stack."""
     n_s = np.array([p.n_s for p in params], dtype=int)
     if vectors.shape[1] < 1:
         raise ValueError("need at least one user")
     if len(C) < n_s.max(initial=0):
         raise ValueError(f"codebook too small: |C|={len(C)} < n_s={n_s.max()}")
-    return vectors.shape[1], n_s
+    return vectors.shape[1], n_s, *np.array([(p.sigma_sq, p.P) for p in params]).reshape(-1, 2).T
 
 
 def _one_problem(block_fn, vectors, C, params, method):
@@ -178,44 +173,48 @@ def schedule_bruteforce(vectors, C, params):
 def schedule_greedy_block(vectors, C, params):
     """Greedy insertion for a stack of problems, arguments and padded
     result as in `schedule_bruteforce_block`: repeatedly add the (user,
-    beam) pair that most increases the re-evaluated sum rate; stop at n_s
+    beam) pair that most increases the predicted sum rate; stop at n_s
     users or when no insertion strictly improves.  Ties go to the smallest
-    (user, beam).  The power tables come from one stacked pass; the search
-    runs problem by problem."""
-    _, n_s = _check_problems(vectors, C, params)
-    users = np.full((len(n_s), n_s.max(initial=0)), -1)
+    (user, beam).
+
+    Every problem still running takes step k together: the candidate sets
+    (its pairs plus one free pair, users in increasing order) of all of
+    them are scored in one `_brute_scores` pass, as the brute scheduler
+    scores each set."""
+    n_users, n_s, sigma_sq, power = _check_problems(vectors, C, params)
+    pw = beam_powers(vectors, C)  # (problems, users, beams)
+    n_problems, n_beams = len(pw), len(C)
+    users = np.full((n_problems, n_s.max(initial=0)), -1)  # each problem's pairs, users in increasing order
     beams = users.copy()
-    rate = np.zeros(len(n_s))
-    for p, (pw, problem) in enumerate(zip(beam_powers(vectors, C), params)):
-        members = []  # row indices into pw
-        chosen = []
-        while len(members) < problem.n_s:
-            k_new = len(members) + 1
-            noise = problem.sigma_sq * k_new / problem.P
-            free_users = [i for i in range(len(pw)) if i not in members]
-            free_beams = [j for j in range(len(C)) if j not in chosen]
-            if not free_users or not free_beams:
-                break
-            cand = np.full((len(free_users), len(free_beams)), -np.inf)
-            intf_existing = pw[:, chosen].sum(axis=1) if chosen else np.zeros(len(pw))
-            for a, i in enumerate(free_users):
-                new_user = np.log1p(pw[i, free_beams] / (noise + intf_existing[i]))
-                rest = np.zeros(len(free_beams))
-                for pos, l in enumerate(members):
-                    base_intf = intf_existing[l] - pw[l, chosen[pos]]
-                    rest += np.log1p(pw[l, chosen[pos]] / (noise + base_intf + pw[l, free_beams]))
-                cand[a] = new_user + rest
-            flat = int(np.argmax(cand))
-            a, b = divmod(flat, len(free_beams))
-            if cand[a, b] <= rate[p]:
-                break
-            members.append(free_users[a])
-            chosen.append(free_beams[b])
-            rate[p] = cand[a, b]
-        pairs = sorted(zip(members, chosen))  # users in increasing order
-        users[p, : len(pairs)] = [u for u, _ in pairs]
-        beams[p, : len(pairs)] = [b for _, b in pairs]
-    return users, beams, rate
+    best = np.zeros(n_problems)
+    running = np.arange(n_problems)
+    for k in range(1, n_s.max(initial=0) + 1):
+        running = running[n_s[running] >= k]
+        held_users, held_beams = users[running, : k - 1], beams[running, : k - 1]
+        free = np.ones((len(running), n_users, n_beams), dtype=bool)
+        rows = np.arange(len(running))[:, None]
+        free[rows, held_users] = False
+        free[rows, :, held_beams] = False
+        r_idx, u_idx, b_idx = np.nonzero(free)  # row-major: a problem's candidates in (user, beam) order
+        set_users = np.concatenate([held_users[r_idx], u_idx[:, None]], axis=1)
+        order = np.argsort(set_users, axis=1)
+        set_users = np.take_along_axis(set_users, order, axis=1)
+        set_beams = np.take_along_axis(np.concatenate([held_beams[r_idx], b_idx[:, None]], axis=1), order, axis=1)
+        prob, flat = running[r_idx], u_idx * n_beams + b_idx
+        gains = [[pw[prob, set_users[:, i], set_beams[:, j]] for j in range(k)] for i in range(k)]
+        score = np.full((len(running), n_users * n_beams), -np.inf)
+        score[r_idx, flat] = _brute_scores(gains, sigma_sq[prob] * k / power[prob])
+        where = np.zeros(score.shape, dtype=int)
+        where[r_idx, flat] = np.arange(len(r_idx))
+        pick = np.argmax(score, axis=1)
+        top = score[np.arange(len(running)), pick]
+        grow = ~(top <= best[running])  # a NaN top grows, as argmax picks it first
+        won = where[grow, pick[grow]]
+        running = running[grow]
+        best[running] = top[grow]
+        users[running, :k] = set_users[won]
+        beams[running, :k] = set_beams[won]
+    return users, beams, best
 
 
 def schedule_greedy(vectors, C, params):
@@ -302,10 +301,8 @@ def zf_schedule_block(vectors, params):
         units = B / np.linalg.norm(B, axis=1, keepdims=True)
         v = raw[d_idx[full][:, None], sets[full]]
         sig = np.abs(np.einsum("cin,cni->ci", v.conj(), units)) ** 2
-        rates = np.log1p(sig / (sigma_sq[d_idx[full]] * k / power[d_idx[full]])[:, None])
-        total = rates[:, 0]
-        for i in range(1, k):  # added in position order, as a sum over users
-            total = total + rates[:, i]
+        rates = rate(sig, (), (sigma_sq[d_idx[full]] * k / power[d_idx[full]])[:, None])  # interference is nulled
+        total = ordered_sum(rates.T)  # in position order, as a sum over users
         score = np.full((len(running), width), -np.inf)
         score[r_idx[full], j_idx[full]] = total
         where = np.zeros((len(running), width), dtype=int)
@@ -365,10 +362,8 @@ def realize_rates_block(users, beams, sub_h_hat, params, C=None):
         v = sub_h_hat[prob, users[prob, own]]  # (rows, F, n_t)
         rates = rates_with_beams(v, table[prob][:, None], own[:, None], noise[:, None])  # (rows, F)
         per_user[prob, own] = np.mean(rates, axis=1)
-    total = np.zeros(len(users))
-    for j in range(users.shape[1]):  # in position order, as the scalar sum; nobody adds 0.0
-        total = total + per_user[:, j]
-    return per_user, total
+    # in position order, as the scalar sum; nobody adds 0.0
+    return per_user, ordered_sum(per_user.T, np.zeros(len(users)))
 
 
 def realize_rates(decision, channels, params, C=None):

@@ -815,24 +815,34 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
 def test_interference_sum_is_column_stable(n_c, n_s):
     # the pruned search evaluates ever fewer columns, down to one; each
     # column's interference must equal the beam-order sum whatever the
-    # column count (a BLAS product took another path for one column)
-    from ramimo.feedback import _interference, _interferer_table, scheduling_configs
+    # column count (a BLAS product took another path for one column), and
+    # the true rates must read the same table and add in the same order
+    from ramimo.feedback import _config_rates, _interference, scheduling_configs
 
-    _, mask, _, intf = scheduling_configs(n_c, tuple(range(1, n_s + 1)))
+    table, ks = scheduling_configs(n_c, tuple(range(1, n_s + 1)))
+    # one row per (|S|, own beam, interferer set): the own beam, then the
+    # interferers in beam order, padded with the zero-power column n_c
+    configs = [
+        (k, j, T) for k in range(1, n_s + 1) for j in range(n_c) for T in combinations([i for i in range(n_c) if i != j], k - 1)
+    ]
+    assert table.shape == (len(configs), max(2, n_s))
+    for k, row, (k_ref, j, T) in zip(ks.tolist(), table.tolist(), configs):
+        assert (k, row) == (k_ref, [j, *T] + [n_c] * (len(row) - k_ref))
     rng = np.random.default_rng(n_c * 10 + n_s)
     n = 40
     powers = np.vstack([rng.random((n_c, n)) * np.exp(rng.uniform(-30, 30, size=(1, n))), np.zeros(n)])
-    table = _interferer_table(mask)
     full = _interference(powers, table)
+    rates = _config_rates(np.ascontiguousarray(powers[:n_c].T), table, 0.7)
     for j in range(n):
         ref = []
-        for beams in intf:
+        for _, _, T in configs:
             total = 0.0
-            for b in beams:
+            for b in T:
                 total += float(powers[b, j])
             ref.append(total)
         assert full[:, j].tolist() == ref
         assert _interference(powers[:, j : j + 1], table)[:, 0].tolist() == ref
+        assert rates[j].tolist() == np.log1p(powers[table[:, 0], j] / (0.7 + np.array(ref))).tolist()
 
 
 @pytest.mark.parametrize("n_t,n_s", [(3, 2), (4, 4)])

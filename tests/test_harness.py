@@ -60,6 +60,29 @@ def test_config_rejects_zero_draws():
         _cfg(num_draws=0)
 
 
+@pytest.mark.parametrize("key", ["num_draws", "num_users", "B", "F", "master_seed", "workers", "n_t", "n_r", "n_s"])
+@pytest.mark.parametrize("value", [2.5, 4.7, True, "3"])
+def test_config_rejects_non_integer_fields(key, value):
+    # neither truncated nor taken as 1, and a ValueError rather than a
+    # TypeError from deeper in the run
+    kw = {"system": {"n_t": 4, "n_r": 1, "n_s": 2, key: value}} if key.startswith("n_") else {key: value}
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        _cfg(**kw)
+
+
+def test_config_accepts_integral_floats():
+    cfg = _cfg(system={"n_t": 2.0, "n_r": 1, "n_s": 2}, num_draws=30.0, F=1.0)
+    assert cfg == _cfg()
+    assert type(cfg.num_draws) is int and type(cfg.params.n_t) is int
+
+
+@pytest.mark.parametrize("snr_db_list", [[10.0, 10.000001], [10.0, 10.0], [0.0, 20.0, 20.000004]])
+def test_config_rejects_colliding_snr_keys(snr_db_list):
+    # two points with one `snr=...` key would share one CDF in result.json
+    with pytest.raises(ValueError, match="snr_db_list"):
+        _cfg(snr_db_list=snr_db_list)
+
+
 def test_config_roundtrip_and_hash():
     cfg = _cfg()
     again = SimConfig.from_dict(cfg.to_dict())
@@ -352,7 +375,7 @@ def test_block_size_rule():
     assert _block_size(criterion_7.num_users, len(criterion_7.snr_db_list)) == 17
     assert _block_size(3, 6) == 14  # the benchmark's delta-ra sweep
     for cfg in (criterion_9, criterion_7):
-        for kw in ({}, {"num_users": 1}, {"num_users": 500}, {"snr_db_list": [0.0] * 300}):
+        for kw in ({}, {"num_users": 1}, {"num_users": 500}, {"snr_db_list": [float(s) for s in range(300)]}):
             n_users, n_snr = cfg.replace(**kw).num_users, len(cfg.replace(**kw).snr_db_list)
             assert _block_size(n_users, n_snr) == max(1, _BLOCK_ROWS // (n_users * n_snr))
     assert _block_size(500, 1) == _block_size(3, 300) == 1
@@ -539,6 +562,14 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_integer_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_cfg(num_draws=5).to_dict(), "num_draws": 2.5}))
+    rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "error: num_draws must be an integer, got 2.5" in capsys.readouterr().err
 
 
 def test_context_channels_use_derived_streams():

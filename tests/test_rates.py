@@ -171,3 +171,41 @@ def test_rates_with_beams_matches_scalar_oracle():
             assert rate_with_beams(v[r], beams[r, own[r]], others, k[r], params[r]) == ref
     # no beams at all: rate 0
     assert rates_with_beams(v[:2], np.zeros((2, 0, n_t), dtype=complex), 0, 1.0).tolist() == [0.0, 0.0]
+
+
+def test_rate_formula_has_one_home():
+    # log1p of a rate is taken only in the kernel `rates.rate` and in the
+    # gain search's in-place `excess`, which adds in the kernel's order;
+    # `feedback.lemma1_rhs` takes it of Lemma 1's closed-form bound, not
+    # of a rate
+    import ast
+    from pathlib import Path
+
+    import ramimo
+
+    allowed = {("rates.py", "rate"), ("feedback.py", "excess"), ("feedback.py", "lemma1_rhs")}
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.stack = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Attribute(self, node):
+            self.check(node.attr, node)
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            self.check(node.id, node)
+
+        def check(self, name, node):
+            if name == "log1p" and (self.module, self.stack[-1]) not in allowed:
+                found.append(f"{self.module}:{node.lineno} in {self.stack[-1]}")
+
+    for module in ("rates.py", "feedback.py", "scheduler.py"):
+        Visitor(module).visit(ast.parse((Path(ramimo.__file__).parent / module).read_text()))
+    assert found == []

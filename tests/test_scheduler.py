@@ -140,6 +140,75 @@ def test_greedy_deterministic():
     assert a.assignment.pairs == b.assignment.pairs
 
 
+def _per_problem_greedy(pw, n_s, noise_per_user):
+    """The greedy search as it ran problem by problem before it was
+    stacked: power rows pw (users, beams), the new user's rate plus every
+    member's rate, interference taken as the total over chosen beams minus
+    the member's own.  Returns (users in increasing order, their beams,
+    predicted sum rate)."""
+    members, chosen, rate = [], [], 0.0
+    while len(members) < n_s:
+        noise = noise_per_user * (len(members) + 1)
+        free_users = [i for i in range(len(pw)) if i not in members]
+        free_beams = [j for j in range(pw.shape[1]) if j not in chosen]
+        if not free_users or not free_beams:
+            break
+        cand = np.full((len(free_users), len(free_beams)), -np.inf)
+        intf_existing = pw[:, chosen].sum(axis=1) if chosen else np.zeros(len(pw))
+        for a, i in enumerate(free_users):
+            new_user = np.log1p(pw[i, free_beams] / (noise + intf_existing[i]))
+            rest = np.zeros(len(free_beams))
+            for pos, l in enumerate(members):
+                base_intf = intf_existing[l] - pw[l, chosen[pos]]
+                rest += np.log1p(pw[l, chosen[pos]] / (noise + base_intf + pw[l, free_beams]))
+            cand[a] = new_user + rest
+        a, b = divmod(int(np.argmax(cand)), len(free_beams))
+        if cand[a, b] <= rate:
+            break
+        members.append(free_users[a])
+        chosen.append(free_beams[b])
+        rate = cand[a, b]
+    pairs = sorted(zip(members, chosen))
+    return [u for u, _ in pairs], [b for _, b in pairs], float(rate)
+
+
+@pytest.mark.parametrize("n_t,B", [(2, None), (3, None), (4, None), (4, 3)])
+def test_greedy_block_matches_per_problem_search(n_t, B):
+    # 1,500 problems per case (6,000 in all) in stacked calls of 1..6
+    # users: zero vectors, fewer users than n_s, n_s = n_t and SNR from -20
+    # to 100 dB.  Users and beams equal the per-problem search's; the
+    # predicted sum may differ in the last bit, as the search now adds
+    # every set's rates in user order, and it equals the brute scheduler's
+    # score of the chosen set bit for bit
+    from ramimo.feedback import beam_powers
+    from ramimo.scheduler import _brute_scores, schedule_greedy_block
+
+    C = canonical_onb(n_t) if B is None else rvq_codebook(n_t, B, SeedSpec(38).derive("C"))
+    rng = np.random.default_rng(n_t * 10 + len(C))
+    checked = 0
+    for call in range(60):
+        n_users = call % 6 + 1
+        stack = rng.standard_normal((25, n_users, n_t)) + 1j * rng.standard_normal((25, n_users, n_t))
+        stack[rng.random((25, n_users)) < 0.15] = 0.0
+        params = [
+            SystemParams(n_t=n_t, n_s=int(n_s)).with_snr_db(float(snr))
+            for n_s, snr in zip(rng.integers(1, n_t + 1, 25), rng.uniform(-20.0, 100.0, 25))
+        ]
+        users, beams, rate = schedule_greedy_block(stack, C, params)
+        pw = beam_powers(stack, C)
+        for p, problem in enumerate(params):
+            ref_users, ref_beams, ref_rate = _per_problem_greedy(pw[p], problem.n_s, problem.sigma_sq / problem.P)
+            k = len(ref_users)
+            assert users[p].tolist() == ref_users + [-1] * (users.shape[1] - k)
+            assert beams[p].tolist() == ref_beams + [-1] * (beams.shape[1] - k)
+            assert rate[p] == pytest.approx(ref_rate, rel=1e-12, abs=0.0)
+            if k:
+                gains = [[pw[p, u, b : b + 1] for b in ref_beams] for u in ref_users]
+                assert _brute_scores(gains, np.array([problem.sigma_sq * k / problem.P])).tolist() == [rate[p]]
+            checked += 1
+    assert checked == 1500
+
+
 def test_zf_of_orthonormal_directions_is_identity():
     params = SystemParams(n_t=2, n_s=2)
     decision = zf_precode([E1, E2], params)
