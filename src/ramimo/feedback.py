@@ -27,13 +27,14 @@ from itertools import combinations
 import numpy as np
 
 from .channel import user_channels_block
-from .numerics import abs_sq, minimax_log_gain, ordered_sum
+from . import numerics
+from .numerics import LOG_GAIN_BRACKET, abs_sq, minimax_log_gain, ordered_sum
 from .rates import rate
 
-# (column, configuration) entries of one gain search before codeword
-# pruning, which leaves a few percent of the columns after ten halvings:
-# larger searches share the fixed numpy cost of a pass over more problems,
-# and the limit caps the first passes' working arrays (about 0.5 MB each)
+# (column, configuration) entries of one gain-search pass over the columns
+# that survive the pre-pass, a few percent of them: larger searches share
+# the fixed numpy cost of a pass over more problems, and the limit caps a
+# pass's working arrays (about 0.5 MB each)
 _BATCH_ELEMENTS = 1 << 16
 
 _CONFIG_CACHE = {}
@@ -219,8 +220,10 @@ def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
     row's SystemParams, all with the same n_s.  Returns
     the CDI, CQI and gap arrays.
 
-    One log-gain bisection runs over every (row, codeword) column, in
-    groups of rows whose first passes' working arrays hold about
+    A pre-pass bounds every (row, codeword) column and drops those that
+    cannot win their row (`_ra_messages`); one log-gain bisection then runs
+    over the surviving columns of all rows, split into groups of whole
+    rows only where their first passes' working arrays would exceed
     _BATCH_ELEMENTS (column, configuration) entries, and drops each
     codeword once its bracket shows it cannot beat its row's best.  Every
     column goes through the same elementwise arithmetic as alone, so every
@@ -235,12 +238,7 @@ def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
     # frequency-averaged row takes the mean over its subcarriers
     rates = _config_rates(beam_powers(h_hat, C), table, noise[:, None])
     r_true = rates.mean(axis=1) if rates.shape[1] > 1 else rates[:, 0]
-    group = max(1, _BATCH_ELEMENTS // (len(V) * len(table)))  # bounds the first passes' working arrays
-    parts = [
-        _ra_messages(r_true[lo : lo + group], noise[lo : lo + group], scale2[lo : lo + group], phi, table)
-        for lo in range(0, len(r_true), group)
-    ]
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    return _ra_messages(r_true, noise, scale2, phi, table)
 
 
 def _interference(powers, table):
@@ -254,23 +252,16 @@ def _interference(powers, table):
     return total
 
 
-def _ra_messages(r_true, noise, scale2, phi, table):
-    """Minimax (codeword, gain, gap) of each problem as three arrays,
-    given its true rates and noise terms (problems x configurations) and
-    CQI^2-to-raw scale, from one `minimax_log_gain` search over every
-    (problem, codeword) column, grouped by problem."""
-    # one column per (problem, codeword) pair: the max over configurations
-    # then runs across contiguous rows instead of along short ones
-    n, n_v = len(r_true), len(phi)
+def _excess(r_true, noise, table):
+    """The gain search's excess(x, problem, scale2, phi_cols): the largest
+    overshoot and undershoot of the predicted over the true rates of every
+    column, given its log-gain, problem index, CQI^2-to-raw scale and
+    codeword powers (beam rows plus a zero row), for problems with true
+    rates and noise terms (problems x configurations)."""
     # true rates and noise terms stay per problem and are read through
     # each column's problem index, so no (configurations x columns) array
     # outlives a pass
     r_true, noise = np.ascontiguousarray(r_true.T), np.ascontiguousarray(noise.T)
-    columns = (
-        np.repeat(np.arange(n), n_v),
-        np.repeat(scale2, n_v),
-        np.tile(np.vstack([phi.T, np.zeros(n_v)]), (1, n)),
-    )
 
     # the rate formula in place, adding in `rates.rate`'s order: routed
     # through the kernel, its temporaries made ra-full runs slower
@@ -285,10 +276,92 @@ def _ra_messages(r_true, noise, scale2, phi, table):
         d -= r_true[:, problem]
         return d.max(axis=0), -d.min(axis=0)
 
-    x, gap = minimax_log_gain(excess, columns, n_v)
-    idx = np.argmin(gap.reshape(n, n_v), axis=1)
-    best = np.arange(n) * n_v + idx
-    return idx, np.exp(0.5 * x[best]), gap[best]
+    return excess
+
+
+def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
+    """Lower bound on the minimax mismatch of every (problem, codeword)
+    column and upper bound on its problem's minimum, as (problems,
+    codewords) and (problems,) arrays, for the search's `excess` and its
+    codeword powers `phi_cols` (beam rows plus a zero row).
+
+    The lower bound comes from the single-user configurations: the
+    table's first |C| rows, own beam j and noise only, whose mismatch is
+    e_j(x) = log1p(a_j e^x) - r_j with a_j = scale2 phi_j / noise.  For
+    each pair of beams (a, b) the probe is the root g of
+    (1 + a_a g)(1 + a_b g) = e^(r_a + r_b), where e_a + e_b = 0, written
+    without cancellation and held inside the search bracket.  Both e rise
+    in x, so at every x above the probe e_a is at least e_a(probe), and at
+    every x below it -e_b is at least -e_b(probe): the column's worst
+    mismatch is at least max(min(e_a, -e_b), min(e_b, -e_a)) at the probe,
+    wherever the probe lies.  The root only makes the bound tight, so a
+    rounding error in it cannot lift the bound above the true minimax.
+
+    The upper bound is `excess` at the probe of the problem's
+    least-bounded column, a gain inside the bracket, evaluated for at most
+    `per_pass` problems at a time.
+    """
+    alpha = (scale2 / noise[:, 0])[None, :, None] * phi_cols[:-1, None, :]  # (beams, problems, codewords)
+    lower = np.full(alpha.shape[1:], -np.inf)
+    probe = np.ones(alpha.shape[1:])
+    g_min, g_max = np.exp(-LOG_GAIN_BRACKET), np.exp(LOG_GAIN_BRACKET)
+    for a, b in combinations(range(len(alpha)), 2):
+        r_a, r_b = r_true[:, a, None], r_true[:, b, None]
+        growth = np.expm1(r_a + r_b)
+        s = alpha[a] + alpha[b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = 2.0 * growth / (s + np.sqrt(s * s + (4.0 * growth) * alpha[a] * alpha[b]))
+        g = np.clip(np.nan_to_num(g, nan=1.0), g_min, g_max)
+        e_a = rate(alpha[a] * g, (), 1.0) - r_a  # in units of the single-user noise
+        e_b = rate(alpha[b] * g, (), 1.0) - r_b
+        bound = np.minimum(np.maximum(e_a, e_b), -np.minimum(e_a, e_b))
+        better = bound > lower
+        np.copyto(lower, bound, where=better)
+        np.copyto(probe, g, where=better)
+    n = len(r_true)
+    least = np.argmin(lower, axis=1)
+    upper = np.empty(n)
+    for lo in range(0, n, per_pass):
+        p = np.arange(lo, min(n, lo + per_pass))
+        x = np.clip(np.log(probe[p, least[p]]), -LOG_GAIN_BRACKET, LOG_GAIN_BRACKET)
+        upper[p] = np.maximum(*excess(x, p, scale2[p], phi_cols[:, least[p]]))
+    return lower, upper
+
+
+def _ra_messages(r_true, noise, scale2, phi, table):
+    """Minimax (codeword, gain, gap) of each problem as three arrays,
+    given its true rates and noise terms (problems x configurations) and
+    CQI^2-to-raw scale, from `minimax_log_gain` searches over the
+    (problem, codeword) columns that survive a pre-pass, grouped by
+    problem.
+
+    A column whose lower bound exceeds its problem's upper bound
+    (`_pre_pass`) by more than PRUNE_MARGIN is dropped before the search:
+    its value is at least its bound, and the winner's at most the upper
+    bound plus the search's 80 * 2^-40 (7.3e-11) tolerance.
+    """
+    n, n_v = len(r_true), len(phi)
+    excess = _excess(r_true, noise, table)
+    phi_cols = np.vstack([phi.T, np.zeros(n_v)])
+    per_pass = max(1, _BATCH_ELEMENTS // len(table))  # columns of one pass within the cap
+    lower, upper = _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass)
+    # one column per surviving (problem, codeword) pair, problems in order:
+    # the max over configurations then runs across contiguous rows
+    # (the margin is read at call time: an infinite one disables pruning)
+    problem, cdi = np.nonzero(~(lower > upper[:, None] + numerics.PRUNE_MARGIN))
+    ends = np.cumsum(np.bincount(problem, minlength=n))  # columns through each problem
+    x, gap = np.full((n, n_v), np.nan), np.full((n, n_v), np.inf)
+    lo = 0
+    while lo < len(problem):
+        # the whole problems that fit in one pass, or the next problem alone
+        fit = np.searchsorted(ends, lo + per_pass, side="right") - 1
+        hi = ends[max(fit, np.searchsorted(ends, lo, side="right"))]
+        p, v = problem[lo:hi], cdi[lo:hi]
+        x[p, v], gap[p, v] = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]), p)
+        lo = hi
+    idx = np.argmin(gap, axis=1)
+    rows = np.arange(n)
+    return idx, np.exp(0.5 * x[rows, idx]), gap[rows, idx]
 
 
 def efficient_feedback_block(h, lambda_sq, C, V, phi_table=None):

@@ -82,6 +82,13 @@ def _integer(name, value):
     return int(value)
 
 
+def _real(name, value):
+    """`value` itself if it is a real number; a boolean is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: SystemParams
@@ -106,7 +113,7 @@ class SimConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
             object.__setattr__(self, name, value)
-        if not self.snr_db_list or not all(math.isfinite(s) for s in self.snr_db_list):
+        if not self.snr_db_list or not all(math.isfinite(_real("snr_db_list entry", s)) for s in self.snr_db_list):
             raise ValueError("snr_db_list must be a non-empty list of finite values")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
@@ -114,7 +121,7 @@ class SimConfig:
             raise ValueError(f"scheduler must be 'brute' or 'greedy', got {self.scheduler!r}")
         if self.precoder not in ("fixed-codebook", "zf"):
             raise ValueError(f"precoder must be 'fixed-codebook' or 'zf', got {self.precoder!r}")
-        if not 0.0 <= self.rho <= 1.0:
+        if not 0.0 <= _real("rho", self.rho) <= 1.0:
             raise ValueError("rho must be in [0, 1]")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         keys = [f"snr={s:g}" for s in self.snr_db_list]  # the CDF keys of result.json
@@ -135,8 +142,8 @@ class SimConfig:
             n_t=_integer("n_t", system.get("n_t", 4)),
             n_r=_integer("n_r", system.get("n_r", 1)),
             n_s=_integer("n_s", system.get("n_s", 2)),
-            P=float(system.get("P", 1.0)),
-            sigma_sq=float(system.get("sigma_sq", 1.0)),
+            P=float(_real("P", system.get("P", 1.0))),
+            sigma_sq=float(_real("sigma_sq", system.get("sigma_sq", 1.0))),
         )
         for name, kinds in (("transmit_codebook", _TX_CODEBOOK_KINDS), ("feedback_codebook", _FB_CODEBOOK_KINDS)):
             spec = d.get(name)

@@ -146,15 +146,16 @@ def minimax_log_gain(excess, columns, group):
     change by at most |dx| (true of rates in log-gain) the value is within
     about 7e-11 of the minimum over [-LOG_GAIN_BRACKET, LOG_GAIN_BRACKET].
 
-    Consecutive runs of `group` columns form a group, of which the caller
-    keeps only the minimum.  Once a column's bracket is [lo, hi], every
-    later midpoint scores at least max(over(lo), under(hi)); a column whose
-    bound exceeds its group's best value by more than PRUNE_MARGIN cannot
-    win, is dropped, and gets x = NaN and value +inf.  The held arrays are
-    compacted whenever the live columns are at most half of them.  `excess`
-    must treat every column alone, so the survivors see the same
-    arithmetic, and return the same (x, value) bit for bit, as with
-    group = 1, which prunes nothing.
+    Columns form groups, of which the caller keeps only the minimum: with
+    an int `group`, consecutive runs of `group` columns; otherwise `group`
+    labels every column, and equal labels must be contiguous.  Once a
+    column's bracket is [lo, hi], every later midpoint scores at least
+    max(over(lo), under(hi)); a column whose bound exceeds its group's best
+    value by more than PRUNE_MARGIN cannot win, is dropped, and gets
+    x = NaN and value +inf.  The held arrays are compacted whenever the
+    live columns are at most half of them.  `excess` must treat every
+    column alone, so the survivors see the same arithmetic, and return the
+    same (x, value) bit for bit, as with group = 1, which prunes nothing.
     """
     n = columns[0].shape[-1]
     out_x = np.full(n, np.nan)
@@ -169,7 +170,8 @@ def minimax_log_gain(excess, columns, group):
     over_lo = np.full(n, -np.inf)  # over(lo); -inf until lo is evaluated
     under_hi = np.full(n, -np.inf)  # under(hi); -inf until hi is evaluated
     live = np.ones(n, dtype=bool)
-    starts = np.arange(0, n, group)  # first held column of every group
+    labels = np.arange(n) // group if np.isscalar(group) else np.asarray(group)
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])  # first held column of every group
     sizes = np.diff(starts, append=n)
     for it in range(MINIMAX_ITERS):
         x = 0.5 * (lo + hi)
@@ -194,7 +196,7 @@ def minimax_log_gain(excess, columns, group):
             held = held[live]
             columns = [c[..., live] for c in columns]
             lo, hi, best_x, best, over_lo, under_hi = (a[live] for a in (lo, hi, best_x, best, over_lo, under_hi))
-            gid = held // group
+            gid = labels[held]
             starts = np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]])
             sizes = np.diff(starts, append=len(held))
             live = np.ones(len(held), dtype=bool)

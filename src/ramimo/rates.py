@@ -49,7 +49,7 @@ def rate(sig, interferers, noise):
     nats, elementwise over broadcasting arrays: the interferer powers are
     added in the order given, then the noise.  Every rate of the package,
     predicted or true, comes from here, except the gain search's in-place
-    `feedback._ra_messages` pass, which adds in the same order."""
+    `feedback._excess` pass, which adds in the same order."""
     return np.log1p(sig / (noise + ordered_sum(interferers)))
 
 

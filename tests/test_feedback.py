@@ -748,6 +748,137 @@ def test_ra_feedback_duplicated_codeword_picks_lower_index(snr_db):
 
 
 # ---------------------------------------------------------------------------
+# gain solver against the exact all-pairs closed form
+# ---------------------------------------------------------------------------
+
+
+def _configurations(n_c, n_s):
+    """Every (|S|, own beam, interferer set) a scheduler could pick."""
+    return [(k, j, T) for k in range(1, n_s + 1) for j in range(n_c) for T in combinations([i for i in range(n_c) if i != j], k - 1)]
+
+
+def _pair_minimax_oracle(h_subs, V, C, params):
+    """Oracle: the exact minimax over x = log theta^2 in [-40, 40] of the
+    worst-case rate mismatch of every codeword of V, for a row whose
+    true-rate channels are h_subs (F, n_t), with a lower bound that
+    certifies it; two arrays over the codewords.
+
+    With g = theta^2, configuration c's mismatch is
+    e_c = log1p(A_c g / (1 + U_c g)) - r_c, which rises in g, so each
+    {x : |e_c| <= t} is an interval and, by Helly's theorem in one
+    dimension, the minimax is the largest over configuration pairs (a, b)
+    of the pair's own minimax.  That sits where e_a + e_b = 0, at the
+    positive root of (1 + T_a g)(1 + T_b g) = e^(r_a + r_b)(1 + U_a g)(1 + U_b g)
+    with T = A + U, or at the bracket end the root lies beyond; there the
+    pair's value is max(|e_a|, |e_b|).  The lower bound is what the two
+    rising functions force at that point whatever the root: at an end,
+    max(e_a, e_b) or -min(e_a, e_b); inside, the smaller of the two.
+    """
+    configs = _configurations(len(C), params.n_s)
+    p = np.abs(h_subs @ C.vectors.conj().T) ** 2  # (F, beams)
+    phi = np.abs(V.vectors @ C.vectors.conj().T) ** 2  # (codewords, beams)
+    noise = np.array([params.sigma_sq * k / params.P for k, _, _ in configs])
+    r = np.array([np.mean(np.log1p(p[:, j] / (params.sigma_sq * k / params.P + p[:, list(T)].sum(axis=1)))) for k, j, T in configs])
+    scale = params.n_t * params.sigma_sq / params.P
+    A = scale * np.array([phi[:, j] for _, j, _ in configs]).T / noise  # (codewords, configs)
+    U = scale * np.array([phi[:, list(T)].sum(axis=1) for _, _, T in configs]).T / noise
+    a, b = np.triu_indices(len(configs), 1)
+    growth = np.expm1(r[a] + r[b])
+    Ta, Tb, Ua, Ub = A[:, a] + U[:, a], A[:, b] + U[:, b], U[:, a], U[:, b]
+    c2 = Ta * Tb - (1.0 + growth) * Ua * Ub
+    c1 = Ta + Tb - (1.0 + growth) * (Ua + Ub)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = np.sqrt(c1 * c1 + 4.0 * c2 * growth)
+        g = np.where(c1 >= 0, 2.0 * growth / (c1 + root), (root - c1) / (2.0 * c2))
+        g = np.where(c2 > 0, g, np.where(c2 == 0, np.where(c1 > 0, growth / c1, np.inf), np.inf))
+        x_root = np.nan_to_num(np.log(g), nan=0.0)
+    x = np.clip(x_root, -40.0, 40.0)
+    gain = np.exp(x)
+    e_a = np.log1p(A[:, a] * gain / (1.0 + Ua * gain)) - r[a]
+    e_b = np.log1p(A[:, b] * gain / (1.0 + Ub * gain)) - r[b]
+    value = np.maximum(np.abs(e_a), np.abs(e_b))
+    hi, lo = np.maximum(e_a, e_b), np.minimum(e_a, e_b)
+    bound = np.where(x_root >= 40.0, -lo, np.where(x_root <= -40.0, hi, np.minimum(hi, -lo)))
+    return value.max(axis=1), bound.max(axis=1)
+
+
+@pytest.mark.parametrize("n_t,n_s,n_r,F,B", [(3, 3, 1, 1, 4), (4, 2, 2, 4, 4), (4, 4, 2, 1, 3), (3, 2, 1, 4, 5)])
+def test_ra_feedback_batch_matches_all_pairs_oracle(n_t, n_s, n_r, F, B):
+    # every reported gap equals the exact minimax of its codeword, and no
+    # codeword does better, from 0 to 100 dB with zero channels and
+    # duplicated codewords (ties go to the lower index)
+    from ramimo.channel import draw_user_channel, per_subcarrier_effective_channels
+    from ramimo.feedback import ra_feedback_batch
+
+    C = canonical_onb(n_t)
+    V = concat_codebooks(C, rvq_codebook(n_t, B, SeedSpec(80).derive("v", n_t, B)))
+    V = Codebook(np.vstack([V.vectors[:3], V.vectors[[n_t + 1]], V.vectors[3:], V.vectors[[0, n_t + 2]]]))
+    base = SystemParams(n_t=n_t, n_r=n_r, n_s=n_s, P=1.0)
+    rows, params = [], []
+    for snr in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
+        p = base.with_snr_db(snr)
+        for m in range(4):
+            uc = draw_user_channel(p, F=F, rho=0.7, seed=SeedSpec(81).derive(n_t, F, int(snr), m))
+            rows.append([e.h_hat for e in per_subcarrier_effective_channels(uc, p)] if F > 1 else [mrc_effective_channel(uc, p).h_hat])
+            params.append(p)
+        rows.append(np.zeros((F, n_t), dtype=complex))  # a zero channel at every SNR
+        params.append(p)
+    cdi, cqi, gap = ra_feedback_batch(np.array(rows), params, C, V)
+    for h_subs, p, i, reported in zip(rows, params, cdi.tolist(), gap.tolist()):
+        value, certified = _pair_minimax_oracle(np.asarray(h_subs), V, C, p)
+        assert np.all(value - certified <= 1e-12)  # the closed form is exact
+        assert abs(reported - value[i]) <= 1e-10
+        assert abs(value[i] - value.min()) <= 1e-10
+    assert np.all(gap[np.arange(4, len(gap), 5)] <= 1e-10)  # zero channels
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(degenerate):
+    # the pre-pass's lower bound never exceeds a column's unpruned
+    # bisection value, and its upper bound never undercuts a problem's
+    # best, on random columns, zero channels, duplicated codewords, 100 dB
+    # and probes clipped at the bracket; with `degenerate`, also on
+    # codewords with zero power on some or all beams
+    import ramimo.feedback as fb
+    from ramimo.numerics import LOG_GAIN_BRACKET, MINIMAX_ITERS, minimax_log_gain
+
+    rng = np.random.default_rng(82)
+    C = canonical_onb(3)
+    table, ks = fb.scheduling_configs(3, range(1, 4))
+    V = concat_codebooks(C, rvq_codebook(3, 4, SeedSpec(82).derive("v")))
+    phi = cross_gram(V, C)
+    phi = np.vstack([phi, phi[[5, 5]]])
+    if degenerate:
+        phi = np.vstack([phi, np.zeros((1, 3)), [[0.0, 1.0, 0.0]], [[0.5, 0.0, 0.0]]])
+    params = [SystemParams(n_t=3, n_s=3, P=1.0).with_snr_db(snr) for snr in rng.choice([0.0, 30.0, 60.0, 100.0], 40)]
+    noise = np.array([[p.sigma_sq * k / p.P for k in ks] for p in params])
+    scale2 = np.array([raw_scale_sq(p) for p in params])
+    h = sample_complex_gaussian_matrix(40, 3, SeedSpec(83)) * rng.uniform(0, 2, (40, 1))
+    h[:4] = 0.0  # zero channels: every true rate 0
+    r_true = fb._config_rates(beam_powers(h, C), table, noise)
+    r_true[4:8, :3] = 200.0  # single-user roots beyond the top of the bracket
+    r_true[8:12, :3] = 1e-30  # and below its bottom
+    growth = np.expm1(r_true[:, 0] + r_true[:, 1])
+    alpha = scale2 / noise[:, 0]
+    with np.errstate(divide="ignore"):
+        probe = np.log(growth / alpha)  # the (0, 1) root for codeword powers (1, 1, 0)
+    assert np.any(probe > LOG_GAIN_BRACKET) and np.any(probe < -LOG_GAIN_BRACKET)
+
+    excess = fb._excess(r_true, noise, table)
+    phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
+    lower, upper = fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)
+    p, v = np.divmod(np.arange(len(h) * len(phi)), len(phi))
+    _, value = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]), 1)  # one-column groups prune nothing
+    value = value.reshape(len(h), len(phi))
+    assert np.all(lower <= value + 1e-12)
+    # the bisection's last midpoint is within 80 * 2^-40 (7.3e-11) of the
+    # best x, which the probe may hit exactly at a bracket end
+    assert np.all(upper >= value.min(axis=1) - 2 * LOG_GAIN_BRACKET * 2.0**-MINIMAX_ITERS)
+    if not degenerate:  # the zero codeword's flat value makes a loose upper bound
+        assert np.mean(lower > upper[:, None] + 1e-9) > 0.5  # most columns are dropped before the search
+
+
+# ---------------------------------------------------------------------------
 # messages independent of grouping and of codeword pruning
 # ---------------------------------------------------------------------------
 

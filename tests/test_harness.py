@@ -70,6 +70,18 @@ def test_config_rejects_non_integer_fields(key, value):
         _cfg(**kw)
 
 
+@pytest.mark.parametrize("key", ["rho", "P", "sigma_sq", "snr_db_list"])
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+def test_config_rejects_non_numeric_float_fields(key, value):
+    # a boolean is neither written back as true nor read as 1.0
+    if key in ("P", "sigma_sq"):
+        kw = {"system": {"n_t": 2, "n_r": 1, "n_s": 2, key: value}}
+    else:
+        kw = {key: [10.0, value] if key == "snr_db_list" else value}
+    with pytest.raises(ValueError, match=f"{key}.* must be a number"):
+        _cfg(**kw)
+
+
 def test_config_accepts_integral_floats():
     cfg = _cfg(system={"n_t": 2.0, "n_r": 1, "n_s": 2}, num_draws=30.0, F=1.0)
     assert cfg == _cfg()
@@ -279,31 +291,87 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
         assert (i, q) == (msg.cdi_index, msg.cqi)
 
 
+def _count_searches(monkeypatch):
+    """Record, per ra_feedback_batch call, how many gain searches it runs."""
+    import ramimo.feedback as fb
+
+    counts = []
+    batch, search = fb._ra_messages, fb.minimax_log_gain
+
+    def counting_batch(*args, **kwargs):
+        counts.append(0)
+        return batch(*args, **kwargs)
+
+    def counting_search(*args):
+        counts[-1] += 1
+        return search(*args)
+
+    monkeypatch.setattr(fb, "_ra_messages", counting_batch)
+    monkeypatch.setattr(fb, "minimax_log_gain", counting_search)
+    return counts
+
+
 def test_draws_independent_of_gain_search_groups(monkeypatch):
-    # ra_feedback_batch splits a block's rows into gain-search groups of its
-    # own; with a small group limit one delta-ra block and one ra-full
-    # sum-rate block each span at least 3 groups, and every draw equals
-    # its value at block sizes 1 and 3
+    # ra_feedback_batch splits a block's surviving columns into gain-search
+    # groups of whole rows; with a small group limit one delta-ra block and
+    # one ra-full sum-rate block each span at least 3 groups, and every
+    # draw equals its value at block sizes 1 and 3
     import ramimo.feedback as fb
     import ramimo.harness as harness
 
-    monkeypatch.setattr(fb, "_BATCH_ELEMENTS", 1 << 12)
+    monkeypatch.setattr(fb, "_BATCH_ELEMENTS", 1 << 9)
     default = harness._block_size
     ra = {"strategy": "ra-full", "scheduler": "brute", "B": 4, "feedback_codebook": {"kind": "rvq-union-tx"}}
     delta = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 3}, snr_db_list=[0.0, 60.0, 100.0], master_seed=43, **ra)
     sum_rate = _cfg(system={"n_t": 4, "n_r": 1, "n_s": 2}, num_users=10, num_draws=27, **ra)
     for cfg, run in ((delta, run_delta_ra_experiment), (sum_rate, run_sum_rate_experiment)):
-        ctx = harness._Context(cfg)
-        configs = fb.scheduling_configs(len(ctx.C), range(1, cfg.params.n_s + 1))[0]
-        group = fb._BATCH_ELEMENTS // (len(ctx.V) * len(configs))
-        size = default(cfg.num_users, len(cfg.snr_db_list))
-        assert size * cfg.num_users * len(cfg.snr_db_list) >= 3 * group and cfg.num_draws > size
+        assert cfg.num_draws > default(cfg.num_users, len(cfg.snr_db_list))
         results = []
         for n in (1, 3, None):
             monkeypatch.setattr(harness, "_block_size", default if n is None else lambda n_users, n_snr, n=n: n)
-            result = run(cfg)
+            with monkeypatch.context() as mp:
+                searches = _count_searches(mp)
+                result = run(cfg)
             results.append((result.draws, result.tables))
+        assert searches[0] >= 3  # the first full-size block
         assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("elements", [None, 1 << 10])
+def test_gain_search_passes_stay_within_the_memory_cap(monkeypatch, elements):
+    # at the benchmark's delta-ra and ra-full configs no excess pass of the
+    # gain search sees more than _BATCH_ELEMENTS (column, configuration)
+    # entries, and at the default cap one search covers a whole block
+    import ramimo.feedback as fb
+
+    if elements is not None:
+        monkeypatch.setattr(fb, "_BATCH_ELEMENTS", elements)
+    entries = []
+    make_excess = fb._excess
+
+    def watched_excess(r_true, noise, table):
+        excess = make_excess(r_true, noise, table)
+
+        def watched(x, *columns):
+            entries.append(x.size * len(table))
+            return excess(x, *columns)
+
+        return watched
+
+    monkeypatch.setattr(fb, "_excess", watched_excess)
+    searches = _count_searches(monkeypatch)
+    ra = {"strategy": "ra-full", "scheduler": "brute", "feedback_codebook": {"kind": "rvq-union-tx"}}
+    delta = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 3}, num_users=3, snr_db_list=[0.0, 20.0, 40.0, 60.0, 80.0, 100.0], B=6, num_draws=28, master_seed=107, **ra)
+    sum_rate = _cfg(system={"n_t": 4, "n_r": 1, "n_s": 2}, num_users=10, snr_db_list=[10.0], B=4, num_draws=50, master_seed=109, **ra)
+    for cfg, run in ((delta, run_delta_ra_experiment), (sum_rate, run_sum_rate_experiment)):
+        entries.clear()
+        searches.clear()
+        run(cfg)
+        assert len(searches) == 2 and entries and max(entries) <= fb._BATCH_ELEMENTS
+        if elements is None:
+            assert searches == [1, 1]
+        else:
+            assert min(searches) >= 2
 
 
 def test_harness_hands_arrays_between_stages(monkeypatch):
