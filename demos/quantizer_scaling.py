@@ -24,11 +24,12 @@ CFG = {
     "num_draws": 3000,
     "snr_db_list": [10.0],
     "master_seed": 31,
+    "b_list": [4, 6, 8, 10],
 }
 
 
 def main():
-    result = run_scaling_experiment(SimConfig.from_dict(CFG), B_list=[4, 6, 8, 10])
+    result = run_scaling_experiment(SimConfig.from_dict(CFG))
     print(f"{'B':>3} {'measured error':>15} {'covering bound':>15}")
     for row in result.tables:
         print(f"{row['B']:>3} {row['D_hat_est']:>15.5f} {row['d_hat_bound']:>15.5f}")

@@ -11,11 +11,12 @@ for the n_t = 3 construction.
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .feedback import beam_powers
-from .numerics import abs_sq, minimax_log_gain, row_norms, standard_normal_rows
+from .numerics import abs_sq, row_norms, standard_normal_rows
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
 # (Kershner d=2; Bambah d=3; Delone & Ryshkov d=4).
@@ -135,33 +136,31 @@ def covering_number_bound(d, delta):
 
 
 def min_weighted_gap(psi, phi_table, lam_tilde):
-    """min over (theta_tilde, nu) of max_w |lam_tilde psi_w - theta_tilde phi_w|.
-
-    For each nu the largest overshoot max_w (theta_tilde phi_w - lam_tilde
-    psi_w) rises with theta_tilde and the largest undershoot falls, so
-    `numerics.minimax_log_gain` finds the inner minimum by bisection over
-    x with theta_tilde = 1/(1 + e^{-x}).  theta_tilde moves by at most
-    |dx|/4, so the value is within about 2e-11 of the minimum over
-    theta_tilde in [1/(1+e^40), 1/(1+e^-40)].
-    """
+    """min over (theta_tilde, nu) of max_w |lam_tilde psi_w - theta_tilde phi_w|,
+    with theta_tilde in [0, 1]."""
     return float(_min_weighted_gaps(np.asarray(psi)[None, :], phi_table, np.array([lam_tilde]))[0])
 
 
 def _min_weighted_gaps(psis, phi_table, lam_tildes):
     """`min_weighted_gap` of every row of psis (n, |C|) with its lam_tilde,
-    in one log-gain bisection over all (row, codeword) pairs that drops a
-    codeword once it cannot beat its row's minimum."""
-    n, n_v = len(psis), phi_table.shape[0]
-    # one column per (row, codeword) pair, as in feedback.ra_feedback_batch
-    columns = (np.repeat((lam_tildes[:, None] * psis).T, n_v, axis=1), np.tile(phi_table.T, (1, n)))
+    exactly.
 
-    def excess(x, target, phi_cols):
-        d = phi_cols / (1.0 + np.exp(-x))
-        d -= target
-        return d.max(axis=0), -d.min(axis=0)
-
-    _, vals = minimax_log_gain(excess, columns, n_v)
-    return vals.reshape(n, n_v).min(axis=1)
+    With a_w = lam_tilde psi_w and b_w = phi_w >= 0, every set
+    {t in [0, 1] : |a_w - t b_w| <= c} is an interval, so by Helly's
+    theorem in one dimension the minimax over t is the largest minimax of
+    an overshoot t b_i - a_i against an undershoot a_j - t b_j, over every
+    ordered pair of beams (i, j).  That pair's minimum over [0, 1] sits at
+    their crossing t = (a_i + a_j) / (b_i + b_j), clipped to [0, 1] (0
+    where both lines are flat and meet at zero).
+    """
+    a = (lam_tildes[:, None] * psis)[:, None, :]  # (rows, 1, beams)
+    b = phi_table  # (codewords, beams)
+    value = np.zeros((len(psis), len(b)))
+    for i, j in product(range(b.shape[1]), repeat=2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(np.nan_to_num((a[..., i] + a[..., j]) / (b[:, i] + b[:, j]), nan=0.0), 0.0, 1.0)
+        np.maximum(value, np.maximum(t * b[:, i] - a[..., i], a[..., j] - t * b[:, j]), out=value)
+    return value.min(axis=1)
 
 
 def min_direction_gap(psi, phi_table):
@@ -169,7 +168,7 @@ def min_direction_gap(psi, phi_table):
     return float(np.max(np.abs(psi[None, :] - phi_table), axis=1).min())
 
 
-_EMPIRICAL_D_ROWS = 1 << 14  # (sample, codeword) rows per batched gain search
+_EMPIRICAL_D_ROWS = 1 << 14  # (sample, codeword) entries per stacked pass
 
 
 def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
@@ -183,8 +182,8 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     The samples h_hat = sample_complex_gaussian(n_t, seed.derive("empD", i))
     of a batch are drawn in one `standard_normal_rows` call, their gains,
     lam_tilde and alignments psi computed as stacked rows (each equal to
-    the one-sample arithmetic bit for bit), and their gain searches run
-    together; the averages still add the samples one by one in order.
+    the one-sample arithmetic bit for bit), and their weighted minima
+    taken together; the averages still add the samples one by one in order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

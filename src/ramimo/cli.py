@@ -94,8 +94,9 @@ def _cmd_delta_ra(args):
 
 def _cmd_scaling(args):
     cfg = _load_cfg(args)
-    b_list = [int(b) for b in args.b_list.split(",")] if args.b_list else None
-    result = run_scaling_experiment(cfg, b_list)
+    if args.b_list:
+        cfg = cfg.replace(b_list=[int(b) for b in args.b_list.split(",")])
+    result = run_scaling_experiment(cfg)
     paths = emit(result, args.out)
     for row in result.tables:
         print(f"B={row['B']}  D_hat = {row['D_hat_est']:.5f}  D = {row['D_est']:.5f}")

@@ -27,7 +27,6 @@ from itertools import combinations
 import numpy as np
 
 from .channel import user_channels_block
-from . import numerics
 from .numerics import LOG_GAIN_BRACKET, abs_sq, minimax_log_gain, ordered_sum
 from .rates import rate
 
@@ -36,6 +35,10 @@ from .rates import rate
 # the fixed numpy cost of a pass over more problems, and the limit caps a
 # pass's working arrays (about 0.5 MB each)
 _BATCH_ELEMENTS = 1 << 16
+# slack of a column's lower bound over its problem's upper bound before the
+# column is dropped, far above rounding; read at call time, so an infinite
+# margin disables pruning
+PRUNE_MARGIN = 1e-9
 
 _CONFIG_CACHE = {}
 
@@ -221,14 +224,12 @@ def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
     the CDI, CQI and gap arrays.
 
     A pre-pass bounds every (row, codeword) column and drops those that
-    cannot win their row (`_ra_messages`); one log-gain bisection then runs
-    over the surviving columns of all rows, split into groups of whole
-    rows only where their first passes' working arrays would exceed
-    _BATCH_ELEMENTS (column, configuration) entries, and drops each
-    codeword once its bracket shows it cannot beat its row's best.  Every
-    column goes through the same elementwise arithmetic as alone, so every
-    row matches its one-row `ra_feedback` call bit for bit; only the
-    per-pass numpy overhead is shared.
+    cannot win their row (`_ra_messages`); log-gain bisections then run
+    over the surviving columns of all rows, in chunks of at most
+    _BATCH_ELEMENTS (column, configuration) entries.  Every column goes
+    through the same elementwise arithmetic as alone, so every row matches
+    its one-row `ra_feedback` call bit for bit; only the per-pass numpy
+    overhead is shared.
     """
     if len(V) == 0:
         raise ValueError("empty feedback codebook")
@@ -288,23 +289,29 @@ def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
     The lower bound comes from the single-user configurations: the
     table's first |C| rows, own beam j and noise only, whose mismatch is
     e_j(x) = log1p(a_j e^x) - r_j with a_j = scale2 phi_j / noise.  For
-    each pair of beams (a, b) the probe is the root g of
+    each pair of beams (a, b) the probe p is the root g of
     (1 + a_a g)(1 + a_b g) = e^(r_a + r_b), where e_a + e_b = 0, written
-    without cancellation and held inside the search bracket.  Both e rise
-    in x, so at every x above the probe e_a is at least e_a(probe), and at
-    every x below it -e_b is at least -e_b(probe): the column's worst
-    mismatch is at least max(min(e_a, -e_b), min(e_b, -e_a)) at the probe,
-    wherever the probe lies.  The root only makes the bound tight, so a
-    rounding error in it cannot lift the bound above the true minimax.
+    without cancellation and held inside the search bracket [lo, hi].
+    Every e rises in x, so at every x in [p, hi] the worst mismatch is at
+    least max(e_a(p), e_b(p), -e_a(hi), -e_b(hi)), and at every x in
+    [lo, p] at least max(-e_a(p), -e_b(p), e_a(lo), e_b(lo)); the smaller
+    of the two bounds the column wherever the probe lies.  The root only
+    makes the bound tight, so a rounding error in it cannot lift the bound
+    above the true minimax; the bracket ends give a flat column (a
+    codeword with no power on any beam) its exact value.
 
     The upper bound is `excess` at the probe of the problem's
-    least-bounded column, a gain inside the bracket, evaluated for at most
-    `per_pass` problems at a time.
+    least-bounded column, evaluated for at most `per_pass` problems at a
+    time; each column's probe is that of its pair with the largest
+    max(min(e_a, -e_b), min(e_b, -e_a)) at the root.
     """
     alpha = (scale2 / noise[:, 0])[None, :, None] * phi_cols[:-1, None, :]  # (beams, problems, codewords)
-    lower = np.full(alpha.shape[1:], -np.inf)
-    probe = np.ones(alpha.shape[1:])
     g_min, g_max = np.exp(-LOG_GAIN_BRACKET), np.exp(LOG_GAIN_BRACKET)
+    r_single = r_true[:, : len(alpha)].T[:, :, None]
+    e_lo, e_hi = (rate(alpha * g, (), 1.0) - r_single for g in (g_min, g_max))
+    lower = np.full(alpha.shape[1:], -np.inf)
+    score = np.full(alpha.shape[1:], -np.inf)
+    probe = np.ones(alpha.shape[1:])
     for a, b in combinations(range(len(alpha)), 2):
         r_a, r_b = r_true[:, a, None], r_true[:, b, None]
         growth = np.expm1(r_a + r_b)
@@ -314,9 +321,12 @@ def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
         g = np.clip(np.nan_to_num(g, nan=1.0), g_min, g_max)
         e_a = rate(alpha[a] * g, (), 1.0) - r_a  # in units of the single-user noise
         e_b = rate(alpha[b] * g, (), 1.0) - r_b
-        bound = np.minimum(np.maximum(e_a, e_b), -np.minimum(e_a, e_b))
-        better = bound > lower
-        np.copyto(lower, bound, where=better)
+        right = np.maximum(np.maximum(e_a, e_b), np.maximum(-e_hi[a], -e_hi[b]))
+        left = np.maximum(np.maximum(-e_a, -e_b), np.maximum(e_lo[a], e_lo[b]))
+        np.maximum(lower, np.minimum(right, left), out=lower)
+        pair = np.minimum(np.maximum(e_a, e_b), -np.minimum(e_a, e_b))
+        better = pair > score
+        np.copyto(score, pair, where=better)
         np.copyto(probe, g, where=better)
     n = len(r_true)
     least = np.argmin(lower, axis=1)
@@ -332,33 +342,26 @@ def _ra_messages(r_true, noise, scale2, phi, table):
     """Minimax (codeword, gain, gap) of each problem as three arrays,
     given its true rates and noise terms (problems x configurations) and
     CQI^2-to-raw scale, from `minimax_log_gain` searches over the
-    (problem, codeword) columns that survive a pre-pass, grouped by
-    problem.
+    (problem, codeword) columns that survive a pre-pass.
 
     A column whose lower bound exceeds its problem's upper bound
     (`_pre_pass`) by more than PRUNE_MARGIN is dropped before the search:
     its value is at least its bound, and the winner's at most the upper
-    bound plus the search's 80 * 2^-40 (7.3e-11) tolerance.
+    bound plus the search's 80 * 2^-40 (7.3e-11) tolerance.  The survivors
+    are searched in chunks of at most _BATCH_ELEMENTS (column,
+    configuration) entries; the best codeword wins, ties to the lowest
+    index.
     """
     n, n_v = len(r_true), len(phi)
     excess = _excess(r_true, noise, table)
     phi_cols = np.vstack([phi.T, np.zeros(n_v)])
     per_pass = max(1, _BATCH_ELEMENTS // len(table))  # columns of one pass within the cap
     lower, upper = _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass)
-    # one column per surviving (problem, codeword) pair, problems in order:
-    # the max over configurations then runs across contiguous rows
-    # (the margin is read at call time: an infinite one disables pruning)
-    problem, cdi = np.nonzero(~(lower > upper[:, None] + numerics.PRUNE_MARGIN))
-    ends = np.cumsum(np.bincount(problem, minlength=n))  # columns through each problem
+    problem, cdi = np.nonzero(~(lower > upper[:, None] + PRUNE_MARGIN))
     x, gap = np.full((n, n_v), np.nan), np.full((n, n_v), np.inf)
-    lo = 0
-    while lo < len(problem):
-        # the whole problems that fit in one pass, or the next problem alone
-        fit = np.searchsorted(ends, lo + per_pass, side="right") - 1
-        hi = ends[max(fit, np.searchsorted(ends, lo, side="right"))]
-        p, v = problem[lo:hi], cdi[lo:hi]
-        x[p, v], gap[p, v] = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]), p)
-        lo = hi
+    for lo in range(0, len(problem), per_pass):
+        p, v = problem[lo : lo + per_pass], cdi[lo : lo + per_pass]
+        x[p, v], gap[p, v] = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]))
     idx = np.argmin(gap, axis=1)
     rows = np.arange(n)
     return idx, np.exp(0.5 * x[rows, idx]), gap[rows, idx]

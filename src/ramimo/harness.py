@@ -307,7 +307,7 @@ def _feedback_strategy(kind, cfg):
 
 # (draw, SNR point, user) rows per block: run times of criterion 9's
 # configs level off from about 250 rows per block on (block-size sweep in
-# CHANGES.md); the ra-full gain search splits a block into groups of its own
+# CHANGES.md); the ra-full gain search splits a block into chunks of its own
 _BLOCK_ROWS = 1 << 8
 
 
@@ -334,7 +334,7 @@ def _map_draws(kind, ctx):
     else:
         chunk = max(1, len(blocks) // (cfg.workers * 8))
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(kind, cfg.to_dict())
+            max_workers=min(cfg.workers, len(blocks)), initializer=_init_worker, initargs=(kind, cfg.to_dict())
         ) as ex:
             per_block = list(ex.map(_worker_entry, blocks, chunksize=chunk))
     return [r for results in per_block for r in results]
@@ -534,10 +534,11 @@ def run_delta_ra_experiment(cfg):
     return result
 
 
-def run_scaling_experiment(cfg, B_list=None):
-    """Quantization-error decay over feedback bits, with the analytic
-    curves and the fitted log2 slope of the direction-only error."""
-    b_list = tuple(B_list) if B_list else cfg.b_list
+def run_scaling_experiment(cfg):
+    """Quantization-error decay over the feedback bits of cfg.b_list, with
+    the analytic curves and the fitted log2 slope of the direction-only
+    error."""
+    b_list = cfg.b_list
     if not b_list:
         raise ValueError("scaling experiment needs a b_list")
     if list(b_list) != sorted(b_list):

@@ -13,7 +13,6 @@ import numpy as np
 
 LOG_GAIN_BRACKET = 40.0  # x = log theta^2 in [-40, 40]: theta^2 from 4e-18 to 2e17
 MINIMAX_ITERS = 40  # halvings of the bracket: 80 * 2^-40 ~ 7e-11 in x
-PRUNE_MARGIN = 1e-9  # slack over a group's best before a column is dropped, far above rounding
 
 
 def _key_to_int(key):
@@ -128,9 +127,8 @@ def standard_normal_rows(master_seed, streams, n):
     return out
 
 
-def minimax_log_gain(excess, columns, group):
-    """Minimize max(over(x), under(x)) over x for many columns at once, and
-    keep only the columns that can still win their group.
+def minimax_log_gain(excess, columns):
+    """Minimize max(over(x), under(x)) over x for many columns at once.
 
     `columns` are arrays with one column per problem on the last axis;
     `excess(x, *columns)` maps a log-gain per column to the pair (over,
@@ -145,35 +143,16 @@ def minimax_log_gain(excess, columns, group):
     midpoint lies within 80 * 2^-40 of the crossing, so when both sides
     change by at most |dx| (true of rates in log-gain) the value is within
     about 7e-11 of the minimum over [-LOG_GAIN_BRACKET, LOG_GAIN_BRACKET].
-
-    Columns form groups, of which the caller keeps only the minimum: with
-    an int `group`, consecutive runs of `group` columns; otherwise `group`
-    labels every column, and equal labels must be contiguous.  Once a
-    column's bracket is [lo, hi], every later midpoint scores at least
-    max(over(lo), under(hi)); a column whose bound exceeds its group's best
-    value by more than PRUNE_MARGIN cannot win, is dropped, and gets
-    x = NaN and value +inf.  The held arrays are compacted whenever the
-    live columns are at most half of them.  `excess` must treat every
-    column alone, so the survivors see the same arithmetic, and return the
-    same (x, value) bit for bit, as with group = 1, which prunes nothing.
+    A column whose excess is NaN keeps x = 0 and value +inf.  When `excess`
+    treats every column alone, each column's (x, value) does not depend on
+    which other columns share the call.
     """
     n = columns[0].shape[-1]
-    out_x = np.full(n, np.nan)
-    out = np.full(n, np.inf)
-    if n == 0:
-        return out_x, out
-    held = np.arange(n)  # original index of every column still held
     lo = np.full(n, -LOG_GAIN_BRACKET)
     hi = np.full(n, LOG_GAIN_BRACKET)
     best_x = np.zeros(n)
     best = np.full(n, np.inf)
-    over_lo = np.full(n, -np.inf)  # over(lo); -inf until lo is evaluated
-    under_hi = np.full(n, -np.inf)  # under(hi); -inf until hi is evaluated
-    live = np.ones(n, dtype=bool)
-    labels = np.arange(n) // group if np.isscalar(group) else np.asarray(group)
-    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])  # first held column of every group
-    sizes = np.diff(starts, append=n)
-    for it in range(MINIMAX_ITERS):
+    for _ in range(MINIMAX_ITERS):
         x = 0.5 * (lo + hi)
         over, under = excess(x, *columns)
         val = np.maximum(over, under)
@@ -182,27 +161,8 @@ def minimax_log_gain(excess, columns, group):
         np.copyto(best, val, where=better)
         rising = over >= under
         np.copyto(hi, x, where=rising)
-        np.copyto(under_hi, under, where=rising)
-        falling = ~rising
-        np.copyto(lo, x, where=falling)
-        np.copyto(over_lo, over, where=falling)
-        if it == MINIMAX_ITERS - 1:
-            break
-        # NaN bounds compare false and keep their column
-        bound = np.minimum(best, np.maximum(over_lo, under_hi))
-        group_best = np.repeat(np.minimum.reduceat(best, starts), sizes)
-        live &= ~(bound > group_best + PRUNE_MARGIN)
-        if 2 * np.count_nonzero(live) <= len(live):
-            held = held[live]
-            columns = [c[..., live] for c in columns]
-            lo, hi, best_x, best, over_lo, under_hi = (a[live] for a in (lo, hi, best_x, best, over_lo, under_hi))
-            gid = labels[held]
-            starts = np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]])
-            sizes = np.diff(starts, append=len(held))
-            live = np.ones(len(held), dtype=bool)
-    out_x[held[live]] = best_x[live]
-    out[held[live]] = best[live]
-    return out_x, out
+        np.copyto(lo, x, where=~rising)
+    return best_x, best
 
 
 def row_norms(v):

@@ -24,7 +24,7 @@ from ramimo.bounds import (
 )
 from ramimo.channel import SystemParams
 from ramimo.codebook import canonical_onb, rvq_codebook
-from ramimo.numerics import SeedSpec, sample_complex_gaussian
+from ramimo.numerics import SeedSpec, minimax_log_gain, sample_complex_gaussian
 
 
 def test_covering_density_small_dimensions():
@@ -192,6 +192,46 @@ def test_min_weighted_gap_matches_dense_grid(lam_tilde):
         got = min_weighted_gap(psi, phi, lam_tilde)
         assert got <= oracle + 1e-10
         assert got >= oracle - 1e-8
+
+
+def _bisection_weighted_gaps(psis, phi_table, lam_tildes):
+    """Every (row, codeword) value of `min_weighted_gap` by log-gain
+    bisection over theta_tilde = 1/(1 + e^-x): the overshoot rises and the
+    undershoot falls in x."""
+    n, n_v = len(psis), len(phi_table)
+    target = np.repeat((lam_tildes[:, None] * psis).T, n_v, axis=1)
+
+    def excess(x, target, phi_cols):
+        d = phi_cols / (1.0 + np.exp(-x))
+        d -= target
+        return d.max(axis=0), -d.min(axis=0)
+
+    _, vals = minimax_log_gain(excess, (target, np.tile(phi_table.T, (1, n))))
+    return vals.reshape(n, n_v)
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 4])
+@pytest.mark.parametrize("lam_tilde", [0.0, 0.5, 1.0 - 1e-10])
+def test_min_weighted_gaps_match_bisection_oracle(n_t, lam_tilde):
+    # the closed form is exact on [0, 1]; the bisection searches inside it
+    # and lands within its 2e-11 tolerance, on random codewords, codewords
+    # with no power on any beam (flat columns) and duplicated codewords
+    from ramimo.bounds import _min_weighted_gaps
+
+    C = canonical_onb(n_t)
+    V = rvq_codebook(n_t, 4, SeedSpec(58).derive("v", n_t))
+    phi = np.abs(V.vectors.conj() @ C.vectors.T) ** 2
+    phi = np.vstack([phi, np.zeros((2, n_t)), phi[[3, 3]], np.eye(n_t)[:1]])
+    h = np.array([sample_complex_gaussian(n_t, SeedSpec(59).derive("h", n_t, i)) for i in range(30)])
+    psi = np.abs(h.conj() @ C.vectors.T) ** 2 / np.sum(np.abs(h) ** 2, axis=1, keepdims=True)
+    psi[0] = np.eye(n_t)[0]  # a channel on one beam
+    lam = np.full(len(psi), lam_tilde)
+    oracle = _bisection_weighted_gaps(psi, phi, lam)
+    closed = np.array([_min_weighted_gaps(psi, phi[v : v + 1], lam) for v in range(len(phi))]).T
+    assert np.all(closed <= oracle + 1e-15)
+    assert np.all(closed >= oracle - 2e-11)
+    assert np.array_equal(closed[:, len(phi) - 5], (lam_tilde * psi).max(axis=1))  # a flat column's value is max a
+    assert np.array_equal(_min_weighted_gaps(psi, phi, lam), closed.min(axis=1))
 
 
 def test_empirical_d_nonincreasing_in_b():

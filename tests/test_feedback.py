@@ -868,18 +868,17 @@ def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(degenerate):
     phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
     lower, upper = fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)
     p, v = np.divmod(np.arange(len(h) * len(phi)), len(phi))
-    _, value = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]), 1)  # one-column groups prune nothing
+    _, value = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]))
     value = value.reshape(len(h), len(phi))
     assert np.all(lower <= value + 1e-12)
     # the bisection's last midpoint is within 80 * 2^-40 (7.3e-11) of the
     # best x, which the probe may hit exactly at a bracket end
     assert np.all(upper >= value.min(axis=1) - 2 * LOG_GAIN_BRACKET * 2.0**-MINIMAX_ITERS)
-    if not degenerate:  # the zero codeword's flat value makes a loose upper bound
-        assert np.mean(lower > upper[:, None] + 1e-9) > 0.5  # most columns are dropped before the search
+    assert np.mean(lower > upper[:, None] + 1e-9) > 0.5  # most columns are dropped before the search
 
 
 # ---------------------------------------------------------------------------
-# messages independent of grouping and of codeword pruning
+# messages independent of search chunks and of codeword pruning
 # ---------------------------------------------------------------------------
 
 
@@ -893,11 +892,11 @@ def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(degenerate):
     ],
 )
 def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, system, B, F, snrs, users):
-    # The search groups problems by _BATCH_ELEMENTS and drops losing
-    # codewords mid-search, so it holds a different number of columns from
-    # pass to pass; every (cdi_index, cqi, gap) must stay bit-identical.
+    # The search splits the surviving columns into chunks by
+    # _BATCH_ELEMENTS, and the pre-pass drops losing codewords, so a pass
+    # holds a different number of columns with each setting; every
+    # (cdi_index, cqi, gap) must stay bit-identical.
     import ramimo.feedback as fb
-    import ramimo.numerics as nm
     from ramimo.channel import per_subcarrier_effective_channels
     from ramimo.harness import SimConfig, _Context
 
@@ -932,14 +931,14 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
 
     def solve(elements, margin):
         monkeypatch.setattr(fb, "_BATCH_ELEMENTS", elements)
-        monkeypatch.setattr(nm, "PRUNE_MARGIN", margin)
+        monkeypatch.setattr(fb, "PRUNE_MARGIN", margin)
         out = fb.ra_feedback_batch(h_hat, [params for _, params, _ in problems], ctx.C, ctx.V, phi_table=ctx.phi)
         return list(zip(*(a.tolist() for a in out)))
 
-    default = fb._BATCH_ELEMENTS
+    default, margin = fb._BATCH_ELEMENTS, fb.PRUNE_MARGIN  # read before `solve` patches them
     reference = solve(default, np.inf)  # nothing pruned
     for elements in (1, 1 << 14, default):
-        assert solve(elements, nm.PRUNE_MARGIN) == reference
+        assert solve(elements, margin) == reference
 
 
 @pytest.mark.parametrize("n_c,n_s", [(3, 3), (4, 4), (8, 4), (8, 5)])
@@ -978,7 +977,7 @@ def test_interference_sum_is_column_stable(n_c, n_s):
 
 @pytest.mark.parametrize("n_t,n_s", [(3, 2), (4, 4)])
 def test_multiantenna_independent_of_pruning(monkeypatch, n_t, n_s):
-    import ramimo.numerics as nm
+    import ramimo.feedback as fb
 
     C = canonical_onb(n_t)
     V = concat_codebooks(C, rvq_codebook(n_t, 4, SeedSpec(78).derive("v", n_t)))
@@ -988,6 +987,6 @@ def test_multiantenna_independent_of_pruning(monkeypatch, n_t, n_s):
             uc = UserChannel(H=sample_complex_gaussian_matrix(2, n_t, SeedSpec(79).derive(n_t, int(snr), i)))
             pruned = compute_feedback("ra-full", uc, C, V, params)
             with monkeypatch.context() as mp:
-                mp.setattr(nm, "PRUNE_MARGIN", np.inf)
+                mp.setattr(fb, "PRUNE_MARGIN", np.inf)
                 plain = compute_feedback("ra-full", uc, C, V, params)
             assert pruned == plain

@@ -162,6 +162,42 @@ def test_sum_rate_worker_count_invariance(tmp_path):
     assert j1 == j2
 
 
+def test_worker_pool_sized_to_the_blocks(monkeypatch):
+    # the pool opens no more processes than there are blocks; a fake
+    # executor records the size and maps in this process, so no process
+    # starts, and the results and metadata.workers stay as requested
+    import ramimo.harness as harness
+
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(harness, "_WORKER_CTX", {})
+    serial = run_sum_rate_experiment(_cfg(num_draws=1))
+    one_block = run_sum_rate_experiment(_cfg(num_draws=1, workers=64))
+    assert sizes == [1] and one_block.metadata["workers"] == 64
+    assert one_block.draws == serial.draws and one_block.tables == serial.tables
+    monkeypatch.setattr(harness, "_block_size", lambda n_users, n_snr: 10)
+    for workers, expected in ((64, 3), (2, 2)):
+        sizes.clear()
+        result = run_sum_rate_experiment(_cfg(workers=workers))
+        assert sizes == [expected] and result.metadata["workers"] == workers
+        assert result.draws == run_sum_rate_experiment(_cfg()).draws
+
+
 def test_sum_rate_draws_independent_of_block_size(monkeypatch):
     # draws run in blocks that share one feedback call; a draw's result must
     # not depend on the block it lands in (13 draws leave a partial block of
@@ -313,9 +349,9 @@ def _count_searches(monkeypatch):
 
 def test_draws_independent_of_gain_search_groups(monkeypatch):
     # ra_feedback_batch splits a block's surviving columns into gain-search
-    # groups of whole rows; with a small group limit one delta-ra block and
-    # one ra-full sum-rate block each span at least 3 groups, and every
-    # draw equals its value at block sizes 1 and 3
+    # chunks of at most _BATCH_ELEMENTS entries; with a small limit one
+    # delta-ra block and one ra-full sum-rate block each span at least 3
+    # chunks, and every draw equals its value at block sizes 1 and 3
     import ramimo.feedback as fb
     import ramimo.harness as harness
 
@@ -535,13 +571,23 @@ def test_scaling_requires_b_list():
 
 def test_scaling_single_b_has_no_slope():
     cfg = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 2}, num_draws=50)
-    result = run_scaling_experiment(cfg, B_list=[4])
+    result = run_scaling_experiment(cfg.replace(b_list=[4]))
     assert result.metadata["log2_slope_d_hat"] is None
+
+
+def test_scaling_records_its_bit_list():
+    # the bits a scaling run measures are its config's b_list, so they are
+    # in result.json's config and in its hash
+    cfg = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 2}, num_draws=20)
+    one, two = (run_scaling_experiment(cfg.replace(b_list=b)) for b in ([4], [4, 6]))
+    assert one.config["b_list"] == [4] and two.config["b_list"] == [4, 6]
+    assert [row["B"] for row in two.tables] == [4, 6]
+    assert one.config_hash != two.config_hash
 
 
 def test_scaling_reports_decreasing_estimates():
     cfg = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 2}, num_draws=200)
-    result = run_scaling_experiment(cfg, B_list=[2, 4, 6])
+    result = run_scaling_experiment(cfg.replace(b_list=[2, 4, 6]))
     d_hats = [row["D_hat_est"] for row in result.tables]
     assert d_hats[0] > d_hats[1] > d_hats[2]
     assert result.metadata["log2_slope_d_hat"] < 0
