@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .feedback import beam_powers
-from .numerics import abs_sq, row_norms, standard_normal_rows
+from .numerics import SeedSpec, abs_sq, row_norms, standard_normal_rows
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
 # (Kershner d=2; Bambah d=3; Delone & Ryshkov d=4).
@@ -169,6 +169,7 @@ def min_direction_gap(psi, phi_table):
 
 
 _EMPIRICAL_D_ROWS = 1 << 14  # (sample, codeword) entries per stacked pass
+_EMPD_KEY = SeedSpec(0).derive("empD").stream[0]  # stream word of the sample key "empD"
 
 
 def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
@@ -194,7 +195,11 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     chunk = max(1, _EMPIRICAL_D_ROWS // len(V))
     for lo in range(0, samples, chunk):
         idx = range(lo, min(lo + chunk, samples))
-        normals = standard_normal_rows(seed.master_seed, [seed.derive("empD", i).stream for i in idx], 2 * n_t)
+        streams = np.empty((len(idx), len(seed.stream) + 2), dtype=np.uint32)  # seed.derive("empD", i).stream
+        streams[:, :-2] = seed.stream
+        streams[:, -2] = _EMPD_KEY
+        streams[:, -1] = np.arange(idx.start, idx.stop) % 2**32
+        normals = standard_normal_rows(seed.master_seed, streams, 2 * n_t)
         h_hat = (normals[:, :n_t] + 1j * normals[:, n_t:]) / np.sqrt(2.0)
         gain_sq = abs_sq(row_norms(h_hat))
         lam_sq = params.P * gain_sq / (params.n_t * params.sigma_sq)

@@ -437,16 +437,13 @@ def _cdf(samples):
     return grid.tolist(), y.tolist()
 
 
-def _result_skeleton(kind, cfg, extra_meta=None):
-    meta = {"master_seed": cfg.master_seed, "workers": cfg.workers}
-    if extra_meta:
-        meta.update(extra_meta)
+def _result_skeleton(kind, cfg):
     return ExperimentResult(
         kind=kind,
         config=cfg.to_dict(),
         config_hash=cfg.config_hash(),
         version=__version__,
-        metadata=meta,
+        metadata={"master_seed": cfg.master_seed, "workers": cfg.workers},
         tables=[],
         draws={},
         cdf={},
@@ -550,7 +547,7 @@ def run_scaling_experiment(cfg):
     def family(B):
         return rvq_codebook(cfg.params.n_t, B, family_seed)
 
-    result = _result_skeleton("scaling", cfg, extra_meta={"b_list": list(b_list)})
+    result = _result_skeleton("scaling", cfg)
     n_t = cfg.params.n_t
     params = cfg.params.with_snr_db(cfg.snr_db_list[0])
     d_hats = []

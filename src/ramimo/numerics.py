@@ -5,6 +5,7 @@ SeedSpec, so simulation results do not depend on execution order or on
 how draws are distributed over worker processes.
 """
 
+import ctypes
 import functools
 import zlib
 from dataclasses import dataclass
@@ -51,8 +52,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_LIMBS = np.array([_PCG64_MULT >> 32 * k & _MASK32 for k in range(4)], dtype=np.uint64)[:, None]
 
 
 def _hash_consts(init, mult, count):
@@ -88,6 +89,62 @@ def _key_consts(t0, n_keys):
 # generate_state(4, uint64) draws 8 words, cycling over the pool twice
 _STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
 _STATE_POOL_ROWS = [0, 1, 2, 3, 0, 1, 2, 3]
+# PCG64 seeds from the 64-bit words (w0, w1, w2, w3) as state w0 << 64 | w1
+# and sequence w2 << 64 | w3; their 32-bit limbs, lowest first, among the
+# 8 little-endian 32-bit words that generate_state hashes
+_SEED_LIMBS = [2, 3, 0, 1]
+_SEQ_LIMBS = [6, 7, 4, 5]
+
+
+def _carry128(limbs):
+    """Carry a (4, S) uint64 array of 32-bit limb sums, lowest first, into
+    32-bit limbs of the sum mod 2^128."""
+    for k in range(3):
+        limbs[k + 1] += limbs[k] >> 32
+    return limbs & _MASK32
+
+
+def _add128(a, b):
+    """(a + b) mod 2^128 on 32-bit limbs."""
+    return _carry128(a + b)
+
+
+def _mul128_pcg64(a):
+    """(a * PCG64 multiplier) mod 2^128 on 32-bit limbs.  Limb i times
+    multiplier limb j puts its low half in column i + j and its high half
+    in the next, so no column sum reaches 2^35 before the carries run."""
+    out = np.zeros_like(a)
+    for i in range(4):
+        p = a[i] * _PCG64_MULT_LIMBS[: 4 - i]  # columns i .. 3
+        out[i:] += p & _MASK32
+        out[i + 1 :] += p[:-1] >> 32
+    return _carry128(out)
+
+
+def _raw_state_words(bitgen):
+    """A writable uint64 view of a PCG64's 128-bit state and increment, the
+    four words of its pcg64_random_t; numpy's pcg64_state, whose address
+    `ctypes.state_address` gives, starts with a pointer to it.  The view
+    does not keep `bitgen` alive."""
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=1)
+def _pcg64_word_order():
+    """Which of (state low, state high, inc low, inc high) each raw word of
+    a PCG64 holds.  numpy stores a 128-bit value as a native __uint128_t
+    (low word first on little-endian machines) or as a {high, low} struct;
+    setting four distinct words through the public `state` setter and
+    reading them back tells which."""
+    words = [0x0123456789ABCDEF, 0x1133557799BBDDFF, 0x02468ACE13579BDF, 0x0F1E2D3C4B5A6979]
+    bitgen = np.random.PCG64(0)
+    state = {"state": words[1] << 64 | words[0], "inc": words[3] << 64 | words[2]}
+    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    raw = [int(w) for w in _raw_state_words(bitgen)]
+    if sorted(raw) != sorted(words):
+        raise RuntimeError(f"unrecognized PCG64 state layout: wrote {words}, read {raw}")
+    return tuple(words.index(w) for w in raw)
 
 
 def standard_normal_rows(master_seed, streams, n):
@@ -97,9 +154,11 @@ def standard_normal_rows(master_seed, streams, n):
     `streams` is an (S, K) array of stream words, as in SeedSpec.stream.
     Instead of one SeedSequence and one Generator per row, numpy's
     SeedSequence hash runs for all rows at once on uint32 arrays, each key
-    word mixing into the pool the master seed left behind; PCG64's seeding
-    step then runs on Python ints, and one reused generator draws each row
-    from the resulting state.
+    word mixing into the pool the master seed left behind, and so does
+    PCG64's seeding step, inc = seq << 1 | 1 and state = (inc + seed) *
+    mult + inc (mod 2^128), on 32-bit limbs.  Each row's four state words
+    are then written straight into one reused generator, which draws the
+    row with numpy's own ziggurat.
     """
     streams = np.asarray(streams, dtype=np.uint32)
     if streams.ndim != 2:
@@ -114,15 +173,21 @@ def standard_normal_rows(master_seed, streams, n):
         pool = np.uint32(_MIX_MULT_L) * pool - h_word
         pool ^= pool >> 16
     state = (pool[_STATE_POOL_ROWS] ^ _STATE_CONSTS[:-1]) * _STATE_CONSTS[1:]
-    state ^= state >> 16
-    seeds = state.T.astype("<u4", order="C").view("<u8").tolist()  # generate_state's 4 uint64 words per row
+    state ^= state >> 16  # generate_state's 8 words per row
+    state = state.astype(np.uint64)
+    seq = state[_SEQ_LIMBS]
+    inc = seq << 1 & _MASK32
+    inc[1:] |= seq[:-1] >> 31
+    inc[0] |= 1
+    pcg = _add128(_mul128_pcg64(_add128(inc, state[_SEED_LIMBS])), inc)
+    limbs = np.concatenate([pcg, inc])
+    words = (limbs[0::2] | limbs[1::2] << 32)[list(_pcg64_word_order())].T.copy()  # each row's raw state words
     bitgen = np.random.PCG64(0)  # every row overwrites its state
+    raw = _raw_state_words(bitgen)
     gen = np.random.Generator(bitgen)
     out = np.empty((streams.shape[0], n))
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, seeds):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    for row, row_words in zip(out, words):
+        raw[:] = row_words
         gen.standard_normal(out=row)
     return out
 

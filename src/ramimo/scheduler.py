@@ -225,10 +225,17 @@ def schedule_greedy(vectors, C, params):
 
 def _zf_solve(A):
     """Full-rank mask of a stack of (k, n_t) conjugated-direction matrices,
-    and the pseudo-inverses of its full-rank members.  numpy solves a
-    stack matrix by matrix, so each equals the call on that matrix alone."""
-    full = np.linalg.matrix_rank(A, tol=1e-10) == A.shape[-2]
-    return full, np.linalg.pinv(A[full])
+    and the pseudo-inverses of its full-rank members, from one SVD: a
+    member is full rank when k of its singular values exceed 1e-10, and
+    its pseudo-inverse follows `np.linalg.pinv`'s own arithmetic (rcond
+    1e-15 of the largest singular value).  numpy solves a stack matrix by
+    matrix, so each equals `pinv` on that matrix alone."""
+    u, s, vt = np.linalg.svd(A.conj(), full_matrices=False)
+    full = np.count_nonzero(s > 1e-10, axis=-1) == A.shape[-2]
+    u, s, vt = u[full], s[full], vt[full]
+    large = s > 1e-15 * s.max(axis=-1, keepdims=True)
+    s_inv = np.divide(1, s, where=large, out=np.zeros_like(s))
+    return full, np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
 
 
 def zf_precode(cdis, params):

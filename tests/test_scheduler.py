@@ -235,6 +235,8 @@ def test_zf_rejects_dependent_directions():
     params = SystemParams(n_t=2, n_s=2)
     with pytest.raises(ValueError, match="depend"):
         zf_precode([E1, E1], params)
+    with pytest.raises(ValueError, match="depend"):  # more directions than antennas
+        zf_precode([E1, E2, (E1 + E2) / np.sqrt(2.0)], params)
 
 
 def test_realize_matches_predicted_under_perfect_csit():
