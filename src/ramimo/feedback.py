@@ -199,13 +199,15 @@ def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None):
     """Full rate-approximation feedback: argmin over (theta, nu) of the
     worst-case rate mismatch.
 
-    For each codeword the gain is searched in x = log theta^2 by
-    `numerics.minimax_log_gain`: every predicted rate is nondecreasing in
-    x, so the worst-case mismatch is smallest where the largest overshoot
-    equals the largest undershoot, and 40 bisection steps over x in
-    [-40, 40] reach that point.  Each rate moves by less than |dx|, so the
-    reported gap is within about 7e-11 nats of the exact minimum for that
-    codeword.  The best codeword wins, ties to the lowest index.
+    For each codeword the gain is solved in x = log theta^2 over [-40, 40]
+    by `numerics.minimax_log_gain`: every predicted rate is nondecreasing
+    in x, so the worst-case mismatch is smallest where the largest
+    overshoot equals the largest undershoot, a crossing that one pair of
+    configurations sets and whose closed-form root the solver takes.  The
+    reported gap is the exact minimum for that codeword, certified by a
+    lower bound within 1e-13 nats, or, for a column no root round
+    certifies, within the fallback bisection's 7.3e-11 of it.  The best
+    codeword wins, ties to the lowest index.
 
     With `subcarrier_effs` the true-rate side is the per-subcarrier average
     (frequency-averaged feedback); the reported direction/gain still refer
@@ -224,12 +226,13 @@ def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
     the CDI, CQI and gap arrays.
 
     A pre-pass bounds every (row, codeword) column and drops those that
-    cannot win their row (`_ra_messages`); log-gain bisections then run
-    over the surviving columns of all rows, in chunks of at most
+    cannot win their row (`_ra_messages`); the certified gain solver then
+    runs over the surviving columns of all rows, in chunks of at most
     _BATCH_ELEMENTS (column, configuration) entries.  Every column goes
-    through the same elementwise arithmetic as alone, so every row matches
-    its one-row `ra_feedback` call bit for bit; only the per-pass numpy
-    overhead is shared.
+    through the same elementwise arithmetic as alone and leaves the
+    solver's passes once certified, so every row matches its one-row
+    `ra_feedback` call bit for bit; only the per-pass numpy overhead is
+    shared.
     """
     if len(V) == 0:
         raise ValueError("empty feedback codebook")
@@ -254,11 +257,15 @@ def _interference(powers, table):
 
 
 def _excess(r_true, noise, table):
-    """The gain search's excess(x, problem, scale2, phi_cols): the largest
-    overshoot and undershoot of the predicted over the true rates of every
-    column, given its log-gain, problem index, CQI^2-to-raw scale and
-    codeword powers (beam rows plus a zero row), for problems with true
-    rates and noise terms (problems x configurations)."""
+    """The gain solver's excess(x, problem, scale2, phi_cols): the signed
+    mismatches (configurations x columns) of the predicted over the true
+    rates of every column, given its log-gain, problem index, CQI^2-to-raw
+    scale and codeword powers (beam rows plus a zero row); and its
+    coefficients(c, problem, scale2, phi_cols): A, U and r of
+    configuration c[k] of every column k, the mismatch being
+    log1p(A g / (1 + U g)) - r in g = e^x with A and U the own and
+    interfering codeword powers over the noise term.  For problems with
+    true rates and noise terms (problems x configurations)."""
     # true rates and noise terms stay per problem and are read through
     # each column's problem index, so no (configurations x columns) array
     # outlives a pass
@@ -275,9 +282,17 @@ def _excess(r_true, noise, table):
         del denom
         np.log1p(d, out=d)
         d -= r_true[:, problem]
-        return d.max(axis=0), -d.min(axis=0)
+        return d
 
-    return excess
+    def coefficients(c, problem, scale2, phi_cols):
+        beams, k = table[c].T, np.arange(len(c))  # own beam, then interferers
+        w = scale2 / noise[c, problem]
+        intf = phi_cols[beams[1], k]
+        for b in beams[2:]:
+            intf += phi_cols[b, k]
+        return w * phi_cols[beams[0], k], w * intf, r_true[c, problem]
+
+    return excess, coefficients
 
 
 def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
@@ -300,7 +315,7 @@ def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
     above the true minimax; the bracket ends give a flat column (a
     codeword with no power on any beam) its exact value.
 
-    The upper bound is `excess` at the probe of the problem's
+    The upper bound is the largest |excess| at the probe of the problem's
     least-bounded column, evaluated for at most `per_pass` problems at a
     time; each column's probe is that of its pair with the largest
     max(min(e_a, -e_b), min(e_b, -e_a)) at the root.
@@ -334,26 +349,28 @@ def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
     for lo in range(0, n, per_pass):
         p = np.arange(lo, min(n, lo + per_pass))
         x = np.clip(np.log(probe[p, least[p]]), -LOG_GAIN_BRACKET, LOG_GAIN_BRACKET)
-        upper[p] = np.maximum(*excess(x, p, scale2[p], phi_cols[:, least[p]]))
+        upper[p] = np.abs(excess(x, p, scale2[p], phi_cols[:, least[p]])).max(axis=0)
     return lower, upper
 
 
 def _ra_messages(r_true, noise, scale2, phi, table):
     """Minimax (codeword, gain, gap) of each problem as three arrays,
     given its true rates and noise terms (problems x configurations) and
-    CQI^2-to-raw scale, from `minimax_log_gain` searches over the
+    CQI^2-to-raw scale, from `minimax_log_gain` solves over the
     (problem, codeword) columns that survive a pre-pass.
 
     A column whose lower bound exceeds its problem's upper bound
     (`_pre_pass`) by more than PRUNE_MARGIN is dropped before the search:
-    its value is at least its bound, and the winner's at most the upper
-    bound plus the search's 80 * 2^-40 (7.3e-11) tolerance.  The survivors
+    its value is at least its bound, and the winner's at most its true
+    minimum, itself at most the upper bound, plus the solver's certificate
+    (1e-13), or the fallback's 80 * 2^-40 (7.3e-11) for a column that no
+    root round certifies; either is far below the margin.  The survivors
     are searched in chunks of at most _BATCH_ELEMENTS (column,
     configuration) entries; the best codeword wins, ties to the lowest
     index.
     """
     n, n_v = len(r_true), len(phi)
-    excess = _excess(r_true, noise, table)
+    excess, coefficients = _excess(r_true, noise, table)
     phi_cols = np.vstack([phi.T, np.zeros(n_v)])
     per_pass = max(1, _BATCH_ELEMENTS // len(table))  # columns of one pass within the cap
     lower, upper = _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass)
@@ -361,7 +378,7 @@ def _ra_messages(r_true, noise, scale2, phi, table):
     x, gap = np.full((n, n_v), np.nan), np.full((n, n_v), np.inf)
     for lo in range(0, len(problem), per_pass):
         p, v = problem[lo : lo + per_pass], cdi[lo : lo + per_pass]
-        x[p, v], gap[p, v] = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]))
+        x[p, v], gap[p, v], _ = minimax_log_gain(excess, coefficients, (p, scale2[p], phi_cols[:, v]))
     idx = np.argmin(gap, axis=1)
     rows = np.arange(n)
     return idx, np.exp(0.5 * x[rows, idx]), gap[rows, idx]

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_GAIN_BRACKET = 40.0  # x = log theta^2 in [-40, 40]: theta^2 from 4e-18 to 2e17
-MINIMAX_ITERS = 40  # halvings of the bracket: 80 * 2^-40 ~ 7e-11 in x
+MINIMAX_ROUNDS = 8  # root rounds of the gain solver before a column falls back to halving
+MINIMAX_ITERS = 40  # midpoints of a fallback column: 80 * 2^-40 ~ 7e-11 in x
+CERTIFY_TOL = 1e-13  # largest gap between a certified column's value and its lower bound
 
 
 def _key_to_int(key):
@@ -147,6 +149,18 @@ def _pcg64_word_order():
     return tuple(words.index(w) for w in raw)
 
 
+@functools.lru_cache(maxsize=1)
+def _row_generator():
+    """The process's one PCG64 for `standard_normal_rows`, the uint64 view
+    of its state words and the Generator that draws from it, made once:
+    the cache holds the bit generator, so the view stays valid.  Every row
+    overwrites the whole state, so no earlier call shows in a later one;
+    calls from two threads at once would share it, and the package starts
+    no threads."""
+    bitgen = np.random.PCG64(0)
+    return bitgen, _raw_state_words(bitgen), np.random.Generator(bitgen)
+
+
 def standard_normal_rows(master_seed, streams, n):
     """(S, n) standard normals whose row i equals
     SeedSpec(master_seed, streams[i]).generator().standard_normal(n).
@@ -157,8 +171,8 @@ def standard_normal_rows(master_seed, streams, n):
     word mixing into the pool the master seed left behind, and so does
     PCG64's seeding step, inc = seq << 1 | 1 and state = (inc + seed) *
     mult + inc (mod 2^128), on 32-bit limbs.  Each row's four state words
-    are then written straight into one reused generator, which draws the
-    row with numpy's own ziggurat.
+    are then written straight into the process's one reused generator,
+    which draws the row with numpy's own ziggurat.
     """
     streams = np.asarray(streams, dtype=np.uint32)
     if streams.ndim != 2:
@@ -182,9 +196,7 @@ def standard_normal_rows(master_seed, streams, n):
     pcg = _add128(_mul128_pcg64(_add128(inc, state[_SEED_LIMBS])), inc)
     limbs = np.concatenate([pcg, inc])
     words = (limbs[0::2] | limbs[1::2] << 32)[list(_pcg64_word_order())].T.copy()  # each row's raw state words
-    bitgen = np.random.PCG64(0)  # every row overwrites its state
-    raw = _raw_state_words(bitgen)
-    gen = np.random.Generator(bitgen)
+    _, raw, gen = _row_generator()
     out = np.empty((streams.shape[0], n))
     for row, row_words in zip(out, words):
         raw[:] = row_words
@@ -192,34 +204,78 @@ def standard_normal_rows(master_seed, streams, n):
     return out
 
 
-def minimax_log_gain(excess, columns):
-    """Minimize max(over(x), under(x)) over x for many columns at once.
+def _pair_log_root(pair_a, pair_b):
+    """x = log g where e_a + e_b = 0 for two mismatches e = log1p(A g / (1 +
+    U g)) - r, each given as an (A, U, r) triple of arrays: the positive
+    root of (1 + T_a g)(1 + T_b g) = e^(r_a + r_b) (1 + U_a g)(1 + U_b g)
+    with T = A + U, a quadratic c2 g^2 + c1 g - (e^(r_a + r_b) - 1) taken
+    without cancellation.  The sum rises in g, so where it is already
+    nonnegative at g = 0 the root is -inf, and where the quadratic never
+    turns positive (c2 < 0) it is +inf."""
+    (a_a, u_a, r_a), (a_b, u_b, r_b) = pair_a, pair_b
+    growth = np.expm1(r_a + r_b)
+    t_a, t_b = a_a + u_a, a_b + u_b
+    c2 = t_a * t_b - (1.0 + growth) * u_a * u_b
+    c1 = t_a + t_b - (1.0 + growth) * (u_a + u_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(c1 * c1 + 4.0 * c2 * growth)
+        g = np.where(c1 >= 0, 2.0 * growth / (c1 + root), (root - c1) / (2.0 * c2))
+        return np.where(growth > 0, np.log(np.where(c2 >= 0, g, np.inf)), -np.inf)
 
-    `columns` are arrays with one column per problem on the last axis;
-    `excess(x, *columns)` maps a log-gain per column to the pair (over,
-    under): the largest overshoot and the largest undershoot of a
-    predicted quantity over its target, column by column.  Over must be
-    nondecreasing and under nonincreasing in x, so the min-max sits where
-    they cross, and a bisection on the sign of over - under finds that
-    crossing for every column at once.  Returns the best evaluated x and
-    its value max(over, under); ties go to the later midpoint, so where the
-    value is flat (an undershoot that no gain can change) x settles at the
-    upper end of the flat stretch, where over meets under.  The last
-    midpoint lies within 80 * 2^-40 of the crossing, so when both sides
-    change by at most |dx| (true of rates in log-gain) the value is within
-    about 7e-11 of the minimum over [-LOG_GAIN_BRACKET, LOG_GAIN_BRACKET].
-    A column whose excess is NaN keeps x = 0 and value +inf.  When `excess`
-    treats every column alone, each column's (x, value) does not depend on
-    which other columns share the call.
+
+def minimax_log_gain(mismatch, coefficients, columns):
+    """Minimize max_c |e_c(x)| over x in [-LOG_GAIN_BRACKET,
+    LOG_GAIN_BRACKET] for many columns at once, each exactly and with a
+    certificate.
+
+    `columns` are arrays with one column per problem on the last axis.
+    `mismatch(x, *columns)` maps a log-gain per column to the signed
+    mismatches (configurations x columns), each of the form
+    e_c = log1p(A_c g / (1 + U_c g)) - r_c in g = e^x with A_c, U_c >= 0,
+    so each rises in x; `coefficients(c, *columns)` gives (A, U, r) of
+    configuration c[k] of every column k.
+
+    Each pass evaluates every configuration at each searched column's x.
+    The largest overshoot and undershoot there, over and under, bound the
+    minimum from above by max(over, under) and, since every e_c rises,
+    from below by min(over, under), or at an end of the interval by the
+    side that no point of it can lower: under at the top, over at the
+    bottom.  The sign of over - under tells on which side of x the minimum
+    lies and narrows the column's bracket.  By Helly's theorem in one
+    dimension the minimum is set by one pair of configurations; the pair
+    active at x, the configurations of over and under, crosses where
+    e_i + e_j = 0, at the root of a quadratic (`_pair_log_root`), which,
+    clipped into the bracket, is the next x.  A column is certified when
+    the two bounds at a root agree within CERTIFY_TOL: it reports that
+    root, its value and the lower bound, and leaves later passes.  A
+    rounding error in a root costs a round, never a wrong certificate.
+
+    A column that MINIMAX_ROUNDS root rounds leave uncertified falls back
+    to halving its bracket until it has taken MINIMAX_ITERS midpoints,
+    counting the first, x = 0.  Its last midpoint then lies within
+    80 * 2^-40 of the minimizer, so, as rates move by at most |dx|, its
+    best evaluated point (ties to the later) is within about 7e-11 of the
+    minimum; it reports that point, its value and a lower bound of -inf.
+    With no root rounds the solver is a plain bisection.  A column whose
+    mismatch is NaN takes the fallback and keeps x = 0 and value +inf.
+    The arithmetic is per column and a certified column is masked out of
+    later passes, so each column's result does not depend on which
+    columns share the call.  Returns x, value and lower bound arrays.
     """
     n = columns[0].shape[-1]
-    lo = np.full(n, -LOG_GAIN_BRACKET)
-    hi = np.full(n, LOG_GAIN_BRACKET)
-    best_x = np.zeros(n)
-    best = np.full(n, np.inf)
-    for _ in range(MINIMAX_ITERS):
-        x = 0.5 * (lo + hi)
-        over, under = excess(x, *columns)
+    x_out, value, lower = np.zeros(n), np.full(n, np.inf), np.full(n, -np.inf)
+    act = np.arange(n)  # columns still searched, and their state below
+    lo, hi = np.full(n, -LOG_GAIN_BRACKET), np.full(n, LOG_GAIN_BRACKET)
+    best_x, best, x = np.zeros(n), np.full(n, np.inf), np.zeros(n)
+    rounds = MINIMAX_ROUNDS
+    for step in range(rounds + MINIMAX_ITERS):
+        if not len(act):
+            break
+        cols = [c[..., act] for c in columns]
+        e = mismatch(x, *cols)
+        k = np.arange(len(act))
+        top, bottom = e.argmax(axis=0), e.argmin(axis=0)  # the active pair
+        over, under = e[top, k], -e[bottom, k]
         val = np.maximum(over, under)
         better = val <= best
         np.copyto(best_x, x, where=better)
@@ -227,7 +283,21 @@ def minimax_log_gain(excess, columns):
         rising = over >= under
         np.copyto(hi, x, where=rising)
         np.copyto(lo, x, where=~rising)
-    return best_x, best
+        if 0 < step <= rounds:  # x is a root
+            end = np.where(x >= LOG_GAIN_BRACKET, under, np.where(x <= -LOG_GAIN_BRACKET, over, -np.inf))
+            bound = np.maximum(end, np.minimum(over, under))
+            done = val - bound <= CERTIFY_TOL
+            if done.any():
+                x_out[act[done]], value[act[done]], lower[act[done]] = x[done], val[done], bound[done]
+                keep = ~done
+                act, lo, hi, best_x, best, top, bottom = (a[keep] for a in (act, lo, hi, best_x, best, top, bottom))
+                cols = [c[..., keep] for c in cols]
+        if step < rounds:
+            x = np.clip(_pair_log_root(coefficients(top, *cols), coefficients(bottom, *cols)), lo, hi)
+        else:
+            x = 0.5 * (lo + hi)
+    x_out[act], value[act] = best_x, best
+    return x_out, value, lower
 
 
 def row_norms(v):

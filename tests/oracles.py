@@ -1,0 +1,29 @@
+"""Reference implementations that more than one test module compares against."""
+
+import numpy as np
+
+from ramimo.numerics import LOG_GAIN_BRACKET, MINIMAX_ITERS
+
+
+def plain_bisection(mismatch, columns):
+    """The minimum over x in [-LOG_GAIN_BRACKET, LOG_GAIN_BRACKET] of
+    max |e_c(x)| of every column by plain bisection, written out as a
+    reference: MINIMAX_ITERS midpoints on the sign of over - under (the
+    largest overshoot against the largest undershoot), returning the best
+    evaluated x and its value, ties to the later midpoint.
+    `mismatch(x, *columns)` gives the signed mismatches (configurations x
+    columns), each nondecreasing in x; the last midpoint lies within
+    80 * 2^-40 of the crossing."""
+    n = columns[0].shape[-1]
+    lo, hi = np.full(n, -LOG_GAIN_BRACKET), np.full(n, LOG_GAIN_BRACKET)
+    best_x, best = np.zeros(n), np.full(n, np.inf)
+    for _ in range(MINIMAX_ITERS):
+        x = 0.5 * (lo + hi)
+        d = mismatch(x, *columns)
+        over, under = d.max(axis=0), -d.min(axis=0)
+        val = np.maximum(over, under)
+        better = val <= best
+        best_x, best = np.where(better, x, best_x), np.where(better, val, best)
+        rising = over >= under
+        hi, lo = np.where(rising, x, hi), np.where(rising, lo, x)
+    return best_x, best

@@ -24,7 +24,9 @@ from ramimo.bounds import (
 )
 from ramimo.channel import SystemParams
 from ramimo.codebook import canonical_onb, rvq_codebook
-from ramimo.numerics import SeedSpec, minimax_log_gain, sample_complex_gaussian
+from ramimo.numerics import SeedSpec, sample_complex_gaussian
+
+from oracles import plain_bisection
 
 
 def test_covering_density_small_dimensions():
@@ -196,17 +198,14 @@ def test_min_weighted_gap_matches_dense_grid(lam_tilde):
 
 def _bisection_weighted_gaps(psis, phi_table, lam_tildes):
     """Every (row, codeword) value of `min_weighted_gap` by log-gain
-    bisection over theta_tilde = 1/(1 + e^-x): the overshoot rises and the
-    undershoot falls in x."""
+    bisection over theta_tilde = 1/(1 + e^-x): every mismatch rises in x."""
     n, n_v = len(psis), len(phi_table)
     target = np.repeat((lam_tildes[:, None] * psis).T, n_v, axis=1)
 
-    def excess(x, target, phi_cols):
-        d = phi_cols / (1.0 + np.exp(-x))
-        d -= target
-        return d.max(axis=0), -d.min(axis=0)
+    def mismatch(x, target, phi_cols):
+        return phi_cols / (1.0 + np.exp(-x)) - target
 
-    _, vals = minimax_log_gain(excess, (target, np.tile(phi_table.T, (1, n))))
+    _, vals = plain_bisection(mismatch, (target, np.tile(phi_table.T, (1, n))))
     return vals.reshape(n, n_v)
 
 

@@ -832,15 +832,13 @@ def test_ra_feedback_batch_matches_all_pairs_oracle(n_t, n_s, n_r, F, B):
     assert np.all(gap[np.arange(4, len(gap), 5)] <= 1e-10)  # zero channels
 
 
-@pytest.mark.parametrize("degenerate", [False, True])
-def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(degenerate):
-    # the pre-pass's lower bound never exceeds a column's unpruned
-    # bisection value, and its upper bound never undercuts a problem's
-    # best, on random columns, zero channels, duplicated codewords, 100 dB
-    # and probes clipped at the bracket; with `degenerate`, also on
-    # codewords with zero power on some or all beams
+def _hard_columns(degenerate):
+    """40 problems at 0-100 dB, zero channels and single-user roots beyond
+    both ends of the bracket among them, over a codebook with a duplicated
+    codeword and, with `degenerate`, codewords with zero power on some or
+    all beams: their true rates, noise terms, scales, codeword powers and
+    configuration table."""
     import ramimo.feedback as fb
-    from ramimo.numerics import LOG_GAIN_BRACKET, MINIMAX_ITERS, minimax_log_gain
 
     rng = np.random.default_rng(82)
     C = canonical_onb(3)
@@ -858,23 +856,107 @@ def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(degenerate):
     r_true = fb._config_rates(beam_powers(h, C), table, noise)
     r_true[4:8, :3] = 200.0  # single-user roots beyond the top of the bracket
     r_true[8:12, :3] = 1e-30  # and below its bottom
+    return r_true, noise, scale2, phi, table
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(degenerate):
+    # the pre-pass's lower bound never exceeds a column's unpruned
+    # solver value, and its upper bound never undercuts a problem's best,
+    # on random columns, zero channels, duplicated codewords, 100 dB and
+    # probes clipped at the bracket; with `degenerate`, also on codewords
+    # with zero power on some or all beams
+    import ramimo.feedback as fb
+    from ramimo.numerics import LOG_GAIN_BRACKET, MINIMAX_ITERS, minimax_log_gain
+
+    r_true, noise, scale2, phi, table = _hard_columns(degenerate)
     growth = np.expm1(r_true[:, 0] + r_true[:, 1])
     alpha = scale2 / noise[:, 0]
     with np.errstate(divide="ignore"):
         probe = np.log(growth / alpha)  # the (0, 1) root for codeword powers (1, 1, 0)
     assert np.any(probe > LOG_GAIN_BRACKET) and np.any(probe < -LOG_GAIN_BRACKET)
 
-    excess = fb._excess(r_true, noise, table)
+    excess, coefficients = fb._excess(r_true, noise, table)
     phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
     lower, upper = fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)
-    p, v = np.divmod(np.arange(len(h) * len(phi)), len(phi))
-    _, value = minimax_log_gain(excess, (p, scale2[p], phi_cols[:, v]))
-    value = value.reshape(len(h), len(phi))
+    p, v = np.divmod(np.arange(len(r_true) * len(phi)), len(phi))
+    _, value, _ = minimax_log_gain(excess, coefficients, (p, scale2[p], phi_cols[:, v]))
+    value = value.reshape(len(r_true), len(phi))
     assert np.all(lower <= value + 1e-12)
-    # the bisection's last midpoint is within 80 * 2^-40 (7.3e-11) of the
-    # best x, which the probe may hit exactly at a bracket end
+    # a column's value is within the solver's tolerance (at most the
+    # fallback's 80 * 2^-40, 7.3e-11) of its minimum, which the probe may
+    # hit exactly at a bracket end
     assert np.all(upper >= value.min(axis=1) - 2 * LOG_GAIN_BRACKET * 2.0**-MINIMAX_ITERS)
     assert np.mean(lower > upper[:, None] + 1e-9) > 0.5  # most columns are dropped before the search
+
+
+def _file_codebook_searches(monkeypatch):
+    """The gain searches of unpruned ra-full feedback with n_r = 2 at 0-100
+    dB over a `file`-style transmit codebook {e1, e2} at n_t = 3, which
+    does not span, so e3 and every codeword near it have zero or little
+    power on every beam; with a duplicated codeword and a zero channel at
+    every SNR.  Each is (mismatch, coefficients, columns)."""
+    import ramimo.feedback as fb
+    from ramimo.channel import mrc_effective_channel
+
+    C = Codebook(np.eye(3, dtype=complex)[:2], kind="file")
+    V = concat_codebooks(Codebook(np.eye(3, dtype=complex)), rvq_codebook(3, 4, SeedSpec(84).derive("v")))
+    V = Codebook(np.vstack([V.vectors, V.vectors[[4]]]))
+    rows, params = [], []
+    for snr in np.arange(0.0, 101.0, 20.0):
+        p = SystemParams(n_t=3, n_r=2, n_s=2, P=1.0).with_snr_db(snr)
+        for m in range(5):
+            H = sample_complex_gaussian_matrix(2, 3, SeedSpec(85).derive(int(snr), m)) * (m > 0)
+            rows.append([mrc_effective_channel(UserChannel(H=H), p).h_hat])
+            params.append(p)
+    searches, search = [], fb.minimax_log_gain
+
+    def recording_search(mismatch, coefficients, columns):
+        searches.append((mismatch, coefficients, columns))
+        return search(mismatch, coefficients, columns)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fb, "PRUNE_MARGIN", np.inf)
+        mp.setattr(fb, "minimax_log_gain", recording_search)
+        fb.ra_feedback_batch(np.array(rows), params, C, V)
+    return searches
+
+
+@pytest.mark.parametrize("case", ["random", "degenerate", "file-codebook"])
+def test_gain_search_certifies_every_column_or_falls_back(monkeypatch, case):
+    # every searched column either is certified (its value within
+    # CERTIFY_TOL of its lower bound) or came out of the fallback, whose
+    # value is within the plain bisection's tolerance; the lower bound
+    # never exceeds the bisection's value, at 0-100 dB, with n_r = 2, zero
+    # channels, duplicated and zero-power codewords and roots clipped at
+    # both ends of the bracket.  With no root rounds every column takes
+    # the fallback, which reproduces the plain bisection bit for bit.
+    import ramimo.feedback as fb
+    import ramimo.numerics as numerics
+    from oracles import plain_bisection
+
+    if case == "file-codebook":
+        searches = _file_codebook_searches(monkeypatch)
+    else:
+        r_true, noise, scale2, phi, table = _hard_columns(case == "degenerate")
+        p, v = np.divmod(np.arange(len(r_true) * len(phi)), len(phi))
+        phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
+        searches = [(*fb._excess(r_true, noise, table), (p, scale2[p], phi_cols[:, v]))]
+    tol = 2 * numerics.LOG_GAIN_BRACKET * 2.0**-numerics.MINIMAX_ITERS
+    certified = fallback = 0
+    for mismatch, coefficients, columns in searches:
+        _, value, lower = numerics.minimax_log_gain(mismatch, coefficients, columns)
+        px, pv = plain_bisection(mismatch, columns)
+        ok = value - lower <= numerics.CERTIFY_TOL
+        assert np.all(lower <= pv + 1e-13)
+        assert np.all(value[ok] <= pv[ok] + 1e-13)
+        assert np.all(value[~ok] <= pv[~ok] + tol)
+        certified, fallback = certified + ok.sum(), fallback + (~ok).sum()
+        with monkeypatch.context() as mp:
+            mp.setattr(numerics, "MINIMAX_ROUNDS", 0)
+            fx, fv, _ = numerics.minimax_log_gain(mismatch, coefficients, columns)
+        assert fx.tobytes() == px.tobytes() and fv.tobytes() == pv.tobytes()
+    assert certified > 0 and fallback == 0  # no column of these regimes needs the fallback
 
 
 # ---------------------------------------------------------------------------

@@ -377,22 +377,26 @@ def test_draws_independent_of_gain_search_groups(monkeypatch):
 def test_gain_search_passes_stay_within_the_memory_cap(monkeypatch, elements):
     # at the benchmark's delta-ra and ra-full configs no excess pass of the
     # gain search sees more than _BATCH_ELEMENTS (column, configuration)
-    # entries, and at the default cap one search covers a whole block
+    # entries, and at the default cap one search covers a whole block,
+    # which makes at most 7 excess passes: the pre-pass's upper bound,
+    # x = 0 and at most 5 root rounds
     import ramimo.feedback as fb
 
     if elements is not None:
         monkeypatch.setattr(fb, "_BATCH_ELEMENTS", elements)
-    entries = []
+    entries, passes = [], []
     make_excess = fb._excess
 
     def watched_excess(r_true, noise, table):
-        excess = make_excess(r_true, noise, table)
+        excess, coefficients = make_excess(r_true, noise, table)
+        passes.append(0)
 
         def watched(x, *columns):
             entries.append(x.size * len(table))
+            passes[-1] += 1
             return excess(x, *columns)
 
-        return watched
+        return watched, coefficients
 
     monkeypatch.setattr(fb, "_excess", watched_excess)
     searches = _count_searches(monkeypatch)
@@ -402,10 +406,12 @@ def test_gain_search_passes_stay_within_the_memory_cap(monkeypatch, elements):
     for cfg, run in ((delta, run_delta_ra_experiment), (sum_rate, run_sum_rate_experiment)):
         entries.clear()
         searches.clear()
+        passes.clear()
         run(cfg)
-        assert len(searches) == 2 and entries and max(entries) <= fb._BATCH_ELEMENTS
+        assert len(searches) == len(passes) == 2 and entries and max(entries) <= fb._BATCH_ELEMENTS
         if elements is None:
             assert searches == [1, 1]
+            assert max(passes) <= 7
         else:
             assert min(searches) >= 2
 

@@ -7,7 +7,10 @@ import pytest
 
 import ramimo
 
+from oracles import plain_bisection
+from ramimo import numerics
 from ramimo.numerics import (
+    CERTIFY_TOL,
     LOG_GAIN_BRACKET,
     MINIMAX_ITERS,
     SeedSpec,
@@ -51,6 +54,31 @@ def test_standard_normal_rows_match_default_rng_on_random_words(master_seed):
     got = standard_normal_rows(master_seed, streams, 64)
     want = np.array([SeedSpec(master_seed, tuple(int(w) for w in row)).generator().standard_normal(64) for row in streams])
     assert got.tobytes() == want.tobytes()
+
+
+def test_standard_normal_rows_reuse_one_generator_per_process():
+    # the process keeps one generator for every call; back-to-back calls
+    # with different row and draw counts each equal the SeedSpec path, and
+    # so do calls in the two worker processes of a workers=2 pool, which
+    # start with the parent's generator already made
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ramimo.numerics import _row_generator
+
+    specs = [SeedSpec(9).derive("chan", i, m) for i in range(21) for m in range(2)]
+    streams = np.array([s.stream for s in specs], dtype=np.uint32)
+
+    def want(rows, n):
+        return np.array([s.generator().standard_normal(n) for s in specs[:rows]])
+
+    for rows, n in ((1, 5), (42, 3), (3, 64), (6, 6), (42, 1), (0, 4), (2, 6)):
+        assert standard_normal_rows(9, streams[:rows], n).tobytes() == want(rows, n).tobytes()
+    assert _row_generator.cache_info().currsize == 1
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(standard_normal_rows, 9, streams[:rows], 6) for rows in (6, 42, 6, 1)]
+        got = [f.result(timeout=120) for f in futures]
+    for rows, rows_got in zip((6, 42, 6, 1), got):
+        assert rows_got.tobytes() == want(rows, 6).tobytes()
 
 
 def _limbs(values):
@@ -139,34 +167,34 @@ def test_import_loads_no_scipy():
 # minimax_log_gain
 # ---------------------------------------------------------------------------
 
-
-def _rate_excess(x, s, t):
-    """Largest overshoot and undershoot of log(1 + s e^x) over targets t,
-    one column per problem; s >= 0 makes them monotone in x."""
-    d = np.log1p(s * np.exp(x)) - t
-    return d.max(axis=0), -d.min(axis=0)
+# the last midpoint of a plain bisection lies within 80 * 2^-40 of the
+# crossing, so that is how far apart its x and the certified root may lie
+_BISECTION_TOL = 2 * LOG_GAIN_BRACKET * 2.0**-MINIMAX_ITERS
 
 
-def _plain_bisection(excess, columns):
-    """The bisection written out as a reference."""
-    n = columns[0].shape[-1]
-    lo, hi = np.full(n, -LOG_GAIN_BRACKET), np.full(n, LOG_GAIN_BRACKET)
-    best_x, best = np.zeros(n), np.full(n, np.inf)
-    for _ in range(MINIMAX_ITERS):
-        x = 0.5 * (lo + hi)
-        over, under = excess(x, *columns)
-        val = np.maximum(over, under)
-        better = val <= best
-        best_x, best = np.where(better, x, best_x), np.where(better, val, best)
-        rising = over >= under
-        hi, lo = np.where(rising, x, hi), np.where(rising, lo, x)
-    return best_x, best
+def _rate_mismatch(x, s, t):
+    """log(1 + s e^x) - t, one column per problem: A = s, U = 0, r = t,
+    rising in x for s >= 0."""
+    return np.log1p(s * np.exp(x)) - t
+
+
+def _rate_coefficients(c, s, t):
+    k = np.arange(len(c))
+    return s[c, k], np.zeros(len(c)), t[c, k]
 
 
 def _random_columns(rng, k, n):
     s = rng.exponential(size=(k, n)) * np.exp(rng.uniform(-20, 20, size=(1, n)))
     t = rng.exponential(size=(k, n)) * rng.uniform(0, 5, size=(1, n))
     return s, t
+
+
+def _assert_matches_bisection(x, v, lower, px, pv):
+    # x within the bisection's own tolerance of its x; the value no worse
+    # than the bisection's and certified by the lower bound
+    assert np.all(np.abs(x - px) <= _BISECTION_TOL)
+    assert np.all(v <= pv + 1e-13)
+    assert np.all(v - lower <= CERTIFY_TOL)
 
 
 def test_minimax_log_gain_nan_zero_and_flat_columns():
@@ -176,26 +204,44 @@ def test_minimax_log_gain_nan_zero_and_flat_columns():
     s[:, 4] = 0.0  # a zero column: value 0
     t[:, 4] = 0.0
     s[:, 8:12] = 0.0  # flat columns: value max(t) wherever x is
-    x, v = minimax_log_gain(_rate_excess, (s, t))
+    x, v, lower = minimax_log_gain(_rate_mismatch, _rate_coefficients, (s, t))
     assert np.all(np.isinf(v[0:4])) and np.all(x[0:4] == 0.0)
     assert v[4] == 0.0
     assert np.array_equal(v[8:12], t[:, 8:12].max(axis=0))
-    px, pv = _plain_bisection(_rate_excess, (s, t))
-    assert np.array_equal(x, px) and np.array_equal(v, pv)
+    px, pv = plain_bisection(_rate_mismatch, (s, t))
+    assert np.array_equal(x[:4], px[:4]) and np.array_equal(v[:4], pv[:4])
+    _assert_matches_bisection(x[4:], v[4:], lower[4:], px[4:], pv[4:])
 
 
 def test_minimax_log_gain_one_column_groups():
-    # every column is solved alone: its (x, value) equals the written-out
-    # bisection bit for bit and does not depend on the other columns of
-    # the call; an empty call returns empty arrays
+    # every column is solved alone: its (x, value) matches the written-out
+    # bisection, also where the value is flat over a stretch of x, and does
+    # not depend on the other columns of the call; an empty call returns
+    # empty arrays
     rng = np.random.default_rng(6)
     s, t = _random_columns(rng, 5, 64)
-    x, v = minimax_log_gain(_rate_excess, (s, t))
-    px, pv = _plain_bisection(_rate_excess, (s, t))
-    assert np.array_equal(x, px) and np.array_equal(v, pv)
+    s[2:, ::2] = 0.0  # flat over a stretch of x: x goes to its upper end, where over meets under
+    x, v, lower = minimax_log_gain(_rate_mismatch, _rate_coefficients, (s, t))
+    px, pv = plain_bisection(_rate_mismatch, (s, t))
+    _assert_matches_bisection(x, v, lower, px, pv)
     assert np.all(np.isfinite(v))
     for lo in range(0, 64, 7):
-        xs, vs = minimax_log_gain(_rate_excess, (s[:, lo : lo + 7], t[:, lo : lo + 7]))
+        xs, vs, ls = minimax_log_gain(_rate_mismatch, _rate_coefficients, (s[:, lo : lo + 7], t[:, lo : lo + 7]))
         assert xs.tobytes() == x[lo : lo + 7].tobytes() and vs.tobytes() == v[lo : lo + 7].tobytes()
-    x0, v0 = minimax_log_gain(_rate_excess, (s[:, :0], t[:, :0]))
-    assert x0.shape == v0.shape == (0,)
+        assert ls.tobytes() == lower[lo : lo + 7].tobytes()
+    x0, v0, l0 = minimax_log_gain(_rate_mismatch, _rate_coefficients, (s[:, :0], t[:, :0]))
+    assert x0.shape == v0.shape == l0.shape == (0,)
+
+
+def test_minimax_log_gain_without_root_rounds_is_the_plain_bisection(monkeypatch):
+    # with no root rounds every column takes the fallback, whose midpoints
+    # are the plain bisection's, bit for bit, NaN, zero and flat columns
+    # included
+    rng = np.random.default_rng(7)
+    s, t = _random_columns(rng, 4, 40)
+    s[:, :2], s[:, 2:6] = np.nan, 0.0
+    t[:, 2:4] = 0.0
+    monkeypatch.setattr(numerics, "MINIMAX_ROUNDS", 0)
+    x, v, _ = minimax_log_gain(_rate_mismatch, _rate_coefficients, (s, t))
+    px, pv = plain_bisection(_rate_mismatch, (s, t))
+    assert x.tobytes() == px.tobytes() and v.tobytes() == pv.tobytes()
