@@ -32,7 +32,6 @@ from .channel import (
     effective_channel,
     effective_channel_state,
     mrc_effective_channel,
-    mrc_filter,
 )
 from .codebook import (
     Codebook,
@@ -51,14 +50,12 @@ from .feedback import (
     GapProfile,
     chordal_cdi,
     compute_feedback,
-    cqi_effective,
     efficient_cdi,
     feedback_vector,
     gap_sample_delta_ra,
     lemma1_feedback,
     lemma1_rhs,
     ra_distance,
-    ra_feedback,
 )
 from .harness import (
     ExperimentResult,
@@ -71,12 +68,11 @@ from .harness import (
     run_sum_rate_experiment,
 )
 from .numerics import SeedSpec, sample_complex_gaussian
-from .rates import BeamAssignment, RateReport, sum_rate, user_rate
+from .rates import BeamAssignment, RateReport
 from .scheduler import (
     PrecodedDecision,
     ScheduleDecision,
     realize_rates,
     schedule_bruteforce,
     schedule_greedy,
-    zf_precode,
 )

@@ -76,10 +76,6 @@ class UserChannel:
                 raise ValueError("subcarriers must be a (F, n_r, n_t) stack matching H")
             object.__setattr__(self, "subcarriers", sub)
 
-    @property
-    def F(self):
-        return 1 if self.subcarriers is None else self.subcarriers.shape[0]
-
     def per_subcarrier(self):
         """(F, n_r, n_t) view; a single frequency-flat draw yields F=1."""
         if self.subcarriers is None:
@@ -190,9 +186,9 @@ def _fix_phase(u):
 
 
 def _mrc_filters(H):
-    """MRC filter of every matrix of an (N, n_r, n_t) stack: one stacked
-    SVD, which numpy runs matrix by matrix.  n_r = 1 needs no SVD: the
-    filter is 1."""
+    """MRC filter (unit u maximizing ||H^H u||) of every matrix of an (N,
+    n_r, n_t) stack: one stacked SVD, which numpy runs matrix by matrix.
+    n_r = 1 needs no SVD: the filter is 1.  A zero matrix gets e_1."""
     u = np.zeros(H.shape[:2], dtype=complex)
     u[:, 0] = 1.0
     if H.shape[1] > 1:
@@ -200,15 +196,6 @@ def _mrc_filters(H):
         if live.any():
             u[live] = _fix_phase(np.linalg.svd(H[live])[0][:, :, 0])
     return u
-
-
-def mrc_filter(H):
-    """Unit-norm filter maximizing ||H^H u||: dominant left singular vector.
-
-    A zero matrix gets e_1; its effective channel is zero, with
-    lambda_sq = 0 and rate 0.
-    """
-    return _mrc_filters(np.asarray(H, dtype=complex)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -232,19 +219,6 @@ class EffectiveBlock:
         """lambda^2 of every user's averaged channel at `params`."""
         return _lambda_sq(self.gain, params)
 
-    def effective(self, params):
-        """EffectiveChannel of every user's averaged channel at `params`."""
-        return [EffectiveChannel(*row) for row in zip(self.h_hat, self.lambda_sq(params).tolist(), self.h)]
-
-    def subcarrier_effective(self, params):
-        """Per user, the EffectiveChannel of every subcarrier at `params`."""
-        gain, unit = _unit_rows(self.sub_h_hat)
-        lam = _lambda_sq(gain, params).tolist()
-        return [
-            [EffectiveChannel(*row) for row in zip(h_hat, lam_u, h)]
-            for h_hat, lam_u, h in zip(self.sub_h_hat, lam, unit)
-        ]
-
 
 def effective_block(H, sub):
     """The EffectiveBlock of users with averaged channels H (users, n_r,
@@ -266,10 +240,4 @@ def user_channels_block(channels):
 def mrc_effective_channel(uc, params):
     """MRC-filtered effective channel of the (averaged) user channel: the
     one-user case of `effective_block`."""
-    return user_channels_block([uc]).effective(params)[0]
-
-
-def per_subcarrier_effective_channels(uc, params):
-    """Effective channels of every subcarrier under the MRC filter of the
-    averaged channel: the one-user case of `effective_block`."""
-    return user_channels_block([uc]).subcarrier_effective(params)[0]
+    return effective_channel_state(user_channels_block([uc]).h_hat[0], params)

@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import user_channels_block
+from .channel import effective_channel_state, user_channels_block
 from .numerics import LOG_GAIN_BRACKET, abs_sq, minimax_log_gain, ordered_sum
 from .rates import rate
 
@@ -47,7 +47,6 @@ _CONFIG_CACHE = {}
 class FeedbackMessage:
     cdi_index: int
     cqi: float
-    strategy_tag: str
     scalar_product_count: int
     gap: float | None = None
 
@@ -149,11 +148,6 @@ def _cqi(lambda_sq, h, nu):
     return np.sqrt(lambda_sq * abs_sq(np.vecdot(h, nu)))
 
 
-def cqi_effective(lambda_sq, h, nu):
-    """Effective channel gain over the quantized direction: theta^2 = lambda^2 |<h, nu>|^2."""
-    return float(_cqi(lambda_sq, h, nu))
-
-
 def chordal_feedback_block(h, lambda_sq, V):
     """Classical feedback for every row of a stack of unit directions h
     (rows, n_t) with their lambda^2: the index of the codeword closest to
@@ -168,7 +162,7 @@ def chordal_cdi(eff, V):
     """Classical feedback: direction closest to h in chordal distance; the
     one-row case of `chordal_feedback_block`."""
     idx, theta = chordal_feedback_block(eff.h[None], [eff.lambda_sq], V)
-    return FeedbackMessage(int(idx[0]), float(theta[0]), "chordal", len(V))
+    return FeedbackMessage(int(idx[0]), float(theta[0]), len(V))
 
 
 def ra_distance(eff, theta, nu, C, params, sizes=None):
@@ -195,9 +189,13 @@ def ra_distance(eff, theta, nu, C, params, sizes=None):
     )
 
 
-def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None):
-    """Full rate-approximation feedback: argmin over (theta, nu) of the
-    worst-case rate mismatch.
+def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
+    """Full rate-approximation feedback, the argmin over (theta, nu) of the
+    worst-case rate mismatch, for a stack of rows (users or SNR points):
+    h_hat (rows, F, n_t) holds each row's true-rate channels, its F
+    subcarriers (whose rates are averaged: frequency-averaged feedback) or
+    its one flat channel, and `params` each row's SystemParams, all with
+    the same n_s.  Returns the CDI, CQI and gap arrays.
 
     For each codeword the gain is solved in x = log theta^2 over [-40, 40]
     by `numerics.minimax_log_gain`: every predicted rate is nondecreasing
@@ -209,30 +207,13 @@ def ra_feedback(eff, C, V, params, subcarrier_effs=None, phi_table=None):
     certifies, within the fallback bisection's 7.3e-11 of it.  The best
     codeword wins, ties to the lowest index.
 
-    With `subcarrier_effs` the true-rate side is the per-subcarrier average
-    (frequency-averaged feedback); the reported direction/gain still refer
-    to the averaged channel in `eff`.
-    """
-    h_hat = np.array([e.h_hat for e in subcarrier_effs or [eff]])
-    cdi, cqi, gap = ra_feedback_batch(h_hat[None], [params], C, V, phi_table=phi_table)
-    return FeedbackMessage(int(cdi[0]), float(cqi[0]), "ra-full", len(C) * len(V) + len(C), gap=float(gap[0]))
-
-
-def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
-    """`ra_feedback` for a stack of rows (users or SNR points): h_hat
-    (rows, F, n_t) holds each row's true-rate channels, its F subcarriers
-    (whose rates are averaged) or its one flat channel, and `params` each
-    row's SystemParams, all with the same n_s.  Returns
-    the CDI, CQI and gap arrays.
-
     A pre-pass bounds every (row, codeword) column and drops those that
     cannot win their row (`_ra_messages`); the certified gain solver then
     runs over the surviving columns of all rows, in chunks of at most
     _BATCH_ELEMENTS (column, configuration) entries.  Every column goes
     through the same elementwise arithmetic as alone and leaves the
-    solver's passes once certified, so every row matches its one-row
-    `ra_feedback` call bit for bit; only the per-pass numpy overhead is
-    shared.
+    solver's passes once certified, so every row matches its one-row call
+    bit for bit; only the per-pass numpy overhead is shared.
     """
     if len(V) == 0:
         raise ValueError("empty feedback codebook")
@@ -410,7 +391,7 @@ def efficient_cdi(eff, C, V, phi_table=None):
     stored-table differences).
     """
     idx, theta, gap = efficient_feedback_block(eff.h[None], [eff.lambda_sq], C, V, phi_table=phi_table)
-    return FeedbackMessage(int(idx[0]), float(theta[0]), "ra-efficient", len(C) * len(V), gap=float(gap[0]))
+    return FeedbackMessage(int(idx[0]), float(theta[0]), len(C) * len(V), gap=float(gap[0]))
 
 
 def _require_subset(C, V, tol=1e-12):
@@ -451,7 +432,7 @@ def lemma1_feedback(eff, C, V):
     """Constructive feedback strategy behind the worst-case gap bound: the
     one-row case of `lemma1_feedback_block`."""
     idx, theta = lemma1_feedback_block(eff.h[None], [eff.lambda_sq], C, V)
-    return FeedbackMessage(int(idx[0]), float(theta[0]), "lemma1", scalar_product_count=len(C) + 2 * len(V))
+    return FeedbackMessage(int(idx[0]), float(theta[0]), scalar_product_count=len(C) + 2 * len(V))
 
 
 def lemma1_rhs(eff, nu, C):
@@ -527,10 +508,11 @@ def compute_feedback(strategy, uc, C, V, params, phi_table=None):
     if strategy == "perfect":
         raise ValueError("perfect CSIT bypasses feedback; schedule on the effective channel")
     block = user_channels_block([uc])
-    eff = block.effective(params)[0]
     if strategy == "ra-full":
-        sub = block.subcarrier_effective(params)[0] if uc.F > 1 else None
-        return ra_feedback(eff, C, V, params, subcarrier_effs=sub, phi_table=phi_table)
+        # true rates over the subcarriers; with F = 1 the one row is the averaged channel
+        cdi, cqi, gap = ra_feedback_batch(block.sub_h_hat, [params], C, V, phi_table=phi_table)
+        return FeedbackMessage(int(cdi[0]), float(cqi[0]), len(C) * len(V) + len(C), gap=float(gap[0]))
+    eff = effective_channel_state(block.h_hat[0], params)
     if strategy == "chordal":
         return chordal_cdi(eff, V)
     if strategy == "ra-efficient":

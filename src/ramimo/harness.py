@@ -52,7 +52,7 @@ from .scheduler import realize_rates, schedule_bruteforce, zf_decision_for, zf_s
 
 CDF_GRID_POINTS = 200
 
-_SYSTEM_KEYS = {"n_t", "n_r", "n_s", "P", "sigma_sq"}
+_SYSTEM_KEYS = {"n_t", "n_r", "n_s"}
 _TX_CODEBOOK_KINDS = ("canonical", "dft", "random-unitary", "file")
 _FB_CODEBOOK_KINDS = ("rvq", "rvq-union-tx", "file")
 _TOP_KEYS = {
@@ -142,8 +142,6 @@ class SimConfig:
             n_t=_integer("n_t", system.get("n_t", 4)),
             n_r=_integer("n_r", system.get("n_r", 1)),
             n_s=_integer("n_s", system.get("n_s", 2)),
-            P=float(_real("P", system.get("P", 1.0))),
-            sigma_sq=float(_real("sigma_sq", system.get("sigma_sq", 1.0))),
         )
         for name, kinds in (("transmit_codebook", _TX_CODEBOOK_KINDS), ("feedback_codebook", _FB_CODEBOOK_KINDS)):
             spec = d.get(name)
@@ -155,6 +153,8 @@ class SimConfig:
                 extra = set(spec) - {"kind", "path"}
                 if extra:
                     raise ValueError(f"unknown {name} keys: {sorted(extra)}")
+                if spec["kind"] == "file" and not isinstance(spec.get("path"), str):
+                    raise ValueError(f"{name} kind 'file' needs a string 'path', got {spec.get('path')!r}")
         kwargs = {k: v for k, v in d.items() if k != "system"}
         try:
             return cls(params=params, **kwargs)
@@ -167,8 +167,6 @@ class SimConfig:
                 "n_t": self.params.n_t,
                 "n_r": self.params.n_r,
                 "n_s": self.params.n_s,
-                "P": self.params.P,
-                "sigma_sq": self.params.sigma_sq,
             },
             "num_users": self.num_users,
             "num_draws": self.num_draws,

@@ -76,25 +76,3 @@ def rate_with_beams(v, own_beam, other_beams, n_active, params):
     beams = np.array([own_beam, *other_beams], dtype=complex)
     noise = params.sigma_sq * n_active / params.P
     return float(rates_with_beams(np.asarray(v, dtype=complex), beams, 0, noise))
-
-
-def user_rate(assign, C, v, m, params):
-    """Shannon rate (nats) of user m under `assign` with vector argument v."""
-    if m not in assign.pairs:
-        raise ValueError(f"user {m} not in assignment")
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (C.dim,):
-        raise ValueError(f"vector dim {v.shape} does not match codebook dim {C.dim}")
-    own = C[assign.pairs[m]]
-    others = [C[j] for user, j in assign.pairs.items() if user != m]
-    return rate_with_beams(v, own, others, len(assign), params)
-
-
-def sum_rate(assign, C, vectors, params):
-    """RateReport over all scheduled users; `vectors` maps user -> v."""
-    per_user = {}
-    for m in assign.users:
-        if m not in vectors:
-            raise ValueError(f"no channel/feedback entry for scheduled user {m}")
-        per_user[m] = user_rate(assign, C, vectors[m], m, params)
-    return RateReport(per_user=per_user, sum=float(sum(per_user.values())))

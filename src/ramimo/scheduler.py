@@ -31,7 +31,6 @@ BRUTE_MAX_BEAMS = 32
 class ScheduleDecision:
     assignment: BeamAssignment
     predicted_sum_rate: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class PrecodedDecision:
 
     users: tuple
     beams: tuple  # unit-norm vectors, aligned with users
-    method: str = "zeroforcing"
 
 
 _BRUTE_TABLES = {}
@@ -154,20 +152,20 @@ def _check_problems(vectors, C, params):
     return vectors.shape[1], n_s, *np.array([(p.sigma_sq, p.P) for p in params]).reshape(-1, 2).T
 
 
-def _one_problem(block_fn, vectors, C, params, method):
+def _one_problem(block_fn, vectors, C, params):
     """ScheduleDecision of one problem (a dict user -> vector) from the
     stacked scheduler `block_fn`."""
     ids = sorted(vectors)
     users, beams, rate = block_fn(np.array([[vectors[m] for m in ids]], dtype=complex), C, [params])
     pairs = {ids[u]: b for u, b in zip(users[0].tolist(), beams[0].tolist()) if u >= 0}
-    return ScheduleDecision(BeamAssignment(pairs), float(rate[0]), method)
+    return ScheduleDecision(BeamAssignment(pairs), float(rate[0]))
 
 
 def schedule_bruteforce(vectors, C, params):
     """Exact maximizer of the sum rate over user subsets and injective beam
     maps for one problem (a dict user -> vector): the one-problem case of
     `schedule_bruteforce_block`."""
-    return _one_problem(schedule_bruteforce_block, vectors, C, params, "brute")
+    return _one_problem(schedule_bruteforce_block, vectors, C, params)
 
 
 def schedule_greedy_block(vectors, C, params):
@@ -220,7 +218,7 @@ def schedule_greedy_block(vectors, C, params):
 def schedule_greedy(vectors, C, params):
     """Greedy insertion on one problem (a dict user -> vector): the
     one-problem case of `schedule_greedy_block`."""
-    return _one_problem(schedule_greedy_block, vectors, C, params, "greedy")
+    return _one_problem(schedule_greedy_block, vectors, C, params)
 
 
 def _zf_solve(A):
@@ -238,8 +236,8 @@ def _zf_solve(A):
     return full, np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
 
 
-def zf_precode(cdis, params):
-    """Zeroforcing beams for the given channel directions.
+def zf_decision_for(users, cdis, params):
+    """Zeroforcing PrecodedDecision of `users` for their channel directions.
 
     Beams are the pseudo-inverse columns of the stacked conjugated
     directions, normalized to unit norm, so beam i is orthogonal to every
@@ -252,13 +250,7 @@ def zf_precode(cdis, params):
     if not full[0]:
         raise ValueError("channel directions are linearly dependent; cannot zeroforce")
     # each column over its own norm, as `zf_schedule_block` normalizes its beams
-    return PrecodedDecision(users=tuple(range(len(cdis))), beams=tuple(B[0].T / row_norms(B[0].T)[:, None]))
-
-
-def zf_decision_for(users, cdis, params):
-    """PrecodedDecision with explicit user ids attached."""
-    base = zf_precode(cdis, params)
-    return PrecodedDecision(users=tuple(users), beams=base.beams)
+    return PrecodedDecision(users=tuple(users), beams=tuple(B[0].T / row_norms(B[0].T)[:, None]))
 
 
 def zf_schedule_block(vectors, params):
@@ -279,7 +271,7 @@ def zf_schedule_block(vectors, params):
     users + one candidate) sets of all of them go through one stacked rank
     test and pseudo-inverse.  Unit directions and the winners' beams are
     normalized by stacked `row_norms` passes, each norm equal to that of
-    its vector alone, so each beam equals `zf_precode`'s on the same set
+    its vector alone, so each beam equals `zf_decision_for`'s on the same set
     bit for bit; the stacked scores only pick the winner.
     """
     raw = np.asarray(vectors, dtype=complex)

@@ -5,14 +5,14 @@ from ramimo.channel import (
     EffectiveChannel,
     SystemParams,
     UserChannel,
+    _mrc_filters,
     draw_channel_stack,
     draw_user_channel,
     effective_block,
     effective_channel,
     effective_channel_state,
     mrc_effective_channel,
-    mrc_filter,
-    per_subcarrier_effective_channels,
+    user_channels_block,
 )
 from ramimo.numerics import SeedSpec, sample_complex_gaussian_matrix
 
@@ -30,7 +30,7 @@ def test_params_validation():
 def test_draw_single_subcarrier():
     uc = draw_user_channel(P2, F=1, rho=0.0, seed=SeedSpec(1).derive("c"))
     assert uc.H.shape == (1, 2)
-    assert uc.F == 1
+    assert uc.subcarriers is None
     assert uc.per_subcarrier().shape == (1, 1, 2)
 
 
@@ -154,17 +154,17 @@ def test_effective_channel_stack_matches_per_matrix():
 
 
 def test_mrc_single_antenna():
-    assert np.allclose(mrc_filter(np.array([[1.0, 2.0]])), [1.0])
+    assert np.allclose(_mrc_filters(np.array([[[1.0, 2.0]]], dtype=complex))[0], [1.0])
 
 
 def test_mrc_dominant_row():
     H = np.array([[2.0, 0.0], [0.0, 0.0]], dtype=complex)
-    u = mrc_filter(H)
+    u = _mrc_filters(H[None])[0]
     assert np.allclose(u, [1.0, 0.0], atol=1e-12)
 
 
 def test_mrc_zero_matrix_degenerate():
-    u = mrc_filter(np.zeros((2, 3), dtype=complex))
+    u = _mrc_filters(np.zeros((1, 2, 3), dtype=complex))[0]
     assert np.allclose(u, [1.0, 0.0])
     eff = effective_channel_state(effective_channel(np.zeros((2, 3), dtype=complex), u), P24)
     assert np.array_equal(eff.h, [1.0, 0.0, 0.0])
@@ -174,7 +174,7 @@ def test_mrc_zero_matrix_degenerate():
 def test_mrc_matches_grid_oracle():
     rng = np.random.default_rng(6)
     H = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    u = mrc_filter(H)
+    u = _mrc_filters(H[None])[0]
     achieved = np.linalg.norm(H.conj().T @ u)
     best = 0.0
     alphas = np.linspace(0, np.pi / 2, 100)
@@ -246,19 +246,17 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
     assert block.h_hat.shape == (len(chans), 4) and block.sub_h_hat.shape == (len(chans), F, 4)
     for snr_db in (-20.0, 0.0, 30.0, 60.0, 100.0):
         p = params.with_snr_db(snr_db)
-        effs, subs = block.effective(p), block.subcarrier_effective(p)
-        assert np.array_equal(block.lambda_sq(p), [e.lambda_sq for e in effs])
-        for uc, eff, sub in zip(chans, effs, subs):
+        effs = [EffectiveChannel(*row) for row in zip(block.h_hat, block.lambda_sq(p).tolist(), block.h)]
+        for uc, eff, sub in zip(chans, effs, block.sub_h_hat):
             u = _reference_mrc_filter(uc.H)
             _assert_same_effective(eff, _reference_state(uc.H.conj().T @ u, p))
             assert len(sub) == F
-            for got, Hf in zip(sub, uc.per_subcarrier()):
-                _assert_same_effective(got, _reference_state(Hf.conj().T @ u, p))
+            for row, Hf in zip(sub, uc.per_subcarrier()):
+                _assert_same_effective(effective_channel_state(row, p), _reference_state(Hf.conj().T @ u, p))
     # the one-user functions are the block's one-user case
-    for uc, eff, sub in list(zip(chans, block.effective(p), block.subcarrier_effective(p)))[-5:]:
-        assert mrc_filter(uc.H).tobytes() == _reference_mrc_filter(uc.H).tobytes()
+    for uc, eff, sub in list(zip(chans, effs, block.sub_h_hat))[-5:]:
+        assert _mrc_filters(uc.H[None])[0].tobytes() == _reference_mrc_filter(uc.H).tobytes()
         _assert_same_effective(mrc_effective_channel(uc, p), eff)
-        for got, ref in zip(per_subcarrier_effective_channels(uc, p), sub):
-            _assert_same_effective(got, ref)
-    zero_eff = block.effective(p)[-3 if F > 1 else -2]
+        assert user_channels_block([uc]).sub_h_hat[0].tobytes() == sub.tobytes()
+    zero_eff = effs[-3 if F > 1 else -2]
     assert zero_eff.lambda_sq == 0.0 and zero_eff.h.tolist() == [1.0, 0.0, 0.0, 0.0]

@@ -10,14 +10,15 @@ from ramimo.channel import (
     effective_block,
     effective_channel_state,
     mrc_effective_channel,
+    user_channels_block,
 )
 from ramimo.codebook import Codebook, canonical_onb, concat_codebooks, random_unitary, rvq_codebook
 from ramimo.feedback import (
+    FeedbackMessage,
     beam_powers,
     chordal_cdi,
     chordal_feedback_block,
     compute_feedback,
-    cqi_effective,
     cross_gram,
     efficient_cdi,
     efficient_feedback_block,
@@ -29,7 +30,7 @@ from ramimo.feedback import (
     lemma1_feedback_block,
     lemma1_rhs,
     ra_distance,
-    ra_feedback,
+    ra_feedback_batch,
     raw_scale_sq,
 )
 from ramimo.numerics import SeedSpec, sample_complex_gaussian, sample_complex_gaussian_matrix
@@ -99,11 +100,16 @@ def test_chordal_count_matches_codebook_size():
 
 
 def test_cqi_effective_cases():
+    # theta^2 = lambda^2 |<h, nu>|^2 over the reported codeword nu
     h = np.array([1.0, 0.0], dtype=complex)
-    assert cqi_effective(4.0, h, h) == pytest.approx(2.0)
-    assert cqi_effective(4.0, h, np.array([0.0, 1.0], dtype=complex)) == 0.0
+
+    def cqi(nu):
+        return chordal_feedback_block(h[None], [4.0], Codebook(nu[None]))[1][0]
+
+    assert cqi(h) == pytest.approx(2.0)
+    assert cqi(np.array([0.0, 1.0], dtype=complex)) == 0.0
     nu = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    assert cqi_effective(4.0, h, nu) ** 2 == pytest.approx(2.0)
+    assert cqi(nu) ** 2 == pytest.approx(2.0)
 
 
 def _reference_chordal(eff, V):
@@ -144,7 +150,7 @@ def _reference_efficient(eff, C, V):
     psi = beam_powers(eff.h, C)
     d = np.max(np.abs(psi[None, :] - cross_gram(V, C)), axis=1)
     idx = int(np.argmin(d))
-    return idx, cqi_effective(eff.lambda_sq, eff.h, V[idx]), float(d[idx])
+    return idx, float(np.sqrt(eff.lambda_sq * np.abs(np.vdot(eff.h, V[idx])) ** 2)), float(d[idx])
 
 
 def _reference_lemma1(eff, C, V):
@@ -280,10 +286,10 @@ def test_ra_feedback_exact_member_zero_gap():
     C = canonical_onb(2)
     eff = _random_eff(2, params, SeedSpec(9).derive("h"))
     V = concat_codebooks(canonical_onb(2), Codebook(eff.h[None, :], kind="member"))
-    msg = ra_feedback(eff, C, V, params)
-    assert msg.cdi_index == 2
-    assert msg.gap == pytest.approx(0.0, abs=1e-9)
-    assert msg.cqi == pytest.approx(np.sqrt(eff.lambda_sq), rel=1e-4)
+    cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], [params], C, V))
+    assert cdi == 2
+    assert gap == pytest.approx(0.0, abs=1e-9)
+    assert cqi == pytest.approx(np.sqrt(eff.lambda_sq), rel=1e-4)
 
 
 def test_ra_feedback_dominates_heuristics():
@@ -292,15 +298,15 @@ def test_ra_feedback_dominates_heuristics():
     V = concat_codebooks(C, rvq_codebook(4, 3, SeedSpec(10).derive("v")))
     for i in range(50):
         eff = _random_eff(4, params, SeedSpec(11).derive("h", i))
-        m_ra = ra_feedback(eff, C, V, params)
+        cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], [params], C, V))
         m_ch = chordal_cdi(eff, V)
         m_l1 = lemma1_feedback(eff, C, V)
-        g_ra = ra_distance(eff, m_ra.cqi, V[m_ra.cdi_index], C, params).value
+        g_ra = ra_distance(eff, cqi, V[cdi], C, params).value
         g_ch = ra_distance(eff, m_ch.cqi, V[m_ch.cdi_index], C, params).value
         g_l1 = ra_distance(eff, m_l1.cqi, V[m_l1.cdi_index], C, params).value
         assert g_ra <= g_ch + 1e-9
         assert g_ra <= g_l1 + 1e-9
-        assert m_ra.gap == pytest.approx(g_ra, abs=1e-9)
+        assert gap == pytest.approx(g_ra, abs=1e-9)
 
 
 def test_ra_and_chordal_decisions_differ_somewhere():
@@ -319,7 +325,7 @@ def test_ra_and_chordal_decisions_differ_somewhere():
     for alpha in np.linspace(0.0, np.pi, 91):
         h_hat = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
         eff = effective_channel_state(h_hat, params)
-        if ra_feedback(eff, C, V, params).cdi_index != chordal_cdi(eff, V).cdi_index:
+        if ra_feedback_batch(eff.h_hat[None, None], [params], C, V)[0][0] != chordal_cdi(eff, V).cdi_index:
             disagreements += 1
     assert disagreements > 0
 
@@ -514,12 +520,7 @@ def test_gap_sample_zero_for_perfect_feedback():
         vecs.append(eff.h)
     V = Codebook(np.array(vecs))
     for m in range(2):
-        msgs[m] = type(chordal_cdi(effs[m], V))(
-            cdi_index=m,
-            cqi=float(np.sqrt(effs[m].lambda_sq)),
-            strategy_tag="oracle",
-            scalar_product_count=0,
-        )
+        msgs[m] = FeedbackMessage(cdi_index=m, cqi=float(np.sqrt(effs[m].lambda_sq)), scalar_product_count=0)
     assert gap_sample_delta_ra(effs, msgs, C, V, params, {0, 1}) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -528,7 +529,8 @@ def test_gap_sample_single_user_doubles_distance():
     C = canonical_onb(2)
     eff = _random_eff(2, params, SeedSpec(27).derive("h"))
     V = concat_codebooks(C, rvq_codebook(2, 2, SeedSpec(27).derive("v")))
-    msg = ra_feedback(eff, C, V, params)
+    cdi, cqi, _ = ra_feedback_batch(eff.h_hat[None, None], [params], C, V)
+    msg = FeedbackMessage(int(cdi[0]), float(cqi[0]), 0)
     single = ra_distance(eff, msg.cqi, V[msg.cdi_index], C, params).value
     total = gap_sample_delta_ra({0: eff}, {0: msg}, C, V, params, {0})
     assert total == pytest.approx(2.0 * single, abs=1e-12)
@@ -538,10 +540,9 @@ def test_gap_sample_sums_over_union():
     params = SystemParams(n_t=2, n_s=2, P=5.0)
     C = canonical_onb(2)
     V = concat_codebooks(C, rvq_codebook(2, 2, SeedSpec(28).derive("v")))
-    effs, msgs = {}, {}
-    for m in range(3):
-        effs[m] = _random_eff(2, params, SeedSpec(28).derive("h", m))
-        msgs[m] = ra_feedback(effs[m], C, V, params)
+    effs = {m: _random_eff(2, params, SeedSpec(28).derive("h", m)) for m in range(3)}
+    cdi, cqi, _ = ra_feedback_batch(np.array([[effs[m].h_hat] for m in range(3)]), [params] * 3, C, V)
+    msgs = {m: FeedbackMessage(int(cdi[m]), float(cqi[m]), 0) for m in range(3)}
     expected = 2.0 * sum(
         ra_distance(effs[m], msgs[m].cqi, V[msgs[m].cdi_index], C, params).value for m in (0, 2)
     )
@@ -558,8 +559,9 @@ def test_gap_samples_stack_matches_per_user_distances():
     for i, (snr_db, users) in enumerate([(-20.0, {2, 0}), (40.0, set()), (100.0, {3, 1, 0, 2}), (0.0, {1})]):
         params = SystemParams(n_t=3, n_s=3).with_snr_db(snr_db)
         effs = {m: _random_eff(3, params, SeedSpec(29).derive(i, m)) for m in range(4)}
-        msgs = {m: ra_feedback(effs[m], C, V, params) for m in range(4)}
-        msgs[3] = type(msgs[3])(cdi_index=5, cqi=0.0, strategy_tag="zero", scalar_product_count=0)
+        cdi, cqi, _ = ra_feedback_batch(np.array([[effs[m].h_hat] for m in range(3)]), [params] * 3, C, V)
+        msgs = {m: FeedbackMessage(int(cdi[m]), float(cqi[m]), 0) for m in range(3)}
+        msgs[3] = FeedbackMessage(cdi_index=5, cqi=0.0, scalar_product_count=0)
         samples.append((effs, msgs, params, users))
     h_hat = np.array([[effs[m].h_hat for m in range(4)] for effs, *_ in samples])
     cdi = [[msgs[m].cdi_index for m in range(4)] for _, msgs, *_ in samples]
@@ -580,7 +582,7 @@ def test_gap_samples_stack_matches_per_user_distances():
 def test_ra_feedback_frequency_averaged_degenerate_chain():
     # rho = 1 makes all subcarriers identical: averaged true rates collapse
     # to the single-carrier case and the decision must match
-    from ramimo.channel import draw_user_channel, per_subcarrier_effective_channels
+    from ramimo.channel import draw_user_channel
     params = SystemParams(n_t=3, n_r=1, n_s=2, P=10.0)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(60).derive("v")))
@@ -597,18 +599,16 @@ def test_ra_feedback_frequency_averaged_degenerate_chain():
 def test_ra_feedback_averaged_true_rates_change_decision_possible():
     # with genuinely different subcarriers the averaged objective is not the
     # flat objective; the call must still return a consistent message
-    from ramimo.channel import draw_user_channel, mrc_effective_channel, per_subcarrier_effective_channels
+    from ramimo.channel import draw_user_channel
 
     params = SystemParams(n_t=3, n_r=1, n_s=2, P=10.0)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(62).derive("v")))
     uc = draw_user_channel(params, F=6, rho=0.7, seed=SeedSpec(63).derive("c"))
-    eff = mrc_effective_channel(uc, params)
-    subs = per_subcarrier_effective_channels(uc, params)
-    msg = ra_feedback(eff, C, V, params, subcarrier_effs=subs)
-    assert 0 <= msg.cdi_index < len(V)
-    assert msg.cqi >= 0.0
-    assert msg.gap >= 0.0
+    cdi, cqi, gap = (a[0] for a in ra_feedback_batch(user_channels_block([uc]).sub_h_hat, [params], C, V))
+    assert 0 <= cdi < len(V)
+    assert cqi >= 0.0
+    assert gap >= 0.0
 
 
 def test_feedback_vector_reproduces_exact_channel():
@@ -623,8 +623,7 @@ def test_feedback_vector_reproduces_exact_channel():
 def test_ra_feedback_batch_matches_single_calls():
     # users at different SNRs, flat and frequency-selective, in one batch
     # per subcarrier count: every message equals the one-problem call exactly
-    from ramimo.channel import draw_user_channel, per_subcarrier_effective_channels
-    from ramimo.feedback import ra_feedback_batch
+    from ramimo.channel import draw_user_channel
 
     base = SystemParams(n_t=3, n_r=1, n_s=3, P=1.0)
     C = canonical_onb(3)
@@ -633,20 +632,17 @@ def test_ra_feedback_batch_matches_single_calls():
     for m, snr in enumerate((0.0, 20.0, 60.0, 100.0)):
         params = base.with_snr_db(snr)
         uc = draw_user_channel(params, F=1 + 3 * (m % 2), rho=0.8, seed=SeedSpec(65).derive("c", m))
-        subs = per_subcarrier_effective_channels(uc, params) if uc.F > 1 else None
-        problems.append((mrc_effective_channel(uc, params), params, subs))
+        problems.append((user_channels_block([uc]).sub_h_hat[0], params))
     for F in (1, 4):
-        group = [(eff, params, subs) for eff, params, subs in problems if len(subs or [eff]) == F]
-        h_hat = np.array([[e.h_hat for e in subs or [eff]] for eff, _, subs in group])
-        batch = zip(*(a.tolist() for a in ra_feedback_batch(h_hat, [params for _, params, _ in group], C, V)))
-        single = [ra_feedback(eff, C, V, params, subcarrier_effs=subs) for eff, params, subs in group]
-        assert list(batch) == [(msg.cdi_index, msg.cqi, msg.gap) for msg in single]
+        group = [(rows, params) for rows, params in problems if len(rows) == F]
+        h_hat = np.array([rows for rows, _ in group])
+        batch = zip(*(a.tolist() for a in ra_feedback_batch(h_hat, [params for _, params in group], C, V)))
+        single = [tuple(a.item() for a in ra_feedback_batch(rows[None], [params], C, V)) for rows, params in group]
+        assert list(batch) == single
         assert len(single) == 2
 
 
 def test_ra_feedback_batch_rejects_mixed_configuration_tables():
-    from ramimo.feedback import ra_feedback_batch
-
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(66).derive("v")))
     h_hat, params = [], []
@@ -694,13 +690,13 @@ def test_ra_feedback_matches_log_gain_grid_at_high_snr(n_t, B, snr_db):
     V = concat_codebooks(C, rvq_codebook(n_t, B, SeedSpec(70).derive("v", n_t)))
     for i in range(3):
         eff = _random_eff(n_t, params, SeedSpec(71).derive("h", n_t, int(snr_db), i))
-        msg = ra_feedback(eff, C, V, params)
-        again = ra_distance(eff, msg.cqi, V[msg.cdi_index], C, params).value
-        assert msg.gap == pytest.approx(again, abs=1e-10)
+        cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], [params], C, V))
+        again = ra_distance(eff, cqi, V[cdi], C, params).value
+        assert gap == pytest.approx(again, abs=1e-10)
         oracle = _grid_min_gap(
             lambda theta, j: ra_distance(eff, theta, V[j], C, params).value, len(V), np.log(eff.lambda_sq)
         )
-        assert msg.gap <= oracle + 1e-9
+        assert gap <= oracle + 1e-9
 
 
 @pytest.mark.parametrize("snr_db", [60.0, 80.0, 100.0])
@@ -737,14 +733,14 @@ def test_ra_feedback_duplicated_codeword_picks_lower_index(snr_db):
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(75).derive("v")))
     for i in range(10):
         eff = _random_eff(3, params, SeedSpec(76).derive("h", int(snr_db), i))
-        best = ra_feedback(eff, C, V, params)
-        dup = V.vectors[best.cdi_index][None, :]
-        front = ra_feedback(eff, C, Codebook(np.vstack([dup, V.vectors])), params)
-        back = ra_feedback(eff, C, Codebook(np.vstack([V.vectors, dup])), params)
-        assert front.cdi_index == 0
-        assert back.cdi_index == best.cdi_index
-        assert front.gap == pytest.approx(best.gap, abs=1e-12)
-        assert back.gap == best.gap
+        best_cdi, _, best_gap = ra_feedback_batch(eff.h_hat[None, None], [params], C, V)
+        dup = V.vectors[best_cdi]
+        front_cdi, _, front_gap = ra_feedback_batch(eff.h_hat[None, None], [params], C, Codebook(np.vstack([dup, V.vectors])))
+        back_cdi, _, back_gap = ra_feedback_batch(eff.h_hat[None, None], [params], C, Codebook(np.vstack([V.vectors, dup])))
+        assert front_cdi[0] == 0
+        assert back_cdi[0] == best_cdi[0]
+        assert front_gap[0] == pytest.approx(best_gap[0], abs=1e-12)
+        assert back_gap[0] == best_gap[0]
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +803,7 @@ def test_ra_feedback_batch_matches_all_pairs_oracle(n_t, n_s, n_r, F, B):
     # every reported gap equals the exact minimax of its codeword, and no
     # codeword does better, from 0 to 100 dB with zero channels and
     # duplicated codewords (ties go to the lower index)
-    from ramimo.channel import draw_user_channel, per_subcarrier_effective_channels
-    from ramimo.feedback import ra_feedback_batch
+    from ramimo.channel import draw_user_channel
 
     C = canonical_onb(n_t)
     V = concat_codebooks(C, rvq_codebook(n_t, B, SeedSpec(80).derive("v", n_t, B)))
@@ -819,7 +814,7 @@ def test_ra_feedback_batch_matches_all_pairs_oracle(n_t, n_s, n_r, F, B):
         p = base.with_snr_db(snr)
         for m in range(4):
             uc = draw_user_channel(p, F=F, rho=0.7, seed=SeedSpec(81).derive(n_t, F, int(snr), m))
-            rows.append([e.h_hat for e in per_subcarrier_effective_channels(uc, p)] if F > 1 else [mrc_effective_channel(uc, p).h_hat])
+            rows.append(user_channels_block([uc]).sub_h_hat[0])
             params.append(p)
         rows.append(np.zeros((F, n_t), dtype=complex))  # a zero channel at every SNR
         params.append(p)
@@ -979,7 +974,6 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
     # holds a different number of columns with each setting; every
     # (cdi_index, cqi, gap) must stay bit-identical.
     import ramimo.feedback as fb
-    from ramimo.channel import per_subcarrier_effective_channels
     from ramimo.harness import SimConfig, _Context
 
     ctx = _Context(
@@ -995,26 +989,18 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
             }
         )
     )
-    H, sub = ctx.channel_stack(range(2))
-    chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
-    problems = [
-        (mrc_effective_channel(uc, params), params, per_subcarrier_effective_channels(uc, params) if F > 1 else None)
-        for d in range(2)
-        for params in ctx.params_by_snr
-        for uc in chans[d * users : (d + 1) * users]
-    ]
-    zero = UserChannel(
-        H=np.zeros((1, system["n_t"]), dtype=complex),
-        subcarriers=np.zeros((F, 1, system["n_t"]), dtype=complex) if F > 1 else None,
+    sub_h_hat = effective_block(*ctx.channel_stack(range(2))).sub_h_hat
+    # every (draw, SNR point, user) row, then a zero channel at the top SNR
+    h_hat = np.concatenate(
+        [sub_h_hat[d * users : (d + 1) * users] for d in range(2) for _ in ctx.params_by_snr]
+        + [np.zeros((1, F, system["n_t"]), dtype=complex)]
     )
-    top = ctx.params_by_snr[-1]
-    problems.append((mrc_effective_channel(zero, top), top, per_subcarrier_effective_channels(zero, top) if F > 1 else None))
-    h_hat = np.array([[e.h_hat for e in subs or [eff]] for eff, _, subs in problems])
+    params = [p for _ in range(2) for p in ctx.params_by_snr for _ in range(users)] + ctx.params_by_snr[-1:]
 
     def solve(elements, margin):
         monkeypatch.setattr(fb, "_BATCH_ELEMENTS", elements)
         monkeypatch.setattr(fb, "PRUNE_MARGIN", margin)
-        out = fb.ra_feedback_batch(h_hat, [params for _, params, _ in problems], ctx.C, ctx.V, phi_table=ctx.phi)
+        out = fb.ra_feedback_batch(h_hat, params, ctx.C, ctx.V, phi_table=ctx.phi)
         return list(zip(*(a.tolist() for a in out)))
 
     default, margin = fb._BATCH_ELEMENTS, fb.PRUNE_MARGIN  # read before `solve` patches them

@@ -73,13 +73,28 @@ def test_config_rejects_non_integer_fields(key, value):
 @pytest.mark.parametrize("key", ["rho", "P", "sigma_sq", "snr_db_list"])
 @pytest.mark.parametrize("value", [True, False, "0.5"])
 def test_config_rejects_non_numeric_float_fields(key, value):
-    # a boolean is neither written back as true nor read as 1.0
+    # a boolean is neither written back as true nor read as 1.0; P and
+    # sigma_sq are no config keys, since every run sets them from its SNR
+    # point, so an old config that sets them fails whatever the value
     if key in ("P", "sigma_sq"):
-        kw = {"system": {"n_t": 2, "n_r": 1, "n_s": 2, key: value}}
-    else:
-        kw = {key: [10.0, value] if key == "snr_db_list" else value}
+        with pytest.raises(ValueError, match=rf"unknown system keys: \['{key}'\]"):
+            _cfg(system={"n_t": 2, "n_r": 1, "n_s": 2, key: value})
+        with pytest.raises(ValueError, match=rf"unknown system keys: \['{key}'\]"):
+            _cfg(system={"n_t": 2, "n_r": 1, "n_s": 2, key: 1.0})
+        return
+    kw = {key: [10.0, value] if key == "snr_db_list" else value}
     with pytest.raises(ValueError, match=f"{key}.* must be a number"):
         _cfg(**kw)
+
+
+@pytest.mark.parametrize("name", ["transmit_codebook", "feedback_codebook"])
+@pytest.mark.parametrize("path", [None, 3, ["cb.txt"]])
+def test_config_rejects_file_codebook_without_string_path(name, path):
+    # a missing path would raise KeyError mid-run; an integer would reach
+    # open() as a file descriptor
+    spec = {"kind": "file"} if path is None else {"kind": "file", "path": path}
+    with pytest.raises(ValueError, match=f"{name} kind 'file' needs a string 'path'"):
+        _cfg(**{name: spec})
 
 
 def test_config_accepts_integral_floats():
@@ -257,7 +272,7 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
     for cfg in configs:
         draws = []
         for size in (1, 3, 16, None):
-            monkeypatch.setattr(harness, "_block_size", default if size is None else lambda ctx, kind, n=size: n)
+            monkeypatch.setattr(harness, "_block_size", default if size is None else lambda n_users, n_snr, n=size: n)
             draws.append(run_sum_rate_experiment(cfg).draws)
         assert draws[0] == draws[1] == draws[2] == draws[3]
         runs.append(draws[0])
@@ -266,17 +281,17 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
 
 
 def test_replace_applies_system_keys():
-    cfg = _cfg(system={"n_t": 4, "n_r": 2, "n_s": 2, "P": 3.0})
+    cfg = _cfg(system={"n_t": 4, "n_r": 2, "n_s": 2})
     new = cfg.replace(system={"n_r": 1, "n_s": 4}, strategy="perfect")
-    assert new.params == SystemParams(n_t=4, n_r=1, n_s=4, P=3.0, sigma_sq=1.0)
+    assert new.params == SystemParams(n_t=4, n_r=1, n_s=4)
     assert new.strategy == "perfect"
-    assert cfg.params == SystemParams(n_t=4, n_r=2, n_s=2, P=3.0, sigma_sq=1.0)
+    assert cfg.params == SystemParams(n_t=4, n_r=2, n_s=2)
     with pytest.raises(ValueError, match="unknown system keys"):
         cfg.replace(system={"n_x": 1})
 
 
 def test_replace_keeps_system_when_not_given():
-    cfg = _cfg(system={"n_t": 4, "n_r": 2, "n_s": 3, "P": 3.0, "sigma_sq": 0.5})
+    cfg = _cfg(system={"n_t": 4, "n_r": 2, "n_s": 3})
     new = cfg.replace(num_draws=5, workers=2)
     assert new.params == cfg.params
     assert new.to_dict() == {**cfg.to_dict(), "num_draws": 5, "workers": 2}
@@ -285,11 +300,12 @@ def test_replace_keeps_system_when_not_given():
 def test_delta_ra_draws_independent_of_block_size(monkeypatch):
     # a delta-ra block builds every (draw, SNR point, user) effective
     # channel once and shares it between the feedback search and the gap
-    # samples; the draws must not depend on the block they land in
+    # samples; the draws must not depend on the block they land in, for
+    # every feedback strategy, flat and over F = 4 subcarriers
     import ramimo.harness as harness
 
     default = harness._block_size
-    cfg = SimConfig.from_dict(
+    base = SimConfig.from_dict(
         {
             "system": {"n_t": 3, "n_r": 1, "n_s": 3},
             "num_users": 3,
@@ -302,29 +318,32 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
             "master_seed": 41,
         }
     )
-    runs = []
-    for size in (1, 3, None):
-        monkeypatch.setattr(harness, "_block_size", default if size is None else lambda ctx, kind, n=size: n)
-        result = run_delta_ra_experiment(cfg)
-        runs.append((result.draws, result.tables))
-    assert default(cfg.num_users, len(cfg.snr_db_list)) >= 7
-    assert runs[0] == runs[1] == runs[2]
-    # the block's effective channels and feedback are laid out (draw, SNR
-    # point, user), and every row is the one its user's own call gives
-    ctx = harness._Context(cfg)
-    block = ctx.effective(range(3))
-    h_hat, h, lam = harness._by_point(ctx, block.h_hat), harness._by_point(ctx, block.h), harness._lambda_sq(ctx, block)
-    cdi, cqi, _ = harness._block_feedback(ctx, "ra-full", block, ctx.params_by_snr * 3)
-    H, sub = ctx.channel_stack(range(3))
-    chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
-    expected = [(chans[3 * d + m], p) for d in range(3) for p in ctx.params_by_snr for m in range(3)]
-    assert h_hat.shape == h.shape == (3 * 3, 3, 3) and lam.shape == cdi.shape == cqi.shape == (3 * 3, 3)
-    rows = zip(h_hat.reshape(-1, 3), h.reshape(-1, 3), lam.ravel().tolist(), cdi.ravel().tolist(), cqi.ravel().tolist())
-    for (uc, p), (row_h_hat, row_h, row_lam, i, q) in zip(expected, rows):
-        ref = mrc_effective_channel(uc, p)
-        assert np.array_equal(row_h_hat, ref.h_hat) and np.array_equal(row_h, ref.h) and row_lam == ref.lambda_sq
-        msg = compute_feedback("ra-full", uc, ctx.C, ctx.V, p)
-        assert (i, q) == (msg.cdi_index, msg.cqi)
+    assert default(base.num_users, len(base.snr_db_list)) >= 7
+    for strategy in ("chordal", "ra-full", "ra-efficient", "lemma1"):
+        for F in (1, 4):
+            cfg = base.replace(strategy=strategy, F=F)
+            runs = []
+            for size in (1, 3, None):
+                monkeypatch.setattr(harness, "_block_size", default if size is None else lambda n_users, n_snr, n=size: n)
+                result = run_delta_ra_experiment(cfg)
+                runs.append((result.draws, result.tables))
+            assert runs[0] == runs[1] == runs[2]
+            # the block's effective channels and feedback are laid out (draw,
+            # SNR point, user), and every row is the one its user's own call gives
+            ctx = harness._Context(cfg)
+            block = ctx.effective(range(3))
+            h_hat, h, lam = harness._by_point(ctx, block.h_hat), harness._by_point(ctx, block.h), harness._lambda_sq(ctx, block)
+            cdi, cqi, _ = harness._block_feedback(ctx, strategy, block, ctx.params_by_snr * 3)
+            H, sub = ctx.channel_stack(range(3))
+            chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
+            expected = [(chans[3 * d + m], p) for d in range(3) for p in ctx.params_by_snr for m in range(3)]
+            assert h_hat.shape == h.shape == (3 * 3, 3, 3) and lam.shape == cdi.shape == cqi.shape == (3 * 3, 3)
+            rows = zip(h_hat.reshape(-1, 3), h.reshape(-1, 3), lam.ravel().tolist(), cdi.ravel().tolist(), cqi.ravel().tolist())
+            for (uc, p), (row_h_hat, row_h, row_lam, i, q) in zip(expected, rows):
+                ref = mrc_effective_channel(uc, p)
+                assert np.array_equal(row_h_hat, ref.h_hat) and np.array_equal(row_h, ref.h) and row_lam == ref.lambda_sq
+                msg = compute_feedback(strategy, uc, ctx.C, ctx.V, p)
+                assert (i, q) == (msg.cdi_index, msg.cqi)
 
 
 def _count_searches(monkeypatch):
@@ -690,6 +709,14 @@ def test_cli_rejects_non_integer_config(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "error: num_draws must be an integer, got 2.5" in capsys.readouterr().err
+
+
+def test_cli_rejects_file_codebook_without_path(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_cfg(num_draws=5).to_dict(), "transmit_codebook": {"kind": "file"}}))
+    rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "error: transmit_codebook kind 'file' needs a string 'path', got None" in capsys.readouterr().err
 
 
 def test_context_channels_use_derived_streams():

@@ -3,8 +3,8 @@ import pytest
 
 from ramimo.channel import SystemParams, UserChannel
 from ramimo.codebook import canonical_onb
-from ramimo.rates import BeamAssignment, rate_with_beams, rates_with_beams, sum_rate, user_rate
-from ramimo.scheduler import ScheduleDecision, realize_rates
+from ramimo.rates import BeamAssignment, rate_with_beams, rates_with_beams
+from ramimo.scheduler import ScheduleDecision, realize_rates, realize_rates_block
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -18,13 +18,13 @@ def test_assignment_rejects_shared_beam():
 def test_single_user_plugin():
     # |S|=1, |<h,w>|^2 = 1, P/sigma^2 = 1  ->  log 2
     params = SystemParams(n_t=2, n_s=1, P=1.0, sigma_sq=1.0)
-    r = user_rate(BeamAssignment({0: 0}), canonical_onb(2), E1, 0, params)
+    r = rate_with_beams(E1, canonical_onb(2)[0], [], 1, params)
     assert r == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_orthogonal_channel_zero_rate():
     params = SystemParams(n_t=2, n_s=1)
-    r = user_rate(BeamAssignment({0: 0}), canonical_onb(2), E2, 0, params)
+    r = rate_with_beams(E2, canonical_onb(2)[0], [], 1, params)
     assert r == 0.0
 
 
@@ -32,49 +32,45 @@ def test_two_user_hand_evaluation():
     # n_t=2, ONB beams, h = e1, S = {0, 1}, identity assignment, P/sigma^2 = 2:
     # noise term sigma^2 |S| / P = 1, zero cross term -> log 2
     params = SystemParams(n_t=2, n_s=2, P=2.0, sigma_sq=1.0)
-    r = user_rate(BeamAssignment({0: 0, 1: 1}), canonical_onb(2), E1, 0, params)
+    C = canonical_onb(2)
+    r = rate_with_beams(E1, C[0], [C[1]], 2, params)
     assert r == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_sum_rate_empty():
+    # nobody scheduled: every position and the sum rate are 0.0
     params = SystemParams(n_t=2)
-    report = sum_rate(BeamAssignment({}), canonical_onb(2), {}, params)
-    assert report.sum == 0.0
-    assert report.per_user == {}
+    sub_h_hat = np.zeros((1, 2, 1, 2), dtype=complex)
+    per_user, total = realize_rates_block([[-1, -1]], [[-1, -1]], sub_h_hat, [params], canonical_onb(2))
+    assert total.tolist() == [0.0]
+    assert per_user.tolist() == [[0.0, 0.0]]
 
 
 def test_sum_rate_single_equals_user_rate():
     params = SystemParams(n_t=2, n_s=1, P=3.0)
-    assign = BeamAssignment({4: 1})
     v = (E1 + E2) / np.sqrt(2)
-    report = sum_rate(assign, canonical_onb(2), {4: v}, params)
-    assert report.sum == pytest.approx(user_rate(assign, canonical_onb(2), v, 4, params))
+    C = canonical_onb(2)
+    per_user, total = realize_rates_block([[0]], [[1]], v[None, None, None, :], [params], C)
+    assert total[0] == pytest.approx(rate_with_beams(v, C[1], [], 1, params))
 
 
 def test_sum_rate_orthogonal_pair_closed_form():
     params = SystemParams(n_t=2, n_s=2, P=4.0, sigma_sq=1.0)
-    assign = BeamAssignment({0: 0, 1: 1})
-    report = sum_rate(assign, canonical_onb(2), {0: E1, 1: E2}, params)
+    vectors = np.array([[E1, E2]])[:, :, None, :]
+    per_user, total = realize_rates_block([[0, 1]], [[0, 1]], vectors, [params], canonical_onb(2))
     expected = 2 * np.log(1 + params.P / (2 * params.sigma_sq))
-    assert report.sum == pytest.approx(expected, abs=1e-12)
-
-
-def test_sum_rate_missing_user():
-    params = SystemParams(n_t=2, n_s=2)
-    with pytest.raises(ValueError, match="user 1"):
-        sum_rate(BeamAssignment({0: 0, 1: 1}), canonical_onb(2), {0: E1}, params)
+    assert total[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_global_phase_invariance():
     params = SystemParams(n_t=2, n_s=2, P=2.0)
-    assign = BeamAssignment({0: 0, 1: 1})
     rng = np.random.default_rng(2)
     C = canonical_onb(2)
     for _ in range(50):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         alpha = rng.uniform(0, 2 * np.pi)
-        r1 = user_rate(assign, C, v, 0, params)
-        r2 = user_rate(assign, C, np.exp(1j * alpha) * v, 0, params)
+        r1 = rate_with_beams(v, C[0], [C[1]], 2, params)
+        r2 = rate_with_beams(np.exp(1j * alpha) * v, C[0], [C[1]], 2, params)
         assert r1 == pytest.approx(r2, abs=1e-12)
 
 
@@ -84,21 +80,20 @@ def test_rate_decreases_with_added_interferer():
     rng = np.random.default_rng(3)
     for _ in range(100):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        r_small = user_rate(BeamAssignment({0: 0, 1: 1}), C, v, 0, params)
-        r_big = user_rate(BeamAssignment({0: 0, 1: 1, 2: 2}), C, v, 0, params)
+        r_small = rate_with_beams(v, C[0], [C[1]], 2, params)
+        r_big = rate_with_beams(v, C[0], [C[1], C[2]], 3, params)
         assert r_big <= r_small + 1e-12
 
 
 def test_joint_power_noise_scaling_invariance():
     base = SystemParams(n_t=2, n_s=2, P=1.5, sigma_sq=0.7)
     scaled = SystemParams(n_t=2, n_s=2, P=1.5 * 13.0, sigma_sq=0.7 * 13.0)
-    assign = BeamAssignment({0: 0, 1: 1})
     rng = np.random.default_rng(4)
     C = canonical_onb(2)
     for _ in range(50):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert user_rate(assign, C, v, 0, base) == pytest.approx(
-            user_rate(assign, C, v, 0, scaled), abs=1e-12
+        assert rate_with_beams(v, C[0], [C[1]], 2, base) == pytest.approx(
+            rate_with_beams(v, C[0], [C[1]], 2, scaled), abs=1e-12
         )
 
 
@@ -107,7 +102,7 @@ def _averaged_rate(assign, C, subcarrier_vectors, m, params):
     single-antenna effective vectors (H_f = v_f^H)."""
     rows = np.array([np.conj(v)[None, :] for v in subcarrier_vectors])
     uc = UserChannel(H=rows.mean(axis=0), subcarriers=rows)
-    return realize_rates(ScheduleDecision(assign, 0.0, "brute"), {m: uc}, params, C=C).per_user[m]
+    return realize_rates(ScheduleDecision(assign, 0.0), {m: uc}, params, C=C).per_user[m]
 
 
 def test_averaged_rate_single_subcarrier():
@@ -115,7 +110,7 @@ def test_averaged_rate_single_subcarrier():
     assign = BeamAssignment({0: 0})
     C = canonical_onb(2)
     assert _averaged_rate(assign, C, [E1], 0, params) == pytest.approx(
-        user_rate(assign, C, E1, 0, params)
+        rate_with_beams(E1, C[0], [], 1, params)
     )
 
 
@@ -124,7 +119,7 @@ def test_averaged_rate_identical_subcarriers():
     assign = BeamAssignment({0: 0})
     C = canonical_onb(2)
     assert _averaged_rate(assign, C, [E1, E1, E1], 0, params) == pytest.approx(
-        user_rate(assign, C, E1, 0, params)
+        rate_with_beams(E1, C[0], [], 1, params)
     )
 
 
@@ -132,7 +127,7 @@ def test_averaged_rate_mean_of_rate_and_zero():
     params = SystemParams(n_t=2, n_s=1, P=1.0, sigma_sq=1.0)
     assign = BeamAssignment({0: 0})
     C = canonical_onb(2)
-    r = user_rate(assign, C, E1, 0, params)
+    r = rate_with_beams(E1, C[0], [], 1, params)
     avg = _averaged_rate(assign, C, [E1, E2], 0, params)
     assert avg == pytest.approx(r / 2.0, abs=1e-12)
 

@@ -10,11 +10,11 @@ from ramimo.channel import (
     draw_user_channel,
     effective_block,
     mrc_effective_channel,
-    per_subcarrier_effective_channels,
+    user_channels_block,
 )
 from ramimo.codebook import Codebook, canonical_onb, rvq_codebook
 from ramimo.numerics import SeedSpec, sample_complex_gaussian
-from ramimo.rates import BeamAssignment, RateReport, rate_with_beams, sum_rate
+from ramimo.rates import BeamAssignment, RateReport, rate_with_beams
 from ramimo.scheduler import (
     PrecodedDecision,
     ScheduleDecision,
@@ -24,7 +24,6 @@ from ramimo.scheduler import (
     schedule_bruteforce_block,
     schedule_greedy,
     zf_decision_for,
-    zf_precode,
     zf_schedule,
     zf_schedule_block,
 )
@@ -35,7 +34,8 @@ E2 = np.array([0.0, 1.0], dtype=complex)
 
 def reference_enumerator(vectors, C, params):
     """Independent oracle written directly against the definition: loop over
-    all subsets and beam tuples, tracking the best sum rate via sum_rate.
+    all subsets and beam tuples, tracking the best sum rate, each user's
+    rate from rate_with_beams and added in user order.
     Ties go to the smallest (sorted users, beam tuple) over all set sizes;
     a best rate of 0 schedules nobody."""
     users = sorted(vectors)
@@ -43,8 +43,9 @@ def reference_enumerator(vectors, C, params):
     for k in range(1, params.n_s + 1):
         for S in combinations(users, k):
             for beams in permutations(range(len(C)), k):
-                assign = BeamAssignment(dict(zip(S, beams)))
-                total = sum_rate(assign, C, vectors, params).sum
+                total = sum(
+                    rate_with_beams(vectors[m], C[b], [C[c] for c in beams if c != b], k, params) for m, b in zip(S, beams)
+                )
                 if total > best[0] or (total == best[0] > 0 and (S, beams) < best[1:]):
                     best = (total, S, beams)
     return best
@@ -83,10 +84,10 @@ def test_brute_matches_reference_enumerator():
 def test_brute_predicted_rate_consistent():
     params = SystemParams(n_t=2, n_s=2, P=4.0)
     C = canonical_onb(2)
-    vectors = _random_vectors(3, 2, SeedSpec(32))
-    decision = schedule_bruteforce(vectors, C, params)
-    re_eval = sum_rate(decision.assignment, C, vectors, params).sum
-    assert decision.predicted_sum_rate == pytest.approx(re_eval, abs=1e-12)
+    vectors = np.array([list(_random_vectors(3, 2, SeedSpec(32)).values())])
+    users, beams, predicted = schedule_bruteforce_block(vectors, C, [params])
+    re_eval = realize_rates_block(users, beams, vectors[:, :, None, :], [params], C)[1]
+    assert predicted[0] == pytest.approx(re_eval[0], abs=1e-12)
 
 
 def test_brute_complexity_guard():
@@ -211,7 +212,7 @@ def test_greedy_block_matches_per_problem_search(n_t, B):
 
 def test_zf_of_orthonormal_directions_is_identity():
     params = SystemParams(n_t=2, n_s=2)
-    decision = zf_precode([E1, E2], params)
+    decision = zf_decision_for([0, 1], [E1, E2], params)
     assert np.allclose(np.abs(decision.beams[0]), [1.0, 0.0], atol=1e-12)
     assert np.allclose(np.abs(decision.beams[1]), [0.0, 1.0], atol=1e-12)
 
@@ -223,7 +224,7 @@ def test_zf_nulls_cross_directions():
         sample_complex_gaussian(4, rng_seed.derive("d", i)) for i in range(3)
     ]
     dirs = [d / np.linalg.norm(d) for d in dirs]
-    decision = zf_precode(dirs, params)
+    decision = zf_decision_for(range(len(dirs)), dirs, params)
     for i, b in enumerate(decision.beams):
         assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
         for j, d in enumerate(dirs):
@@ -234,9 +235,9 @@ def test_zf_nulls_cross_directions():
 def test_zf_rejects_dependent_directions():
     params = SystemParams(n_t=2, n_s=2)
     with pytest.raises(ValueError, match="depend"):
-        zf_precode([E1, E1], params)
+        zf_decision_for([0, 1], [E1, E1], params)
     with pytest.raises(ValueError, match="depend"):  # more directions than antennas
-        zf_precode([E1, E2, (E1 + E2) / np.sqrt(2.0)], params)
+        zf_decision_for([0, 1, 2], [E1, E2, (E1 + E2) / np.sqrt(2.0)], params)
 
 
 def test_realize_matches_predicted_under_perfect_csit():
@@ -268,10 +269,10 @@ def test_realize_multiantenna_on_mrc_channel(F):
             realized = realize_rates(decision, channels, params, C=C)
             if F == 1:
                 assert realized.sum == pytest.approx(decision.predicted_sum_rate, abs=1e-12)
-            subs = {m: per_subcarrier_effective_channels(ch, params) for m, ch in channels.items()}
-            expected = np.mean(
-                [sum_rate(decision.assignment, C, {m: e[f].h_hat for m, e in subs.items()}, params).sum for f in range(F)]
-            )
+            sub = user_channels_block([channels[m] for m in range(5)]).sub_h_hat
+            users = [decision.assignment.users]
+            beams = [[decision.assignment.pairs[m] for m in users[0]]]
+            expected = np.mean([realize_rates_block(users, beams, sub[None, :, f : f + 1], [params], C)[1][0] for f in range(F)])
             assert realized.sum == pytest.approx(expected, abs=1e-12)
 
 
@@ -387,7 +388,7 @@ def _brute_block_decisions(problems, C):
         assert ((users < 0) == (beams < 0)).all()
         for i, u, row_u, row_b, r in zip(group, ids, users.tolist(), beams.tolist(), rate.tolist()):
             assert row_u == sorted(row_u, key=lambda a: (a < 0, a))  # increasing, padding last
-            out[i] = ScheduleDecision(BeamAssignment({u[a]: b for a, b in zip(row_u, row_b) if a >= 0}), r, "brute")
+            out[i] = ScheduleDecision(BeamAssignment({u[a]: b for a, b in zip(row_u, row_b) if a >= 0}), r)
     return out
 
 
@@ -427,7 +428,7 @@ def test_brute_block_matches_scalar_oracle(monkeypatch, block):
 
 def _reference_zf_beams(dirs):
     """Unit pseudo-inverse columns of one direction set, None when the
-    directions are linearly dependent (the arithmetic of zf_precode,
+    directions are linearly dependent (the arithmetic of zf_decision_for,
     written out so the oracle shares no code with the scheduler)."""
     A = np.array([np.conj(d) for d in dirs])
     if np.linalg.matrix_rank(A, tol=1e-10) < len(dirs):
@@ -632,9 +633,9 @@ def test_realize_block_matches_scalar_oracle(F, n_r):
             k = int(rng.integers(0, 4))
             users = rng.choice(n_users, k, replace=False).tolist()
             beams = rng.choice(len(C), k, replace=False).tolist()
-            problems.append((ScheduleDecision(BeamAssignment(dict(zip(users, beams))), 0.0, "brute"), subs[d], p))
+            problems.append((ScheduleDecision(BeamAssignment(dict(zip(users, beams))), 0.0), subs[d], p))
     problems.append((PrecodedDecision(users=(), beams=()), subs[0], params))
-    problems.append((ScheduleDecision(BeamAssignment({}), 0.0, "brute"), subs[0], params))
+    problems.append((ScheduleDecision(BeamAssignment({}), 0.0), subs[0], params))
     got = _realize_block(problems, C)
     rows = sum(len(r.per_user) for r in got) * F
     assert rows >= 5000
