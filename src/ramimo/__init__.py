@@ -15,6 +15,7 @@ from .bounds import (
     covering_density,
     covering_number_bound,
     empirical_D,
+    empirical_D_block,
     jindal_gap,
     lemma2_bound,
     lemma3_bound,

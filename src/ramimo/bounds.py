@@ -180,37 +180,55 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     direction-only min-max error.  The outer minimum over all codebooks in
     the definitions is not searched: the supplied family is evaluated, so
     both numbers are upper estimates for the functionals at the optimum.
-    The samples h_hat = sample_complex_gaussian(n_t, seed.derive("empD", i))
-    of a batch are drawn in one `standard_normal_rows` call, their gains,
-    lam_tilde and alignments psi computed as stacked rows (each equal to
-    the one-sample arithmetic bit for bit), and their weighted minima
-    taken together; the averages still add the samples one by one in order.
+    The samples are h_hat = sample_complex_gaussian(n_t, seed.derive("empD",
+    i)); this is the one-point case of `empirical_D_block`.
+    """
+    return empirical_D_block(B, n_t, C, feedback_family, [params], samples, [seed])[0]
+
+
+def empirical_D_block(B, n_t, C, feedback_family, params_list, samples, seeds):
+    """`empirical_D` of every point (params_list[k], seeds[k]), as a list of
+    (D_est, D_hat_est), each equal to its one-point call bit for bit.
+
+    The samples of every point are drawn in one `standard_normal_rows` call
+    per batch, so the seeds must share one master seed and one stream
+    length.  Their gains, lam_tilde and alignments psi are computed as
+    stacked rows (each equal to the one-sample arithmetic bit for bit), and
+    their weighted minima taken together; each point's averages still add
+    its samples one by one in order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if len(params_list) != len(seeds):
+        raise ValueError("params_list and seeds must have one entry per point")
+    if len({s.master_seed for s in seeds}) > 1 or len({len(s.stream) for s in seeds}) > 1:
+        raise ValueError("seeds must share one master seed and one stream length")
     V = feedback_family(B) if callable(feedback_family) else feedback_family
     phi = np.abs(V.vectors.conj() @ C.vectors.T) ** 2
-    d_sum = 0.0
-    dhat_sum = 0.0
+    words = np.array([s.stream for s in seeds], dtype=np.uint32)
+    scale = np.array([[p.P, p.n_t * p.sigma_sq] for p in params_list])  # lam_sq = P gain^2 / (n_t sigma^2)
+    d_sum = [0.0] * len(seeds)
+    dhat_sum = [0.0] * len(seeds)
     chunk = max(1, _EMPIRICAL_D_ROWS // len(V))
-    for lo in range(0, samples, chunk):
-        idx = range(lo, min(lo + chunk, samples))
-        streams = np.empty((len(idx), len(seed.stream) + 2), dtype=np.uint32)  # seed.derive("empD", i).stream
-        streams[:, :-2] = seed.stream
+    for lo in range(0, len(seeds) * samples, chunk):
+        rows = np.arange(lo, min(lo + chunk, len(seeds) * samples))
+        point, idx = np.divmod(rows, samples)  # rows run point by point, samples in order
+        streams = np.empty((len(rows), words.shape[1] + 2), dtype=np.uint32)  # seeds[point].derive("empD", idx)
+        streams[:, :-2] = words[point]
         streams[:, -2] = _EMPD_KEY
-        streams[:, -1] = np.arange(idx.start, idx.stop) % 2**32
-        normals = standard_normal_rows(seed.master_seed, streams, 2 * n_t)
+        streams[:, -1] = idx % 2**32
+        normals = standard_normal_rows(seeds[0].master_seed, streams, 2 * n_t)
         h_hat = (normals[:, :n_t] + 1j * normals[:, n_t:]) / np.sqrt(2.0)
         gain_sq = abs_sq(row_norms(h_hat))
-        lam_sq = params.P * gain_sq / (params.n_t * params.sigma_sq)
+        lam_sq = scale[point, 0] * gain_sq / scale[point, 1]
         lam_tilde = lam_sq / (1.0 + lam_sq)
         psi = beam_powers(h_hat / np.sqrt(gain_sq)[:, None], C)
         weighted = _min_weighted_gaps(psi, phi, lam_tilde)
         direction = np.max(np.abs(psi[:, None, :] - phi[None, :, :]), axis=2).min(axis=1)
-        for r in range(len(idx)):
-            d_sum += float(weighted[r]) / (1.0 - float(lam_tilde[r]))
-            dhat_sum += float(direction[r])
-    return d_sum / samples, dhat_sum / samples
+        for k, w, lt, dr in zip(point.tolist(), weighted.tolist(), lam_tilde.tolist(), direction.tolist()):
+            d_sum[k] += w / (1.0 - lt)
+            dhat_sum[k] += dr
+    return [(d / samples, dh / samples) for d, dh in zip(d_sum, dhat_sum)]
 
 
 @dataclass(frozen=True)

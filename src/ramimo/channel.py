@@ -105,10 +105,11 @@ def draw_channel_stack(params, F, rho, master_seed, streams):
     of SeedSpec(master_seed, streams[i]).  Subcarriers follow
     H_{f+1} = rho * H_f + sqrt(1 - rho^2) * W_{f+1} with i.i.d. CN(0,1)
     innovations, so each subcarrier is marginally CN(0,1) and neighbors
-    have correlation coefficient rho.  W_f of a user comes from its stream
-    extended by derive("f", f); all (user, subcarrier) streams are drawn in
-    one `standard_normal_rows` call, and the chain runs across all users
-    at once.  With F = 1 the averaged channel is the one subcarrier.
+    have correlation coefficient rho.  A user's W_0, W_1, ... (each real,
+    then imaginary part) come in order from one stream, its stream extended
+    by derive("f", 0), so subcarrier 0 is the F = 1 draw bit for bit.  All
+    users are drawn in one `standard_normal_rows` call and the chain runs
+    across all users at once; with F = 1 the average is the one subcarrier.
     """
     if F < 1:
         raise ValueError("F must be >= 1")
@@ -121,11 +122,10 @@ def draw_channel_stack(params, F, rho, master_seed, streams):
     if streams.ndim != 2:
         raise ValueError("streams must be an (S, K) array of stream words")
     n_users, n_words = streams.shape
-    sub = np.empty((n_users, F, n_words + 2), dtype=np.uint32)  # the streams of derive("f", f)
-    sub[:, :, :n_words] = streams[:, None, :]
-    sub[:, :, n_words] = _F_KEY
-    sub[:, :, n_words + 1] = np.arange(F)
-    normals = standard_normal_rows(master_seed, sub.reshape(n_users * F, n_words + 2), 2 * params.n_r * params.n_t)
+    sub = np.zeros((n_users, n_words + 2), dtype=np.uint32)  # the streams of derive("f", 0)
+    sub[:, :n_words] = streams
+    sub[:, n_words] = _F_KEY
+    normals = standard_normal_rows(master_seed, sub, F * 2 * params.n_r * params.n_t)
     normals = normals.reshape(n_users, F, 2, params.n_r, params.n_t)
     mats = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2.0)  # innovations, (users, F, n_r, n_t)
     if F == 1:

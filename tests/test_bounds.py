@@ -11,6 +11,7 @@ from ramimo.bounds import (
     covering_density,
     covering_number_bound,
     empirical_D,
+    empirical_D_block,
     jindal_gap,
     lemma2_bound,
     lemma3_bound,
@@ -322,6 +323,37 @@ def test_empirical_d_independent_of_batching(monkeypatch):
         psi = np.abs(C.vectors @ np.conj(h)) ** 2
         one_by_one.append(min_direction_gap(psi, np.abs(V.vectors.conj() @ C.vectors.T) ** 2))
     assert whole[1] == pytest.approx(sum(one_by_one) / 150, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows_per_pass", [None, 7])
+def test_empirical_d_block_matches_per_point_calls(monkeypatch, rows_per_pass):
+    # six SNR points stacked into one pass (or into 7-sample passes that
+    # straddle the points) give each point exactly its own empirical_D call
+    import ramimo.bounds as bounds_mod
+
+    C = canonical_onb(3)
+    V = rvq_codebook(3, 4, SeedSpec(58).derive("fam"))
+    params_list = [SystemParams(n_t=3, n_s=3).with_snr_db(snr) for snr in (0, 20, 40, 60, 80, 100)]
+    seeds = [SeedSpec(59).derive("empD", s) for s in range(len(params_list))]
+    per_point = [empirical_D(4, 3, C, V, p, samples=25, seed=seed) for p, seed in zip(params_list, seeds)]
+    if rows_per_pass:
+        monkeypatch.setattr(bounds_mod, "_EMPIRICAL_D_ROWS", rows_per_pass * len(V))
+    assert empirical_D_block(4, 3, C, V, params_list, 25, seeds) == per_point
+    assert empirical_D_block(4, 3, C, V, [], 25, []) == []
+
+
+def test_empirical_d_block_validation():
+    C = canonical_onb(3)
+    V = rvq_codebook(3, 4, SeedSpec(58).derive("fam"))
+    params = SystemParams(n_t=3, n_s=3)
+    with pytest.raises(ValueError):  # two master seeds
+        empirical_D_block(4, 3, C, V, [params] * 2, 5, [SeedSpec(1).derive("a"), SeedSpec(2).derive("a")])
+    with pytest.raises(ValueError):  # two stream lengths
+        empirical_D_block(4, 3, C, V, [params] * 2, 5, [SeedSpec(1).derive("a"), SeedSpec(1).derive("a", 0)])
+    with pytest.raises(ValueError):
+        empirical_D_block(4, 3, C, V, [params], 5, [SeedSpec(1)] * 2)
+    with pytest.raises(ValueError):
+        empirical_D_block(4, 3, C, V, [params], 0, [SeedSpec(1)])
 
 
 def test_empirical_d_matches_per_sample_oracle(monkeypatch):

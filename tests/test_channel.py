@@ -14,7 +14,7 @@ from ramimo.channel import (
     mrc_effective_channel,
     user_channels_block,
 )
-from ramimo.numerics import SeedSpec, sample_complex_gaussian_matrix
+from ramimo.numerics import SeedSpec
 
 P2 = SystemParams(n_t=2, n_r=1, n_s=2, P=1.0, sigma_sq=1.0)
 P24 = SystemParams(n_t=4, n_r=2, n_s=2, P=1.0, sigma_sq=1.0)
@@ -35,15 +35,21 @@ def test_draw_single_subcarrier():
 
 
 def _reference_user_channel(params, F, rho, seed):
-    """One generator per (user, subcarrier) and the chain in subcarrier order,
-    written without the block sampler."""
+    """One generator per user, its stream extended by ("f", 0), drawing
+    each subcarrier's innovation in subcarrier order (real part, then
+    imaginary part), and the chain in subcarrier order, written without
+    the block sampler."""
+    rng = seed.derive("f", 0).generator()
     mats = np.empty((F, params.n_r, params.n_t), dtype=complex)
-    mats[0] = sample_complex_gaussian_matrix(params.n_r, params.n_t, seed.derive("f", 0))
+    for f in range(F):
+        re = rng.standard_normal((params.n_r, params.n_t))
+        im = rng.standard_normal((params.n_r, params.n_t))
+        mats[f] = (re + 1j * im) / np.sqrt(2.0)
     if F == 1:
         return UserChannel(H=mats[0], rho=rho)
     scale = np.sqrt(max(0.0, 1.0 - rho * rho))
     for f in range(1, F):
-        mats[f] = rho * mats[f - 1] + scale * sample_complex_gaussian_matrix(params.n_r, params.n_t, seed.derive("f", f))
+        mats[f] = rho * mats[f - 1] + scale * mats[f]
     return UserChannel(H=mats.mean(axis=0), subcarriers=mats, rho=rho)
 
 
@@ -65,6 +71,17 @@ def test_draw_channels_match_per_user_draws(F, n_r, rho):
             assert (other.subcarriers is None) == (F == 1)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.95, 1.0])
+def test_draw_first_subcarrier_is_flat_draw(rho):
+    # subcarrier 0 of an F = 8 draw is the F = 1 draw of the same stream,
+    # bit for bit, so frequency-flat runs do not depend on the OFDM layout
+    params = SystemParams(n_t=4, n_r=2, n_s=2)
+    streams = [SeedSpec(77).derive("chan", i, m).stream for i in range(3) for m in range(4)]
+    H_flat, _ = draw_channel_stack(params, 1, rho, 77, streams)
+    _, sub = draw_channel_stack(params, 8, rho, 77, streams)
+    assert sub[:, 0].tobytes() == H_flat.tobytes()
+
+
 def test_draw_channels_validation():
     params = SystemParams(n_t=2)
     H, sub = draw_channel_stack(params, 2, 0.5, 1, [])
@@ -83,28 +100,28 @@ def test_draw_rho_one_identical_subcarriers():
     assert np.allclose(uc.subcarriers[0], uc.subcarriers[2])
 
 
+def _subcarrier_stats(rho, master_seed):
+    """Per-subcarrier mean power (F,) and neighbour correlation E[H_f
+    conj(H_{f+1})] / E|H_f|^2 of every pair (f, f+1) and every antenna
+    entry (F - 1, n_r, n_t), over 10,000 users at F = 8."""
+    streams = [SeedSpec(master_seed).derive("c", i).stream for i in range(10_000)]
+    _, sub = draw_channel_stack(P2, 8, rho, master_seed, streams)
+    power = np.mean(np.abs(sub) ** 2, axis=0)
+    corr = np.mean(sub[:, :-1] * np.conj(sub[:, 1:]), axis=0) / power[:-1]
+    return power.mean(axis=(1, 2)), corr
+
+
 def test_draw_rho_zero_uncorrelated():
-    n = 10_000
-    prods = np.empty(n, dtype=complex)
-    power = np.empty(n)
-    for i in range(n):
-        uc = draw_user_channel(P2, F=2, rho=0.0, seed=SeedSpec(3).derive("c", i))
-        prods[i] = uc.subcarriers[0, 0, 0] * np.conj(uc.subcarriers[1, 0, 0])
-        power[i] = np.abs(uc.subcarriers[0, 0, 0]) ** 2
-    corr = np.abs(prods.mean()) / power.mean()
-    assert corr < 0.02
+    power, corr = _subcarrier_stats(0.0, 3)
+    assert np.all(np.abs(corr) < 0.02)
+    assert power == pytest.approx(1.0, abs=0.03)
 
 
 def test_draw_rho_chain_correlation():
-    n = 10_000
     rho = 0.8
-    prods = np.empty(n, dtype=complex)
-    power = np.empty(n)
-    for i in range(n):
-        uc = draw_user_channel(P2, F=2, rho=rho, seed=SeedSpec(4).derive("c", i))
-        prods[i] = uc.subcarriers[0, 0, 0] * np.conj(uc.subcarriers[1, 0, 0])
-        power[i] = np.abs(uc.subcarriers[0, 0, 0]) ** 2
-    assert np.real(prods.mean()) / power.mean() == pytest.approx(rho, abs=0.03)
+    power, corr = _subcarrier_stats(rho, 4)
+    assert np.real(corr) == pytest.approx(rho, abs=0.03)
+    assert power == pytest.approx(1.0, abs=0.03)
 
 
 def test_effective_channel_single_antenna():

@@ -97,6 +97,30 @@ def test_config_rejects_file_codebook_without_string_path(name, path):
         _cfg(**{name: spec})
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"transmit_codebook": 5}, "transmit_codebook spec must be an object"),
+        ({"transmit_codebook": "kind"}, "transmit_codebook spec must be an object"),
+        ({"feedback_codebook": ["kind", "rvq"]}, "feedback_codebook spec must be an object"),
+        ({"system": [1, 2]}, "system must be an object"),
+        ({"feedback_codebook": {"kind": "rvq-union-tx", "path": 3}}, "feedback_codebook kind 'rvq-union-tx' takes no 'path'"),
+        ({"transmit_codebook": {"kind": "dft", "path": "cb.txt"}}, "transmit_codebook kind 'dft' takes no 'path'"),
+    ],
+)
+def test_config_rejects_malformed_objects(overrides, message):
+    # a non-object value used to raise TypeError, and a path on a kind that
+    # never reads one was accepted and ignored
+    with pytest.raises(ValueError, match=message):
+        SimConfig.from_dict({"num_draws": 5, **overrides})
+
+
+@pytest.mark.parametrize("data", [5, None, [1, 2]])
+def test_config_rejects_non_object_config(data):
+    with pytest.raises(ValueError, match="config must be an object"):
+        SimConfig.from_dict(data)
+
+
 def test_config_accepts_integral_floats():
     cfg = _cfg(system={"n_t": 2.0, "n_r": 1, "n_s": 2}, num_draws=30.0, F=1.0)
     assert cfg == _cfg()
@@ -717,6 +741,19 @@ def test_cli_rejects_file_codebook_without_path(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "error: transmit_codebook kind 'file' needs a string 'path', got None" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"transmit_codebook": 5}, {"transmit_codebook": "kind"}, {"system": [1, 2]}, {"feedback_codebook": {"kind": "rvq-union-tx", "path": 3}}],
+)
+def test_cli_rejects_malformed_config_objects(tmp_path, capsys, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_cfg(num_draws=5).to_dict(), **overrides}))
+    rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_context_channels_use_derived_streams():
