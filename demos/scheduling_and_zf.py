@@ -18,7 +18,7 @@ from ramimo.scheduler import schedule_bruteforce, schedule_greedy
 
 
 def greedy_vs_brute():
-    params = SystemParams(n_t=4, n_r=1, n_s=2, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=4, n_r=1, n_s=2, P=10.0)
     C = canonical_onb(4)
     losses = []
     exact = 0

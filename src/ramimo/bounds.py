@@ -3,7 +3,7 @@
 Covers: covering densities of small-dimensional Euclidean balls, the
 covering-number constant c(n_t), the per-user quantization-error bound
 D(B) <= c(n_t) E[lambda^2] 2^{-B/(n_t-1)}, the SNR-bounded total-gap bound,
-the user-selection bound 4 n_s log(1 + (P n_t / sigma^2) D_hat), the
+the user-selection bound 4 n_s log(1 + SNR n_t D_hat), the
 classical zeroforcing comparison curve, Monte Carlo estimators of the two
 error functionals, and an explicit quantizer on the probability simplex
 for the n_t = 3 construction.
@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .feedback import beam_powers
+from .feedback import beam_powers, cross_gram
 from .numerics import SeedSpec, abs_sq, row_norms, standard_normal_rows
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
@@ -101,26 +101,28 @@ def lemma2_bound(D_values, n_t):
     return 2.0 * total
 
 
-def ra_nt3_gap(B, P_over_sigma_sq, n_t=3):
+def ra_nt3_gap(B, snr, n_t=3):
     """Closed-form total gap for the explicit n_t = 3 simplex construction:
     2 n_t log(1 + SNR * 2^{-B/(n_t-1) - 1})."""
     if n_t != 3:
         raise ValueError("the explicit simplex construction is for n_t = 3")
-    return 2.0 * n_t * math.log1p(P_over_sigma_sq * 2.0 ** (-B / (n_t - 1) - 1))
+    return 2.0 * n_t * math.log1p(snr * 2.0 ** (-B / (n_t - 1) - 1))
 
 
-def jindal_gap(B, n_t, P_over_sigma_sq):
+def jindal_gap(B, n_t, snr):
     """Per-user gap of the classical zeroforcing/chordal analysis:
     log(1 + SNR * 2^{-B/(n_t-1)}).  The rate-approximation argument equals
     this curve evaluated at B + (n_t - 1) bits."""
-    return math.log1p(P_over_sigma_sq * 2.0 ** (-B / (n_t - 1)))
+    if n_t < 2:
+        raise ValueError(f"n_t must be >= 2, got {n_t}")
+    return math.log1p(snr * 2.0 ** (-B / (n_t - 1)))
 
 
-def theorem1_bound(n_s, n_t, P_over_sigma_sq, D_hat):
-    """User-selection bound 4 n_s log(1 + (P n_t / sigma^2) D_hat)."""
+def theorem1_bound(n_s, n_t, snr, D_hat):
+    """User-selection bound 4 n_s log(1 + SNR n_t D_hat)."""
     if D_hat < 0:
         raise ValueError("D_hat must be nonnegative")
-    return 4.0 * n_s * math.log1p(P_over_sigma_sq * n_t * D_hat)
+    return 4.0 * n_s * math.log1p(snr * n_t * D_hat)
 
 
 def covering_number_bound(d, delta):
@@ -204,9 +206,9 @@ def empirical_D_block(B, n_t, C, feedback_family, params_list, samples, seeds):
     if len({s.master_seed for s in seeds}) > 1 or len({len(s.stream) for s in seeds}) > 1:
         raise ValueError("seeds must share one master seed and one stream length")
     V = feedback_family(B) if callable(feedback_family) else feedback_family
-    phi = np.abs(V.vectors.conj() @ C.vectors.T) ** 2
+    phi = cross_gram(V, C)
     words = np.array([s.stream for s in seeds], dtype=np.uint32)
-    scale = np.array([[p.P, p.n_t * p.sigma_sq] for p in params_list])  # lam_sq = P gain^2 / (n_t sigma^2)
+    scale = np.array([[p.P, p.n_t] for p in params_list], dtype=float)  # lam_sq = P gain^2 / n_t
     d_sum = [0.0] * len(seeds)
     dhat_sum = [0.0] * len(seeds)
     chunk = max(1, _EMPIRICAL_D_ROWS // len(V))
@@ -248,16 +250,18 @@ class BoundsReport:
     validity: bool
 
 
-def bounds_report(n_t, B, snr, n_s, frame_constant_A=1.0):
-    """Closed-form BoundsReport; mean receive SNR is the analytic P/sigma^2
+def bounds_report(n_t, B, snr, n_s):
+    """Closed-form BoundsReport; mean receive SNR is the analytic SNR
     (Rayleigh entries have unit mean power, so E[lambda^2] = SNR)."""
+    if B < 0:
+        raise ValueError(f"B must be >= 0, got {B}")
     mean_lambda_sq = snr
     valid = B >= lemma3_validity_threshold(n_t) if n_t >= 3 else True
     if n_t >= 3:
         c = c_nt(n_t)
         d_bound = lemma3_bound(B, n_t, mean_lambda_sq)
         lem2 = lemma2_bound([d_bound] * n_t, n_t)
-        d_hat_bound = frame_constant_A * c * 2.0 ** (-B / (n_t - 1))
+        d_hat_bound = c * 2.0 ** (-B / (n_t - 1))
         th1 = theorem1_bound(n_s, n_t, snr, d_hat_bound)
     else:
         c = d_bound = lem2 = th1 = None
@@ -357,6 +361,8 @@ def measure_worst_case_error(quantizer, n_probes=10**6):
     The grid resolution is chosen so the probe count is at least n_probes
     and grid nodes include every cell vertex of the construction.
     """
+    if n_probes < 1:
+        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     k = 2 ** (quantizer.B // 2)
     n = int(math.ceil(math.sqrt(2.0 * n_probes)))
     n = ((n + k - 1) // k) * k  # align so cell vertices are probed exactly

@@ -24,30 +24,25 @@ class SystemParams:
     """Static system dimensioning and power budget.
 
     n_t/n_r: transmit/receive antennas; n_s: maximum users scheduled on one
-    resource; P: total transmit power; sigma_sq: noise variance (linear).
+    resource; P: total transmit power over unit noise variance, the SNR.
     """
 
     n_t: int
     n_r: int = 1
     n_s: int = 2
     P: float = 1.0
-    sigma_sq: float = 1.0
 
     def __post_init__(self):
         if self.n_t < 1 or self.n_r < 1 or self.n_s < 1:
             raise ValueError("n_t, n_r, n_s must all be >= 1")
         if self.n_s > self.n_t:
             raise ValueError(f"n_s={self.n_s} must not exceed n_t={self.n_t}")
-        if self.P <= 0 or self.sigma_sq <= 0:
-            raise ValueError("P and sigma_sq must be positive")
-
-    @property
-    def snr(self):
-        return self.P / self.sigma_sq
+        if not self.P > 0:
+            raise ValueError("P must be positive")
 
     def with_snr_db(self, snr_db):
-        """Same dimensioning with P/sigma_sq set to the given SNR in dB."""
-        return SystemParams(self.n_t, self.n_r, self.n_s, P=10.0 ** (snr_db / 10.0), sigma_sq=1.0)
+        """Same dimensioning with P set to the given SNR in dB."""
+        return SystemParams(self.n_t, self.n_r, self.n_s, P=10.0 ** (snr_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -56,12 +51,11 @@ class UserChannel:
 
     For frequency-selective runs, `subcarriers` holds the F per-subcarrier
     matrices and H is their arithmetic mean (the quantity averaged feedback
-    operates on); rho is the chain correlation used to draw them.
+    operates on).
     """
 
     H: np.ndarray
     subcarriers: np.ndarray | None = None
-    rho: float = 0.0
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=complex)
@@ -88,7 +82,7 @@ class EffectiveChannel:
     """Effective vector channel of one user after receive filtering.
 
     h_hat = H^H u in raw units; h = h_hat normalized; lambda_sq is the
-    per-antenna-normalized receive SNR P ||h_hat||^2 / (n_t sigma_sq).
+    per-antenna-normalized receive SNR P ||h_hat||^2 / n_t.
     """
 
     h_hat: np.ndarray
@@ -139,7 +133,7 @@ def draw_channel_stack(params, F, rho, master_seed, streams):
 def draw_user_channel(params, F=1, rho=0.0, seed=None):
     """Draw one user's Rayleigh channel: `draw_channel_stack` for one seed."""
     H, sub = draw_channel_stack(params, F, rho, seed.master_seed, [seed.stream])
-    return UserChannel(H=H[0], subcarriers=None if F == 1 else sub[0], rho=rho)
+    return UserChannel(H=H[0], subcarriers=None if F == 1 else sub[0])
 
 
 def effective_channel(H, u):
@@ -164,8 +158,8 @@ def _unit_rows(h_hat):
 
 
 def _lambda_sq(gain, params):
-    """P ||h_hat||^2 / (n_t sigma^2) of every gain; 0 for a zero channel."""
-    return params.P * gain * gain / (params.n_t * params.sigma_sq)
+    """P ||h_hat||^2 / n_t of every gain; 0 for a zero channel."""
+    return params.P * gain * gain / params.n_t
 
 
 def effective_channel_state(h_hat, params):

@@ -12,7 +12,7 @@ File format (UTF-8 text):
 Entries use Python float repr, so save -> load round-trips bit-exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class NotTightFrameError(ValueError):
 @dataclass(frozen=True)
 class Codebook:
     vectors: np.ndarray  # (size, dim) complex, rows unit norm
-    kind: str = "custom"
-    frame_constant: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vectors, dtype=complex))
@@ -83,7 +81,7 @@ def canonical_onb(n_t):
     """Standard basis {e_1, ..., e_{n_t}}."""
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
-    return Codebook(np.eye(n_t, dtype=complex), kind="canonical", frame_constant=1.0)
+    return Codebook(np.eye(n_t, dtype=complex))
 
 
 def dft_codebook(n_t):
@@ -93,7 +91,7 @@ def dft_codebook(n_t):
     j, k = np.meshgrid(np.arange(n_t), np.arange(n_t), indexing="ij")
     mat = np.exp(2j * np.pi * j * k / n_t) / np.sqrt(n_t)
     vecs = mat.T.copy()  # row k = k-th DFT vector
-    return Codebook(vecs, kind="dft", frame_constant=1.0)
+    return Codebook(vecs)
 
 
 def random_unitary(n_t, seed):
@@ -103,7 +101,7 @@ def random_unitary(n_t, seed):
     # Fix phases so the distribution is Haar and the result deterministic.
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    return Codebook(q.T.copy(), kind="random-unitary", frame_constant=1.0)
+    return Codebook(q.T.copy())
 
 
 def rvq_codebook(n_t, B, seed):
@@ -122,17 +120,14 @@ def rvq_codebook(n_t, B, seed):
     g = (flat[:, 0, :] + 1j * flat[:, 1, :]) / np.sqrt(2.0)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return Codebook(g / norms, kind="rvq")
+    return Codebook(g / norms)
 
 
-def concat_codebooks(a, b, kind=None):
+def concat_codebooks(a, b):
     """Codebook containing a's vectors followed by b's (duplicates allowed)."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return Codebook(
-        np.vstack([a.vectors, b.vectors]),
-        kind=kind or f"{a.kind}+{b.kind}",
-    )
+    return Codebook(np.vstack([a.vectors, b.vectors]))
 
 
 def frame_constant(cb, tol=FRAME_TOL):
@@ -204,7 +199,7 @@ def _parse_records(path):
 
 
 def load_codebook(path):
-    return Codebook(_parse_records(path), kind="file")
+    return Codebook(_parse_records(path))
 
 
 def save_codebook(cb, path):

@@ -17,7 +17,7 @@ minimize:
 CQI convention: the reported gain theta lives on the normalized
 receive-SNR scale (theta^2 = lambda^2 |<h, nu>|^2 when nu == h gives
 theta = lambda).  When a feedback vector enters the raw rate formula it is
-rescaled by sqrt(n_t sigma^2 / P), which makes exact feedback reproduce
+rescaled by sqrt(n_t / P), which makes exact feedback reproduce
 the true rates exactly.
 """
 
@@ -90,15 +90,15 @@ def scheduling_configs(n_beams, sizes):
 
 def _stacked_configs(n_beams, params):
     """The configuration table of stacked problems `params`, whose n_s must
-    agree, the noise terms sigma^2 |S| / P of every (problem,
+    agree, the noise terms |S| / P of every (problem,
     configuration) and every problem's `raw_scale_sq`, in the scalar
     operation order."""
     n_s = {p.n_s for p in params}
     if len(n_s) > 1:
         raise ValueError("stacked problems must share one n_s, so one set of scheduling sizes")
     table, ks = scheduling_configs(n_beams, range(1, max(n_s, default=0) + 1))
-    n_t, sigma_sq, power = np.array([(p.n_t, p.sigma_sq, p.P) for p in params]).reshape(-1, 3).T
-    return table, sigma_sq[:, None] * ks / power[:, None], n_t * sigma_sq / power
+    n_t, power = np.array([(p.n_t, p.P) for p in params]).reshape(-1, 2).T
+    return table, ks / power[:, None], n_t / power
 
 
 def beam_powers(v, C):
@@ -127,7 +127,7 @@ def _config_rates(powers, table, noise):
 
 def raw_scale_sq(params):
     """Conversion from CQI^2 (lambda units) to raw effective-channel power."""
-    return params.n_t * params.sigma_sq / params.P
+    return params.n_t / params.P
 
 
 def feedback_vectors(cdi, cqi, V, scale_sq):
@@ -169,12 +169,12 @@ def ra_distance(eff, theta, nu, C, params, sizes=None):
     """Worst-case |true rate - approximated rate| over scheduling configurations.
 
     theta is on the CQI scale; the approximated rate plugs
-    theta * sqrt(n_t sigma^2 / P) * nu into the rate formula.  The max runs
+    theta * sqrt(n_t / P) * nu into the rate formula.  The max runs
     over user-set sizes in `sizes` (default 1..n_s), every own beam, and
     every set of distinct interfering beams.
     """
     table, ks = scheduling_configs(len(C), range(1, params.n_s + 1) if sizes is None else sizes)
-    noise = params.sigma_sq * ks / params.P
+    noise = ks / params.P
     r_true = _config_rates(beam_powers(eff.h_hat, C), table, noise)
     q = (theta * theta * raw_scale_sq(params)) * beam_powers(nu, C)
     r_hat = _config_rates(q, table, noise)

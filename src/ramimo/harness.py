@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,26 +52,9 @@ from .scheduler import realize_rates, schedule_bruteforce, zf_decision_for, zf_s
 
 CDF_GRID_POINTS = 200
 
-_SYSTEM_KEYS = {"n_t", "n_r", "n_s"}
+_SYSTEM_KEYS = ("n_t", "n_r", "n_s")
 _TX_CODEBOOK_KINDS = ("canonical", "dft", "random-unitary", "file")
 _FB_CODEBOOK_KINDS = ("rvq", "rvq-union-tx", "file")
-_TOP_KEYS = {
-    "system",
-    "num_users",
-    "num_draws",
-    "snr_db_list",
-    "B",
-    "transmit_codebook",
-    "feedback_codebook",
-    "strategy",
-    "scheduler",
-    "precoder",
-    "F",
-    "rho",
-    "master_seed",
-    "workers",
-    "b_list",
-}
 
 
 def _integer(name, value):
@@ -113,8 +96,15 @@ class SimConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
             object.__setattr__(self, name, value)
-        if not self.snr_db_list or not all(math.isfinite(_real("snr_db_list entry", s)) for s in self.snr_db_list):
-            raise ValueError("snr_db_list must be a non-empty list of finite values")
+        if not self.snr_db_list:
+            raise ValueError("snr_db_list must be a non-empty list")
+        for s in self.snr_db_list:
+            try:
+                linear = 10.0 ** (_real("snr_db_list entry", s) / 10.0)  # as `SystemParams.with_snr_db` computes it
+            except OverflowError:
+                linear = math.inf
+            if not 0.0 < linear < math.inf:  # also rejects inf and NaN
+                raise ValueError(f"snr_db_list entry {s!r} dB has no finite positive linear SNR 10^(s/10)")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.scheduler not in ("brute", "greedy"):
@@ -139,7 +129,7 @@ class SimConfig:
         system = d.get("system", {})
         if not isinstance(system, dict):
             raise ValueError(f"system must be an object, got {system!r}")
-        unknown_sys = set(system) - _SYSTEM_KEYS
+        unknown_sys = set(system).difference(_SYSTEM_KEYS)
         if unknown_sys:
             raise ValueError(f"unknown system keys: {sorted(unknown_sys)}")
         params = SystemParams(
@@ -170,27 +160,13 @@ class SimConfig:
             raise ValueError(str(exc)) from exc
 
     def to_dict(self):
-        return {
-            "system": {
-                "n_t": self.params.n_t,
-                "n_r": self.params.n_r,
-                "n_s": self.params.n_s,
-            },
-            "num_users": self.num_users,
-            "num_draws": self.num_draws,
-            "snr_db_list": list(self.snr_db_list),
-            "B": self.B,
-            "transmit_codebook": dict(self.transmit_codebook),
-            "feedback_codebook": dict(self.feedback_codebook),
-            "strategy": self.strategy,
-            "scheduler": self.scheduler,
-            "precoder": self.precoder,
-            "F": self.F,
-            "rho": self.rho,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "b_list": list(self.b_list),
-        }
+        """The config as JSON-ready data: `system` first, then every other
+        field in declaration order, tuples as lists and dicts copied."""
+        d = {"system": {k: getattr(self.params, k) for k in _SYSTEM_KEYS}}
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            d[f.name] = list(value) if isinstance(value, tuple) else dict(value) if isinstance(value, dict) else value
+        return d
 
     def replace(self, **kw):
         """Copy with the given top-level keys replaced; a `system` dict
@@ -202,6 +178,9 @@ class SimConfig:
     def config_hash(self):
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+_TOP_KEYS = {"system", *(f.name for f in fields(SimConfig)[1:])}  # fields[0] is params, the `system` key
 
 
 def load_config(path):
@@ -239,10 +218,9 @@ def build_feedback_codebook(cfg, C):
         if n_fill < 0:
             raise ValueError(f"2^B = {2 ** cfg.B} is smaller than the transmit codebook ({len(C)})")
         if n_fill == 0:
-            return Codebook(C.vectors.copy(), kind="union")
+            return Codebook(C.vectors.copy())
         fill = rvq_codebook(cfg.params.n_t, int(math.ceil(math.log2(n_fill))) if n_fill > 1 else 0, seed)
-        fill = Codebook(fill.vectors[:n_fill], kind="rvq")
-        return concat_codebooks(C, fill, kind="union")
+        return concat_codebooks(C, Codebook(fill.vectors[:n_fill]))
     if kind == "file":
         return load_codebook(spec["path"])
     raise ValueError(f"unknown feedback codebook kind {kind!r}")
@@ -565,7 +543,7 @@ def run_scaling_experiment(cfg):
             "snr_db": cfg.snr_db_list[0],
             "D_est": d_est,
             "D_hat_est": d_hat,
-            "lemma3_bound": lemma3_bound(B, n_t, params.snr) if n_t >= 3 else None,
+            "lemma3_bound": lemma3_bound(B, n_t, params.P) if n_t >= 3 else None,
             "d_hat_bound": c_nt(n_t) * 2.0 ** (-B / (n_t - 1)) if n_t >= 3 else None,
         }
         result.tables.append(row)

@@ -2,10 +2,11 @@
 
 The per-user rate with equal power split over the scheduled set S is
 
-    r_m = log(1 + |<v, w_pi(m)>|^2 / (sigma^2 |S| / P + sum_{l != m} |<v, w_pi(l)>|^2))
+    r_m = log(1 + |<v, w_pi(m)>|^2 / (|S| / P + sum_{l != m} |<v, w_pi(l)>|^2))
 
-in nats, where v is the user's effective channel h_hat for true rates or
-the scaled quantization vector for rates predicted from feedback.
+in nats, where P is the transmit power over unit noise variance and v is
+the user's effective channel h_hat for true rates or the scaled
+quantization vector for rates predicted from feedback.
 `rate` is that formula on given powers, `rates_with_beams` evaluates it
 from beam vectors over a whole stack of rows, and `rate_with_beams` is
 its one-row case.
@@ -57,7 +58,7 @@ def rates_with_beams(v, beams, own, noise):
     """Rate of every row of a stack: v (..., n_t) is the row's vector,
     beams (..., k, n_t) the beams of its scheduled set (zero rows pad a
     smaller set and interfere with nothing), own (...) the position of its
-    own beam and noise (...) its sigma^2 |S| / P; all four broadcast.
+    own beam and noise (...) its |S| / P; all four broadcast.
 
     Powers are squared as numpy scalars square (`numerics.abs_sq`) and the
     interference is summed over the other positions in order, so every
@@ -74,5 +75,5 @@ def rate_with_beams(v, own_beam, other_beams, n_active, params):
     """Rate of one user given explicit beam vectors (not codebook indices):
     the one-row case of `rates_with_beams`."""
     beams = np.array([own_beam, *other_beams], dtype=complex)
-    noise = params.sigma_sq * n_active / params.P
+    noise = n_active / params.P
     return float(rates_with_beams(np.asarray(v, dtype=complex), beams, 0, noise))

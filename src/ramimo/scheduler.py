@@ -85,7 +85,7 @@ def schedule_bruteforce_block(vectors, C, params):
     within one k is that k's smallest key; the keys of different k are
     compared explicitly.
     """
-    n_users, n_s, sigma_sq, power = _check_problems(vectors, C, params)
+    n_users, n_s, power = _check_problems(vectors, C, params)
     if n_users > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
         raise ValueError(f"brute-force scheduling refused for |U|={n_users}, |C|={len(C)}; use greedy")
     pw = beam_powers(vectors, C)  # (problems, users, beams)
@@ -104,7 +104,7 @@ def schedule_bruteforce_block(vectors, C, params):
         live = np.flatnonzero(n_s >= k)
         # (problem, subset) rows, problem-major, subsets in lexicographic order
         prob, sub = np.repeat(live, len(subsets)), np.tile(np.arange(len(subsets)), len(live))
-        noise = sigma_sq[prob] * k / power[prob]
+        noise = k / power[prob]
         row_top = np.empty(len(prob))
         row_arg = np.empty(len(prob), dtype=int)
         step = max(1, _BRUTE_BLOCK // len(beam_tuples))
@@ -142,14 +142,14 @@ def schedule_bruteforce_block(vectors, C, params):
 
 
 def _check_problems(vectors, C, params):
-    """Users per problem and the n_s, sigma^2 and P of every problem of a
-    scheduling stack."""
+    """Users per problem and the n_s and P of every problem of a scheduling
+    stack."""
     n_s = np.array([p.n_s for p in params], dtype=int)
     if vectors.shape[1] < 1:
         raise ValueError("need at least one user")
     if len(C) < n_s.max(initial=0):
         raise ValueError(f"codebook too small: |C|={len(C)} < n_s={n_s.max()}")
-    return vectors.shape[1], n_s, *np.array([(p.sigma_sq, p.P) for p in params]).reshape(-1, 2).T
+    return vectors.shape[1], n_s, np.array([p.P for p in params], dtype=float)
 
 
 def _one_problem(block_fn, vectors, C, params):
@@ -179,7 +179,7 @@ def schedule_greedy_block(vectors, C, params):
     (its pairs plus one free pair, users in increasing order) of all of
     them are scored in one `_brute_scores` pass, as the brute scheduler
     scores each set."""
-    n_users, n_s, sigma_sq, power = _check_problems(vectors, C, params)
+    n_users, n_s, power = _check_problems(vectors, C, params)
     pw = beam_powers(vectors, C)  # (problems, users, beams)
     n_problems, n_beams = len(pw), len(C)
     users = np.full((n_problems, n_s.max(initial=0)), -1)  # each problem's pairs, users in increasing order
@@ -201,7 +201,7 @@ def schedule_greedy_block(vectors, C, params):
         prob, flat = running[r_idx], u_idx * n_beams + b_idx
         gains = [[pw[prob, set_users[:, i], set_beams[:, j]] for j in range(k)] for i in range(k)]
         score = np.full((len(running), n_users * n_beams), -np.inf)
-        score[r_idx, flat] = _brute_scores(gains, sigma_sq[prob] * k / power[prob])
+        score[r_idx, flat] = _brute_scores(gains, k / power[prob])
         where = np.zeros(score.shape, dtype=int)
         where[r_idx, flat] = np.arange(len(r_idx))
         pick = np.argmax(score, axis=1)
@@ -277,7 +277,7 @@ def zf_schedule_block(vectors, params):
     raw = np.asarray(vectors, dtype=complex)
     n_draws, width, n_t = raw.shape
     n_s = np.array([p.n_s for p in params], dtype=int)
-    sigma_sq, power = np.array([(p.sigma_sq, p.P) for p in params]).reshape(-1, 2).T
+    power = np.array([p.P for p in params], dtype=float)
     norm = row_norms(raw)
     usable = norm != 0  # False for zero vectors
     conj_units = np.conj(raw / np.where(usable, norm, 1.0)[..., None])  # conjugated unit directions
@@ -300,7 +300,7 @@ def zf_schedule_block(vectors, params):
         units = B / np.linalg.norm(B, axis=1, keepdims=True)
         v = raw[d_idx[full][:, None], sets[full]]
         sig = np.abs(np.einsum("cin,cni->ci", v.conj(), units)) ** 2
-        rates = rate(sig, (), (sigma_sq[d_idx[full]] * k / power[d_idx[full]])[:, None])  # interference is nulled
+        rates = rate(sig, (), (k / power[d_idx[full]])[:, None])  # interference is nulled
         total = ordered_sum(rates.T)  # in position order, as a sum over users
         score = np.full((len(running), width), -np.inf)
         score[r_idx[full], j_idx[full]] = total
@@ -356,8 +356,8 @@ def realize_rates_block(users, beams, sub_h_hat, params, C=None):
     per_user = np.zeros(users.shape)
     if len(prob):
         k = np.count_nonzero(live, axis=1)
-        sigma_sq, power = np.array([(p.sigma_sq, p.P) for p in params]).T
-        noise = sigma_sq[prob] * k[prob] / power[prob]
+        power = np.array([p.P for p in params], dtype=float)
+        noise = k[prob] / power[prob]
         v = sub_h_hat[prob, users[prob, own]]  # (rows, F, n_t)
         rates = rates_with_beams(v, table[prob][:, None], own[:, None], noise[:, None])  # (rows, F)
         per_user[prob, own] = np.mean(rates, axis=1)

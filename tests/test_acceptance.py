@@ -100,7 +100,7 @@ def test_criterion_04_constructive_bound_validity():
     violations = 0
     total = 0
     for n_t in (2, 3, 4):
-        params = SystemParams(n_t=n_t, n_r=1, n_s=n_t, P=10.0, sigma_sq=1.0)
+        params = SystemParams(n_t=n_t, n_r=1, n_s=n_t, P=10.0)
         C = random_unitary(n_t, SeedSpec(104).derive("c", n_t))
         V = concat_codebooks(C, rvq_codebook(n_t, 3, SeedSpec(104).derive("v", n_t)))
         for i in range(10_000):
@@ -129,7 +129,7 @@ def _explicit_enumeration_distance(eff, theta, nu, C, params, n_users):
     for k in range(1, params.n_s + 1):
         for rest in combinations(range(1, n_users), k - 1):
             for beams in permutations(range(len(C)), k):
-                noise = params.sigma_sq * k / params.P
+                noise = k / params.P
                 it = sum(p[beams[i]] for i in range(1, k))
                 iq = sum(q[beams[i]] for i in range(1, k))
                 best = max(best, abs(np.log1p(p[beams[0]] / (noise + it)) - np.log1p(q[beams[0]] / (noise + iq))))
@@ -140,7 +140,7 @@ def test_criterion_05_reduction_soundness():
     worst = 0.0
     count = 0
     for n_t in (2, 3):
-        params = SystemParams(n_t=n_t, n_r=1, n_s=n_t, P=5.0, sigma_sq=1.0)
+        params = SystemParams(n_t=n_t, n_r=1, n_s=n_t, P=5.0)
         C = canonical_onb(n_t)
         for i in range(500):
             eff = effective_channel_state(
@@ -165,7 +165,7 @@ def test_criterion_05_reduction_soundness():
 def _explicit_sum_rate(S, beams, C, vectors, params):
     """Sum rate of users S on codewords `beams`, written out per user from
     the rate formula with Python scalars, apart from the package's rate code."""
-    noise = params.sigma_sq * len(S) / params.P
+    noise = len(S) / params.P
     total = 0.0
     for i, m in enumerate(S):
         powers = [abs(complex(np.vdot(vectors[m], C[b]))) ** 2 for b in beams]
@@ -174,7 +174,7 @@ def _explicit_sum_rate(S, beams, C, vectors, params):
 
 
 def test_criterion_06_scheduler_oracle():
-    params = SystemParams(n_t=2, n_r=1, n_s=2, P=4.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_r=1, n_s=2, P=4.0)
     C = canonical_onb(2)
     mismatches = 0
     greedy_wins = 0
@@ -239,7 +239,7 @@ def test_criterion_07_gap_bounded_over_snr():
 
 def test_criterion_08_error_scaling():
     n_t = 3
-    params = SystemParams(n_t=n_t, n_r=1, n_s=2, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=n_t, n_r=1, n_s=2, P=10.0)
     C = canonical_onb(n_t)
     family_seed = SeedSpec(108).derive("fam")
 

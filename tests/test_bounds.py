@@ -126,6 +126,15 @@ def test_jindal_b0():
     assert jindal_gap(0, 3, 7.0) == pytest.approx(math.log1p(7.0))
 
 
+@pytest.mark.parametrize("n_t", [1, 0, -2])
+def test_jindal_rejects_fewer_than_two_antennas(n_t):
+    # the exponent -B / (n_t - 1) needs n_t >= 2
+    with pytest.raises(ValueError, match="n_t must be >= 2"):
+        jindal_gap(4, n_t, 10.0)
+    with pytest.raises(ValueError, match="n_t must be >= 2"):
+        bounds_report(n_t, 4, 10.0, 1)
+
+
 def test_ra_nt3_plugin():
     assert ra_nt3_gap(2, 1.0) == pytest.approx(6 * math.log1p(0.25), abs=1e-12)
 
@@ -235,7 +244,7 @@ def test_min_weighted_gaps_match_bisection_oracle(n_t, lam_tilde):
 
 
 def test_empirical_d_nonincreasing_in_b():
-    params = SystemParams(n_t=3, n_s=2, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=3, n_s=2, P=10.0)
     C = canonical_onb(3)
     family_seed = SeedSpec(50).derive("fam")
 
@@ -260,6 +269,13 @@ def test_bounds_report_fields():
     rep2 = bounds_report(2, 6, 10.0, 2)
     assert rep2.c_nt is None
     assert rep2.jindal_gap > 0
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 4])
+def test_bounds_report_rejects_negative_bits(n_t):
+    with pytest.raises(ValueError, match="B must be >= 0"):
+        bounds_report(n_t, -3, 10.0, 2)
+    assert bounds_report(n_t, 0, 10.0, 2).jindal_gap == pytest.approx(math.log1p(10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +305,14 @@ def test_quantizer_points_on_simplex():
     assert np.abs(q.points[:, None, :] - q.cells).max() <= q.delta + 1e-12
 
 
+@pytest.mark.parametrize("n_probes", [0, -1, -10**6])
+def test_quantizer_measurement_rejects_no_probes(n_probes):
+    # an empty probe grid would report a covering radius of 0.0
+    with pytest.raises(ValueError, match="n_probes must be >= 1"):
+        measure_worst_case_error(simplex_quantizer(2), n_probes=n_probes)
+    assert measure_worst_case_error(simplex_quantizer(2), n_probes=1) == pytest.approx(0.25, abs=1e-12)
+
+
 def test_quantizer_stored_delta_closed_form():
     for B in (2, 4, 6):
         assert simplex_quantizer(B).delta == pytest.approx(2.0 ** (-B / 2 - 1), abs=1e-9)
@@ -309,7 +333,7 @@ def test_quantizer_measured_radius_of_centroid_cells():
 def test_empirical_d_independent_of_batching(monkeypatch):
     import ramimo.bounds as bounds_mod
 
-    params = SystemParams(n_t=3, n_s=2, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=3, n_s=2, P=10.0)
     C = canonical_onb(3)
     V = rvq_codebook(3, 4, SeedSpec(52).derive("fam"))
     seed = SeedSpec(53).derive("mc")
@@ -374,7 +398,7 @@ def test_empirical_d_matches_per_sample_oracle(monkeypatch):
     for i in range(n):
         h_hat = sample_complex_gaussian(4, seed.derive("empD", i))
         gain_sq = float(np.linalg.norm(h_hat) ** 2)
-        lam_sq = params.P * gain_sq / (params.n_t * params.sigma_sq)
+        lam_sq = params.P * gain_sq / params.n_t
         lam_tilde[i] = lam_sq / (1.0 + lam_sq)
         psi[i] = np.abs(C.vectors @ np.conj(h_hat / math.sqrt(gain_sq))) ** 2
     weighted = _min_weighted_gaps(psi, phi, lam_tilde)

@@ -16,8 +16,8 @@ from ramimo.channel import (
 )
 from ramimo.numerics import SeedSpec
 
-P2 = SystemParams(n_t=2, n_r=1, n_s=2, P=1.0, sigma_sq=1.0)
-P24 = SystemParams(n_t=4, n_r=2, n_s=2, P=1.0, sigma_sq=1.0)
+P2 = SystemParams(n_t=2, n_r=1, n_s=2, P=1.0)
+P24 = SystemParams(n_t=4, n_r=2, n_s=2, P=1.0)
 
 
 def test_params_validation():
@@ -46,11 +46,11 @@ def _reference_user_channel(params, F, rho, seed):
         im = rng.standard_normal((params.n_r, params.n_t))
         mats[f] = (re + 1j * im) / np.sqrt(2.0)
     if F == 1:
-        return UserChannel(H=mats[0], rho=rho)
+        return UserChannel(H=mats[0])
     scale = np.sqrt(max(0.0, 1.0 - rho * rho))
     for f in range(1, F):
         mats[f] = rho * mats[f - 1] + scale * mats[f]
-    return UserChannel(H=mats.mean(axis=0), subcarriers=mats, rho=rho)
+    return UserChannel(H=mats.mean(axis=0), subcarriers=mats)
 
 
 @pytest.mark.parametrize("F", [1, 8])
@@ -67,7 +67,6 @@ def test_draw_channels_match_per_user_draws(F, n_r, rho):
         for other in (draw_user_channel(params, F, rho, seed), _reference_user_channel(params, F, rho, seed)):
             assert H_u.tobytes() == other.H.tobytes()
             assert sub_u.tobytes() == other.per_subcarrier().tobytes()
-            assert other.rho == rho
             assert (other.subcarriers is None) == (F == 1)
 
 
@@ -204,8 +203,8 @@ def test_mrc_matches_grid_oracle():
 
 def test_effective_channel_state_lambda():
     h_hat = np.array([2.0, 0.0], dtype=complex)
-    eff = effective_channel_state(h_hat, SystemParams(n_t=2, P=4.0, sigma_sq=2.0))
-    assert eff.lambda_sq == pytest.approx(4.0 * 4.0 / (2 * 2.0))
+    eff = effective_channel_state(h_hat, SystemParams(n_t=2, P=2.0))
+    assert eff.lambda_sq == pytest.approx(2.0 * 4.0 / 2)
     assert np.allclose(eff.h, [1.0, 0.0])
 
 
@@ -215,7 +214,7 @@ def _reference_state(h_hat, params):
     gain = float(np.linalg.norm(h_hat))
     if gain == 0.0:
         return EffectiveChannel(h_hat=h_hat, lambda_sq=0.0, h=np.eye(len(h_hat), 1, dtype=complex)[:, 0])
-    lam_sq = params.P * gain * gain / (params.n_t * params.sigma_sq)
+    lam_sq = params.P * gain * gain / params.n_t
     return EffectiveChannel(h_hat=h_hat, lambda_sq=lam_sq, h=h_hat / gain)
 
 

@@ -62,7 +62,7 @@ def brute_force_ra_distance(eff, theta, nu, C, params, n_users):
         for rest in combinations(others, k - 1):
             users = (0,) + rest
             for beams in permutations(range(len(C)), k):
-                noise = params.sigma_sq * k / params.P
+                noise = k / params.P
                 intf_t = sum(p[beams[i]] for i in range(1, k))
                 intf_q = sum(q[beams[i]] for i in range(1, k))
                 rt = np.log1p(p[beams[0]] / (noise + intf_t))
@@ -127,7 +127,7 @@ def test_chordal_block_matches_scalar_oracle(n_t, B):
     # channels mixed in: the stacked pass equals the scalar oracle bit for
     # bit, and chordal_cdi is its one-row case
     base = rvq_codebook(n_t, B, SeedSpec(61).derive(n_t))
-    V = concat_codebooks(base, base, kind="rvq")
+    V = concat_codebooks(base, base)
     effs = []
     for i in range(6000):
         params = SystemParams(n_t=n_t, n_s=min(2, n_t)).with_snr_db((-20.0, 0.0, 30.0, 60.0, 100.0)[i % 5])
@@ -179,7 +179,7 @@ def test_efficient_and_lemma1_blocks_match_per_row_oracles(n_t, B, unitary):
     # one-row cases
     C = random_unitary(n_t, SeedSpec(80).derive(n_t)) if unitary else canonical_onb(n_t)
     base = concat_codebooks(C, rvq_codebook(n_t, B, SeedSpec(81).derive(n_t)))
-    V = concat_codebooks(base, base, kind="rvq")
+    V = concat_codebooks(base, base)
     effs = []
     for n_r in (1, 2):
         params = SystemParams(n_t=n_t, n_r=n_r, n_s=min(2, n_t))
@@ -215,7 +215,7 @@ def test_feedback_vectors_match_scalar_oracle():
     got = feedback_vectors(cdi, cqi, V, scale_sq)
     for row, i, t, s in zip(got, cdi.tolist(), cqi.tolist(), scale_sq.tolist()):
         assert row.tobytes() == (t * np.sqrt(s) * V[i]).tobytes()
-    params = SystemParams(n_t=4, n_s=2, P=7.0, sigma_sq=0.4)
+    params = SystemParams(n_t=4, n_s=2, P=17.5)
     msg = chordal_cdi(_random_eff(4, params, SeedSpec(65)), V)
     expected = msg.cqi * np.sqrt(raw_scale_sq(params)) * V[msg.cdi_index]
     assert feedback_vector(msg, V, params).tobytes() == expected.tobytes()
@@ -227,7 +227,7 @@ def test_feedback_vectors_match_scalar_oracle():
 
 
 def test_ra_distance_zero_for_exact_representation():
-    params = SystemParams(n_t=3, n_s=2, P=4.0, sigma_sq=0.5)
+    params = SystemParams(n_t=3, n_s=2, P=8.0)
     C = canonical_onb(3)
     eff = _random_eff(3, params, SeedSpec(5).derive("h"))
     prof = ra_distance(eff, _lambda_consistent_theta(eff), eff.h, C, params)
@@ -236,7 +236,7 @@ def test_ra_distance_zero_for_exact_representation():
 
 def test_ra_distance_single_user_reduction():
     # n_s = 1 reduces to the best single-beam log-ratio mismatch
-    params = SystemParams(n_t=3, n_s=1, P=2.0, sigma_sq=1.0)
+    params = SystemParams(n_t=3, n_s=1, P=2.0)
     C = canonical_onb(3)
     eff = _random_eff(3, params, SeedSpec(6).derive("h"))
     nu = _unit(sample_complex_gaussian(3, SeedSpec(6).derive("nu")))
@@ -244,14 +244,14 @@ def test_ra_distance_single_user_reduction():
     prof = ra_distance(eff, theta, nu, C, params)
     p = np.abs(C.vectors @ np.conj(eff.h_hat)) ** 2
     q = theta**2 * raw_scale_sq(params) * np.abs(C.vectors @ np.conj(nu)) ** 2
-    noise = params.sigma_sq / params.P
+    noise = 1.0 / params.P
     direct = np.max(np.abs(np.log1p(p / noise) - np.log1p(q / noise)))
     assert prof.value == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_t", [2, 3])
 def test_ra_distance_matches_explicit_enumeration(n_t):
-    params = SystemParams(n_t=n_t, n_s=n_t, P=5.0, sigma_sq=1.0)
+    params = SystemParams(n_t=n_t, n_s=n_t, P=5.0)
     C = canonical_onb(n_t)
     for i in range(100):
         eff = _random_eff(n_t, params, SeedSpec(7).derive("h", n_t, i))
@@ -282,10 +282,10 @@ def test_gap_profile_reproduces_value():
 
 
 def test_ra_feedback_exact_member_zero_gap():
-    params = SystemParams(n_t=2, n_s=2, P=3.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_s=2, P=3.0)
     C = canonical_onb(2)
     eff = _random_eff(2, params, SeedSpec(9).derive("h"))
-    V = concat_codebooks(canonical_onb(2), Codebook(eff.h[None, :], kind="member"))
+    V = concat_codebooks(canonical_onb(2), Codebook(eff.h[None, :]))
     cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], [params], C, V))
     assert cdi == 2
     assert gap == pytest.approx(0.0, abs=1e-9)
@@ -293,7 +293,7 @@ def test_ra_feedback_exact_member_zero_gap():
 
 
 def test_ra_feedback_dominates_heuristics():
-    params = SystemParams(n_t=4, n_s=2, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=4, n_s=2, P=10.0)
     C = canonical_onb(4)
     V = concat_codebooks(C, rvq_codebook(4, 3, SeedSpec(10).derive("v")))
     for i in range(50):
@@ -312,14 +312,13 @@ def test_ra_feedback_dominates_heuristics():
 def test_ra_and_chordal_decisions_differ_somewhere():
     # rotated feedback codebook: the rate-aware regions must deviate from
     # the chordal regions for some channel directions
-    params = SystemParams(n_t=2, n_r=1, n_s=2, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_r=1, n_s=2, P=10.0)
     C = canonical_onb(2)
     phi = np.deg2rad(25.0)
     V = Codebook(
         np.array(
             [[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]], dtype=complex
         ),
-        kind="rotated",
     )
     disagreements = 0
     for alpha in np.linspace(0.0, np.pi, 91):
@@ -338,7 +337,7 @@ def test_ra_and_chordal_decisions_differ_somewhere():
 def test_multiantenna_reduces_to_single_antenna():
     # a second receive antenna that hears nothing leaves the MRC filter on
     # the first, so the message is the single-antenna user's
-    params = SystemParams(n_t=3, n_r=2, n_s=2, P=4.0, sigma_sq=1.0)
+    params = SystemParams(n_t=3, n_r=2, n_s=2, P=4.0)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(12).derive("v")))
     for i in range(20):
@@ -354,7 +353,7 @@ def test_multiantenna_rank_one_equivalence():
     # a rank-1 channel u0 row^T has one direction: its MRC effective channel
     # is ||u0|| conj(row) up to a phase, which no rate sees, so the message
     # is that of the single-antenna channel ||u0|| row
-    params = SystemParams(n_t=3, n_r=2, n_s=2, P=4.0, sigma_sq=1.0)
+    params = SystemParams(n_t=3, n_r=2, n_s=2, P=4.0)
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(14).derive("v")))
     row = sample_complex_gaussian(3, SeedSpec(14).derive("row"))
@@ -369,7 +368,7 @@ def test_multiantenna_rank_one_equivalence():
 def test_multiantenna_argmin_dominance():
     # on the MRC effective channel of a two-antenna user, the ra-full
     # message is at least as good as every other strategy's message
-    params = SystemParams(n_t=4, n_r=2, n_s=2, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=4, n_r=2, n_s=2, P=10.0)
     C = canonical_onb(4)
     V = concat_codebooks(C, rvq_codebook(4, 3, SeedSpec(15).derive("v")))
     for i in range(20):
@@ -391,7 +390,7 @@ def test_efficient_zero_at_member():
     params = SystemParams(n_t=2, n_s=2)
     C = canonical_onb(2)
     eff = _random_eff(2, params, SeedSpec(17).derive("h"))
-    V = concat_codebooks(C, Codebook(eff.h[None, :], kind="member"))
+    V = concat_codebooks(C, Codebook(eff.h[None, :]))
     msg = efficient_cdi(eff, C, V)
     assert msg.cdi_index == 2
     assert msg.gap == pytest.approx(0.0, abs=1e-12)
@@ -480,7 +479,7 @@ def test_lemma1_rhs_hand_instance():
     # w* = 0, eta = 0.8, theta = 0.9, only w = 1 contributes:
     # num = 1 * (|0.2 - 0.1| + (0.1/0.9) * |0.9 - 0.8|) = 0.1 + 0.1/9
     # den = 1 + 1 * (1 - max(0.2, 0.1)) = 1.8
-    params = SystemParams(n_t=2, n_s=2, P=2.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_s=2, P=2.0)
     h_hat = np.array([np.sqrt(0.8), np.sqrt(0.2)], dtype=complex)  # lambda^2 = 1
     eff = effective_channel_state(h_hat, params)
     assert eff.lambda_sq == pytest.approx(1.0)
@@ -493,7 +492,7 @@ def test_lemma1_rhs_hand_instance():
 def test_lemma1_bound_holds_on_random_draws(n_t):
     # the constructive strategy's full-set worst-case gap never exceeds the
     # closed-form bound (the acceptance suite runs this at 10^4 draws)
-    params = SystemParams(n_t=n_t, n_s=n_t, P=10.0, sigma_sq=1.0)
+    params = SystemParams(n_t=n_t, n_s=n_t, P=10.0)
     C = canonical_onb(n_t)
     V = concat_codebooks(C, rvq_codebook(n_t, 3, SeedSpec(24).derive("v", n_t)))
     for i in range(300):
@@ -587,9 +586,7 @@ def test_ra_feedback_frequency_averaged_degenerate_chain():
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(60).derive("v")))
     uc_flat = draw_user_channel(params, F=1, rho=0.0, seed=SeedSpec(61).derive("c"))
-    uc_wide = UserChannel(
-        H=uc_flat.H, subcarriers=np.repeat(uc_flat.H[None, :, :], 4, axis=0), rho=1.0
-    )
+    uc_wide = UserChannel(H=uc_flat.H, subcarriers=np.repeat(uc_flat.H[None, :, :], 4, axis=0))
     m_flat = compute_feedback("ra-full", uc_flat, C, V, params)
     m_wide = compute_feedback("ra-full", uc_wide, C, V, params)
     assert m_flat.cdi_index == m_wide.cdi_index
@@ -612,7 +609,7 @@ def test_ra_feedback_averaged_true_rates_change_decision_possible():
 
 
 def test_feedback_vector_reproduces_exact_channel():
-    params = SystemParams(n_t=3, n_s=2, P=7.0, sigma_sq=0.4)
+    params = SystemParams(n_t=3, n_s=2, P=17.5)
     eff = _random_eff(3, params, SeedSpec(29).derive("h"))
     V = Codebook(eff.h[None, :])
     msg = chordal_cdi(eff, V)
@@ -773,9 +770,9 @@ def _pair_minimax_oracle(h_subs, V, C, params):
     configs = _configurations(len(C), params.n_s)
     p = np.abs(h_subs @ C.vectors.conj().T) ** 2  # (F, beams)
     phi = np.abs(V.vectors @ C.vectors.conj().T) ** 2  # (codewords, beams)
-    noise = np.array([params.sigma_sq * k / params.P for k, _, _ in configs])
-    r = np.array([np.mean(np.log1p(p[:, j] / (params.sigma_sq * k / params.P + p[:, list(T)].sum(axis=1)))) for k, j, T in configs])
-    scale = params.n_t * params.sigma_sq / params.P
+    noise = np.array([k / params.P for k, _, _ in configs])
+    r = np.array([np.mean(np.log1p(p[:, j] / (k / params.P + p[:, list(T)].sum(axis=1)))) for k, j, T in configs])
+    scale = params.n_t / params.P
     A = scale * np.array([phi[:, j] for _, j, _ in configs]).T / noise  # (codewords, configs)
     U = scale * np.array([phi[:, list(T)].sum(axis=1) for _, _, T in configs]).T / noise
     a, b = np.triu_indices(len(configs), 1)
@@ -844,7 +841,7 @@ def _hard_columns(degenerate):
     if degenerate:
         phi = np.vstack([phi, np.zeros((1, 3)), [[0.0, 1.0, 0.0]], [[0.5, 0.0, 0.0]]])
     params = [SystemParams(n_t=3, n_s=3, P=1.0).with_snr_db(snr) for snr in rng.choice([0.0, 30.0, 60.0, 100.0], 40)]
-    noise = np.array([[p.sigma_sq * k / p.P for k in ks] for p in params])
+    noise = np.array([[k / p.P for k in ks] for p in params])
     scale2 = np.array([raw_scale_sq(p) for p in params])
     h = sample_complex_gaussian_matrix(40, 3, SeedSpec(83)) * rng.uniform(0, 2, (40, 1))
     h[:4] = 0.0  # zero channels: every true rate 0
@@ -894,7 +891,7 @@ def _file_codebook_searches(monkeypatch):
     import ramimo.feedback as fb
     from ramimo.channel import mrc_effective_channel
 
-    C = Codebook(np.eye(3, dtype=complex)[:2], kind="file")
+    C = Codebook(np.eye(3, dtype=complex)[:2])
     V = concat_codebooks(Codebook(np.eye(3, dtype=complex)), rvq_codebook(3, 4, SeedSpec(84).derive("v")))
     V = Codebook(np.vstack([V.vectors, V.vectors[[4]]]))
     rows, params = [], []

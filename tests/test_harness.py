@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,27 @@ def test_config_rejects_colliding_snr_keys(snr_db_list):
         _cfg(snr_db_list=snr_db_list)
 
 
+@pytest.mark.parametrize("snr_db_list", [[4000], [-4000], [10.0, 1e6], [float("inf")], [float("nan")]])
+def test_config_rejects_snr_without_finite_linear_value(snr_db_list):
+    # every point needs a finite positive linear SNR 10^(s/10); the config
+    # rejects one without it when it loads, not partway through a run
+    with pytest.raises(ValueError, match="snr_db_list entry"):
+        _cfg(snr_db_list=snr_db_list)
+    assert _cfg(snr_db_list=[-3000, 3000]).snr_db_list == (-3000.0, 3000.0)
+
+
+def test_config_schema_order_and_hash():
+    # the schema is written once, from the dataclass fields; key order and
+    # the hash of the default config stay those of the listed schema
+    cfg = SimConfig.from_dict({})
+    assert list(cfg.to_dict()) == [
+        "system", "num_users", "num_draws", "snr_db_list", "B", "transmit_codebook", "feedback_codebook",
+        "strategy", "scheduler", "precoder", "F", "rho", "master_seed", "workers", "b_list",
+    ]  # fmt: skip
+    assert list(cfg.to_dict()["system"]) == ["n_t", "n_r", "n_s"]
+    assert cfg.config_hash() == "c45e0eb93be5ae14"
+
+
 def test_config_roundtrip_and_hash():
     cfg = _cfg()
     again = SimConfig.from_dict(cfg.to_dict())
@@ -159,7 +184,7 @@ def test_union_codebook_contains_transmit_beams():
 
 def test_injected_orthogonal_channels_closed_form(monkeypatch):
     # two users on orthogonal deterministic channels, perfect CSIT:
-    # the schedule must realize exactly 2 log(1 + P / (2 sigma^2))
+    # the schedule must realize exactly 2 log(1 + P / 2)
     cfg = _cfg(num_users=2, num_draws=1, strategy="perfect", scheduler="brute", snr_db_list=[3.0103])
     ctx = _Context(cfg)
     H = np.array([E1[None, :].conj(), E2[None, :].conj()])  # (users, n_r, n_t); F = 1
@@ -705,6 +730,40 @@ def test_cli_bounds_and_quantizer(tmp_path):
     assert (out / "bounds.csv").exists()
     rc = cli_main(["quantizer", "--bits", "2", "--out", str(tmp_path / "q"), "--probes", "20000"])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--n-t-list", "1"], "n_t must be >= 2"),
+        (["bounds", "--n-t-list", "0"], "n_t must be >= 2"),
+        (["bounds", "--b-list", "-3"], "B must be >= 0"),
+        (["quantizer", "--bits", "2", "--probes", "0"], "n_probes must be >= 1"),
+        (["quantizer", "--bits", "2", "--probes", "-5"], "n_probes must be >= 1"),
+    ],
+)
+def test_cli_rejects_bad_bounds_and_quantizer_input(tmp_path, capsys, argv, message):
+    # bad input is a usage error: a message, exit status 2 and no output files
+    rc = cli_main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bare_pytest_finds_the_package(tmp_path):
+    # pyproject's pytest settings put src/ on the path, so a plain
+    # `python -m pytest` collects without PYTHONPATH or an installed copy
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "tests/test_rates.py"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_cli_seed_override(tmp_path):

@@ -16,8 +16,8 @@ def test_assignment_rejects_shared_beam():
 
 
 def test_single_user_plugin():
-    # |S|=1, |<h,w>|^2 = 1, P/sigma^2 = 1  ->  log 2
-    params = SystemParams(n_t=2, n_s=1, P=1.0, sigma_sq=1.0)
+    # |S|=1, |<h,w>|^2 = 1, P = 1  ->  log 2
+    params = SystemParams(n_t=2, n_s=1, P=1.0)
     r = rate_with_beams(E1, canonical_onb(2)[0], [], 1, params)
     assert r == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -29,9 +29,9 @@ def test_orthogonal_channel_zero_rate():
 
 
 def test_two_user_hand_evaluation():
-    # n_t=2, ONB beams, h = e1, S = {0, 1}, identity assignment, P/sigma^2 = 2:
-    # noise term sigma^2 |S| / P = 1, zero cross term -> log 2
-    params = SystemParams(n_t=2, n_s=2, P=2.0, sigma_sq=1.0)
+    # n_t=2, ONB beams, h = e1, S = {0, 1}, identity assignment, P = 2:
+    # noise term |S| / P = 1, zero cross term -> log 2
+    params = SystemParams(n_t=2, n_s=2, P=2.0)
     C = canonical_onb(2)
     r = rate_with_beams(E1, C[0], [C[1]], 2, params)
     assert r == pytest.approx(np.log(2.0), abs=1e-12)
@@ -55,10 +55,10 @@ def test_sum_rate_single_equals_user_rate():
 
 
 def test_sum_rate_orthogonal_pair_closed_form():
-    params = SystemParams(n_t=2, n_s=2, P=4.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_s=2, P=4.0)
     vectors = np.array([[E1, E2]])[:, :, None, :]
     per_user, total = realize_rates_block([[0, 1]], [[0, 1]], vectors, [params], canonical_onb(2))
-    expected = 2 * np.log(1 + params.P / (2 * params.sigma_sq))
+    expected = 2 * np.log(1 + params.P / 2)
     assert total[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -83,18 +83,6 @@ def test_rate_decreases_with_added_interferer():
         r_small = rate_with_beams(v, C[0], [C[1]], 2, params)
         r_big = rate_with_beams(v, C[0], [C[1], C[2]], 3, params)
         assert r_big <= r_small + 1e-12
-
-
-def test_joint_power_noise_scaling_invariance():
-    base = SystemParams(n_t=2, n_s=2, P=1.5, sigma_sq=0.7)
-    scaled = SystemParams(n_t=2, n_s=2, P=1.5 * 13.0, sigma_sq=0.7 * 13.0)
-    rng = np.random.default_rng(4)
-    C = canonical_onb(2)
-    for _ in range(50):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert rate_with_beams(v, C[0], [C[1]], 2, base) == pytest.approx(
-            rate_with_beams(v, C[0], [C[1]], 2, scaled), abs=1e-12
-        )
 
 
 def _averaged_rate(assign, C, subcarrier_vectors, m, params):
@@ -124,7 +112,7 @@ def test_averaged_rate_identical_subcarriers():
 
 
 def test_averaged_rate_mean_of_rate_and_zero():
-    params = SystemParams(n_t=2, n_s=1, P=1.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_s=1, P=1.0)
     assign = BeamAssignment({0: 0})
     C = canonical_onb(2)
     r = rate_with_beams(E1, C[0], [], 1, params)
@@ -137,7 +125,7 @@ def scalar_rate(v, own_beam, other_beams, n_active, params):
     the stacked kernel)."""
     sig = np.abs(np.vdot(v, own_beam)) ** 2
     intf = sum(np.abs(np.vdot(v, w)) ** 2 for w in other_beams)
-    noise = params.sigma_sq * n_active / params.P
+    noise = n_active / params.P
     return float(np.log1p(sig / (noise + intf)))
 
 
@@ -155,7 +143,7 @@ def test_rates_with_beams_matches_scalar_oracle():
     beams[np.arange(width) >= k[:, None]] = 0.0
     own = rng.integers(0, k)
     params = [SystemParams(n_t=n_t, n_s=n_t).with_snr_db(snr) for snr in rng.choice([-20.0, 0.0, 30.0, 100.0], n)]
-    noise = np.array([p.sigma_sq * kk / p.P for p, kk in zip(params, k.tolist())])
+    noise = np.array([kk / p.P for p, kk in zip(params, k.tolist())])
     got = rates_with_beams(v, beams, own, noise)
     assert got.shape == (n,)
     for r in range(n):

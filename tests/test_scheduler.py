@@ -70,7 +70,7 @@ def test_brute_orthogonal_pair():
 
 
 def test_brute_matches_reference_enumerator():
-    params = SystemParams(n_t=2, n_s=2, P=4.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_s=2, P=4.0)
     C = canonical_onb(2)
     for i in range(100):
         vectors = _random_vectors(4, 2, SeedSpec(31).derive("i", i))
@@ -198,14 +198,14 @@ def test_greedy_block_matches_per_problem_search(n_t, B):
         users, beams, rate = schedule_greedy_block(stack, C, params)
         pw = beam_powers(stack, C)
         for p, problem in enumerate(params):
-            ref_users, ref_beams, ref_rate = _per_problem_greedy(pw[p], problem.n_s, problem.sigma_sq / problem.P)
+            ref_users, ref_beams, ref_rate = _per_problem_greedy(pw[p], problem.n_s, 1.0 / problem.P)
             k = len(ref_users)
             assert users[p].tolist() == ref_users + [-1] * (users.shape[1] - k)
             assert beams[p].tolist() == ref_beams + [-1] * (beams.shape[1] - k)
             assert rate[p] == pytest.approx(ref_rate, rel=1e-12, abs=0.0)
             if k:
                 gains = [[pw[p, u, b : b + 1] for b in ref_beams] for u in ref_users]
-                assert _brute_scores(gains, np.array([problem.sigma_sq * k / problem.P])).tolist() == [rate[p]]
+                assert _brute_scores(gains, np.array([k / problem.P])).tolist() == [rate[p]]
             checked += 1
     assert checked == 1500
 
@@ -277,19 +277,19 @@ def test_realize_multiantenna_on_mrc_channel(F):
 
 
 def test_realize_orthogonal_plugin():
-    params = SystemParams(n_t=2, n_r=1, n_s=2, P=4.0, sigma_sq=1.0)
+    params = SystemParams(n_t=2, n_r=1, n_s=2, P=4.0)
     C = canonical_onb(2)
     channels = {0: UserChannel(H=E1[None, :].conj()), 1: UserChannel(H=E2[None, :].conj())}
     decision = schedule_bruteforce({0: E1, 1: E2}, C, params)
     realized = realize_rates(decision, channels, params, C=C)
-    expected = 2 * np.log(1 + params.P / (2 * params.sigma_sq))
+    expected = 2 * np.log(1 + params.P / 2)
     assert realized.sum == pytest.approx(expected, abs=1e-12)
 
 
 def test_zf_quantized_cdi_realizes_below_prediction():
     # quantized directions leave residual interference that the prediction
     # (which assumes perfect nulling) does not see
-    params = SystemParams(n_t=4, n_r=1, n_s=2, P=100.0, sigma_sq=1.0)
+    params = SystemParams(n_t=4, n_r=1, n_s=2, P=100.0)
     V = rvq_codebook(4, 3, SeedSpec(39).derive("v"))
     diffs = []
     for i in range(300):
@@ -308,7 +308,7 @@ def test_zf_quantized_cdi_realizes_below_prediction():
             np.log1p(
                 np.linalg.norm(effs[m].h_hat) ** 2
                 * np.abs(np.vdot(effs[m].h, decision.beams[i])) ** 2
-                / (params.sigma_sq * 2 / params.P)
+                / (2 / params.P)
             )
             for i, m in enumerate([0, 1])
         )
@@ -407,7 +407,7 @@ def test_brute_block_matches_scalar_oracle(monkeypatch, block):
     for n_t in (2, 3, 4):
         onb = canonical_onb(n_t).vectors
         problems = _brute_problems(n_t, 44 + n_t)
-        for C in (canonical_onb(n_t), Codebook(np.vstack([onb, onb[::-1][:2]]), kind="dup")):
+        for C in (canonical_onb(n_t), Codebook(np.vstack([onb, onb[::-1][:2]]))):
             # saturated powers overflow to inf, and inf / inf candidates score NaN
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _brute_block_decisions(problems, C)
@@ -565,7 +565,7 @@ def scalar_rate(v, own_beam, other_beams, n_active, params):
     """The rate formula one user at a time, in numpy scalars."""
     sig = np.abs(np.vdot(v, own_beam)) ** 2
     intf = sum(np.abs(np.vdot(v, w)) ** 2 for w in other_beams)
-    noise = params.sigma_sq * n_active / params.P
+    noise = n_active / params.P
     return float(np.log1p(sig / (noise + intf)))
 
 
