@@ -111,12 +111,13 @@ def _cmd_bounds(args):
     cfg = _load_cfg(args)
     n_t_list = [int(x) for x in args.n_t_list.split(",")] if args.n_t_list else [cfg.params.n_t]
     b_list = [int(x) for x in args.b_list.split(",")] if args.b_list else [cfg.B]
-    snr_list = [float(x) for x in args.snr_list.split(",")] if args.snr_list else list(cfg.snr_db_list)
+    if args.snr_list:  # through the config, so its SNR check applies
+        cfg = cfg.replace(snr_db_list=[float(x) for x in args.snr_list.split(",")])
     rows = []
     for n_t in n_t_list:
         for B in b_list:
-            for snr_db in snr_list:
-                rep = bounds_report(n_t, B, 10.0 ** (snr_db / 10.0), min(cfg.params.n_s, n_t))
+            for snr_db in cfg.snr_db_list:
+                rep = bounds_report(n_t, B, cfg.params.with_snr_db(snr_db).P, min(cfg.params.n_s, n_t))
                 row = {"snr_db": snr_db, **rep.__dict__}
                 rows.append(row)
     os.makedirs(args.out, exist_ok=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import user_channels_block
 from .feedback import beam_powers
-from .numerics import ordered_sum, row_norms
+from .numerics import abs_sq, ordered_sum, row_norms
 from .rates import BeamAssignment, RateReport, rate, rates_with_beams
 
 BRUTE_MAX_USERS = 12
@@ -227,13 +227,53 @@ def _zf_solve(A):
     member is full rank when k of its singular values exceed 1e-10, and
     its pseudo-inverse follows `np.linalg.pinv`'s own arithmetic (rcond
     1e-15 of the largest singular value).  numpy solves a stack matrix by
-    matrix, so each equals `pinv` on that matrix alone."""
+    matrix, so each equals `pinv` on that matrix alone.  The greedy
+    zeroforcing scheduler calls it only on each step's shortlist."""
     u, s, vt = np.linalg.svd(A.conj(), full_matrices=False)
     full = np.count_nonzero(s > 1e-10, axis=-1) == A.shape[-2]
     u, s, vt = u[full], s[full], vt[full]
     large = s > 1e-15 * s.max(axis=-1, keepdims=True)
     s_inv = np.divide(1, s, where=large, out=np.zeros_like(s))
     return full, np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+
+
+ZF_SLACK = 2.0**-42  # closed-form score error per unit of k * (d^2 + |score|); the bound test meets 1/700 of it
+ZF_MAX_D = 1e6  # largest Gram-inverse diagonal d at which a closed-form score is trusted
+
+
+def _zf_score_bounds(held, prev, cands, prev_sq, cand_sq, noise):
+    """Bounds (lo, hi) on the exact ZF score of every (draw, candidate) set
+    of a greedy step, from a closed form with no LAPACK call.
+
+    held (draws, k-1, n_t) are the columns of the chosen set's
+    pseudo-inverse B, prev (draws, k-1, n_t) its conjugated unit
+    directions, cands (draws, users, n_t) every user's; prev_sq and cand_sq
+    are the squared norms of the chosen and candidate vectors, noise each
+    draw's k / P.  The chosen set's Gram inverse is G^-1 = B^H B; a
+    candidate's correlations c with the chosen directions give its Schur
+    complement s = 1 - c^H G^-1 c and the grown set's Gram-inverse diagonal,
+    [G^-1]_ii + |(G^-1 c)_i|^2 / s and 1 / s.  A member's gain is its
+    squared norm over its diagonal entry, and the score is the sum of
+    `rates.rate` over the gains.
+
+    Where s > 0 and the largest diagonal entry d is at most `ZF_MAX_D`,
+    the exact score (from `_zf_solve`'s beams) lies within
+    ZF_SLACK * k * (d^2 + |score|) of the closed-form one; the d^2 term is
+    the cancellation in s.  Elsewhere the bounds are -inf and inf."""
+    g_inv = np.conj(held) @ np.swapaxes(held, 1, 2)
+    c = np.conj(cands) @ np.swapaxes(prev, 1, 2)  # (draws, users, k-1)
+    w = c @ np.swapaxes(g_inv, 1, 2)  # G^-1 c
+    s = 1.0 - np.einsum("dui,dui->du", c.conj(), w).real
+    ok = s > 0
+    s = np.where(ok, s, 1.0)
+    diag = np.real(np.diagonal(g_inv, axis1=1, axis2=2))[:, None] + abs_sq(w) / s[..., None]
+    d = np.maximum(diag.max(axis=-1, initial=0.0), 1.0 / s)
+    gains = np.concatenate([prev_sq[:, None] / diag, (cand_sq * s)[..., None]], axis=-1)
+    score = rate(gains, (), noise[:, None, None]).sum(axis=-1)
+    known = ok & (d <= ZF_MAX_D) & np.isfinite(score)
+    score, d = np.where(known, score, 0.0), np.where(known, d, 0.0)
+    slack = ZF_SLACK * gains.shape[-1] * (d * d + np.abs(score))
+    return np.where(known, score - slack, -np.inf), np.where(known, score + slack, np.inf)
 
 
 def zf_decision_for(users, cdis, params):
@@ -267,12 +307,19 @@ def zf_schedule_block(vectors, params):
     beams (draws, largest min(n_s, n_t), n_t), zero-padded, and the
     predicted sum rate, 0.0 for a draw that schedules nobody.
 
-    Every draw still running takes greedy step k together: the (chosen
-    users + one candidate) sets of all of them go through one stacked rank
-    test and pseudo-inverse.  Unit directions and the winners' beams are
+    Every draw still running takes greedy step k together.  First every
+    (draw, candidate) set gets bounds on its score from a closed form on
+    the previous winner's pseudo-inverse (`_zf_score_bounds`, no LAPACK
+    call).  Only each draw's shortlist, the sets whose upper bound reaches
+    the draw's best lower bound (every set the closed form cannot bound
+    among them, usually one set in all), then goes through one stacked rank
+    test and pseudo-inverse (`_zf_solve`) and the exact score.  A set off
+    the shortlist scores strictly below a shortlisted one, so the winner,
+    its exact score and ties to the smallest user are those of scoring
+    every set exactly.  Unit directions and the winners' beams are
     normalized by stacked `row_norms` passes, each norm equal to that of
-    its vector alone, so each beam equals `zf_decision_for`'s on the same set
-    bit for bit; the stacked scores only pick the winner.
+    its vector alone, so each beam equals `zf_decision_for`'s on the same
+    set bit for bit; the stacked scores only pick the winner.
     """
     raw = np.asarray(vectors, dtype=complex)
     n_draws, width, n_t = raw.shape
@@ -289,9 +336,21 @@ def zf_schedule_block(vectors, params):
     beams = np.zeros((n_draws, k_max, n_t), dtype=complex)  # the pseudo-inverse columns of their last step
     for k in range(1, k_max + 1):
         chosen, running = chosen[n_s[running] >= k], running[n_s[running] >= k]
+        rows = np.arange(len(running))
         open_ = usable[running]
-        open_[np.arange(len(running))[:, None], chosen] = False
-        r_idx, j_idx = np.nonzero(open_)  # row-major: a draw's sets in user order
+        open_[rows[:, None], chosen] = False
+        noise = k / power[running]
+        lo, hi = _zf_score_bounds(
+            beams[running, : k - 1],
+            conj_units[running[:, None], chosen],
+            conj_units[running],
+            norm[running[:, None], chosen] ** 2,
+            norm[running] ** 2,
+            noise,
+        )
+        # a set whose upper bound is below another set's lower bound cannot win
+        short = open_ & (hi >= np.max(lo, axis=1, where=open_, initial=-np.inf)[:, None])
+        r_idx, j_idx = np.nonzero(short)  # row-major: a draw's sets in user order
         if not len(r_idx):
             break
         sets = np.concatenate([chosen[r_idx], j_idx[:, None]], axis=1)
@@ -300,14 +359,14 @@ def zf_schedule_block(vectors, params):
         units = B / np.linalg.norm(B, axis=1, keepdims=True)
         v = raw[d_idx[full][:, None], sets[full]]
         sig = np.abs(np.einsum("cin,cni->ci", v.conj(), units)) ** 2
-        rates = rate(sig, (), (k / power[d_idx[full]])[:, None])  # interference is nulled
+        rates = rate(sig, (), noise[r_idx[full], None])  # interference is nulled
         total = ordered_sum(rates.T)  # in position order, as a sum over users
         score = np.full((len(running), width), -np.inf)
         score[r_idx[full], j_idx[full]] = total
         where = np.zeros((len(running), width), dtype=int)
         where[r_idx[full], j_idx[full]] = np.arange(len(total))
         pick = np.argmax(score, axis=1)
-        top = score[np.arange(len(running)), pick]
+        top = score[rows, pick]
         grow = ~(top <= best_sum[running])
         chosen = np.concatenate([chosen, pick[:, None]], axis=1)[grow]
         running = running[grow]

@@ -740,6 +740,8 @@ def test_cli_bounds_and_quantizer(tmp_path):
         (["bounds", "--b-list", "-3"], "B must be >= 0"),
         (["quantizer", "--bits", "2", "--probes", "0"], "n_probes must be >= 1"),
         (["quantizer", "--bits", "2", "--probes", "-5"], "n_probes must be >= 1"),
+        (["bounds", "--snr-list", "4000"], "snr_db_list entry 4000.0 dB has no finite positive linear SNR"),
+        (["bounds", "--snr-list", "10,nan"], "snr_db_list entry nan dB has no finite positive linear SNR"),
     ],
 )
 def test_cli_rejects_bad_bounds_and_quantizer_input(tmp_path, capsys, argv, message):

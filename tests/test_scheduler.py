@@ -1,8 +1,10 @@
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from ramimo import scheduler
 from ramimo.channel import (
     SystemParams,
     UserChannel,
@@ -13,8 +15,8 @@ from ramimo.channel import (
     user_channels_block,
 )
 from ramimo.codebook import Codebook, canonical_onb, rvq_codebook
-from ramimo.numerics import SeedSpec, sample_complex_gaussian
-from ramimo.rates import BeamAssignment, RateReport, rate_with_beams
+from ramimo.numerics import SeedSpec, ordered_sum, row_norms, sample_complex_gaussian
+from ramimo.rates import BeamAssignment, RateReport, rate, rate_with_beams
 from ramimo.scheduler import (
     PrecodedDecision,
     ScheduleDecision,
@@ -559,6 +561,146 @@ def test_zf_all_zero_draw_realizes_nothing():
     decision, predicted = zf_schedule(vectors, params)
     assert decision.users == () and predicted == 0.0
     assert realize_rates(decision, channels, params).sum == 0.0
+
+
+def _near_dependent_vectors(rng, n_users, n_t, smallest=1e-12, largest=1e-4, spread=100.0):
+    """(n_users, n_t) random vectors where about half the users copy an
+    earlier user times a random complex scale of modulus 1/spread to
+    spread, plus a perturbation of `smallest` to `largest` (log-uniform)
+    of that copy's size."""
+    v = rng.standard_normal((n_users, n_t)) + 1j * rng.standard_normal((n_users, n_t))
+    for m in range(1, n_users):
+        if rng.random() < 0.5:
+            scale = spread ** rng.uniform(-1.0, 1.0) * np.exp(2j * np.pi * rng.random())
+            noise = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
+            v[m] = scale * (v[rng.integers(m)] + 10.0 ** rng.uniform(np.log10(smallest), np.log10(largest)) * noise)
+    return v
+
+
+@pytest.mark.parametrize("n_t, n_s", [(4, 2), (4, 4), (3, 3), (6, 4)])
+def test_zf_block_matches_oracle_on_near_dependent_draws(n_t, n_s):
+    # near-dependent users are where the closed-form pre-scores cancel:
+    # every draw still gets the oracle's users and beams bit for bit, at
+    # 0-150 dB, and no step raises a floating-point warning
+    rng = np.random.default_rng(n_t * 10 + n_s)
+    for snr_db in (0.0, 30.0, 60.0, 100.0, 150.0):
+        params = SystemParams(n_t=n_t, n_s=n_s).with_snr_db(snr_db)
+        block = [dict(enumerate(_near_dependent_vectors(rng, 6, n_t))) for _ in range(40)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _zf_block(block, params)
+        for vectors, out in zip(block, got):
+            _assert_same_zf(out, reference_zf_schedule(vectors, params))
+
+
+def exhaustive_zf_schedule(v, params):
+    """Greedy zeroforcing on one draw's vectors v (users, n_t) that scores
+    every candidate set exactly, one `_zf_solve` call per set, with the
+    block scheduler's arithmetic: (users, unit beams, predicted sum)."""
+    norm = row_norms(v)
+    conj_units = np.conj(v / np.where(norm == 0, 1.0, norm)[:, None])
+    chosen, best, beams = [], 0.0, np.zeros((0, v.shape[1]))
+    for k in range(1, min(params.n_s, v.shape[1]) + 1):
+        top = None
+        for j in sorted(set(np.flatnonzero(norm).tolist()) - set(chosen)):
+            members = chosen + [j]
+            full, B = scheduler._zf_solve(conj_units[members][None])
+            if not full[0]:
+                continue
+            units = B / np.linalg.norm(B, axis=1, keepdims=True)
+            sig = np.abs(np.einsum("cin,cni->ci", v[members][None].conj(), units)) ** 2
+            total = ordered_sum(rate(sig, (), np.array([[k / params.P]])).T)[0]
+            if top is None or total > top[0]:
+                top = (total, j, B[0].T)
+        if top is None or top[0] <= best:
+            break
+        best, j, beams = top
+        chosen.append(j)
+    return chosen, beams / row_norms(beams)[:, None], best
+
+
+@pytest.mark.parametrize("n_t, n_s", [(4, 2), (4, 4), (3, 3)])
+def test_zf_block_keeps_exact_winner_among_near_ties(n_t, n_s):
+    # twins a relative 1e-16 to 1e-13 apart score within the closed form's
+    # error of each other: the block still picks the winner that exact
+    # scoring of every set picks, with the same beams and predicted sum
+    # bit for bit
+    rng = np.random.default_rng(n_t * 10 + n_s + 1)
+    for snr_db in (0.0, 30.0, 100.0):
+        params = SystemParams(n_t=n_t, n_s=n_s).with_snr_db(snr_db)
+        stack = np.array([_near_dependent_vectors(rng, 6, n_t, 1e-16, 1e-13, spread=1.0) for _ in range(100)])
+        users, beams, predicted = zf_schedule_block(stack, [params] * len(stack))
+        for d, v in enumerate(stack):
+            chosen, expected, best = exhaustive_zf_schedule(v, params)
+            k = len(chosen)
+            assert users[d, :k].tolist() == chosen and (users[d, k:] == -1).all()
+            assert beams[d, :k].tobytes() == expected.tobytes() and predicted[d] == best
+
+
+def test_zf_pseudo_inverts_one_set_per_draw_and_step(monkeypatch):
+    # on random continuous vectors the closed-form scores leave one set
+    # per running draw and greedy step to the rank test and pseudo-inverse
+    sizes = []
+
+    def counting(A):
+        sizes.append(len(A))
+        return solve(A)
+
+    solve = scheduler._zf_solve
+    monkeypatch.setattr(scheduler, "_zf_solve", counting)
+    rng = np.random.default_rng(47)
+    for snr_db in (0.0, 30.0):
+        params = SystemParams(n_t=4, n_s=4).with_snr_db(snr_db)
+        stack = rng.standard_normal((64, 10, 4)) + 1j * rng.standard_normal((64, 10, 4))
+        sizes.clear()
+        users, _, _ = zf_schedule_block(stack, [params] * len(stack))
+        k = np.count_nonzero(users >= 0, axis=1)
+        # step j runs every draw that grew at each step before it
+        assert sizes == [np.count_nonzero(k >= j - 1) for j in range(1, 5)]
+        assert k.max() == 4
+
+
+def test_zf_score_bounds_hold_the_exact_score():
+    # every (chosen set + candidate) set the closed form bounds has its
+    # exact score, from `_zf_solve`'s beams, within those bounds, on random
+    # and near-dependent sets (perturbations up to 0.1, so that many bounded
+    # sets are ill-conditioned) of 1-8 users at 0-150 dB
+    rng = np.random.default_rng(48)
+    checked = near = 0
+    for n_t in (2, 3, 4, 6, 8):
+        for k in range(1, n_t + 1):
+            for snr_db in (0.0, 60.0, 150.0):
+                for dependent in (False, True):
+                    raw = np.array([_near_dependent_vectors(rng, 8, n_t, largest=0.1) for _ in range(30)])
+                    if not dependent:
+                        raw = rng.standard_normal(raw.shape) + 1j * rng.standard_normal(raw.shape)
+                    norm = np.linalg.norm(raw, axis=-1)
+                    conj_units = np.conj(raw / norm[..., None])
+                    if k == 1:  # the empty chosen set of the first step
+                        full, B = np.ones(len(raw), dtype=bool), np.zeros((len(raw), n_t, 0), dtype=complex)
+                    else:
+                        full, B = scheduler._zf_solve(conj_units[:, : k - 1])
+                    raw, norm, conj_units = raw[full], norm[full], conj_units[full]
+                    noise = np.full(len(raw), k / 10.0 ** (snr_db / 10.0))
+                    lo, hi = scheduler._zf_score_bounds(
+                        np.swapaxes(B, 1, 2),
+                        conj_units[:, : k - 1],
+                        conj_units,
+                        norm[:, : k - 1] ** 2,
+                        norm**2,
+                        noise,
+                    )
+                    for d, j in zip(*np.nonzero(np.isfinite(lo[:, k - 1 :]))):
+                        members = list(range(k - 1)) + [k - 1 + j]
+                        ok, Bj = scheduler._zf_solve(conj_units[d, members][None])
+                        assert ok[0]
+                        units = Bj[0] / np.linalg.norm(Bj[0], axis=0)
+                        sig = np.abs(np.einsum("in,ni->i", raw[d, members].conj(), units)) ** 2
+                        exact = np.sum(np.log1p(sig / noise[d]))
+                        assert lo[d, k - 1 + j] <= exact <= hi[d, k - 1 + j]
+                        checked += 1
+                        near += hi[d, k - 1 + j] - lo[d, k - 1 + j] > 2 * scheduler.ZF_SLACK * k * 1e4  # Gram-inverse diagonal above 100
+    assert checked > 15000 and near > 500
 
 
 def scalar_rate(v, own_beam, other_beams, n_active, params):
