@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .feedback import beam_powers, cross_gram
-from .numerics import SeedSpec, abs_sq, row_norms, standard_normal_rows
+from .numerics import abs_sq, row_norms
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
 # (Kershner d=2; Bambah d=3; Delone & Ryshkov d=4).
@@ -171,7 +171,6 @@ def min_direction_gap(psi, phi_table):
 
 
 _EMPIRICAL_D_ROWS = 1 << 14  # (sample, codeword) entries per stacked pass
-_EMPD_KEY = SeedSpec(0).derive("empD").stream[0]  # stream word of the sample key "empD"
 
 
 def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
@@ -182,8 +181,9 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     direction-only min-max error.  The outer minimum over all codebooks in
     the definitions is not searched: the supplied family is evaluated, so
     both numbers are upper estimates for the functionals at the optimum.
-    The samples are h_hat = sample_complex_gaussian(n_t, seed.derive("empD",
-    i)); this is the one-point case of `empirical_D_block`.
+    Sample i is h_hat = (x + 1j y) / sqrt(2), where x, then y, are the next
+    n_t standard normals of seed.generator(), drawn sample after sample;
+    this is the one-point case of `empirical_D_block`.
     """
     return empirical_D_block(B, n_t, C, feedback_family, [params], samples, [seed])[0]
 
@@ -192,34 +192,28 @@ def empirical_D_block(B, n_t, C, feedback_family, params_list, samples, seeds):
     """`empirical_D` of every point (params_list[k], seeds[k]), as a list of
     (D_est, D_hat_est), each equal to its one-point call bit for bit.
 
-    The samples of every point are drawn in one `standard_normal_rows` call
-    per batch, so the seeds must share one master seed and one stream
-    length.  Their gains, lam_tilde and alignments psi are computed as
-    stacked rows (each equal to the one-sample arithmetic bit for bit), and
-    their weighted minima taken together; each point's averages still add
-    its samples one by one in order.
+    Point k's samples come in order from one generator, seeds[k].generator().
+    Batches of samples run across the points, and their gains, lam_tilde
+    and alignments psi are computed as stacked rows (each equal to the
+    one-sample arithmetic bit for bit), and their weighted minima taken
+    together; each point's averages still add its samples one by one in
+    order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if len(params_list) != len(seeds):
         raise ValueError("params_list and seeds must have one entry per point")
-    if len({s.master_seed for s in seeds}) > 1 or len({len(s.stream) for s in seeds}) > 1:
-        raise ValueError("seeds must share one master seed and one stream length")
     V = feedback_family(B) if callable(feedback_family) else feedback_family
     phi = cross_gram(V, C)
-    words = np.array([s.stream for s in seeds], dtype=np.uint32)
+    gens = [s.generator() for s in seeds]
     scale = np.array([[p.P, p.n_t] for p in params_list], dtype=float)  # lam_sq = P gain^2 / n_t
     d_sum = [0.0] * len(seeds)
     dhat_sum = [0.0] * len(seeds)
     chunk = max(1, _EMPIRICAL_D_ROWS // len(V))
     for lo in range(0, len(seeds) * samples, chunk):
-        rows = np.arange(lo, min(lo + chunk, len(seeds) * samples))
-        point, idx = np.divmod(rows, samples)  # rows run point by point, samples in order
-        streams = np.empty((len(rows), words.shape[1] + 2), dtype=np.uint32)  # seeds[point].derive("empD", idx)
-        streams[:, :-2] = words[point]
-        streams[:, -2] = _EMPD_KEY
-        streams[:, -1] = idx % 2**32
-        normals = standard_normal_rows(seeds[0].master_seed, streams, 2 * n_t)
+        point = np.arange(lo, min(lo + chunk, len(seeds) * samples)) // samples  # rows run point by point
+        counts = np.bincount(point - point[0])
+        normals = np.concatenate([gens[point[0] + k].standard_normal((n, 2 * n_t)) for k, n in enumerate(counts)])
         h_hat = (normals[:, :n_t] + 1j * normals[:, n_t:]) / np.sqrt(2.0)
         gain_sq = abs_sq(row_norms(h_hat))
         lam_sq = scale[point, 0] * gain_sq / scale[point, 1]

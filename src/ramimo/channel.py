@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeedSpec, row_norms, standard_normal_rows
+from .numerics import row_norms
 from .numerics import sample_complex_gaussian_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
-
-_F_KEY = SeedSpec(0).derive("f").stream[0]  # stream word of the subcarrier key "f"
 
 
 @dataclass(frozen=True)
@@ -90,37 +88,30 @@ class EffectiveChannel:
     h: np.ndarray
 
 
-def draw_channel_stack(params, F, rho, master_seed, streams):
-    """Draw the Rayleigh channel of every user stream in `streams`, each over
-    F correlated subcarriers, as arrays: the averaged channels (S, n_r, n_t)
-    and the subcarriers (S, F, n_r, n_t).
+def draw_channel_stack(params, F, rho, seeds, n_users):
+    """Draw the Rayleigh channels of `n_users` users from each of the S
+    SeedSpecs in `seeds`, each over F correlated subcarriers, as arrays: the
+    averaged channels (S * n_users, n_r, n_t) and the subcarriers
+    (S * n_users, F, n_r, n_t), row s * n_users + m being user m of seeds[s].
 
-    `streams` is an (S, K) array of stream words: row i is the user stream
-    of SeedSpec(master_seed, streams[i]).  Subcarriers follow
-    H_{f+1} = rho * H_f + sqrt(1 - rho^2) * W_{f+1} with i.i.d. CN(0,1)
-    innovations, so each subcarrier is marginally CN(0,1) and neighbors
-    have correlation coefficient rho.  A user's W_0, W_1, ... (each real,
-    then imaginary part) come in order from one stream, its stream extended
-    by derive("f", 0), so subcarrier 0 is the F = 1 draw bit for bit.  All
-    users are drawn in one `standard_normal_rows` call and the chain runs
-    across all users at once; with F = 1 the average is the one subcarrier.
+    Subcarriers follow H_{f+1} = rho * H_f + sqrt(1 - rho^2) * W_{f+1} with
+    i.i.d. CN(0,1) innovations, so each subcarrier is marginally CN(0,1)
+    and neighbors have correlation coefficient rho.  Each seed's generator
+    makes one standard_normal call, laid out user by user, then subcarrier,
+    real/imaginary part, n_r and n_t, so user m's channel does not depend on
+    n_users.  The chain runs across all users at once; with F = 1 the
+    average is the one subcarrier.
     """
     if F < 1:
         raise ValueError("F must be >= 1")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
-    streams = np.asarray(streams, dtype=np.uint32)
-    if not len(streams):
-        mats = np.zeros((0, F, params.n_r, params.n_t), dtype=complex)
-        return mats[:, 0], mats
-    if streams.ndim != 2:
-        raise ValueError("streams must be an (S, K) array of stream words")
-    n_users, n_words = streams.shape
-    sub = np.zeros((n_users, n_words + 2), dtype=np.uint32)  # the streams of derive("f", 0)
-    sub[:, :n_words] = streams
-    sub[:, n_words] = _F_KEY
-    normals = standard_normal_rows(master_seed, sub, F * 2 * params.n_r * params.n_t)
-    normals = normals.reshape(n_users, F, 2, params.n_r, params.n_t)
+    if n_users < 1:
+        raise ValueError("n_users must be >= 1")
+    normals = np.empty((len(seeds), n_users * F * 2 * params.n_r * params.n_t))
+    for row, seed in zip(normals, seeds):
+        seed.generator().standard_normal(out=row)
+    normals = normals.reshape(-1, F, 2, params.n_r, params.n_t)
     mats = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2.0)  # innovations, (users, F, n_r, n_t)
     if F == 1:
         return mats[:, 0], mats
@@ -131,8 +122,9 @@ def draw_channel_stack(params, F, rho, master_seed, streams):
 
 
 def draw_user_channel(params, F=1, rho=0.0, seed=None):
-    """Draw one user's Rayleigh channel: `draw_channel_stack` for one seed."""
-    H, sub = draw_channel_stack(params, F, rho, seed.master_seed, [seed.stream])
+    """Draw one user's Rayleigh channel: `draw_channel_stack` for one seed
+    and one user."""
+    H, sub = draw_channel_stack(params, F, rho, [seed], 1)
     return UserChannel(H=H[0], subcarriers=None if F == 1 else sub[0])
 
 

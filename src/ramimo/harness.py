@@ -1,9 +1,9 @@
 """Monte Carlo experiment engine, configuration, and result persistence.
 
-Experiments are pure functions of (config, master_seed): every channel
-draw derives its generator from (master_seed, draw index, user index), and
-reductions run in draw order, so outputs are byte-identical across reruns
-and across worker counts.
+Experiments are pure functions of (config, master_seed): the channels of
+all users of a draw come from one generator derived from (master_seed,
+draw index), and reductions run in draw order, so outputs are
+byte-identical across reruns, block sizes and worker counts.
 """
 
 import csv
@@ -243,7 +243,6 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 _WORKER_CTX = {}
-_CHAN_KEY = SeedSpec(0).derive("chan").stream[0]  # stream word of the channel key "chan"
 
 
 class _Context:
@@ -260,11 +259,11 @@ class _Context:
         """The averaged channels (rows, n_r, n_t) and subcarriers (rows, F,
         n_r, n_t) of every user of each draw index in `draws`, all drawn in
         one `draw_channel_stack` call: row d * num_users + m is user m of
-        the d-th draw, with the stream of
-        SeedSpec(master_seed).derive("chan", draws[d], m)."""
+        the d-th draw, whose users all come from the generator of
+        SeedSpec(master_seed).derive("chan", draws[d])."""
         cfg = self.cfg
-        streams = [(_CHAN_KEY, i % 2**32, m) for i in draws for m in range(cfg.num_users)]
-        return draw_channel_stack(cfg.params, cfg.F, cfg.rho, cfg.master_seed, streams)
+        seeds = [SeedSpec(cfg.master_seed).derive("chan", i) for i in draws]
+        return draw_channel_stack(cfg.params, cfg.F, cfg.rho, seeds, cfg.num_users)
 
     def effective(self, draws):
         """The EffectiveBlock of the channels of `draws`, rows laid out as
@@ -522,8 +521,10 @@ def run_scaling_experiment(cfg):
     b_list = cfg.b_list
     if not b_list:
         raise ValueError("scaling experiment needs a b_list")
-    if list(b_list) != sorted(b_list):
-        raise ValueError("b_list must be increasing")
+    if any(b >= c for b, c in zip(b_list, b_list[1:])):
+        raise ValueError(f"b_list must be strictly increasing, got {list(b_list)}")
+    if cfg.params.n_t < 2:
+        raise ValueError(f"scaling experiment needs n_t >= 2, got n_t={cfg.params.n_t}")
     C = build_transmit_codebook(cfg)
     seed = SeedSpec(cfg.master_seed).derive("scaling")
     family_seed = SeedSpec(cfg.master_seed).derive("fbcb")

@@ -27,3 +27,21 @@ def plain_bisection(mismatch, columns):
         rising = over >= under
         hi, lo = np.where(rising, x, hi), np.where(rising, lo, x)
     return best_x, best
+
+
+def reference_draw_channels(params, F, rho, seed, n_users):
+    """(H, subcarriers) of each of n_users users drawn from one generator,
+    written without the block sampler: one standard_normal call sliced user
+    by user, then subcarrier, real/imaginary part, n_r and n_t, and the
+    Gauss-Markov chain run subcarrier by subcarrier for each user alone."""
+    size = F * 2 * params.n_r * params.n_t
+    normals = seed.generator().standard_normal(n_users * size)
+    scale = np.sqrt(max(0.0, 1.0 - rho * rho))
+    out = []
+    for m in range(n_users):
+        x = normals[m * size : (m + 1) * size].reshape(F, 2, params.n_r, params.n_t)
+        mats = [(x[f, 0] + 1j * x[f, 1]) / np.sqrt(2.0) for f in range(F)]
+        for f in range(1, F):
+            mats[f] = rho * mats[f - 1] + scale * mats[f]
+        out.append((np.mean(mats, axis=0) if F > 1 else mats[0], np.array(mats)))
+    return out

@@ -330,6 +330,17 @@ def test_quantizer_measured_radius_of_centroid_cells():
         assert measured == pytest.approx(2.0 / (3 * k), abs=2e-3)
 
 
+def _empirical_d_samples(seed, n_t, n):
+    """The n effective channels of an empirical_D run, drawn one sample at a
+    time from seed.generator(): n_t real parts, then n_t imaginary parts."""
+    rng = seed.generator()
+    out = []
+    for _ in range(n):
+        x = rng.standard_normal(2 * n_t)
+        out.append((x[:n_t] + 1j * x[n_t:]) / np.sqrt(2.0))
+    return out
+
+
 def test_empirical_d_independent_of_batching(monkeypatch):
     import ramimo.bounds as bounds_mod
 
@@ -341,8 +352,7 @@ def test_empirical_d_independent_of_batching(monkeypatch):
     monkeypatch.setattr(bounds_mod, "_EMPIRICAL_D_ROWS", 3 * len(V))
     assert empirical_D(4, 3, C, V, params, samples=150, seed=seed) == whole
     one_by_one = []
-    for i in range(150):
-        h_hat = sample_complex_gaussian(3, seed.derive("empD", i))
+    for h_hat in _empirical_d_samples(seed, 3, 150):
         h = h_hat / np.linalg.norm(h_hat)
         psi = np.abs(C.vectors @ np.conj(h)) ** 2
         one_by_one.append(min_direction_gap(psi, np.abs(V.vectors.conj() @ C.vectors.T) ** 2))
@@ -366,14 +376,26 @@ def test_empirical_d_block_matches_per_point_calls(monkeypatch, rows_per_pass):
     assert empirical_D_block(4, 3, C, V, [], 25, []) == []
 
 
+def test_empirical_d_block_independent_of_pass_size(monkeypatch):
+    # every pass size, from one sample per pass to more than all of them,
+    # gives each point exactly its own empirical_D call; the points' seeds
+    # may differ in master seed and stream length
+    import ramimo.bounds as bounds_mod
+
+    C = canonical_onb(3)
+    V = rvq_codebook(3, 4, SeedSpec(58).derive("fam"))
+    params_list = [SystemParams(n_t=3, n_s=3).with_snr_db(snr) for snr in (0, 40, 100)]
+    seeds = [SeedSpec(59).derive("empD", 0), SeedSpec(60), SeedSpec(59).derive("empD", 2, 1)]
+    per_point = [empirical_D(4, 3, C, V, p, samples=9, seed=seed) for p, seed in zip(params_list, seeds)]
+    for rows_per_pass in range(1, len(seeds) * 9 + 2):
+        monkeypatch.setattr(bounds_mod, "_EMPIRICAL_D_ROWS", rows_per_pass * len(V))
+        assert empirical_D_block(4, 3, C, V, params_list, 9, seeds) == per_point
+
+
 def test_empirical_d_block_validation():
     C = canonical_onb(3)
     V = rvq_codebook(3, 4, SeedSpec(58).derive("fam"))
     params = SystemParams(n_t=3, n_s=3)
-    with pytest.raises(ValueError):  # two master seeds
-        empirical_D_block(4, 3, C, V, [params] * 2, 5, [SeedSpec(1).derive("a"), SeedSpec(2).derive("a")])
-    with pytest.raises(ValueError):  # two stream lengths
-        empirical_D_block(4, 3, C, V, [params] * 2, 5, [SeedSpec(1).derive("a"), SeedSpec(1).derive("a", 0)])
     with pytest.raises(ValueError):
         empirical_D_block(4, 3, C, V, [params], 5, [SeedSpec(1)] * 2)
     with pytest.raises(ValueError):
@@ -395,8 +417,7 @@ def test_empirical_d_matches_per_sample_oracle(monkeypatch):
     phi = np.abs(V.vectors.conj() @ C.vectors.T) ** 2
     n = 5000
     lam_tilde, psi = np.empty(n), np.empty((n, len(C)))
-    for i in range(n):
-        h_hat = sample_complex_gaussian(4, seed.derive("empD", i))
+    for i, h_hat in enumerate(_empirical_d_samples(seed, 4, n)):
         gain_sq = float(np.linalg.norm(h_hat) ** 2)
         lam_sq = params.P * gain_sq / params.n_t
         lam_tilde[i] = lam_sq / (1.0 + lam_sq)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import reference_draw_channels
 from ramimo.channel import (
     EffectiveChannel,
     SystemParams,
@@ -34,63 +35,48 @@ def test_draw_single_subcarrier():
     assert uc.per_subcarrier().shape == (1, 1, 2)
 
 
-def _reference_user_channel(params, F, rho, seed):
-    """One generator per user, its stream extended by ("f", 0), drawing
-    each subcarrier's innovation in subcarrier order (real part, then
-    imaginary part), and the chain in subcarrier order, written without
-    the block sampler."""
-    rng = seed.derive("f", 0).generator()
-    mats = np.empty((F, params.n_r, params.n_t), dtype=complex)
-    for f in range(F):
-        re = rng.standard_normal((params.n_r, params.n_t))
-        im = rng.standard_normal((params.n_r, params.n_t))
-        mats[f] = (re + 1j * im) / np.sqrt(2.0)
-    if F == 1:
-        return UserChannel(H=mats[0])
-    scale = np.sqrt(max(0.0, 1.0 - rho * rho))
-    for f in range(1, F):
-        mats[f] = rho * mats[f - 1] + scale * mats[f]
-    return UserChannel(H=mats.mean(axis=0), subcarriers=mats)
-
-
 @pytest.mark.parametrize("F", [1, 8])
 @pytest.mark.parametrize("n_r", [1, 2])
 @pytest.mark.parametrize("rho", [0.0, 0.95, 1.0])
 def test_draw_channels_match_per_user_draws(F, n_r, rho):
-    # a block of users drawn at once equals the users drawn one at a time,
-    # and both equal the one-generator-per-stream reference, bit for bit
+    # a block of draws equals, user by user, the one-generator-per-draw
+    # reference, bit for bit, and a draw's user 0 is the one-user draw
     params = SystemParams(n_t=4, n_r=n_r, n_s=2)
-    seeds = [SeedSpec(2**32 + 17).derive("chan", i, m) for i in (0, 2**32 + 3) for m in range(5)]
-    H, sub = draw_channel_stack(params, F, rho, 2**32 + 17, [seed.stream for seed in seeds])
-    assert H.shape == (len(seeds), n_r, 4) and sub.shape == (len(seeds), F, n_r, 4)
-    for seed, H_u, sub_u in zip(seeds, H, sub):
-        for other in (draw_user_channel(params, F, rho, seed), _reference_user_channel(params, F, rho, seed)):
-            assert H_u.tobytes() == other.H.tobytes()
-            assert sub_u.tobytes() == other.per_subcarrier().tobytes()
-            assert (other.subcarriers is None) == (F == 1)
+    seeds = [SeedSpec(2**32 + 17).derive("chan", i) for i in (0, 2**32 + 3)]
+    H, sub = draw_channel_stack(params, F, rho, seeds, 5)
+    assert H.shape == (len(seeds) * 5, n_r, 4) and sub.shape == (len(seeds) * 5, F, n_r, 4)
+    for s, seed in enumerate(seeds):
+        for m, (ref_H, ref_sub) in enumerate(reference_draw_channels(params, F, rho, seed, 5)):
+            assert H[s * 5 + m].tobytes() == ref_H.tobytes()
+            assert sub[s * 5 + m].tobytes() == ref_sub.tobytes()
+        other = draw_user_channel(params, F, rho, seed)
+        assert H[s * 5].tobytes() == other.H.tobytes()
+        assert sub[s * 5].tobytes() == other.per_subcarrier().tobytes()
+        assert (other.subcarriers is None) == (F == 1)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.95, 1.0])
 def test_draw_first_subcarrier_is_flat_draw(rho):
-    # subcarrier 0 of an F = 8 draw is the F = 1 draw of the same stream,
-    # bit for bit, so frequency-flat runs do not depend on the OFDM layout
+    # with one user per seed, subcarrier 0 of an F = 8 draw is the F = 1
+    # draw of the same seed, bit for bit (users after the first start
+    # further along their draw's stream when F > 1)
     params = SystemParams(n_t=4, n_r=2, n_s=2)
-    streams = [SeedSpec(77).derive("chan", i, m).stream for i in range(3) for m in range(4)]
-    H_flat, _ = draw_channel_stack(params, 1, rho, 77, streams)
-    _, sub = draw_channel_stack(params, 8, rho, 77, streams)
+    seeds = [SeedSpec(77).derive("chan", i, m) for i in range(3) for m in range(4)]
+    H_flat, _ = draw_channel_stack(params, 1, rho, seeds, 1)
+    _, sub = draw_channel_stack(params, 8, rho, seeds, 1)
     assert sub[:, 0].tobytes() == H_flat.tobytes()
 
 
 def test_draw_channels_validation():
     params = SystemParams(n_t=2)
-    H, sub = draw_channel_stack(params, 2, 0.5, 1, [])
+    H, sub = draw_channel_stack(params, 2, 0.5, [], 3)
     assert H.shape == (0, 1, 2) and sub.shape == (0, 2, 1, 2)
     with pytest.raises(ValueError):
-        draw_channel_stack(params, 0, 0.5, 1, [(0,)])
+        draw_channel_stack(params, 0, 0.5, [SeedSpec(1)], 1)
     with pytest.raises(ValueError):
-        draw_channel_stack(params, 1, 1.5, 1, [(0,)])
+        draw_channel_stack(params, 1, 1.5, [SeedSpec(1)], 1)
     with pytest.raises(ValueError):
-        draw_channel_stack(params, 1, 0.5, 1, [0, 1])
+        draw_channel_stack(params, 1, 0.5, [SeedSpec(1)], 0)
 
 
 def test_draw_rho_one_identical_subcarriers():
@@ -103,8 +89,8 @@ def _subcarrier_stats(rho, master_seed):
     """Per-subcarrier mean power (F,) and neighbour correlation E[H_f
     conj(H_{f+1})] / E|H_f|^2 of every pair (f, f+1) and every antenna
     entry (F - 1, n_r, n_t), over 10,000 users at F = 8."""
-    streams = [SeedSpec(master_seed).derive("c", i).stream for i in range(10_000)]
-    _, sub = draw_channel_stack(P2, 8, rho, master_seed, streams)
+    seeds = [SeedSpec(master_seed).derive("c", i) for i in range(10_000)]
+    _, sub = draw_channel_stack(P2, 8, rho, seeds, 1)
     power = np.mean(np.abs(sub) ** 2, axis=0)
     corr = np.mean(sub[:, :-1] * np.conj(sub[:, 1:]), axis=0) / power[:-1]
     return power.mean(axis=(1, 2)), corr
@@ -246,7 +232,7 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
     # per-user computation: the filter of the averaged channel applied to
     # it and to every subcarrier
     params = SystemParams(n_t=4, n_r=n_r, n_s=2)
-    H, sub = draw_channel_stack(params, F, 0.7, 29, [(n_r, F, i) for i in range(1000)])
+    H, sub = draw_channel_stack(params, F, 0.7, [SeedSpec(29).derive(n_r, F, i) for i in range(1000)], 1)
     chans = [UserChannel(H=h, subcarriers=None if F == 1 else s) for h, s in zip(H, sub)]
     zero = np.zeros((n_r, 4), dtype=complex)
     rank_one = np.outer(np.arange(1.0, n_r + 1), [1.0, 2.0j, 0.0, -3.0 + 1.0j])

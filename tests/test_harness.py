@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import reference_draw_channels
 from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel
 from ramimo.cli import main as cli_main
 from ramimo.feedback import compute_feedback
@@ -643,6 +644,26 @@ def test_scaling_requires_b_list():
         run_scaling_experiment(_cfg())
 
 
+@pytest.mark.parametrize("b_list", [[4, 4], [6, 4], [4, 6, 6]])
+def test_scaling_rejects_repeated_or_decreasing_bits(b_list):
+    # a repeated B would leave the log2 slope a fit through fewer distinct
+    # points than the list claims
+    cfg = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 2}, num_draws=5)
+    with pytest.raises(ValueError, match="b_list must be strictly increasing"):
+        run_scaling_experiment(cfg.replace(b_list=b_list))
+
+
+def test_cli_scaling_rejects_one_transmit_antenna(tmp_path, capsys):
+    # the target slope -1 / (n_t - 1) needs n_t >= 2: a usage error, not a
+    # ZeroDivisionError traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_cfg(system={"n_t": 1, "n_r": 1, "n_s": 1}, num_draws=5).to_dict()))
+    rc = cli_main(["scaling", "--config", str(cfg_path), "--b-list", "4,6", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: scaling experiment needs n_t >= 2, got n_t=1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scaling_single_b_has_no_slope():
     cfg = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 2}, num_draws=50)
     result = run_scaling_experiment(cfg.replace(b_list=[4]))
@@ -817,16 +838,27 @@ def test_cli_rejects_malformed_config_objects(tmp_path, capsys, overrides):
     assert not (tmp_path / "x").exists()
 
 
-def test_context_channels_use_derived_streams():
-    # a block's channels are the per-user draws of the streams
-    # SeedSpec(master_seed).derive("chan", draw, user)
-    from ramimo.channel import draw_user_channel
+@pytest.mark.parametrize("F, n_r", [(1, 1), (1, 2), (4, 2)])
+def test_context_channels_of_first_users_do_not_depend_on_user_count(F, n_r):
+    # user m's channel is the same bits whether a draw has U or U + 2 users
+    few = _cfg(system={"n_t": 4, "n_r": n_r, "n_s": 2}, num_users=3, F=F, rho=0.9)
+    more = few.replace(num_users=5)
+    draws = [0, 1, 2**32 + 9]
+    H_few, sub_few = _Context(few).channel_stack(draws)
+    H_more, sub_more = _Context(more).channel_stack(draws)
+    keep = (np.arange(len(draws))[:, None] * 5 + np.arange(3)).ravel()
+    assert H_more[keep].tobytes() == H_few.tobytes()
+    assert sub_more[keep].tobytes() == sub_few.tobytes()
 
+
+def test_context_channels_use_derived_streams():
+    # a block's channels are, draw by draw, the users drawn in order from
+    # the generator of SeedSpec(master_seed).derive("chan", draw)
     cfg = _cfg(num_users=3, F=4, rho=0.9, master_seed=2**33 + 5)
     draws = [0, 7, 2**32 + 1]
     H, sub = _Context(cfg).channel_stack(draws)
     for d, i in enumerate(draws):
-        for m in range(cfg.num_users):
-            ref = draw_user_channel(cfg.params, cfg.F, cfg.rho, SeedSpec(cfg.master_seed).derive("chan", i, m))
-            assert sub[d * cfg.num_users + m].tobytes() == ref.subcarriers.tobytes()
-            assert H[d * cfg.num_users + m].tobytes() == ref.H.tobytes()
+        ref = reference_draw_channels(cfg.params, cfg.F, cfg.rho, SeedSpec(cfg.master_seed).derive("chan", i), cfg.num_users)
+        for m, (ref_H, ref_sub) in enumerate(ref):
+            assert sub[d * cfg.num_users + m].tobytes() == ref_sub.tobytes()
+            assert H[d * cfg.num_users + m].tobytes() == ref_H.tobytes()
