@@ -207,8 +207,9 @@ def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
     certifies, within the fallback bisection's 7.3e-11 of it.  The best
     codeword wins, ties to the lowest index.
 
-    A pre-pass bounds every (row, codeword) column and drops those that
-    cannot win their row (`_ra_messages`); the certified gain solver then
+    A pre-pass drops every (row, codeword) column whose single-user
+    minimax exceeds an upper bound on its row's minimum, by one gain
+    interval test per column (`_pre_pass`); the certified gain solver then
     runs over the surviving columns of all rows, in chunks of at most
     _BATCH_ELEMENTS (column, configuration) entries.  Every column goes
     through the same elementwise arithmetic as alone and leaves the
@@ -277,61 +278,61 @@ def _excess(r_true, noise, table):
 
 
 def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
-    """Lower bound on the minimax mismatch of every (problem, codeword)
-    column and upper bound on its problem's minimum, as (problems,
-    codewords) and (problems,) arrays, for the search's `excess` and its
-    codeword powers `phi_cols` (beam rows plus a zero row).
+    """Mask (problems, codewords) of the columns that cannot win their
+    problem, and each problem's upper bound on its minimum, for the
+    search's `excess` and codeword powers `phi_cols` (beam rows plus a
+    zero row).
 
-    The lower bound comes from the single-user configurations: the
-    table's first |C| rows, own beam j and noise only, whose mismatch is
-    e_j(x) = log1p(a_j e^x) - r_j with a_j = scale2 phi_j / noise.  For
-    each pair of beams (a, b) the probe p is the root g of
-    (1 + a_a g)(1 + a_b g) = e^(r_a + r_b), where e_a + e_b = 0, written
-    without cancellation and held inside the search bracket [lo, hi].
-    Every e rises in x, so at every x in [p, hi] the worst mismatch is at
-    least max(e_a(p), e_b(p), -e_a(hi), -e_b(hi)), and at every x in
-    [lo, p] at least max(-e_a(p), -e_b(p), e_a(lo), e_b(lo)); the smaller
-    of the two bounds the column wherever the probe lies.  The root only
-    makes the bound tight, so a rounding error in it cannot lift the bound
-    above the true minimax; the bracket ends give a flat column (a
-    codeword with no power on any beam) its exact value.
+    A column's worst mismatch is at least that of the single-user
+    configurations, the table's first |C| rows (own beam j, noise only):
+    e_j = log1p(kappa phi_j g) - r_j, kappa = scale2 over their noise
+    term, rising in g = e^x.  All |e_j| are at most T = upper +
+    PRUNE_MARGIN at one g of the bracket [e^-40, e^40] just when
+    max_j lo_j / phi_j <= min_j hi_j / phi_j, both held in the bracket,
+    with lo_j = expm1(r_j - T) / kappa and hi_j = expm1(r_j + T) / kappa;
+    by Helly's theorem in one dimension this is the single-user minimax
+    test, and a column that fails it is dropped.  A phi_j of 0 excludes
+    every g where lo_j > 0 and none where lo_j <= 0 (a 0 * inf is a NaN
+    that fmax and fmin skip); a NaN or infinite bound keeps every column
+    of its problem.
 
-    The upper bound is the largest |excess| at the probe of the problem's
-    least-bounded column, evaluated for at most `per_pass` problems at a
-    time; each column's probe is that of its pair with the largest
-    max(min(e_a, -e_b), min(e_b, -e_a)) at the root.
+    The upper bound is the largest |excess|, for at most `per_pass`
+    problems at a time, of the column whose single-user zero crossings
+    t_j / phi_j, t = expm1(r) / kappa, spread least (largest over
+    smallest), at the root of its extreme pair (a, b),
+    (1 + a_a g)(1 + a_b g) = e^(r_a + r_b) with a = kappa phi, written
+    without cancellation and held in the bracket.
     """
-    alpha = (scale2 / noise[:, 0])[None, :, None] * phi_cols[:-1, None, :]  # (beams, problems, codewords)
+    n, n_b = len(r_true), len(phi_cols) - 1
+    kappa, r_single = (scale2 / noise[:, 0])[:, None], r_true[:, :n_b]
     g_min, g_max = np.exp(-LOG_GAIN_BRACKET), np.exp(LOG_GAIN_BRACKET)
-    r_single = r_true[:, : len(alpha)].T[:, :, None]
-    e_lo, e_hi = (rate(alpha * g, (), 1.0) - r_single for g in (g_min, g_max))
-    lower = np.full(alpha.shape[1:], -np.inf)
-    score = np.full(alpha.shape[1:], -np.inf)
-    probe = np.ones(alpha.shape[1:])
-    for a, b in combinations(range(len(alpha)), 2):
-        r_a, r_b = r_true[:, a, None], r_true[:, b, None]
-        growth = np.expm1(r_a + r_b)
-        s = alpha[a] + alpha[b]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = 2.0 * growth / (s + np.sqrt(s * s + (4.0 * growth) * alpha[a] * alpha[b]))
-        g = np.clip(np.nan_to_num(g, nan=1.0), g_min, g_max)
-        e_a = rate(alpha[a] * g, (), 1.0) - r_a  # in units of the single-user noise
-        e_b = rate(alpha[b] * g, (), 1.0) - r_b
-        right = np.maximum(np.maximum(e_a, e_b), np.maximum(-e_hi[a], -e_hi[b]))
-        left = np.maximum(np.maximum(-e_a, -e_b), np.maximum(e_lo[a], e_lo[b]))
-        np.maximum(lower, np.minimum(right, left), out=lower)
-        pair = np.minimum(np.maximum(e_a, e_b), -np.minimum(e_a, e_b))
-        better = pair > score
-        np.copyto(score, pair, where=better)
-        np.copyto(probe, g, where=better)
-    n = len(r_true)
-    least = np.argmin(lower, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_phi = 1.0 / phi_cols[:-1]
+
+        def envelope(rows, pick):  # pick over beams j of rows[:, j] / phi_j
+            out = rows[:, :1] * inv_phi[0]
+            for j in range(1, n_b):
+                pick(out, rows[:, j, None] * inv_phi[j], out=out)
+            return out
+
+        t = np.expm1(r_single) / kappa
+        least = np.argmin(np.nan_to_num(envelope(t, np.fmax) / envelope(t, np.fmin), nan=np.inf), axis=1)
+        cross, rows = t * inv_phi[:, least].T, np.arange(n)  # the chosen columns' crossings
+        a = np.argmax(np.where(np.isnan(cross), -np.inf, cross), axis=1)
+        b = np.argmin(np.where(np.isnan(cross), np.inf, cross), axis=1)
+        alpha_a, alpha_b = (kappa[:, 0] * phi_cols[j, least] for j in (a, b))
+        growth, s = np.expm1(r_single[rows, a] + r_single[rows, b]), alpha_a + alpha_b
+        g = 2.0 * growth / (s + np.sqrt(s * s + (4.0 * growth) * alpha_a * alpha_b))
+    x = np.log(np.clip(np.nan_to_num(g, nan=1.0), g_min, g_max))
     upper = np.empty(n)
     for lo in range(0, n, per_pass):
         p = np.arange(lo, min(n, lo + per_pass))
-        x = np.clip(np.log(probe[p, least[p]]), -LOG_GAIN_BRACKET, LOG_GAIN_BRACKET)
-        upper[p] = np.abs(excess(x, p, scale2[p], phi_cols[:, least[p]])).max(axis=0)
-    return lower, upper
+        upper[p] = np.abs(excess(x[p], p, scale2[p], phi_cols[:, least[p]])).max(axis=0)
+    reach = (upper + PRUNE_MARGIN)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        start = envelope(np.expm1(r_single - reach) / kappa, np.fmax)
+        stop = envelope(np.expm1(r_single + reach) / kappa, np.fmin)
+    return np.fmax(start, g_min) > np.fmin(stop, g_max), upper
 
 
 def _ra_messages(r_true, noise, scale2, phi, table):
@@ -340,22 +341,20 @@ def _ra_messages(r_true, noise, scale2, phi, table):
     CQI^2-to-raw scale, from `minimax_log_gain` solves over the
     (problem, codeword) columns that survive a pre-pass.
 
-    A column whose lower bound exceeds its problem's upper bound
-    (`_pre_pass`) by more than PRUNE_MARGIN is dropped before the search:
-    its value is at least its bound, and the winner's at most its true
-    minimum, itself at most the upper bound, plus the solver's certificate
-    (1e-13), or the fallback's 80 * 2^-40 (7.3e-11) for a column that no
-    root round certifies; either is far below the margin.  The survivors
-    are searched in chunks of at most _BATCH_ELEMENTS (column,
-    configuration) entries; the best codeword wins, ties to the lowest
-    index.
+    `_pre_pass` drops a column whose single-user minimax exceeds its
+    problem's upper bound by more than PRUNE_MARGIN: its value is at least
+    that minimax, and the winner's at most the upper bound plus the
+    solver's certificate (1e-13), or the fallback's 7.3e-11, far below the
+    margin.  The survivors are searched in chunks of at most
+    _BATCH_ELEMENTS (column, configuration) entries; the best codeword
+    wins, ties to the lowest index.
     """
     n, n_v = len(r_true), len(phi)
     excess, coefficients = _excess(r_true, noise, table)
     phi_cols = np.vstack([phi.T, np.zeros(n_v)])
     per_pass = max(1, _BATCH_ELEMENTS // len(table))  # columns of one pass within the cap
-    lower, upper = _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass)
-    problem, cdi = np.nonzero(~(lower > upper[:, None] + PRUNE_MARGIN))
+    dropped, _ = _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass)
+    problem, cdi = np.nonzero(~dropped)
     x, gap = np.full((n, n_v), np.nan), np.full((n, n_v), np.inf)
     for lo in range(0, len(problem), per_pass):
         p, v = problem[lo : lo + per_pass], cdi[lo : lo + per_pass]

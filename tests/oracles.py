@@ -29,6 +29,24 @@ def plain_bisection(mismatch, columns):
     return best_x, best
 
 
+def single_user_minimax(r_single, kappa, phi, points=1 << 14):
+    """min over x in [-LOG_GAIN_BRACKET, LOG_GAIN_BRACKET] of
+    max_j |log1p(kappa_p phi_vj e^x) - r_pj| for every (problem p,
+    codeword v), on a dense grid of `points` evenly spaced x, ends
+    included, for single-user true rates r_single (problems, beams), scales
+    kappa (problems,) and codeword powers phi (codewords, beams).  Returns
+    the grid minima and half the grid step: every mismatch moves by less
+    than |dx| in x, so each exact minimum lies at most that far below its
+    grid minimum, and not above it."""
+    x = np.linspace(-LOG_GAIN_BRACKET, LOG_GAIN_BRACKET, points)
+    gain = np.exp(x)
+    out = np.empty((len(r_single), len(phi)))
+    for p, (r, k) in enumerate(zip(r_single, kappa)):
+        e = np.log1p((k * phi)[:, :, None] * gain) - r[:, None]  # (codewords, beams, points)
+        out[p] = np.abs(e).max(axis=1).min(axis=1)
+    return out, 0.5 * (x[1] - x[0])
+
+
 def reference_draw_channels(params, F, rho, seed, n_users):
     """(H, subcarriers) of each of n_users users drawn from one generator,
     written without the block sampler: one standard_normal call sliced user

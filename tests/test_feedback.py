@@ -852,34 +852,56 @@ def _hard_columns(degenerate):
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
-def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(degenerate):
-    # the pre-pass's lower bound never exceeds a column's unpruned
-    # solver value, and its upper bound never undercuts a problem's best,
-    # on random columns, zero channels, duplicated codewords, 100 dB and
-    # probes clipped at the bracket; with `degenerate`, also on codewords
-    # with zero power on some or all beams
+def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(monkeypatch, degenerate):
+    # the pre-pass's upper bound never undercuts a problem's best, and
+    # every column it drops has an unpruned solver value above its
+    # problem's best by more than the solver's tolerance, on random
+    # columns, zero channels, duplicated codewords, 100 dB and single-user
+    # roots beyond both bracket ends; with `degenerate`, also on codewords
+    # with zero power on some or all beams.  Against a dense-grid
+    # single-user minimax it is the exact test: it keeps every column the
+    # grid puts at or below the upper bound and drops every column the
+    # grid puts clearly above the bound plus the margin.  A NaN or
+    # infinite upper bound, or an infinite margin, keeps every column.
     import ramimo.feedback as fb
+    from oracles import single_user_minimax
     from ramimo.numerics import LOG_GAIN_BRACKET, MINIMAX_ITERS, minimax_log_gain
 
     r_true, noise, scale2, phi, table = _hard_columns(degenerate)
     growth = np.expm1(r_true[:, 0] + r_true[:, 1])
-    alpha = scale2 / noise[:, 0]
+    kappa = scale2 / noise[:, 0]
     with np.errstate(divide="ignore"):
-        probe = np.log(growth / alpha)  # the (0, 1) root for codeword powers (1, 1, 0)
+        probe = np.log(growth / kappa)  # the (0, 1) root for codeword powers (1, 1, 0)
     assert np.any(probe > LOG_GAIN_BRACKET) and np.any(probe < -LOG_GAIN_BRACKET)
 
     excess, coefficients = fb._excess(r_true, noise, table)
     phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
-    lower, upper = fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)
+    dropped, upper = fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)
     p, v = np.divmod(np.arange(len(r_true) * len(phi)), len(phi))
     _, value, _ = minimax_log_gain(excess, coefficients, (p, scale2[p], phi_cols[:, v]))
     value = value.reshape(len(r_true), len(phi))
-    assert np.all(lower <= value + 1e-12)
     # a column's value is within the solver's tolerance (at most the
-    # fallback's 80 * 2^-40, 7.3e-11) of its minimum, which the probe may
-    # hit exactly at a bracket end
-    assert np.all(upper >= value.min(axis=1) - 2 * LOG_GAIN_BRACKET * 2.0**-MINIMAX_ITERS)
-    assert np.mean(lower > upper[:, None] + 1e-9) > 0.5  # most columns are dropped before the search
+    # fallback's 80 * 2^-40, 7.3e-11) of its minimum
+    tol = 2 * LOG_GAIN_BRACKET * 2.0**-MINIMAX_ITERS
+    best = value.min(axis=1)
+    assert np.all(upper >= best - tol)
+    assert (value > best[:, None] + tol)[dropped].all()
+    assert np.mean(dropped) > 0.5  # most columns are dropped before the search
+
+    grid, half_step = single_user_minimax(r_true[:, :3], kappa, phi)
+    assert not dropped[grid <= upper[:, None]].any()
+    assert dropped[grid - half_step > upper[:, None] + fb.PRUNE_MARGIN].all()
+
+    def unbounded(x, problem, *rest):
+        e = excess(x, problem, *rest)
+        return np.where(problem % 3 == 0, np.nan, np.where(problem % 3 == 1, np.inf, e))
+
+    dropped_nan, upper_nan = fb._pre_pass(unbounded, r_true, noise, scale2, phi_cols, per_pass=7)
+    kind = np.arange(len(r_true)) % 3
+    assert np.isnan(upper_nan[kind == 0]).all() and np.isinf(upper_nan[kind == 1]).all()
+    assert not dropped_nan[kind < 2].any() and (dropped_nan[kind == 2] == dropped[kind == 2]).all()
+    monkeypatch.setattr(fb, "PRUNE_MARGIN", np.inf)
+    assert not fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)[0].any()
 
 
 def _file_codebook_searches(monkeypatch):

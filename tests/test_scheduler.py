@@ -441,7 +441,13 @@ def _reference_zf_beams(dirs):
 
 def reference_zf_schedule(vectors, params):
     """Scalar greedy zeroforcing oracle: one pseudo-inverse and one rate per
-    (step, candidate user), the winner the first strict maximum."""
+    (step, candidate user), the winner the first strict maximum.
+
+    It is a value-level oracle: its `rate_with_beams` scores and Python sum
+    can order sets that tie within the last bit (users that copy each
+    other up to 1e-13) otherwise than the block scheduler's arithmetic, and
+    then picks a twin of the block's user.  `exhaustive_zf_schedule` is the
+    bit-level oracle among such ties."""
     users = sorted(vectors)
     units = {}  # unit direction of each user, None for a zero vector
     for u in users:
@@ -635,6 +641,27 @@ def test_zf_block_keeps_exact_winner_among_near_ties(n_t, n_s):
             k = len(chosen)
             assert users[d, :k].tolist() == chosen and (users[d, k:] == -1).all()
             assert beams[d, :k].tobytes() == expected.tobytes() and predicted[d] == best
+
+
+@pytest.mark.parametrize("n_t, n_s", [(4, 2), (4, 4), (3, 3)])
+def test_reference_zf_schedule_is_a_value_level_oracle_among_near_ties(n_t, n_s):
+    # among unit-phase copies a relative 1e-16 to 1e-13 apart the scalar
+    # oracle may pick a twin of the exact winner: each step's user copies
+    # the one exact scoring of every set picks, its beam is that beam up to
+    # phase, and the predicted sums agree to the last few bits
+    rng = np.random.default_rng(n_t * 10 + n_s + 2)
+    for snr_db in (0.0, 30.0, 100.0):
+        params = SystemParams(n_t=n_t, n_s=n_s).with_snr_db(snr_db)
+        for _ in range(100):
+            v = _near_dependent_vectors(rng, 6, n_t, 1e-16, 1e-13, spread=1.0)
+            decision, predicted = reference_zf_schedule(dict(enumerate(v)), params)
+            chosen, beams, best = exhaustive_zf_schedule(v, params)
+            assert len(decision.users) == len(chosen)
+            units = v / np.linalg.norm(v, axis=1, keepdims=True)
+            for m, j, beam, exact in zip(decision.users, chosen, decision.beams, beams):
+                assert abs(np.vdot(units[m], units[j])) == pytest.approx(1.0, abs=1e-12)
+                assert abs(np.vdot(beam, exact)) == pytest.approx(1.0, abs=1e-12)
+            assert predicted == pytest.approx(best, rel=1e-12, abs=1e-15)
 
 
 def test_zf_pseudo_inverts_one_set_per_draw_and_step(monkeypatch):
