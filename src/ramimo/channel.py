@@ -108,11 +108,19 @@ def draw_channel_stack(params, F, rho, seeds, n_users):
         raise ValueError("rho must be in [0, 1]")
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    normals = np.empty((len(seeds), n_users * F * 2 * params.n_r * params.n_t))
+    width = params.n_r * params.n_t
+    normals = np.empty((len(seeds), n_users * F * 2 * width))
     for row, seed in zip(normals, seeds):
         seed.generator().standard_normal(out=row)
-    normals = normals.reshape(-1, F, 2, params.n_r, params.n_t)
-    mats = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2.0)  # innovations, (users, F, n_r, n_t)
+    # the innovations (re + 1j im) / sqrt(2), written over the normals one
+    # subcarrier at a time, so no stack-sized temporary is built: numpy
+    # divides a complex by sqrt(2) as both parts times 1 / sqrt(2)
+    normals = normals.reshape(-1, F, 2 * width)
+    mats = normals.view(complex)
+    for f in range(F):
+        parts = normals[:, f] * (1.0 / np.sqrt(2.0))
+        mats[:, f].real, mats[:, f].imag = parts[:, :width], parts[:, width:]
+    mats = mats.reshape(-1, F, params.n_r, params.n_t)
     if F == 1:
         return mats[:, 0], mats
     scale = np.sqrt(max(0.0, 1.0 - rho * rho))
@@ -128,15 +136,16 @@ def draw_user_channel(params, F=1, rho=0.0, seed=None):
     return UserChannel(H=H[0], subcarriers=None if F == 1 else sub[0])
 
 
-def effective_channel(H, u):
+def effective_channel(H, u, out=None):
     """h_hat = H^H u, so that <u, H x> = <h_hat, x> for every x; stacks of
     matrices (..., n_r, n_t) and filters (..., n_r) broadcast, and every
-    row equals the product of its matrix and filter alone."""
+    row equals the product of its matrix and filter alone.  The rows go to
+    `out` (..., n_t) if given."""
     H = np.asarray(H, dtype=complex)
     u = np.asarray(u, dtype=complex)
     if H.ndim < 2 or u.shape[-1:] != H.shape[-2:-1]:
         raise ValueError(f"filter dim {u.shape} does not match n_r={H.shape[-2:-1]}")
-    return (np.conj(H).swapaxes(-1, -2) @ u[..., None])[..., 0]
+    return np.matmul(np.conj(H).swapaxes(-1, -2), u[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def _unit_rows(h_hat):
@@ -206,15 +215,23 @@ class EffectiveBlock:
         return _lambda_sq(self.gain, params)
 
 
-def effective_block(H, sub):
+def effective_block(H, sub, out=None):
     """The EffectiveBlock of users with averaged channels H (users, n_r,
     n_t) and subcarriers sub (users, F, n_r, n_t), as `draw_channel_stack`
-    returns them: every MRC filter from one stacked SVD, every effective
-    channel from one stacked product, norms and unit rows as array
-    arithmetic."""
+    returns them: every MRC filter from one stacked SVD, the effective
+    channels from one stacked product for the averaged channels and one
+    per subcarrier, norms and unit rows as array arithmetic.
+
+    The subcarriers' effective channels go to `out` (users, F, n_t), a new
+    array by default; `out=sub[:, :, 0]` writes each over the first row of
+    its matrix, a subcarrier at a time, so a caller that no longer needs
+    `sub` holds no second stack."""
     u = _mrc_filters(H)
     h_hat = effective_channel(H, u)
-    return EffectiveBlock(h_hat, *_unit_rows(h_hat), effective_channel(sub, u[:, None, :]))
+    sub_h_hat = np.empty((len(sub), sub.shape[1], sub.shape[-1]), dtype=complex) if out is None else out
+    for f in range(sub.shape[1]):  # a subcarrier at a time: no conjugate copy of the whole stack
+        effective_channel(sub[:, f], u, out=sub_h_hat[:, f])
+    return EffectiveBlock(h_hat, *_unit_rows(h_hat), sub_h_hat)
 
 
 def user_channels_block(channels):

@@ -20,6 +20,9 @@ from .numerics import sample_complex_gaussian_matrix
 
 UNIT_NORM_TOL = 1e-10
 FRAME_TOL = 1e-9
+# complex entries (2^B * n_t) of the largest random codebook `rvq_codebook`
+# draws, 256 MiB: a larger one is refused before anything is allocated
+RVQ_MAX_ENTRIES = 1 << 24
 
 
 class NotTightFrameError(ValueError):
@@ -112,6 +115,8 @@ def rvq_codebook(n_t, B, seed):
     """
     if B < 0:
         raise ValueError("B must be >= 0")
+    if B >= RVQ_MAX_ENTRIES.bit_length() or n_t << B > RVQ_MAX_ENTRIES:
+        raise ValueError(f"a 2^{B} x {n_t} codebook exceeds the {RVQ_MAX_ENTRIES}-entry cap of rvq_codebook")
     n = 2**B
     # one flat stream, real/imag interleaved per vector, so a longer codebook
     # from the same seed extends a shorter one instead of reshuffling it

@@ -43,6 +43,7 @@ from .feedback import (
     lemma1_feedback_block,
     ra_feedback_batch,
     raw_scale_sq,
+    scheduling_configs,
 )
 from .feedback import compute_feedback, feedback_vector, gap_sample_delta_ra  # noqa: F401  (perfbench/spans.py wraps these names)
 from .numerics import SeedSpec
@@ -267,8 +268,10 @@ class _Context:
 
     def effective(self, draws):
         """The EffectiveBlock of the channels of `draws`, rows laid out as
-        in `channel_stack`."""
-        return effective_block(*self.channel_stack(draws))
+        in `channel_stack`, its subcarrier channels written over the drawn
+        stack."""
+        H, sub = self.channel_stack(draws)
+        return effective_block(H, sub, out=sub[:, :, 0])
 
 
 def _init_worker(kind, cfg_dict):
@@ -288,18 +291,31 @@ def _feedback_strategy(kind, cfg):
     return cfg.strategy
 
 
-# (draw, SNR point, user) rows per block: run times of criterion 9's
-# configs level off from about 250 rows per block on (block-size sweep in
-# CHANGES.md); the ra-full gain search splits a block into chunks of its own
-_BLOCK_ROWS = 1 << 8
+# entries of the widest per-row array of a block: 2^16 is a 256-row block
+# at |V| = 256 (B = 8), as many rows as any block held under the earlier
+# fixed 256-row rule; narrower rows give more rows, so fixed per-block
+# costs are paid once per many draws (block-size sweep in CHANGES.md)
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _block_size(n_users, n_snr):
-    """Draws per block, at least 1, for draws of `n_users` users at `n_snr`
-    SNR points: as many as fill _BLOCK_ROWS (draw, SNR point, user) rows.
-    Every block builds its effective channels, feedback, schedules and
-    realized rates in one stacked pass each."""
-    return max(1, _BLOCK_ROWS // (n_users * n_snr))
+def _block_size(kind, ctx):
+    """Draws per block of the draws of `kind`, at least 1: as many as keep
+    the widest per-row array of a block within _BLOCK_ENTRIES entries over
+    its (draw, SNR point, user) rows.  A row is |V| wide in the feedback
+    and its pre-pass, F n_r n_t in the channel stack and F |configurations|
+    in the ra-full true rates.  With workers > 1 a block holds at most
+    ceil(num_draws / (2 workers)) draws, so every worker gets at least two
+    blocks.  Every block builds its effective channels, feedback,
+    schedules and realized rates in one stacked pass each."""
+    cfg = ctx.cfg
+    width = max(len(ctx.V), cfg.F * cfg.params.n_r * cfg.params.n_t)
+    if _feedback_strategy(kind, cfg) == "ra-full":
+        table = scheduling_configs(len(ctx.C), range(1, cfg.params.n_s + 1))[0]
+        width = max(width, cfg.F * len(table))
+    size = max(1, _BLOCK_ENTRIES // (cfg.num_users * len(cfg.snr_db_list) * width))
+    if cfg.workers > 1:
+        size = min(size, -(-cfg.num_draws // (2 * cfg.workers)))
+    return size
 
 
 def _map_draws(kind, ctx):
@@ -310,7 +326,7 @@ def _map_draws(kind, ctx):
     independent of the block it lands in and of the worker count.
     """
     cfg = ctx.cfg
-    size = _block_size(cfg.num_users, len(cfg.snr_db_list))
+    size = _block_size(kind, ctx)
     blocks = [range(lo, min(lo + size, cfg.num_draws)) for lo in range(0, cfg.num_draws, size)]
     if cfg.workers <= 1:
         per_block = [_BLOCK_FNS[kind](ctx, draws) for draws in blocks]
@@ -329,9 +345,12 @@ _SCHEDULERS = {"brute": schedule_bruteforce_block, "greedy": schedule_greedy_blo
 
 def _by_point(ctx, a):
     """A per-user block array (draws * users, ...) as one row of users per
-    (draw, SNR point), in that order: (draws * SNR points, users, ...)."""
+    (draw, SNR point), in that order: (draws * SNR points, users, ...); a
+    view of `a` at one SNR point, a copy at more."""
     a = a.reshape(-1, 1, ctx.cfg.num_users, *a.shape[1:])
-    return np.repeat(a, len(ctx.params_by_snr), axis=1).reshape(-1, *a.shape[2:])
+    if len(ctx.params_by_snr) > 1:
+        a = np.repeat(a, len(ctx.params_by_snr), axis=1)
+    return a.reshape(-1, *a.shape[2:])
 
 
 def _lambda_sq(ctx, block):

@@ -42,7 +42,10 @@ class PrecodedDecision:
 
 
 _BRUTE_TABLES = {}
-_BRUTE_BLOCK = 1 << 16  # (problem, subset, beam tuple) candidates evaluated per numpy block
+# (problem, subset, beam tuple) candidates evaluated per numpy block: at
+# 2^14 a pass's gain arrays stay in cache; at 2^16 a call on 409 problems
+# of the criterion-9 config took 28 us per problem against 18
+_BRUTE_BLOCK = 1 << 14
 
 
 def _brute_tables(n_users, n_beams, k):

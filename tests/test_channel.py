@@ -246,6 +246,11 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
         ]
     block = effective_block(np.array([uc.H for uc in chans]), np.array([uc.per_subcarrier() for uc in chans]))
     assert block.h_hat.shape == (len(chans), 4) and block.sub_h_hat.shape == (len(chans), F, 4)
+    # written over the stack's first rows, as the harness builds it, the
+    # subcarrier channels are the same bits
+    sub = np.array([uc.per_subcarrier() for uc in chans])
+    over = effective_block(np.array([uc.H for uc in chans]), sub, out=sub[:, :, 0])
+    assert np.shares_memory(over.sub_h_hat, sub) and over.sub_h_hat.tobytes() == block.sub_h_hat.tobytes()
     for snr_db in (-20.0, 0.0, 30.0, 60.0, 100.0):
         p = params.with_snr_db(snr_db)
         effs = [EffectiveChannel(*row) for row in zip(block.h_hat, block.lambda_sq(p).tolist(), block.h)]

@@ -56,6 +56,23 @@ def test_rvq_isotropy():
     assert np.mean(off) == pytest.approx(1.0 / n_t, abs=0.02)
 
 
+def test_rvq_refuses_an_oversized_codebook_before_drawing(monkeypatch):
+    # 2^40 x 4 entries would ask numpy for 64 TiB; the cap refuses it
+    # before any generator is made, so nothing is allocated
+    from ramimo.codebook import RVQ_MAX_ENTRIES
+
+    def no_draws(self):
+        raise AssertionError("rvq_codebook drew from a generator")
+
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    for n_t, B in ((4, 40), (1, 25), (4, 23), (2, 10**9)):
+        with pytest.raises(ValueError, match="cap of rvq_codebook"):
+            rvq_codebook(n_t, B, SeedSpec(1))
+    assert 4 << 22 == RVQ_MAX_ENTRIES
+    with pytest.raises(AssertionError, match="drew"):  # at the cap it draws
+        rvq_codebook(4, 22, SeedSpec(1))
+
+
 def test_frame_constant_onb():
     assert frame_constant(canonical_onb(3)) == pytest.approx(1.0, abs=1e-12)
     assert frame_constant(dft_codebook(4)) == pytest.approx(1.0, abs=1e-9)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_draw_channels
-from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel
+from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel, user_channels_block
 from ramimo.cli import main as cli_main
 from ramimo.feedback import compute_feedback
 from ramimo.harness import (
@@ -229,11 +229,12 @@ def test_sum_rate_worker_count_invariance(tmp_path):
 
 def test_worker_pool_sized_to_the_blocks(monkeypatch):
     # the pool opens no more processes than there are blocks; a fake
-    # executor records the size and maps in this process, so no process
-    # starts, and the results and metadata.workers stay as requested
+    # executor records the size and the blocks and maps in this process,
+    # so no process starts, and the results and metadata.workers stay as
+    # requested
     import ramimo.harness as harness
 
-    sizes = []
+    sizes, blocks = [], []
 
     class SerialExecutor:
         def __init__(self, max_workers, initializer, initargs):
@@ -247,20 +248,30 @@ def test_worker_pool_sized_to_the_blocks(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            blocks.append([len(draws) for draws in items])
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(harness, "_WORKER_CTX", {})
     serial = run_sum_rate_experiment(_cfg(num_draws=1))
     one_block = run_sum_rate_experiment(_cfg(num_draws=1, workers=64))
-    assert sizes == [1] and one_block.metadata["workers"] == 64
+    assert sizes == [1] and blocks == [[1]] and one_block.metadata["workers"] == 64
     assert one_block.draws == serial.draws and one_block.tables == serial.tables
-    monkeypatch.setattr(harness, "_block_size", lambda n_users, n_snr: 10)
+    # with workers > 1 a block holds at most ceil(num_draws / (2 workers))
+    # of the 30 draws, so every worker gets at least two blocks
+    serial = run_sum_rate_experiment(_cfg())
+    for workers, expected, lengths in ((2, 2, [8, 8, 8, 6]), (4, 4, [4] * 7 + [2]), (64, 30, [1] * 30)):
+        sizes.clear()
+        blocks.clear()
+        result = run_sum_rate_experiment(_cfg(workers=workers))
+        assert sizes == [expected] and blocks == [lengths] and result.metadata["workers"] == workers
+        assert result.draws == serial.draws
+    monkeypatch.setattr(harness, "_block_size", lambda kind, ctx: 10)
     for workers, expected in ((64, 3), (2, 2)):
         sizes.clear()
         result = run_sum_rate_experiment(_cfg(workers=workers))
         assert sizes == [expected] and result.metadata["workers"] == workers
-        assert result.draws == run_sum_rate_experiment(_cfg()).draws
+        assert result.draws == serial.draws
 
 
 def test_sum_rate_draws_independent_of_block_size(monkeypatch):
@@ -322,7 +333,7 @@ def test_sum_rate_draws_independent_of_block_size(monkeypatch):
     for cfg in configs:
         draws = []
         for size in (1, 3, 16, None):
-            monkeypatch.setattr(harness, "_block_size", default if size is None else lambda n_users, n_snr, n=size: n)
+            monkeypatch.setattr(harness, "_block_size", default if size is None else lambda kind, ctx, n=size: n)
             draws.append(run_sum_rate_experiment(cfg).draws)
         assert draws[0] == draws[1] == draws[2] == draws[3]
         runs.append(draws[0])
@@ -368,13 +379,13 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
             "master_seed": 41,
         }
     )
-    assert default(base.num_users, len(base.snr_db_list)) >= 7
+    assert default("delta-ra", harness._Context(base)) >= 7
     for strategy in ("chordal", "ra-full", "ra-efficient", "lemma1"):
         for F in (1, 4):
             cfg = base.replace(strategy=strategy, F=F)
             runs = []
             for size in (1, 3, None):
-                monkeypatch.setattr(harness, "_block_size", default if size is None else lambda n_users, n_snr, n=size: n)
+                monkeypatch.setattr(harness, "_block_size", default if size is None else lambda kind, ctx, n=size: n)
                 result = run_delta_ra_experiment(cfg)
                 runs.append((result.draws, result.tables))
             assert runs[0] == runs[1] == runs[2]
@@ -386,6 +397,7 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
             cdi, cqi, _ = harness._block_feedback(ctx, strategy, block, ctx.params_by_snr * 3)
             H, sub = ctx.channel_stack(range(3))
             chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
+            assert block.sub_h_hat.tobytes() == user_channels_block(chans).sub_h_hat.tobytes()
             expected = [(chans[3 * d + m], p) for d in range(3) for p in ctx.params_by_snr for m in range(3)]
             assert h_hat.shape == h.shape == (3 * 3, 3, 3) and lam.shape == cdi.shape == cqi.shape == (3 * 3, 3)
             rows = zip(h_hat.reshape(-1, 3), h.reshape(-1, 3), lam.ravel().tolist(), cdi.ravel().tolist(), cqi.ravel().tolist())
@@ -429,26 +441,26 @@ def test_draws_independent_of_gain_search_groups(monkeypatch):
     ra = {"strategy": "ra-full", "scheduler": "brute", "B": 4, "feedback_codebook": {"kind": "rvq-union-tx"}}
     delta = _cfg(system={"n_t": 3, "n_r": 1, "n_s": 3}, snr_db_list=[0.0, 60.0, 100.0], master_seed=43, **ra)
     sum_rate = _cfg(system={"n_t": 4, "n_r": 1, "n_s": 2}, num_users=10, num_draws=27, **ra)
-    for cfg, run in ((delta, run_delta_ra_experiment), (sum_rate, run_sum_rate_experiment)):
-        assert cfg.num_draws > default(cfg.num_users, len(cfg.snr_db_list))
+    for cfg, run, kind in ((delta, run_delta_ra_experiment, "delta-ra"), (sum_rate, run_sum_rate_experiment, "sum-rate")):
+        assert cfg.num_draws <= default(kind, harness._Context(cfg))  # the default runs one block
         results = []
         for n in (1, 3, None):
-            monkeypatch.setattr(harness, "_block_size", default if n is None else lambda n_users, n_snr, n=n: n)
+            monkeypatch.setattr(harness, "_block_size", default if n is None else lambda kind, ctx, n=n: n)
             with monkeypatch.context() as mp:
                 searches = _count_searches(mp)
                 result = run(cfg)
             results.append((result.draws, result.tables))
-        assert searches[0] >= 3  # the first full-size block
+        assert searches[0] >= 3  # the default block
         assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("elements", [None, 1 << 10])
 def test_gain_search_passes_stay_within_the_memory_cap(monkeypatch, elements):
-    # at the benchmark's delta-ra and ra-full configs no excess pass of the
-    # gain search sees more than _BATCH_ELEMENTS (column, configuration)
-    # entries, and at the default cap one search covers a whole block,
-    # which makes at most 7 excess passes: the pre-pass's upper bound,
-    # x = 0 and at most 5 root rounds
+    # at the benchmark's delta-ra and ra-full configs, each run one block,
+    # no excess pass of the gain search sees more than _BATCH_ELEMENTS
+    # (column, configuration) entries, and at the default cap one search
+    # covers the whole block, which makes at most 7 excess passes: the
+    # pre-pass's upper bound, x = 0 and at most 5 root rounds
     import ramimo.feedback as fb
 
     if elements is not None:
@@ -477,9 +489,9 @@ def test_gain_search_passes_stay_within_the_memory_cap(monkeypatch, elements):
         searches.clear()
         passes.clear()
         run(cfg)
-        assert len(searches) == len(passes) == 2 and entries and max(entries) <= fb._BATCH_ELEMENTS
+        assert len(searches) == len(passes) == 1 and entries and max(entries) <= fb._BATCH_ELEMENTS
         if elements is None:
-            assert searches == [1, 1]
+            assert searches == [1]
             assert max(passes) <= 7
         else:
             assert min(searches) >= 2
@@ -524,7 +536,7 @@ def test_harness_hands_arrays_between_stages(monkeypatch):
 
 
 def test_block_size_rule():
-    from ramimo.harness import _BLOCK_ROWS, _block_size
+    from ramimo.harness import _BLOCK_ENTRIES, _block_size, _Context
 
     criterion_9 = SimConfig.from_dict(
         {
@@ -548,16 +560,40 @@ def test_block_size_rule():
             "feedback_codebook": {"kind": "rvq-union-tx"},
         }
     )
+    deltara_sweep = criterion_7.replace(snr_db_list=[0.0, 20.0, 40.0, 60.0, 80.0, 100.0])
+    zf_ofdm = criterion_9.replace(strategy="chordal", precoder="zf", snr_db_list=[30.0], F=8, rho=0.95)
+
+    def size(kind, cfg, **kw):
+        return _block_size(kind, _Context(cfg.replace(**kw)))
+
     # one rule for every experiment, strategy, scheduler and precoder:
-    # _BLOCK_ROWS (draw, SNR point, user) rows, at least one draw
-    assert _block_size(criterion_9.num_users, len(criterion_9.snr_db_list)) == 25
-    assert _block_size(criterion_7.num_users, len(criterion_7.snr_db_list)) == 17
-    assert _block_size(3, 6) == 14  # the benchmark's delta-ra sweep
-    for cfg in (criterion_9, criterion_7):
-        for kw in ({}, {"num_users": 1}, {"num_users": 500}, {"snr_db_list": [float(s) for s in range(300)]}):
-            n_users, n_snr = cfg.replace(**kw).num_users, len(cfg.replace(**kw).snr_db_list)
-            assert _block_size(n_users, n_snr) == max(1, _BLOCK_ROWS // (n_users * n_snr))
-    assert _block_size(500, 1) == _block_size(3, 300) == 1
+    # _BLOCK_ENTRIES entries of the widest per-row array over the block's
+    # (draw, SNR point, user) rows, at least one draw
+    assert _BLOCK_ENTRIES == 1 << 16
+    assert size("sum-rate", criterion_9) == 409  # |V| = |configurations| = 16: 4,090 rows
+    assert size("delta-ra", criterion_7) == 68  # |V| = 64: 1,020 rows
+    assert size("delta-ra", deltara_sweep) == 56  # 1,008 rows
+    assert size("sum-rate", zf_ofdm) == 204  # F n_r n_t = 32: 2,040 rows
+    # every benchmark call is one block
+    assert (size("sum-rate", criterion_9), size("sum-rate", zf_ofdm), size("delta-ra", deltara_sweep)) >= (50, 150, 25)
+    # |V| = 256 (B = 8) keeps 256 rows
+    assert size("delta-ra", criterion_7, B=8) == 256 // 15
+    assert size("sum-rate", criterion_9, B=8) == 256 // 10
+    # F = 8 zf on two receive antennas: F n_r n_t = 64
+    assert size("sum-rate", zf_ofdm, system={"n_r": 2}) == 102
+    # ra-full true rates over F = 4 subcarriers: F |configurations| = 64,
+    # a width chordal feedback does not hold
+    assert size("sum-rate", criterion_9, F=4) == 102
+    assert size("sum-rate", criterion_9, F=4, strategy="chordal") == 409
+    # delta-ra under perfect CSIT runs ra-full feedback; sum-rate runs none
+    assert size("delta-ra", criterion_9, strategy="perfect", F=8) == 51
+    assert size("sum-rate", criterion_9, strategy="perfect", F=8) == 204
+    # with workers > 1 at most ceil(num_draws / (2 workers)) draws
+    assert size("sum-rate", criterion_9, workers=2, num_draws=1000) == 250
+    assert size("sum-rate", criterion_9, workers=3, num_draws=5000) == 409
+    assert size("sum-rate", criterion_9, workers=64, num_draws=7) == 1
+    assert size("sum-rate", criterion_9, num_users=500) == 8
+    assert size("delta-ra", criterion_7, B=8, snr_db_list=[float(s) for s in range(300)]) == 1
 
 
 def test_perfect_dominates_partial():
@@ -742,6 +778,26 @@ def test_cli_simulate_and_codebook(tmp_path):
     cb_path = tmp_path / "cb.txt"
     assert cli_main(["codebook", "gen", str(cb_path), "--kind", "dft", "--dim", "4"]) == 0
     assert cli_main(["codebook", "check", str(cb_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["codebook", "simulate"])
+def test_cli_rejects_an_oversized_codebook(tmp_path, capsys, monkeypatch, command):
+    # B = 40 is a usage error, exit status 2 and no output, before any
+    # generator is made: nothing is allocated
+    def no_draws(self):
+        raise AssertionError("a generator was made")
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_cfg(num_draws=5).to_dict(), "B": 40}))
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    out = tmp_path / "out"
+    if command == "codebook":
+        rc = cli_main(["codebook", "gen", str(out), "--kind", "rvq", "--bits", "40"])
+    else:
+        rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert "error: a 2^40 x " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bounds_and_quantizer(tmp_path):
