@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .feedback import beam_powers, cross_gram
+from .feedback import beam_powers, cross_gram, direction_errors
 from .numerics import abs_sq, row_norms
 
 # Tightest known covering densities Theta(B_2^d) for low dimensions
@@ -220,7 +220,7 @@ def empirical_D_block(B, n_t, C, feedback_family, params_list, samples, seeds):
         lam_tilde = lam_sq / (1.0 + lam_sq)
         psi = beam_powers(h_hat / np.sqrt(gain_sq)[:, None], C)
         weighted = _min_weighted_gaps(psi, phi, lam_tilde)
-        direction = np.max(np.abs(psi[:, None, :] - phi[None, :, :]), axis=2).min(axis=1)
+        direction = direction_errors(psi, phi).min(axis=1)
         for k, w, lt, dr in zip(point.tolist(), weighted.tolist(), lam_tilde.tolist(), direction.tolist()):
             d_sum[k] += w / (1.0 - lt)
             dhat_sum[k] += dr

@@ -88,18 +88,31 @@ class EffectiveChannel:
     h: np.ndarray
 
 
-def draw_channel_stack(params, F, rho, seeds, n_users):
-    """Draw the Rayleigh channels of `n_users` users from each of the S
-    SeedSpecs in `seeds`, each over F correlated subcarriers, as arrays: the
-    averaged channels (S * n_users, n_r, n_t) and the subcarriers
-    (S * n_users, F, n_r, n_t), row s * n_users + m being user m of seeds[s].
+# numpy's PCG64.jumped step, (sqrt(5) - 1) / 2 * 2^128 rounded to odd:
+# advancing a stream by d * _JUMP is its jumped(d)
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def draw_channel_stack(params, F, rho, family, draws, n_users):
+    """Draw the Rayleigh channels of `n_users` users for each index d of
+    `draws`, each over F correlated subcarriers, as arrays: the averaged
+    channels (rows, n_r, n_t) and the subcarriers (rows, F, n_r, n_t), rows
+    = len(draws) * n_users, row k * n_users + m being user m of draws[k].
+
+    Draw d's users come from the generator of the SeedSpec `family` jumped
+    d times (numpy's PCG64.jumped(d)), so draw 0 is family.generator()
+    itself and no two draws share a stream.  One PCG64 serves the call: it
+    is reset to the family's state and advanced d jumps for each draw.
+    Each draw makes one standard_normal call, laid out user by user, then
+    subcarrier, real/imaginary part, n_r and n_t, so user m's channel
+    depends neither on n_users nor on the other draws of the call.
 
     Subcarriers follow H_{f+1} = rho * H_f + sqrt(1 - rho^2) * W_{f+1} with
     i.i.d. CN(0,1) innovations, so each subcarrier is marginally CN(0,1)
-    and neighbors have correlation coefficient rho.  Each seed's generator
-    makes one standard_normal call, laid out user by user, then subcarrier,
-    real/imaginary part, n_r and n_t, so user m's channel does not depend on
-    n_users.  The chain runs across all users at once; with F = 1 the
+    and neighbors have correlation coefficient rho.  The stack is built
+    subcarrier-major, (F, rows, n_r, n_t), so every pass of the chain and
+    the average runs over one contiguous slab of all rows; the subcarriers
+    are returned as a (rows, F, n_r, n_t) view of it.  With F = 1 the
     average is the one subcarrier.
     """
     if F < 1:
@@ -108,31 +121,34 @@ def draw_channel_stack(params, F, rho, seeds, n_users):
         raise ValueError("rho must be in [0, 1]")
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    width = params.n_r * params.n_t
-    normals = np.empty((len(seeds), n_users * F * 2 * width))
-    for row, seed in zip(normals, seeds):
-        seed.generator().standard_normal(out=row)
-    # the innovations (re + 1j im) / sqrt(2), written over the normals one
-    # subcarrier at a time, so no stack-sized temporary is built: numpy
-    # divides a complex by sqrt(2) as both parts times 1 / sqrt(2)
-    normals = normals.reshape(-1, F, 2 * width)
-    mats = normals.view(complex)
-    for f in range(F):
-        parts = normals[:, f] * (1.0 / np.sqrt(2.0))
-        mats[:, f].real, mats[:, f].imag = parts[:, :width], parts[:, width:]
-    mats = mats.reshape(-1, F, params.n_r, params.n_t)
+    rows, width = len(draws) * n_users, params.n_r * params.n_t
+    normals = np.empty((len(draws), n_users * F * 2 * width))
+    rng = family.generator()
+    bits = rng.bit_generator
+    start = bits.state
+    for row, d in zip(normals, draws):
+        bits.state = start
+        bits.advance(int(d) * _JUMP)
+        rng.standard_normal(out=row)
+    # numpy divides a complex by sqrt(2) as both parts times 1 / sqrt(2)
+    parts = normals.reshape(rows, F, 2, width).transpose(2, 1, 0, 3)  # (real/imaginary, F, rows, width)
+    mats = np.empty((F, rows, params.n_r, params.n_t), dtype=complex)
+    flat = mats.reshape(F, rows, width)
+    np.multiply(parts[0], 1.0 / np.sqrt(2.0), out=flat.real)
+    np.multiply(parts[1], 1.0 / np.sqrt(2.0), out=flat.imag)
+    sub = mats.transpose(1, 0, 2, 3)
     if F == 1:
-        return mats[:, 0], mats
+        return mats[0], sub
     scale = np.sqrt(max(0.0, 1.0 - rho * rho))
     for f in range(1, F):  # the chain overwrites the innovations in subcarrier order
-        mats[:, f] = rho * mats[:, f - 1] + scale * mats[:, f]
-    return mats.mean(axis=1), mats
+        mats[f] = rho * mats[f - 1] + scale * mats[f]
+    return mats.mean(axis=0), sub
 
 
 def draw_user_channel(params, F=1, rho=0.0, seed=None):
-    """Draw one user's Rayleigh channel: `draw_channel_stack` for one seed
-    and one user."""
-    H, sub = draw_channel_stack(params, F, rho, [seed], 1)
+    """Draw one user's Rayleigh channel from seed.generator(): draw 0 of
+    `draw_channel_stack` with one user."""
+    H, sub = draw_channel_stack(params, F, rho, seed, [0], 1)
     return UserChannel(H=H[0], subcarriers=None if F == 1 else sub[0])
 
 

@@ -364,6 +364,17 @@ def _ra_messages(r_true, noise, scale2, phi, table):
     return idx, np.exp(0.5 * x[rows, idx]), gap[rows, idx]
 
 
+def direction_errors(psi, phi):
+    """max_w |psi_w - phi_nu,w| of every row psi (rows, |C|) against every
+    codeword row of phi (|V|, |C|), shape (rows, |V|): a running maximum
+    over the |C| beams on 2-D arrays, the same bits as a max over a beam
+    axis, since max is exact."""
+    d = np.abs(psi[:, :1] - phi[:, 0])
+    for w in range(1, psi.shape[1]):
+        np.maximum(d, np.abs(psi[:, w : w + 1] - phi[:, w]), out=d)
+    return d
+
+
 def efficient_feedback_block(h, lambda_sq, C, V, phi_table=None):
     """Low-complexity rate-approximation surrogate for every row of a stack
     of unit directions h (rows, n_t) with their lambda^2: the CDI, CQI and
@@ -378,7 +389,7 @@ def efficient_feedback_block(h, lambda_sq, C, V, phi_table=None):
     if len(V) == 0 or len(C) == 0:
         raise ValueError("empty codebook")
     phi = cross_gram(V, C) if phi_table is None else phi_table
-    d = np.max(np.abs(beam_powers(h, C)[:, None, :] - phi), axis=2)
+    d = direction_errors(beam_powers(h, C), phi)
     idx = np.argmin(d, axis=1)
     return idx, _cqi(np.asarray(lambda_sq), h, V.vectors[idx]), d[np.arange(len(d)), idx]
 

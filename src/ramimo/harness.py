@@ -1,9 +1,10 @@
 """Monte Carlo experiment engine, configuration, and result persistence.
 
 Experiments are pure functions of (config, master_seed): the channels of
-all users of a draw come from one generator derived from (master_seed,
-draw index), and reductions run in draw order, so outputs are
-byte-identical across reruns, block sizes and worker counts.
+all users of draw d come from one generator, the PCG64 stream of
+SeedSpec(master_seed).derive("chan") jumped d times, and reductions run in
+draw order, so outputs are byte-identical across reruns, block sizes and
+worker counts.
 """
 
 import csv
@@ -259,12 +260,12 @@ class _Context:
     def channel_stack(self, draws):
         """The averaged channels (rows, n_r, n_t) and subcarriers (rows, F,
         n_r, n_t) of every user of each draw index in `draws`, all drawn in
-        one `draw_channel_stack` call: row d * num_users + m is user m of
-        the d-th draw, whose users all come from the generator of
-        SeedSpec(master_seed).derive("chan", draws[d])."""
+        one `draw_channel_stack` call: row k * num_users + m is user m of
+        draw draws[k], whose users all come from the "chan" stream family
+        SeedSpec(master_seed).derive("chan") jumped draws[k] times."""
         cfg = self.cfg
-        seeds = [SeedSpec(cfg.master_seed).derive("chan", i) for i in draws]
-        return draw_channel_stack(cfg.params, cfg.F, cfg.rho, seeds, cfg.num_users)
+        family = SeedSpec(cfg.master_seed).derive("chan")
+        return draw_channel_stack(cfg.params, cfg.F, cfg.rho, family, draws, cfg.num_users)
 
     def effective(self, draws):
         """The EffectiveBlock of the channels of `draws`, rows laid out as

@@ -47,13 +47,21 @@ def single_user_minimax(r_single, kappa, phi, points=1 << 14):
     return out, 0.5 * (x[1] - x[0])
 
 
-def reference_draw_channels(params, F, rho, seed, n_users):
-    """(H, subcarriers) of each of n_users users drawn from one generator,
-    written without the block sampler: one standard_normal call sliced user
-    by user, then subcarrier, real/imaginary part, n_r and n_t, and the
-    Gauss-Markov chain run subcarrier by subcarrier for each user alone."""
+def jumped_generator(family, d):
+    """Draw d's generator of the SeedSpec stream `family`, built with
+    numpy's public API alone: the family's PCG64 jumped d times."""
+    seq = np.random.SeedSequence(family.master_seed, spawn_key=family.stream)
+    return np.random.Generator(np.random.PCG64(seq).jumped(d))
+
+
+def reference_draw_channels(params, F, rho, rng, n_users):
+    """(H, subcarriers) of each of n_users users drawn from the generator
+    `rng`, written without the block sampler: one standard_normal call
+    sliced user by user, then subcarrier, real/imaginary part, n_r and n_t,
+    and the Gauss-Markov chain run subcarrier by subcarrier for each user
+    alone."""
     size = F * 2 * params.n_r * params.n_t
-    normals = seed.generator().standard_normal(n_users * size)
+    normals = rng.standard_normal(n_users * size)
     scale = np.sqrt(max(0.0, 1.0 - rho * rho))
     out = []
     for m in range(n_users):

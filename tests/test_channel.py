@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import reference_draw_channels
+from oracles import jumped_generator, reference_draw_channels
 from ramimo.channel import (
     EffectiveChannel,
     SystemParams,
@@ -39,44 +39,88 @@ def test_draw_single_subcarrier():
 @pytest.mark.parametrize("n_r", [1, 2])
 @pytest.mark.parametrize("rho", [0.0, 0.95, 1.0])
 def test_draw_channels_match_per_user_draws(F, n_r, rho):
-    # a block of draws equals, user by user, the one-generator-per-draw
-    # reference, bit for bit, and a draw's user 0 is the one-user draw
+    # a block of draws equals, user by user, the reference drawn from the
+    # family's PCG64 jumped d times, bit for bit, and a draw's user 0 is
+    # the one-user draw
     params = SystemParams(n_t=4, n_r=n_r, n_s=2)
-    seeds = [SeedSpec(2**32 + 17).derive("chan", i) for i in (0, 2**32 + 3)]
-    H, sub = draw_channel_stack(params, F, rho, seeds, 5)
-    assert H.shape == (len(seeds) * 5, n_r, 4) and sub.shape == (len(seeds) * 5, F, n_r, 4)
-    for s, seed in enumerate(seeds):
-        for m, (ref_H, ref_sub) in enumerate(reference_draw_channels(params, F, rho, seed, 5)):
-            assert H[s * 5 + m].tobytes() == ref_H.tobytes()
-            assert sub[s * 5 + m].tobytes() == ref_sub.tobytes()
-        other = draw_user_channel(params, F, rho, seed)
-        assert H[s * 5].tobytes() == other.H.tobytes()
-        assert sub[s * 5].tobytes() == other.per_subcarrier().tobytes()
-        assert (other.subcarriers is None) == (F == 1)
+    family = SeedSpec(2**32 + 17).derive("chan")
+    draws = (0, 2**32 + 3)
+    H, sub = draw_channel_stack(params, F, rho, family, draws, 5)
+    assert H.shape == (len(draws) * 5, n_r, 4) and sub.shape == (len(draws) * 5, F, n_r, 4)
+    for k, d in enumerate(draws):
+        for m, (ref_H, ref_sub) in enumerate(reference_draw_channels(params, F, rho, jumped_generator(family, d), 5)):
+            assert H[k * 5 + m].tobytes() == ref_H.tobytes()
+            assert sub[k * 5 + m].tobytes() == ref_sub.tobytes()
+        H_one, sub_one = draw_channel_stack(params, F, rho, family, [d], 1)
+        assert H[k * 5].tobytes() == H_one.tobytes()
+        assert sub[k * 5].tobytes() == sub_one.tobytes()
+    other = draw_user_channel(params, F, rho, family)
+    assert H[0].tobytes() == other.H.tobytes()
+    assert sub[0].tobytes() == other.per_subcarrier().tobytes()
+    assert (other.subcarriers is None) == (F == 1)
+
+
+@pytest.mark.parametrize("F", [1, 8])
+@pytest.mark.parametrize("n_r", [1, 2])
+def test_draw_rows_do_not_depend_on_the_other_draws(F, n_r):
+    # a draw's rows are the same bits whatever other draws share the call:
+    # out of order, repeated, or alone
+    params = SystemParams(n_t=4, n_r=n_r, n_s=2)
+    family = SeedSpec(91).derive("chan")
+    alone = {d: draw_channel_stack(params, F, 0.9, family, [d], 3) for d in (0, 1, 5, 149)}
+    for draws in ([149, 0, 5, 1], [5, 5, 0, 5], [1], [0, 1, 5, 149]):
+        H, sub = draw_channel_stack(params, F, 0.9, family, draws, 3)
+        for k, d in enumerate(draws):
+            assert H[3 * k : 3 * k + 3].tobytes() == alone[d][0].tobytes()
+            assert sub[3 * k : 3 * k + 3].tobytes() == alone[d][1].tobytes()
+
+
+def test_draws_two_to_the_32_apart_differ():
+    # the draw index is not reduced to 32 bits: draws d and d + 2^32 come
+    # from different streams, each its own jump of the family
+    params = SystemParams(n_t=4, n_r=1, n_s=2)
+    family = SeedSpec(5).derive("chan")
+    for d in (0, 1, 7):
+        H, _ = draw_channel_stack(params, 1, 0.0, family, [d, d + 2**32], 2)
+        assert not np.any(H[:2] == H[2:])
+        ref = reference_draw_channels(params, 1, 0.0, jumped_generator(family, d + 2**32), 2)
+        assert H[2:].tobytes() == np.array([ref_H for ref_H, _ in ref]).tobytes()
+
+
+@pytest.mark.parametrize("F", [1, 6])
+@pytest.mark.parametrize("n_r", [1, 2])
+def test_user_channel_draws_from_the_seed_generator(F, n_r):
+    # the one-user draw of a SeedSpec is drawn from seed.generator() itself
+    params = SystemParams(n_t=4, n_r=n_r, n_s=2)
+    seed = SeedSpec(12).derive("c", 3)
+    uc = draw_user_channel(params, F, 0.7, seed)
+    [(ref_H, ref_sub)] = reference_draw_channels(params, F, 0.7, seed.generator(), 1)
+    assert uc.H.tobytes() == ref_H.tobytes()
+    assert uc.per_subcarrier().tobytes() == ref_sub.tobytes()
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.95, 1.0])
 def test_draw_first_subcarrier_is_flat_draw(rho):
-    # with one user per seed, subcarrier 0 of an F = 8 draw is the F = 1
-    # draw of the same seed, bit for bit (users after the first start
+    # with one user per draw, subcarrier 0 of an F = 8 draw is the F = 1
+    # draw of the same index, bit for bit (users after the first start
     # further along their draw's stream when F > 1)
     params = SystemParams(n_t=4, n_r=2, n_s=2)
-    seeds = [SeedSpec(77).derive("chan", i, m) for i in range(3) for m in range(4)]
-    H_flat, _ = draw_channel_stack(params, 1, rho, seeds, 1)
-    _, sub = draw_channel_stack(params, 8, rho, seeds, 1)
+    family = SeedSpec(77).derive("chan")
+    H_flat, _ = draw_channel_stack(params, 1, rho, family, range(12), 1)
+    _, sub = draw_channel_stack(params, 8, rho, family, range(12), 1)
     assert sub[:, 0].tobytes() == H_flat.tobytes()
 
 
 def test_draw_channels_validation():
     params = SystemParams(n_t=2)
-    H, sub = draw_channel_stack(params, 2, 0.5, [], 3)
+    H, sub = draw_channel_stack(params, 2, 0.5, SeedSpec(1), [], 3)
     assert H.shape == (0, 1, 2) and sub.shape == (0, 2, 1, 2)
     with pytest.raises(ValueError):
-        draw_channel_stack(params, 0, 0.5, [SeedSpec(1)], 1)
+        draw_channel_stack(params, 0, 0.5, SeedSpec(1), [0], 1)
     with pytest.raises(ValueError):
-        draw_channel_stack(params, 1, 1.5, [SeedSpec(1)], 1)
+        draw_channel_stack(params, 1, 1.5, SeedSpec(1), [0], 1)
     with pytest.raises(ValueError):
-        draw_channel_stack(params, 1, 0.5, [SeedSpec(1)], 0)
+        draw_channel_stack(params, 1, 0.5, SeedSpec(1), [0], 0)
 
 
 def test_draw_rho_one_identical_subcarriers():
@@ -89,8 +133,7 @@ def _subcarrier_stats(rho, master_seed):
     """Per-subcarrier mean power (F,) and neighbour correlation E[H_f
     conj(H_{f+1})] / E|H_f|^2 of every pair (f, f+1) and every antenna
     entry (F - 1, n_r, n_t), over 10,000 users at F = 8."""
-    seeds = [SeedSpec(master_seed).derive("c", i) for i in range(10_000)]
-    _, sub = draw_channel_stack(P2, 8, rho, seeds, 1)
+    _, sub = draw_channel_stack(P2, 8, rho, SeedSpec(master_seed).derive("c"), range(10_000), 1)
     power = np.mean(np.abs(sub) ** 2, axis=0)
     corr = np.mean(sub[:, :-1] * np.conj(sub[:, 1:]), axis=0) / power[:-1]
     return power.mean(axis=(1, 2)), corr
@@ -232,7 +275,7 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
     # per-user computation: the filter of the averaged channel applied to
     # it and to every subcarrier
     params = SystemParams(n_t=4, n_r=n_r, n_s=2)
-    H, sub = draw_channel_stack(params, F, 0.7, [SeedSpec(29).derive(n_r, F, i) for i in range(1000)], 1)
+    H, sub = draw_channel_stack(params, F, 0.7, SeedSpec(29).derive(n_r, F), range(1000), 1)
     chans = [UserChannel(H=h, subcarriers=None if F == 1 else s) for h, s in zip(H, sub)]
     zero = np.zeros((n_r, 4), dtype=complex)
     rank_one = np.outer(np.arange(1.0, n_r + 1), [1.0, 2.0j, 0.0, -3.0 + 1.0j])

@@ -183,7 +183,7 @@ def test_efficient_and_lemma1_blocks_match_per_row_oracles(n_t, B, unitary):
     effs = []
     for n_r in (1, 2):
         params = SystemParams(n_t=n_t, n_r=n_r, n_s=min(2, n_t))
-        H, sub = draw_channel_stack(params, 1, 0.0, [SeedSpec(82).derive(n_t, n_r, i) for i in range(2800)], 1)
+        H, sub = draw_channel_stack(params, 1, 0.0, SeedSpec(82).derive(n_t, n_r), range(2800), 1)
         for i, h_hat in enumerate(effective_block(H, sub).h_hat):
             h_hat = np.zeros(n_t, dtype=complex) if i % 97 == 0 else h_hat
             effs.append(effective_channel_state(h_hat, params.with_snr_db(10.0 * (i % 11))))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import reference_draw_channels
+from oracles import jumped_generator, reference_draw_channels
 from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel, user_channels_block
 from ramimo.cli import main as cli_main
 from ramimo.feedback import compute_feedback
@@ -909,12 +909,13 @@ def test_context_channels_of_first_users_do_not_depend_on_user_count(F, n_r):
 
 def test_context_channels_use_derived_streams():
     # a block's channels are, draw by draw, the users drawn in order from
-    # the generator of SeedSpec(master_seed).derive("chan", draw)
+    # the "chan" family SeedSpec(master_seed).derive("chan") jumped draw times
     cfg = _cfg(num_users=3, F=4, rho=0.9, master_seed=2**33 + 5)
     draws = [0, 7, 2**32 + 1]
     H, sub = _Context(cfg).channel_stack(draws)
+    family = SeedSpec(cfg.master_seed).derive("chan")
     for d, i in enumerate(draws):
-        ref = reference_draw_channels(cfg.params, cfg.F, cfg.rho, SeedSpec(cfg.master_seed).derive("chan", i), cfg.num_users)
+        ref = reference_draw_channels(cfg.params, cfg.F, cfg.rho, jumped_generator(family, i), cfg.num_users)
         for m, (ref_H, ref_sub) in enumerate(ref):
             assert sub[d * cfg.num_users + m].tobytes() == ref_sub.tobytes()
             assert H[d * cfg.num_users + m].tobytes() == ref_H.tobytes()

@@ -786,7 +786,7 @@ def test_realize_block_matches_scalar_oracle(F, n_r):
     params = SystemParams(n_t=4, n_r=n_r, n_s=3)
     C = rvq_codebook(4, 3, SeedSpec(44))
     n_draws, n_users = 1500 // F + 40, 6
-    H, sub = draw_channel_stack(params, F, 0.8, [SeedSpec(45).derive(F, i) for i in range(n_draws)], n_users)
+    H, sub = draw_channel_stack(params, F, 0.8, SeedSpec(45).derive(F), range(n_draws), n_users)
     chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
     block = effective_block(H, sub)
     subs = block.sub_h_hat.reshape(n_draws, n_users, F, 4)
