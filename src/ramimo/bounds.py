@@ -185,11 +185,11 @@ def empirical_D(B, n_t, C, feedback_family, params, samples, seed):
     n_t standard normals of seed.generator(), drawn sample after sample;
     this is the one-point case of `empirical_D_block`.
     """
-    return empirical_D_block(B, n_t, C, feedback_family, [params], samples, [seed])[0]
+    return empirical_D_block(B, n_t, C, feedback_family, [params.P], samples, [seed])[0]
 
 
-def empirical_D_block(B, n_t, C, feedback_family, params_list, samples, seeds):
-    """`empirical_D` of every point (params_list[k], seeds[k]), as a list of
+def empirical_D_block(B, n_t, C, feedback_family, P, samples, seeds):
+    """`empirical_D` of every point (power P[k], seeds[k]), as a list of
     (D_est, D_hat_est), each equal to its one-point call bit for bit.
 
     Point k's samples come in order from one generator, seeds[k].generator().
@@ -201,12 +201,12 @@ def empirical_D_block(B, n_t, C, feedback_family, params_list, samples, seeds):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if len(params_list) != len(seeds):
-        raise ValueError("params_list and seeds must have one entry per point")
+    if len(P) != len(seeds):
+        raise ValueError("P and seeds must have one entry per point")
     V = feedback_family(B) if callable(feedback_family) else feedback_family
     phi = cross_gram(V, C)
     gens = [s.generator() for s in seeds]
-    scale = np.array([[p.P, p.n_t] for p in params_list], dtype=float)  # lam_sq = P gain^2 / n_t
+    P = np.asarray(P, dtype=float)
     d_sum = [0.0] * len(seeds)
     dhat_sum = [0.0] * len(seeds)
     chunk = max(1, _EMPIRICAL_D_ROWS // len(V))
@@ -216,7 +216,7 @@ def empirical_D_block(B, n_t, C, feedback_family, params_list, samples, seeds):
         normals = np.concatenate([gens[point[0] + k].standard_normal((n, 2 * n_t)) for k, n in enumerate(counts)])
         h_hat = (normals[:, :n_t] + 1j * normals[:, n_t:]) / np.sqrt(2.0)
         gain_sq = abs_sq(row_norms(h_hat))
-        lam_sq = scale[point, 0] * gain_sq / scale[point, 1]
+        lam_sq = P[point] * gain_sq / n_t
         lam_tilde = lam_sq / (1.0 + lam_sq)
         psi = beam_powers(h_hat / np.sqrt(gain_sq)[:, None], C)
         weighted = _min_weighted_gaps(psi, phi, lam_tilde)

@@ -174,16 +174,12 @@ def _unit_rows(h_hat):
     return gain, h
 
 
-def _lambda_sq(gain, params):
-    """P ||h_hat||^2 / n_t of every gain; 0 for a zero channel."""
-    return params.P * gain * gain / params.n_t
-
-
 def effective_channel_state(h_hat, params):
-    """Package a raw effective vector into an EffectiveChannel."""
+    """Package a raw effective vector into an EffectiveChannel, with
+    lambda^2 = P ||h_hat||^2 / n_t (0 for a zero channel)."""
     h_hat = np.asarray(h_hat, dtype=complex)
     gain, h = _unit_rows(h_hat[None])
-    return EffectiveChannel(h_hat=h_hat, lambda_sq=float(_lambda_sq(gain, params)[0]), h=h[0])
+    return EffectiveChannel(h_hat=h_hat, lambda_sq=float(params.P * gain[0] * gain[0] / params.n_t), h=h[0])
 
 
 def _fix_phase(u):
@@ -225,10 +221,6 @@ class EffectiveBlock:
     gain: np.ndarray
     h: np.ndarray
     sub_h_hat: np.ndarray
-
-    def lambda_sq(self, params):
-        """lambda^2 of every user's averaged channel at `params`."""
-        return _lambda_sq(self.gain, params)
 
 
 def effective_block(H, sub, out=None):

@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .channel import effective_channel_state, user_channels_block
-from .numerics import LOG_GAIN_BRACKET, abs_sq, minimax_log_gain, ordered_sum
+from .numerics import LOG_GAIN_BRACKET, _pair_log_root, abs_sq, minimax_log_gain, ordered_sum
 from .rates import rate
 
 # (column, configuration) entries of one gain-search pass over the columns
@@ -88,17 +88,14 @@ def scheduling_configs(n_beams, sizes):
     return _CONFIG_CACHE[key]
 
 
-def _stacked_configs(n_beams, params):
-    """The configuration table of stacked problems `params`, whose n_s must
-    agree, the noise terms |S| / P of every (problem,
-    configuration) and every problem's `raw_scale_sq`, in the scalar
-    operation order."""
-    n_s = {p.n_s for p in params}
-    if len(n_s) > 1:
-        raise ValueError("stacked problems must share one n_s, so one set of scheduling sizes")
-    table, ks = scheduling_configs(n_beams, range(1, max(n_s, default=0) + 1))
-    n_t, power = np.array([(p.n_t, p.P) for p in params]).reshape(-1, 2).T
-    return table, ks / power[:, None], n_t / power
+def _stacked_configs(n_beams, n_s, P, n_t):
+    """The configuration table of up to n_s users on `n_beams` beams, the
+    noise terms |S| / P of every (problem, configuration) for the
+    problems' powers P, and every problem's `raw_scale_sq` n_t / P, in the
+    scalar operation order."""
+    table, ks = scheduling_configs(n_beams, range(1, n_s + 1))
+    P = np.asarray(P, dtype=float)
+    return table, ks / P[:, None], n_t / P
 
 
 def beam_powers(v, C):
@@ -189,13 +186,14 @@ def ra_distance(eff, theta, nu, C, params, sizes=None):
     )
 
 
-def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
+def ra_feedback_batch(h_hat, n_s, P, C, V, phi_table=None):
     """Full rate-approximation feedback, the argmin over (theta, nu) of the
     worst-case rate mismatch, for a stack of rows (users or SNR points):
     h_hat (rows, F, n_t) holds each row's true-rate channels, its F
     subcarriers (whose rates are averaged: frequency-averaged feedback) or
-    its one flat channel, and `params` each row's SystemParams, all with
-    the same n_s.  Returns the CDI, CQI and gap arrays.
+    its one flat channel, and P each row's power; the worst case runs over
+    the configurations of 1..n_s users.  Returns the CDI, CQI and gap
+    arrays.
 
     For each codeword the gain is solved in x = log theta^2 over [-40, 40]
     by `numerics.minimax_log_gain`: every predicted rate is nondecreasing
@@ -218,7 +216,7 @@ def ra_feedback_batch(h_hat, params, C, V, phi_table=None):
     """
     if len(V) == 0:
         raise ValueError("empty feedback codebook")
-    table, noise, scale2 = _stacked_configs(len(C), params)
+    table, noise, scale2 = _stacked_configs(len(C), n_s, P, h_hat.shape[-1])
     phi = cross_gram(V, C) if phi_table is None else phi_table
     # true rates of every (row, subcarrier) channel in one pass; a
     # frequency-averaged row takes the mean over its subcarriers
@@ -277,11 +275,11 @@ def _excess(r_true, noise, table):
     return excess, coefficients
 
 
-def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
+def _pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass):
     """Mask (problems, codewords) of the columns that cannot win their
     problem, and each problem's upper bound on its minimum, for the
-    search's `excess` and codeword powers `phi_cols` (beam rows plus a
-    zero row).
+    search's `excess` and `coefficients` and codeword powers `phi_cols`
+    (beam rows plus a zero row).
 
     A column's worst mismatch is at least that of the single-user
     configurations, the table's first |C| rows (own beam j, noise only):
@@ -299,9 +297,9 @@ def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
     The upper bound is the largest |excess|, for at most `per_pass`
     problems at a time, of the column whose single-user zero crossings
     t_j / phi_j, t = expm1(r) / kappa, spread least (largest over
-    smallest), at the root of its extreme pair (a, b),
-    (1 + a_a g)(1 + a_b g) = e^(r_a + r_b) with a = kappa phi, written
-    without cancellation and held in the bracket.
+    smallest), at the root of its extreme pair (`numerics._pair_log_root`
+    on their coefficients, U = 0), x = 0 for a NaN root, held in the
+    bracket.
     """
     n, n_b = len(r_true), len(phi_cols) - 1
     kappa, r_single = (scale2 / noise[:, 0])[:, None], r_true[:, :n_b]
@@ -318,12 +316,11 @@ def _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass):
         t = np.expm1(r_single) / kappa
         least = np.argmin(np.nan_to_num(envelope(t, np.fmax) / envelope(t, np.fmin), nan=np.inf), axis=1)
         cross, rows = t * inv_phi[:, least].T, np.arange(n)  # the chosen columns' crossings
+        # the extreme pair, as single-user configurations: table row j is beam j alone
         a = np.argmax(np.where(np.isnan(cross), -np.inf, cross), axis=1)
         b = np.argmin(np.where(np.isnan(cross), np.inf, cross), axis=1)
-        alpha_a, alpha_b = (kappa[:, 0] * phi_cols[j, least] for j in (a, b))
-        growth, s = np.expm1(r_single[rows, a] + r_single[rows, b]), alpha_a + alpha_b
-        g = 2.0 * growth / (s + np.sqrt(s * s + (4.0 * growth) * alpha_a * alpha_b))
-    x = np.log(np.clip(np.nan_to_num(g, nan=1.0), g_min, g_max))
+        root = _pair_log_root(*(coefficients(j, rows, scale2, phi_cols[:, least]) for j in (a, b)))
+    x = np.clip(np.nan_to_num(root, nan=0.0), -LOG_GAIN_BRACKET, LOG_GAIN_BRACKET)
     upper = np.empty(n)
     for lo in range(0, n, per_pass):
         p = np.arange(lo, min(n, lo + per_pass))
@@ -353,7 +350,7 @@ def _ra_messages(r_true, noise, scale2, phi, table):
     excess, coefficients = _excess(r_true, noise, table)
     phi_cols = np.vstack([phi.T, np.zeros(n_v)])
     per_pass = max(1, _BATCH_ELEMENTS // len(table))  # columns of one pass within the cap
-    dropped, _ = _pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass)
+    dropped, _ = _pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass)
     problem, cdi = np.nonzero(~dropped)
     x, gap = np.full((n, n_v), np.nan), np.full((n, n_v), np.inf)
     for lo in range(0, len(problem), per_pass):
@@ -474,12 +471,13 @@ def lemma1_rhs(eff, nu, C):
     return best
 
 
-def gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, C, V):
+def gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, n_s, P, C, V):
     """Worst-case rate-gap samples of many draws: for each sample (row) of
     the (samples, users) arrays, 2 * the sum over the users `scheduled`
     marks of their `ra_distance` on the reported (CDI, CQI); h_hat
-    (samples, users, n_t) holds the true channels and `params` each
-    sample's SystemParams, all with the same n_s.
+    (samples, users, n_t) holds the true channels and P each sample's
+    power, and the worst case runs over the configurations of 1..n_s
+    users.
 
     Every scheduled (sample, user) row goes through one
     `beam_powers`/`_config_rates` pass, each row with its own noise terms
@@ -487,7 +485,7 @@ def gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, C, V):
     sample's mismatches are added in user order, unscheduled users adding
     0.0, so each sample equals the one-draw sum bit for bit.
     """
-    table, noise, scale2 = _stacked_configs(len(C), params)
+    table, noise, scale2 = _stacked_configs(len(C), n_s, P, np.shape(h_hat)[-1])
     sample, user = np.nonzero(scheduled)
     values = np.zeros(np.shape(scheduled))
     if len(sample):
@@ -507,7 +505,7 @@ def gap_sample_delta_ra(effs, msgs, C, V, params, users):
     ids = sorted(users)
     h_hat = np.array([effs[m].h_hat for m in ids], dtype=complex).reshape(1, len(ids), C.dim)
     cdi, cqi = [[msgs[m].cdi_index for m in ids]], [[msgs[m].cqi for m in ids]]
-    return float(gap_samples_delta_ra(h_hat, cdi, cqi, np.ones((1, len(ids)), bool), [params], C, V)[0])
+    return float(gap_samples_delta_ra(h_hat, cdi, cqi, np.ones((1, len(ids)), bool), params.n_s, [params.P], C, V)[0])
 
 
 STRATEGIES = ("perfect", "chordal", "ra-full", "ra-efficient", "lemma1")
@@ -520,7 +518,7 @@ def compute_feedback(strategy, uc, C, V, params, phi_table=None):
     block = user_channels_block([uc])
     if strategy == "ra-full":
         # true rates over the subcarriers; with F = 1 the one row is the averaged channel
-        cdi, cqi, gap = ra_feedback_batch(block.sub_h_hat, [params], C, V, phi_table=phi_table)
+        cdi, cqi, gap = ra_feedback_batch(block.sub_h_hat, params.n_s, [params.P], C, V, phi_table=phi_table)
         return FeedbackMessage(int(cdi[0]), float(cqi[0]), len(C) * len(V) + len(C), gap=float(gap[0]))
     eff = effective_channel_state(block.h_hat[0], params)
     if strategy == "chordal":

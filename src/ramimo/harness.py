@@ -43,7 +43,6 @@ from .feedback import (
     gap_samples_delta_ra,
     lemma1_feedback_block,
     ra_feedback_batch,
-    raw_scale_sq,
     scheduling_configs,
 )
 from .feedback import compute_feedback, feedback_vector, gap_sample_delta_ra  # noqa: F401  (perfbench/spans.py wraps these names)
@@ -115,6 +114,21 @@ class SimConfig:
             raise ValueError(f"precoder must be 'fixed-codebook' or 'zf', got {self.precoder!r}")
         if not 0.0 <= _real("rho", self.rho) <= 1.0:
             raise ValueError("rho must be in [0, 1]")
+        for name, kinds in (("transmit_codebook", _TX_CODEBOOK_KINDS), ("feedback_codebook", _FB_CODEBOOK_KINDS)):
+            spec = getattr(self, name)
+            if not isinstance(spec, dict):
+                raise ValueError(f"{name} spec must be an object, got {spec!r}")
+            if "kind" not in spec:
+                raise ValueError(f"{name} spec needs a 'kind' field")
+            if spec["kind"] not in kinds:
+                raise ValueError(f"{name} kind must be one of {kinds}, got {spec['kind']!r}")
+            extra = set(spec) - {"kind", "path"}
+            if extra:
+                raise ValueError(f"unknown {name} keys: {sorted(extra)}")
+            if spec["kind"] == "file" and not isinstance(spec.get("path"), str):
+                raise ValueError(f"{name} kind 'file' needs a string 'path', got {spec.get('path')!r}")
+            if spec["kind"] != "file" and "path" in spec:
+                raise ValueError(f"{name} kind {spec['kind']!r} takes no 'path'")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         keys = [f"snr={s:g}" for s in self.snr_db_list]  # the CDF keys of result.json
         if len(set(keys)) < len(keys):
@@ -139,22 +153,6 @@ class SimConfig:
             n_r=_integer("n_r", system.get("n_r", 1)),
             n_s=_integer("n_s", system.get("n_s", 2)),
         )
-        for name, kinds in (("transmit_codebook", _TX_CODEBOOK_KINDS), ("feedback_codebook", _FB_CODEBOOK_KINDS)):
-            spec = d.get(name)
-            if spec is not None:
-                if not isinstance(spec, dict):
-                    raise ValueError(f"{name} spec must be an object, got {spec!r}")
-                if "kind" not in spec:
-                    raise ValueError(f"{name} spec needs a 'kind' field")
-                if spec["kind"] not in kinds:
-                    raise ValueError(f"{name} kind must be one of {kinds}, got {spec['kind']!r}")
-                extra = set(spec) - {"kind", "path"}
-                if extra:
-                    raise ValueError(f"unknown {name} keys: {sorted(extra)}")
-                if spec["kind"] == "file" and not isinstance(spec.get("path"), str):
-                    raise ValueError(f"{name} kind 'file' needs a string 'path', got {spec.get('path')!r}")
-                if spec["kind"] != "file" and "path" in spec:
-                    raise ValueError(f"{name} kind {spec['kind']!r} takes no 'path'")
         kwargs = {k: v for k, v in d.items() if k != "system"}
         try:
             return cls(params=params, **kwargs)
@@ -203,9 +201,7 @@ def build_transmit_codebook(cfg):
         return dft_codebook(cfg.params.n_t)
     if kind == "random-unitary":
         return random_unitary(cfg.params.n_t, SeedSpec(cfg.master_seed).derive("txcb"))
-    if kind == "file":
-        return load_codebook(spec["path"])
-    raise ValueError(f"unknown transmit codebook kind {kind!r}")
+    return load_codebook(spec["path"])  # "file", the last kind SimConfig admits
 
 
 def build_feedback_codebook(cfg, C):
@@ -223,9 +219,7 @@ def build_feedback_codebook(cfg, C):
             return Codebook(C.vectors.copy())
         fill = rvq_codebook(cfg.params.n_t, int(math.ceil(math.log2(n_fill))) if n_fill > 1 else 0, seed)
         return concat_codebooks(C, Codebook(fill.vectors[:n_fill]))
-    if kind == "file":
-        return load_codebook(spec["path"])
-    raise ValueError(f"unknown feedback codebook kind {kind!r}")
+    return load_codebook(spec["path"])  # "file", the last kind SimConfig admits
 
 
 @dataclass
@@ -255,7 +249,7 @@ class _Context:
         self.C = build_transmit_codebook(cfg)
         self.V = build_feedback_codebook(cfg, self.C)
         self.phi = cross_gram(self.V, self.C)
-        self.params_by_snr = [cfg.params.with_snr_db(s) for s in cfg.snr_db_list]
+        self.P = np.array([cfg.params.with_snr_db(s).P for s in cfg.snr_db_list])  # one power per SNR point
 
     def channel_stack(self, draws):
         """The averaged channels (rows, n_r, n_t) and subcarriers (rows, F,
@@ -349,28 +343,29 @@ def _by_point(ctx, a):
     (draw, SNR point), in that order: (draws * SNR points, users, ...); a
     view of `a` at one SNR point, a copy at more."""
     a = a.reshape(-1, 1, ctx.cfg.num_users, *a.shape[1:])
-    if len(ctx.params_by_snr) > 1:
-        a = np.repeat(a, len(ctx.params_by_snr), axis=1)
+    if len(ctx.P) > 1:
+        a = np.repeat(a, len(ctx.P), axis=1)
     return a.reshape(-1, *a.shape[2:])
 
 
 def _lambda_sq(ctx, block):
-    """lambda^2 of every (draw, SNR point, user) of a block, (draws * SNR
-    points, users), contiguous."""
-    lam = np.array([block.lambda_sq(params) for params in ctx.params_by_snr])  # (SNR points, draws * users)
+    """lambda^2 = P ||h_hat||^2 / n_t of every (draw, SNR point, user) of a
+    block, (draws * SNR points, users), contiguous."""
+    lam = ctx.P[:, None] * block.gain * block.gain / ctx.cfg.params.n_t  # (SNR points, draws * users)
     return lam.reshape(len(lam), -1, ctx.cfg.num_users).transpose(1, 0, 2).reshape(-1, ctx.cfg.num_users)
 
 
-def _block_feedback(ctx, strategy, block, params):
+def _block_feedback(ctx, strategy, block, P):
     """CDI and CQI (draws * SNR points, users) of every (draw, SNR point,
     user) of a block, from one stacked pass of `strategy`, and the
     feedback vectors (draws * SNR points, users, n_t) the scheduler sees;
-    `params` holds the SystemParams of every (draw, SNR point)."""
-    n_t = ctx.cfg.params.n_t
+    P holds the power of every (draw, SNR point)."""
+    cfg = ctx.cfg
+    n_t = cfg.params.n_t
     if strategy == "ra-full":
         # true rates on the subcarriers (F = 1: the averaged channel itself, bit for bit)
-        rows = [p for p in params for _ in range(ctx.cfg.num_users)]
-        out = ra_feedback_batch(_by_point(ctx, block.sub_h_hat).reshape(len(rows), -1, n_t), rows, ctx.C, ctx.V, ctx.phi)
+        h_hat = _by_point(ctx, block.sub_h_hat).reshape(-1, cfg.F, n_t)
+        out = ra_feedback_batch(h_hat, cfg.params.n_s, np.repeat(P, cfg.num_users), ctx.C, ctx.V, ctx.phi)
     else:
         h, lam = _by_point(ctx, block.h).reshape(-1, n_t), _lambda_sq(ctx, block).ravel()
         if strategy == "chordal":
@@ -379,8 +374,8 @@ def _block_feedback(ctx, strategy, block, params):
             out = efficient_feedback_block(h, lam, ctx.C, ctx.V, phi_table=ctx.phi)
         else:
             out = lemma1_feedback_block(h, lam, ctx.C, ctx.V)
-    cdi, cqi = out[0].reshape(len(params), -1), out[1].reshape(len(params), -1)
-    return cdi, cqi, feedback_vectors(cdi, cqi, ctx.V, np.array([raw_scale_sq(p) for p in params])[:, None])
+    cdi, cqi = out[0].reshape(len(P), -1), out[1].reshape(len(P), -1)
+    return cdi, cqi, feedback_vectors(cdi, cqi, ctx.V, (n_t / P)[:, None])
 
 
 def _sum_rate_block(ctx, draws):
@@ -392,18 +387,18 @@ def _sum_rate_block(ctx, draws):
     `realize_rates_block` pass."""
     cfg = ctx.cfg
     block = ctx.effective(draws)
-    params = ctx.params_by_snr * len(draws)  # every (draw, SNR point), in that order
+    P = np.tile(ctx.P, len(draws))  # every (draw, SNR point), in that order
     strategy = _feedback_strategy("sum-rate", cfg)
     if strategy is None:
         vectors = _by_point(ctx, block.h_hat)
     else:
-        vectors = _block_feedback(ctx, strategy, block, params)[2]
+        vectors = _block_feedback(ctx, strategy, block, P)[2]
     if cfg.precoder == "zf":
-        users, beams, _ = zf_schedule_block(vectors, params)
+        users, beams, _ = zf_schedule_block(vectors, cfg.params.n_s, P)
     else:
-        users, beams, _ = _SCHEDULERS[cfg.scheduler](vectors, ctx.C, params)
+        users, beams, _ = _SCHEDULERS[cfg.scheduler](vectors, ctx.C, cfg.params.n_s, P)
     C = None if cfg.precoder == "zf" else ctx.C
-    sums = realize_rates_block(users, beams, _by_point(ctx, block.sub_h_hat), params, C=C)[1]
+    sums = realize_rates_block(users, beams, _by_point(ctx, block.sub_h_hat), P, C=C)[1]
     return sums.reshape(len(draws), -1)
 
 
@@ -417,27 +412,31 @@ def _delta_ra_block(ctx, draws):
     of the whole block come from one `gap_samples_delta_ra` pass over the
     users either schedule picks."""
     cfg = ctx.cfg
+    n_s = cfg.params.n_s
     block = ctx.effective(draws)
-    params = ctx.params_by_snr * len(draws)  # every (draw, SNR point), in that order
-    cdi, cqi, reported = _block_feedback(ctx, _feedback_strategy("delta-ra", cfg), block, params)
+    P = np.tile(ctx.P, len(draws))  # every (draw, SNR point), in that order
+    cdi, cqi, reported = _block_feedback(ctx, _feedback_strategy("delta-ra", cfg), block, P)
     h_hat = _by_point(ctx, block.h_hat)
-    users = _SCHEDULERS[cfg.scheduler](np.concatenate([h_hat, reported]), ctx.C, params + params)[0]
+    users = _SCHEDULERS[cfg.scheduler](np.concatenate([h_hat, reported]), ctx.C, n_s, np.tile(P, 2))[0]
     picked = (users[:, :, None] == np.arange(cfg.num_users)).any(axis=1)  # (2 * points, users)
-    scheduled = picked[: len(params)] | picked[len(params) :]
-    gaps = gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, params, ctx.C, ctx.V).reshape(len(draws), -1)
-    lam_means = np.mean(_lambda_sq(ctx, block).reshape(len(draws), len(ctx.params_by_snr), -1), axis=2)
+    scheduled = picked[: len(P)] | picked[len(P) :]
+    gaps = gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, n_s, P, ctx.C, ctx.V).reshape(len(draws), -1)
+    lam_means = np.mean(_lambda_sq(ctx, block).reshape(len(draws), len(ctx.P), -1), axis=2)
     return list(zip(gaps, lam_means))
 
 
 _BLOCK_FNS = {"sum-rate": _sum_rate_block, "delta-ra": _delta_ra_block}
 
 
-def _cdf(samples):
+def _point_summary(samples):
+    """Mean, standard error of the mean and empirical CDF ({"x": grid,
+    "y": fractions} on CDF_GRID_POINTS points from min to max) of one SNR
+    point's per-draw samples."""
     samples = np.asarray(samples, dtype=float)
-    lo, hi = float(samples.min()), float(samples.max())
-    grid = np.linspace(lo, hi, CDF_GRID_POINTS)
+    se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+    grid = np.linspace(float(samples.min()), float(samples.max()), CDF_GRID_POINTS)
     y = (samples[:, None] <= grid[None, :]).mean(axis=0)
-    return grid.tolist(), y.tolist()
+    return float(samples.mean()), se, {"x": grid.tolist(), "y": y.tolist()}
 
 
 def _result_skeleton(kind, cfg):
@@ -459,12 +458,7 @@ def run_sum_rate_experiment(cfg):
     result = _result_skeleton("sum-rate", cfg)
     result.draws["sum_rate_nats"] = per_draw.tolist()
     for s, snr in enumerate(cfg.snr_db_list):
-        samples = per_draw[:, s]
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-        gx, gy = _cdf(samples)
-        key = f"snr={snr:g}"
-        result.cdf[key] = {"x": gx, "y": gy}
+        mean, se, result.cdf[f"snr={snr:g}"] = _point_summary(per_draw[:, s])
         result.tables.append(
             {
                 "strategy": cfg.strategy,
@@ -507,13 +501,10 @@ def run_delta_ra_experiment(cfg):
         result.metadata["bounds_omitted"] = reason
     n_t = cfg.params.n_t
     if bounds_ok:  # one stacked pass for every SNR point, each point's samples under its own seed
-        point_params = [cfg.params.with_snr_db(snr) for snr in cfg.snr_db_list]
-        point_seeds = [SeedSpec(cfg.master_seed).derive("empD", s) for s in range(len(point_params))]
-        d_ests = empirical_D_block(cfg.B, n_t, ctx.C, ctx.V, point_params, cfg.num_draws, point_seeds)
+        point_seeds = [SeedSpec(cfg.master_seed).derive("empD", s) for s in range(len(ctx.P))]
+        d_ests = empirical_D_block(cfg.B, n_t, ctx.C, ctx.V, ctx.P, cfg.num_draws, point_seeds)
     for s, snr in enumerate(cfg.snr_db_list):
-        samples = gaps[:, s]
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+        mean, se, result.cdf[f"snr={snr:g}"] = _point_summary(gaps[:, s])
         row = {
             "strategy": cfg.strategy,
             "snr_db": snr,
@@ -528,8 +519,6 @@ def run_delta_ra_experiment(cfg):
                 d_l3 = lemma3_bound(cfg.B, n_t, float(lams[:, s].mean()))
                 row["lemma2_bound_lemma3"] = lemma2_bound([d_l3] * n_t, n_t)
                 row["lemma3_valid"] = bool(cfg.B >= lemma3_validity_threshold(n_t))
-        gx, gy = _cdf(samples)
-        result.cdf[f"snr={snr:g}"] = {"x": gx, "y": gy}
         result.tables.append(row)
     return result
 

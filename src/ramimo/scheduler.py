@@ -68,14 +68,15 @@ def _brute_scores(gains, noise):
     return ordered_sum(rate(row[i], row[:i] + row[i + 1 :], noise) for i, row in enumerate(gains))
 
 
-def schedule_bruteforce_block(vectors, C, params):
-    """Exact maximizers of the sum rate over user subsets and injective
-    beam maps for a stack of problems: vectors (problems, users, n_t) the
-    vectors the base station holds, `params` each problem's SystemParams.
+def schedule_bruteforce_block(vectors, C, n_s, P):
+    """Exact maximizers of the sum rate over user subsets of at most n_s
+    users and injective beam maps for a stack of problems: vectors
+    (problems, users, n_t) the vectors the base station holds, P each
+    problem's power.
 
     Returns (users, beams, rate): each winner's users in increasing order
-    and their codeword indices, both (problems, largest n_s) padded with
-    -1, and its predicted sum rate.  Each problem's winner is its largest
+    and their codeword indices, both (problems, n_s) padded with -1, and
+    its predicted sum rate.  Each problem's winner is its largest
     sum rate, ties to the lexicographically smallest (user tuple, beam
     tuple); a best rate of 0 schedules nobody.  Guarded against
     combinatorial blowup; use the greedy scheduler for larger instances.
@@ -88,7 +89,7 @@ def schedule_bruteforce_block(vectors, C, params):
     within one k is that k's smallest key; the keys of different k are
     compared explicitly.
     """
-    n_users, n_s, power = _check_problems(vectors, C, params)
+    n_users, power = _check_problems(vectors, C, n_s, P)
     if n_users > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
         raise ValueError(f"brute-force scheduling refused for |U|={n_users}, |C|={len(C)}; use greedy")
     pw = beam_powers(vectors, C)  # (problems, users, beams)
@@ -98,15 +99,15 @@ def schedule_bruteforce_block(vectors, C, params):
         subsets, beam_tuples = _brute_tables(n_users, len(C), k)
         return tuple(subsets[s].tolist()), tuple(beam_tuples[t].tolist())
 
-    best_rate = np.zeros(len(n_s))
-    best = np.zeros((len(n_s), 3), dtype=int)  # (k, subset, beam tuple) of each winner; k = 0 schedules nobody
-    for k in range(1, n_s.max(initial=0) + 1):
+    n = len(power)
+    best_rate = np.zeros(n)
+    best = np.zeros((n, 3), dtype=int)  # (k, subset, beam tuple) of each winner; k = 0 schedules nobody
+    for k in range(1, n_s + 1):
         subsets, beam_tuples = _brute_tables(n_users, len(C), k)
         if not len(subsets):
             break
-        live = np.flatnonzero(n_s >= k)
         # (problem, subset) rows, problem-major, subsets in lexicographic order
-        prob, sub = np.repeat(live, len(subsets)), np.tile(np.arange(len(subsets)), len(live))
+        prob, sub = np.repeat(np.arange(n), len(subsets)), np.tile(np.arange(len(subsets)), n)
         noise = k / power[prob]
         row_top = np.empty(len(prob))
         row_arg = np.empty(len(prob), dtype=int)
@@ -119,22 +120,20 @@ def schedule_bruteforce_block(vectors, C, params):
             total = _brute_scores(gains, noise[part, None])
             row_top[part] = np.fmax.reduce(total, axis=1)  # NaN only where a whole row is NaN
             row_arg[part] = np.argmax(total == row_top[part, None], axis=1)
-        row_top, row_arg = row_top.reshape(len(live), -1), row_arg.reshape(len(live), -1)
+        row_top, row_arg = row_top.reshape(n, len(subsets)), row_arg.reshape(n, len(subsets))
         tops = np.fmax.reduce(row_top, axis=1)
         # each problem's first hit, its smallest key of size k
         first = np.argmax(row_top == tops[:, None], axis=1)
-        arg = row_arg[np.arange(len(live)), first]
-        held = best_rate[live]
-        win = tops > held  # False for NaN
+        arg = row_arg[np.arange(n), first]
+        win = tops > best_rate  # False for NaN
         # an exact tie with a scheduled winner goes to the smaller key; a 0 rate keeps ((), ())
-        for i in np.flatnonzero((tops == held) & (tops > 0)).tolist():
-            win[i] = key(k, first[i], arg[i]) < key(*best[live[i]].tolist())
-        p = live[win]
-        best_rate[p] = tops[win]
-        best[p, 0] = k
-        best[p, 1] = first[win]
-        best[p, 2] = arg[win]
-    users = np.full((len(n_s), n_s.max(initial=0)), -1)
+        for i in np.flatnonzero((tops == best_rate) & (tops > 0)).tolist():
+            win[i] = key(k, first[i], arg[i]) < key(*best[i].tolist())
+        best_rate[win] = tops[win]
+        best[win, 0] = k
+        best[win, 1] = first[win]
+        best[win, 2] = arg[win]
+    users = np.full((n, n_s), -1)
     beams = users.copy()
     for k in set(best[:, 0].tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (~30 ms)
         subsets, beam_tuples = _brute_tables(n_users, len(C), k)
@@ -144,22 +143,21 @@ def schedule_bruteforce_block(vectors, C, params):
     return users, beams, best_rate
 
 
-def _check_problems(vectors, C, params):
-    """Users per problem and the n_s and P of every problem of a scheduling
-    stack."""
-    n_s = np.array([p.n_s for p in params], dtype=int)
+def _check_problems(vectors, C, n_s, P):
+    """Users per problem and the powers P of a scheduling stack as an
+    array."""
     if vectors.shape[1] < 1:
         raise ValueError("need at least one user")
-    if len(C) < n_s.max(initial=0):
-        raise ValueError(f"codebook too small: |C|={len(C)} < n_s={n_s.max()}")
-    return vectors.shape[1], n_s, np.array([p.P for p in params], dtype=float)
+    if len(C) < n_s:
+        raise ValueError(f"codebook too small: |C|={len(C)} < n_s={n_s}")
+    return vectors.shape[1], np.asarray(P, dtype=float)
 
 
 def _one_problem(block_fn, vectors, C, params):
     """ScheduleDecision of one problem (a dict user -> vector) from the
     stacked scheduler `block_fn`."""
     ids = sorted(vectors)
-    users, beams, rate = block_fn(np.array([[vectors[m] for m in ids]], dtype=complex), C, [params])
+    users, beams, rate = block_fn(np.array([[vectors[m] for m in ids]], dtype=complex), C, params.n_s, [params.P])
     pairs = {ids[u]: b for u, b in zip(users[0].tolist(), beams[0].tolist()) if u >= 0}
     return ScheduleDecision(BeamAssignment(pairs), float(rate[0]))
 
@@ -171,7 +169,7 @@ def schedule_bruteforce(vectors, C, params):
     return _one_problem(schedule_bruteforce_block, vectors, C, params)
 
 
-def schedule_greedy_block(vectors, C, params):
+def schedule_greedy_block(vectors, C, n_s, P):
     """Greedy insertion for a stack of problems, arguments and padded
     result as in `schedule_bruteforce_block`: repeatedly add the (user,
     beam) pair that most increases the predicted sum rate; stop at n_s
@@ -182,15 +180,14 @@ def schedule_greedy_block(vectors, C, params):
     (its pairs plus one free pair, users in increasing order) of all of
     them are scored in one `_brute_scores` pass, as the brute scheduler
     scores each set."""
-    n_users, n_s, power = _check_problems(vectors, C, params)
+    n_users, power = _check_problems(vectors, C, n_s, P)
     pw = beam_powers(vectors, C)  # (problems, users, beams)
     n_problems, n_beams = len(pw), len(C)
-    users = np.full((n_problems, n_s.max(initial=0)), -1)  # each problem's pairs, users in increasing order
+    users = np.full((n_problems, n_s), -1)  # each problem's pairs, users in increasing order
     beams = users.copy()
     best = np.zeros(n_problems)
     running = np.arange(n_problems)
-    for k in range(1, n_s.max(initial=0) + 1):
-        running = running[n_s[running] >= k]
+    for k in range(1, n_s + 1):
         held_users, held_beams = users[running, : k - 1], beams[running, : k - 1]
         free = np.ones((len(running), n_users, n_beams), dtype=bool)
         rows = np.arange(len(running))[:, None]
@@ -296,9 +293,10 @@ def zf_decision_for(users, cdis, params):
     return PrecodedDecision(users=tuple(users), beams=tuple(B[0].T / row_norms(B[0].T)[:, None]))
 
 
-def zf_schedule_block(vectors, params):
-    """Greedy zeroforcing user selection on the reported vectors (draws,
-    users, n_t) of many draws, `params` holding each draw's SystemParams.
+def zf_schedule_block(vectors, n_s, P):
+    """Greedy zeroforcing user selection of at most n_s users on the
+    reported vectors (draws, users, n_t) of many draws, P holding each
+    draw's power.
 
     For each draw the user maximizing the predicted ZF sum rate is added,
     one at a time: interference is nulled by construction, so each user's
@@ -307,7 +305,7 @@ def zf_schedule_block(vectors, params):
     to the smallest user.  Zero vectors and linearly dependent direction
     sets are never scheduled.  Returns (users, beams, predicted): each
     draw's users in the order they were added, padded with -1, their unit
-    beams (draws, largest min(n_s, n_t), n_t), zero-padded, and the
+    beams (draws, min(n_s, n_t), n_t), zero-padded, and the
     predicted sum rate, 0.0 for a draw that schedules nobody.
 
     Every draw still running takes greedy step k together.  First every
@@ -326,19 +324,17 @@ def zf_schedule_block(vectors, params):
     """
     raw = np.asarray(vectors, dtype=complex)
     n_draws, width, n_t = raw.shape
-    n_s = np.array([p.n_s for p in params], dtype=int)
-    power = np.array([p.P for p in params], dtype=float)
+    power = np.asarray(P, dtype=float)
     norm = row_norms(raw)
     usable = norm != 0  # False for zero vectors
     conj_units = np.conj(raw / np.where(usable, norm, 1.0)[..., None])  # conjugated unit directions
     running = np.arange(n_draws)
     chosen = np.zeros((n_draws, 0), dtype=int)  # users each running draw has added, in order
     best_sum = np.zeros(n_draws)
-    k_max = min(n_s.max(initial=0), n_t)
+    k_max = min(n_s, n_t)
     users = np.full((n_draws, k_max), -1)  # each draw's users, in the order they were added
     beams = np.zeros((n_draws, k_max, n_t), dtype=complex)  # the pseudo-inverse columns of their last step
     for k in range(1, k_max + 1):
-        chosen, running = chosen[n_s[running] >= k], running[n_s[running] >= k]
         rows = np.arange(len(running))
         open_ = usable[running]
         open_[rows[:, None], chosen] = False
@@ -386,12 +382,12 @@ def zf_schedule(vectors, params):
     (PrecodedDecision, predicted sum rate) pair."""
     ids = sorted(vectors)
     stack = np.array([vectors[m] for m in ids], dtype=complex).reshape(1, len(ids), params.n_t)
-    users, beams, predicted = zf_schedule_block(stack, [params])
+    users, beams, predicted = zf_schedule_block(stack, params.n_s, [params.P])
     k = np.count_nonzero(users[0] >= 0)
     return PrecodedDecision(tuple(ids[u] for u in users[0, :k].tolist()), tuple(beams[0, :k])), float(predicted[0])
 
 
-def realize_rates_block(users, beams, sub_h_hat, params, C=None):
+def realize_rates_block(users, beams, sub_h_hat, P, C=None):
     """Actual rates of many decisions on the true channels, given as the
     padded arrays the schedulers return: users (problems, k) by position,
     -1 for none, and their beams, codeword indices into C or, with C None,
@@ -402,8 +398,7 @@ def realize_rates_block(users, beams, sub_h_hat, params, C=None):
     subcarrier channels (`channel.EffectiveBlock.sub_h_hat`): each user
     receives with the MRC filter of its averaged channel, the receiver its
     feedback and the scheduler assume, and realizes the mean over
-    subcarriers of the rate formula; `params` holds each problem's
-    SystemParams.
+    subcarriers of the rate formula; P holds each problem's power.
 
     Every (problem, scheduled user, subcarrier) row goes through one
     `rates.rates_with_beams` pass against its problem's zero-padded beams;
@@ -418,8 +413,7 @@ def realize_rates_block(users, beams, sub_h_hat, params, C=None):
     per_user = np.zeros(users.shape)
     if len(prob):
         k = np.count_nonzero(live, axis=1)
-        power = np.array([p.P for p in params], dtype=float)
-        noise = k[prob] / power[prob]
+        noise = k[prob] / np.asarray(P, dtype=float)[prob]
         v = sub_h_hat[prob, users[prob, own]]  # (rows, F, n_t)
         rates = rates_with_beams(v, table[prob][:, None], own[:, None], noise[:, None])  # (rows, F)
         per_user[prob, own] = np.mean(rates, axis=1)
@@ -438,5 +432,5 @@ def realize_rates(decision, channels, params, C=None):
     if not users:
         return RateReport(per_user={}, sum=0.0)
     sub = user_channels_block([channels[m] for m in users]).sub_h_hat
-    per_user, total = realize_rates_block([range(len(users))], beams, sub[None], [params], C=C)
+    per_user, total = realize_rates_block([range(len(users))], beams, sub[None], [params.P], C=C)
     return RateReport(per_user=dict(zip(users, per_user[0].tolist())), sum=float(total[0]))

@@ -372,7 +372,7 @@ def test_empirical_d_block_matches_per_point_calls(monkeypatch, rows_per_pass):
     per_point = [empirical_D(4, 3, C, V, p, samples=25, seed=seed) for p, seed in zip(params_list, seeds)]
     if rows_per_pass:
         monkeypatch.setattr(bounds_mod, "_EMPIRICAL_D_ROWS", rows_per_pass * len(V))
-    assert empirical_D_block(4, 3, C, V, params_list, 25, seeds) == per_point
+    assert empirical_D_block(4, 3, C, V, [p.P for p in params_list], 25, seeds) == per_point
     assert empirical_D_block(4, 3, C, V, [], 25, []) == []
 
 
@@ -389,7 +389,7 @@ def test_empirical_d_block_independent_of_pass_size(monkeypatch):
     per_point = [empirical_D(4, 3, C, V, p, samples=9, seed=seed) for p, seed in zip(params_list, seeds)]
     for rows_per_pass in range(1, len(seeds) * 9 + 2):
         monkeypatch.setattr(bounds_mod, "_EMPIRICAL_D_ROWS", rows_per_pass * len(V))
-        assert empirical_D_block(4, 3, C, V, params_list, 9, seeds) == per_point
+        assert empirical_D_block(4, 3, C, V, [p.P for p in params_list], 9, seeds) == per_point
 
 
 def test_empirical_d_block_validation():
@@ -397,9 +397,9 @@ def test_empirical_d_block_validation():
     V = rvq_codebook(3, 4, SeedSpec(58).derive("fam"))
     params = SystemParams(n_t=3, n_s=3)
     with pytest.raises(ValueError):
-        empirical_D_block(4, 3, C, V, [params], 5, [SeedSpec(1)] * 2)
+        empirical_D_block(4, 3, C, V, [params.P], 5, [SeedSpec(1)] * 2)
     with pytest.raises(ValueError):
-        empirical_D_block(4, 3, C, V, [params], 0, [SeedSpec(1)])
+        empirical_D_block(4, 3, C, V, [params.P], 0, [SeedSpec(1)])
 
 
 def test_empirical_d_matches_per_sample_oracle(monkeypatch):

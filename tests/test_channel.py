@@ -296,7 +296,7 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
     assert np.shares_memory(over.sub_h_hat, sub) and over.sub_h_hat.tobytes() == block.sub_h_hat.tobytes()
     for snr_db in (-20.0, 0.0, 30.0, 60.0, 100.0):
         p = params.with_snr_db(snr_db)
-        effs = [EffectiveChannel(*row) for row in zip(block.h_hat, block.lambda_sq(p).tolist(), block.h)]
+        effs = [EffectiveChannel(*row) for row in zip(block.h_hat, (p.P * block.gain * block.gain / p.n_t).tolist(), block.h)]
         for uc, eff, sub in zip(chans, effs, block.sub_h_hat):
             u = _reference_mrc_filter(uc.H)
             _assert_same_effective(eff, _reference_state(uc.H.conj().T @ u, p))

@@ -286,7 +286,7 @@ def test_ra_feedback_exact_member_zero_gap():
     C = canonical_onb(2)
     eff = _random_eff(2, params, SeedSpec(9).derive("h"))
     V = concat_codebooks(canonical_onb(2), Codebook(eff.h[None, :]))
-    cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], [params], C, V))
+    cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, V))
     assert cdi == 2
     assert gap == pytest.approx(0.0, abs=1e-9)
     assert cqi == pytest.approx(np.sqrt(eff.lambda_sq), rel=1e-4)
@@ -298,7 +298,7 @@ def test_ra_feedback_dominates_heuristics():
     V = concat_codebooks(C, rvq_codebook(4, 3, SeedSpec(10).derive("v")))
     for i in range(50):
         eff = _random_eff(4, params, SeedSpec(11).derive("h", i))
-        cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], [params], C, V))
+        cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, V))
         m_ch = chordal_cdi(eff, V)
         m_l1 = lemma1_feedback(eff, C, V)
         g_ra = ra_distance(eff, cqi, V[cdi], C, params).value
@@ -324,7 +324,7 @@ def test_ra_and_chordal_decisions_differ_somewhere():
     for alpha in np.linspace(0.0, np.pi, 91):
         h_hat = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
         eff = effective_channel_state(h_hat, params)
-        if ra_feedback_batch(eff.h_hat[None, None], [params], C, V)[0][0] != chordal_cdi(eff, V).cdi_index:
+        if ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, V)[0][0] != chordal_cdi(eff, V).cdi_index:
             disagreements += 1
     assert disagreements > 0
 
@@ -528,7 +528,7 @@ def test_gap_sample_single_user_doubles_distance():
     C = canonical_onb(2)
     eff = _random_eff(2, params, SeedSpec(27).derive("h"))
     V = concat_codebooks(C, rvq_codebook(2, 2, SeedSpec(27).derive("v")))
-    cdi, cqi, _ = ra_feedback_batch(eff.h_hat[None, None], [params], C, V)
+    cdi, cqi, _ = ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, V)
     msg = FeedbackMessage(int(cdi[0]), float(cqi[0]), 0)
     single = ra_distance(eff, msg.cqi, V[msg.cdi_index], C, params).value
     total = gap_sample_delta_ra({0: eff}, {0: msg}, C, V, params, {0})
@@ -540,7 +540,7 @@ def test_gap_sample_sums_over_union():
     C = canonical_onb(2)
     V = concat_codebooks(C, rvq_codebook(2, 2, SeedSpec(28).derive("v")))
     effs = {m: _random_eff(2, params, SeedSpec(28).derive("h", m)) for m in range(3)}
-    cdi, cqi, _ = ra_feedback_batch(np.array([[effs[m].h_hat] for m in range(3)]), [params] * 3, C, V)
+    cdi, cqi, _ = ra_feedback_batch(np.array([[effs[m].h_hat] for m in range(3)]), params.n_s, [params.P] * 3, C, V)
     msgs = {m: FeedbackMessage(int(cdi[m]), float(cqi[m]), 0) for m in range(3)}
     expected = 2.0 * sum(
         ra_distance(effs[m], msgs[m].cqi, V[msgs[m].cdi_index], C, params).value for m in (0, 2)
@@ -558,7 +558,7 @@ def test_gap_samples_stack_matches_per_user_distances():
     for i, (snr_db, users) in enumerate([(-20.0, {2, 0}), (40.0, set()), (100.0, {3, 1, 0, 2}), (0.0, {1})]):
         params = SystemParams(n_t=3, n_s=3).with_snr_db(snr_db)
         effs = {m: _random_eff(3, params, SeedSpec(29).derive(i, m)) for m in range(4)}
-        cdi, cqi, _ = ra_feedback_batch(np.array([[effs[m].h_hat] for m in range(3)]), [params] * 3, C, V)
+        cdi, cqi, _ = ra_feedback_batch(np.array([[effs[m].h_hat] for m in range(3)]), params.n_s, [params.P] * 3, C, V)
         msgs = {m: FeedbackMessage(int(cdi[m]), float(cqi[m]), 0) for m in range(3)}
         msgs[3] = FeedbackMessage(cdi_index=5, cqi=0.0, scalar_product_count=0)
         samples.append((effs, msgs, params, users))
@@ -566,7 +566,7 @@ def test_gap_samples_stack_matches_per_user_distances():
     cdi = [[msgs[m].cdi_index for m in range(4)] for _, msgs, *_ in samples]
     cqi = [[msgs[m].cqi for m in range(4)] for _, msgs, *_ in samples]
     scheduled = [[m in users for m in range(4)] for *_, users in samples]
-    got = gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, [params for *_, params, _ in samples], C, V).tolist()
+    got = gap_samples_delta_ra(h_hat, cdi, cqi, scheduled, 3, [params.P for *_, params, _ in samples], C, V).tolist()
     for (effs, msgs, params, users), value in zip(samples, got):
         total = 0.0
         for m in sorted(users):
@@ -574,7 +574,7 @@ def test_gap_samples_stack_matches_per_user_distances():
         assert value == 2.0 * total
         assert gap_sample_delta_ra(effs, msgs, C, V, params, users) == value
     assert got[1] == 0.0
-    empty = gap_samples_delta_ra(np.zeros((0, 4, 3)), np.zeros((0, 4), int), np.zeros((0, 4)), np.zeros((0, 4), bool), [], C, V)
+    empty = gap_samples_delta_ra(np.zeros((0, 4, 3)), np.zeros((0, 4), int), np.zeros((0, 4)), np.zeros((0, 4), bool), 3, [], C, V)
     assert empty.tolist() == []
 
 
@@ -602,7 +602,7 @@ def test_ra_feedback_averaged_true_rates_change_decision_possible():
     C = canonical_onb(3)
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(62).derive("v")))
     uc = draw_user_channel(params, F=6, rho=0.7, seed=SeedSpec(63).derive("c"))
-    cdi, cqi, gap = (a[0] for a in ra_feedback_batch(user_channels_block([uc]).sub_h_hat, [params], C, V))
+    cdi, cqi, gap = (a[0] for a in ra_feedback_batch(user_channels_block([uc]).sub_h_hat, params.n_s, [params.P], C, V))
     assert 0 <= cdi < len(V)
     assert cqi >= 0.0
     assert gap >= 0.0
@@ -633,21 +633,10 @@ def test_ra_feedback_batch_matches_single_calls():
     for F in (1, 4):
         group = [(rows, params) for rows, params in problems if len(rows) == F]
         h_hat = np.array([rows for rows, _ in group])
-        batch = zip(*(a.tolist() for a in ra_feedback_batch(h_hat, [params for _, params in group], C, V)))
-        single = [tuple(a.item() for a in ra_feedback_batch(rows[None], [params], C, V)) for rows, params in group]
+        batch = zip(*(a.tolist() for a in ra_feedback_batch(h_hat, base.n_s, [params.P for _, params in group], C, V)))
+        single = [tuple(a.item() for a in ra_feedback_batch(rows[None], params.n_s, [params.P], C, V)) for rows, params in group]
         assert list(batch) == single
         assert len(single) == 2
-
-
-def test_ra_feedback_batch_rejects_mixed_configuration_tables():
-    C = canonical_onb(3)
-    V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(66).derive("v")))
-    h_hat, params = [], []
-    for n_s in (2, 3):
-        params.append(SystemParams(n_t=3, n_s=n_s, P=5.0))
-        h_hat.append([_random_eff(3, params[-1], SeedSpec(66).derive("h", n_s)).h_hat])
-    with pytest.raises(ValueError, match="scheduling sizes"):
-        ra_feedback_batch(np.array(h_hat), params, C, V)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +676,7 @@ def test_ra_feedback_matches_log_gain_grid_at_high_snr(n_t, B, snr_db):
     V = concat_codebooks(C, rvq_codebook(n_t, B, SeedSpec(70).derive("v", n_t)))
     for i in range(3):
         eff = _random_eff(n_t, params, SeedSpec(71).derive("h", n_t, int(snr_db), i))
-        cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], [params], C, V))
+        cdi, cqi, gap = (a[0] for a in ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, V))
         again = ra_distance(eff, cqi, V[cdi], C, params).value
         assert gap == pytest.approx(again, abs=1e-10)
         oracle = _grid_min_gap(
@@ -730,10 +719,10 @@ def test_ra_feedback_duplicated_codeword_picks_lower_index(snr_db):
     V = concat_codebooks(C, rvq_codebook(3, 3, SeedSpec(75).derive("v")))
     for i in range(10):
         eff = _random_eff(3, params, SeedSpec(76).derive("h", int(snr_db), i))
-        best_cdi, _, best_gap = ra_feedback_batch(eff.h_hat[None, None], [params], C, V)
+        best_cdi, _, best_gap = ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, V)
         dup = V.vectors[best_cdi]
-        front_cdi, _, front_gap = ra_feedback_batch(eff.h_hat[None, None], [params], C, Codebook(np.vstack([dup, V.vectors])))
-        back_cdi, _, back_gap = ra_feedback_batch(eff.h_hat[None, None], [params], C, Codebook(np.vstack([V.vectors, dup])))
+        front_cdi, _, front_gap = ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, Codebook(np.vstack([dup, V.vectors])))
+        back_cdi, _, back_gap = ra_feedback_batch(eff.h_hat[None, None], params.n_s, [params.P], C, Codebook(np.vstack([V.vectors, dup])))
         assert front_cdi[0] == 0
         assert back_cdi[0] == best_cdi[0]
         assert front_gap[0] == pytest.approx(best_gap[0], abs=1e-12)
@@ -815,7 +804,7 @@ def test_ra_feedback_batch_matches_all_pairs_oracle(n_t, n_s, n_r, F, B):
             params.append(p)
         rows.append(np.zeros((F, n_t), dtype=complex))  # a zero channel at every SNR
         params.append(p)
-    cdi, cqi, gap = ra_feedback_batch(np.array(rows), params, C, V)
+    cdi, cqi, gap = ra_feedback_batch(np.array(rows), n_s, [p.P for p in params], C, V)
     for h_subs, p, i, reported in zip(rows, params, cdi.tolist(), gap.tolist()):
         value, certified = _pair_minimax_oracle(np.asarray(h_subs), V, C, p)
         assert np.all(value - certified <= 1e-12)  # the closed form is exact
@@ -876,7 +865,7 @@ def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(monkeypatch, dege
 
     excess, coefficients = fb._excess(r_true, noise, table)
     phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
-    dropped, upper = fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)
+    dropped, upper = fb._pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass=7)
     p, v = np.divmod(np.arange(len(r_true) * len(phi)), len(phi))
     _, value, _ = minimax_log_gain(excess, coefficients, (p, scale2[p], phi_cols[:, v]))
     value = value.reshape(len(r_true), len(phi))
@@ -896,12 +885,12 @@ def test_pre_pass_bounds_hold_on_random_and_degenerate_columns(monkeypatch, dege
         e = excess(x, problem, *rest)
         return np.where(problem % 3 == 0, np.nan, np.where(problem % 3 == 1, np.inf, e))
 
-    dropped_nan, upper_nan = fb._pre_pass(unbounded, r_true, noise, scale2, phi_cols, per_pass=7)
+    dropped_nan, upper_nan = fb._pre_pass(unbounded, coefficients, r_true, noise, scale2, phi_cols, per_pass=7)
     kind = np.arange(len(r_true)) % 3
     assert np.isnan(upper_nan[kind == 0]).all() and np.isinf(upper_nan[kind == 1]).all()
     assert not dropped_nan[kind < 2].any() and (dropped_nan[kind == 2] == dropped[kind == 2]).all()
     monkeypatch.setattr(fb, "PRUNE_MARGIN", np.inf)
-    assert not fb._pre_pass(excess, r_true, noise, scale2, phi_cols, per_pass=7)[0].any()
+    assert not fb._pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass=7)[0].any()
 
 
 def _file_codebook_searches(monkeypatch):
@@ -932,7 +921,7 @@ def _file_codebook_searches(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(fb, "PRUNE_MARGIN", np.inf)
         mp.setattr(fb, "minimax_log_gain", recording_search)
-        fb.ra_feedback_batch(np.array(rows), params, C, V)
+        fb.ra_feedback_batch(np.array(rows), 2, [p.P for p in params], C, V)
     return searches
 
 
@@ -1011,15 +1000,15 @@ def test_ra_feedback_batch_independent_of_grouping_and_pruning(monkeypatch, syst
     sub_h_hat = effective_block(*ctx.channel_stack(range(2))).sub_h_hat
     # every (draw, SNR point, user) row, then a zero channel at the top SNR
     h_hat = np.concatenate(
-        [sub_h_hat[d * users : (d + 1) * users] for d in range(2) for _ in ctx.params_by_snr]
+        [sub_h_hat[d * users : (d + 1) * users] for d in range(2) for _ in ctx.P]
         + [np.zeros((1, F, system["n_t"]), dtype=complex)]
     )
-    params = [p for _ in range(2) for p in ctx.params_by_snr for _ in range(users)] + ctx.params_by_snr[-1:]
+    P = [p for _ in range(2) for p in ctx.P for _ in range(users)] + [ctx.P[-1]]
 
     def solve(elements, margin):
         monkeypatch.setattr(fb, "_BATCH_ELEMENTS", elements)
         monkeypatch.setattr(fb, "PRUNE_MARGIN", margin)
-        out = fb.ra_feedback_batch(h_hat, params, ctx.C, ctx.V, phi_table=ctx.phi)
+        out = fb.ra_feedback_batch(h_hat, system["n_s"], P, ctx.C, ctx.V, phi_table=ctx.phi)
         return list(zip(*(a.tolist() for a in out)))
 
     default, margin = fb._BATCH_ELEMENTS, fb.PRUNE_MARGIN  # read before `solve` patches them

@@ -120,6 +120,26 @@ def test_config_rejects_malformed_objects(overrides, message):
         SimConfig.from_dict({"num_draws": 5, **overrides})
 
 
+@pytest.mark.parametrize("name", ["transmit_codebook", "feedback_codebook"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "file"}, "{name} kind 'file' needs a string 'path'"),
+        ({"kind": "grassmannian"}, "{name} kind must be one of"),
+        ({"kind": "file", "path": "cb.txt", "size": 4}, r"unknown {name} keys: \['size'\]"),
+        (None, "{name} spec must be an object"),
+    ],
+    ids=["file-without-path", "unknown-kind", "unknown-key", "not-an-object"],
+)
+def test_direct_construction_validates_codebook_specs(name, spec, message):
+    # SimConfig(...) itself checks its codebook specs, as from_dict and
+    # replace do: a file spec without a path used to construct and then
+    # fail mid-run with KeyError: 'path', and an unknown kind only when
+    # its codebook was built
+    with pytest.raises(ValueError, match=message.format(name=name)):
+        SimConfig(SystemParams(n_t=4), **{name: spec})
+
+
 @pytest.mark.parametrize("data", [5, None, [1, 2]])
 def test_config_rejects_non_object_config(data):
     with pytest.raises(ValueError, match="config must be an object"):
@@ -394,11 +414,12 @@ def test_delta_ra_draws_independent_of_block_size(monkeypatch):
             ctx = harness._Context(cfg)
             block = ctx.effective(range(3))
             h_hat, h, lam = harness._by_point(ctx, block.h_hat), harness._by_point(ctx, block.h), harness._lambda_sq(ctx, block)
-            cdi, cqi, _ = harness._block_feedback(ctx, strategy, block, ctx.params_by_snr * 3)
+            cdi, cqi, _ = harness._block_feedback(ctx, strategy, block, np.tile(ctx.P, 3))
             H, sub = ctx.channel_stack(range(3))
             chans = [UserChannel(H=h, subcarriers=s) for h, s in zip(H, sub)]
             assert block.sub_h_hat.tobytes() == user_channels_block(chans).sub_h_hat.tobytes()
-            expected = [(chans[3 * d + m], p) for d in range(3) for p in ctx.params_by_snr for m in range(3)]
+            points = [cfg.params.with_snr_db(snr) for snr in cfg.snr_db_list]
+            expected = [(chans[3 * d + m], p) for d in range(3) for p in points for m in range(3)]
             assert h_hat.shape == h.shape == (3 * 3, 3, 3) and lam.shape == cdi.shape == cqi.shape == (3 * 3, 3)
             rows = zip(h_hat.reshape(-1, 3), h.reshape(-1, 3), lam.ravel().tolist(), cdi.ravel().tolist(), cqi.ravel().tolist())
             for (uc, p), (row_h_hat, row_h, row_lam, i, q) in zip(expected, rows):

@@ -41,7 +41,7 @@ def test_sum_rate_empty():
     # nobody scheduled: every position and the sum rate are 0.0
     params = SystemParams(n_t=2)
     sub_h_hat = np.zeros((1, 2, 1, 2), dtype=complex)
-    per_user, total = realize_rates_block([[-1, -1]], [[-1, -1]], sub_h_hat, [params], canonical_onb(2))
+    per_user, total = realize_rates_block([[-1, -1]], [[-1, -1]], sub_h_hat, [params.P], canonical_onb(2))
     assert total.tolist() == [0.0]
     assert per_user.tolist() == [[0.0, 0.0]]
 
@@ -50,14 +50,14 @@ def test_sum_rate_single_equals_user_rate():
     params = SystemParams(n_t=2, n_s=1, P=3.0)
     v = (E1 + E2) / np.sqrt(2)
     C = canonical_onb(2)
-    per_user, total = realize_rates_block([[0]], [[1]], v[None, None, None, :], [params], C)
+    per_user, total = realize_rates_block([[0]], [[1]], v[None, None, None, :], [params.P], C)
     assert total[0] == pytest.approx(rate_with_beams(v, C[1], [], 1, params))
 
 
 def test_sum_rate_orthogonal_pair_closed_form():
     params = SystemParams(n_t=2, n_s=2, P=4.0)
     vectors = np.array([[E1, E2]])[:, :, None, :]
-    per_user, total = realize_rates_block([[0, 1]], [[0, 1]], vectors, [params], canonical_onb(2))
+    per_user, total = realize_rates_block([[0, 1]], [[0, 1]], vectors, [params.P], canonical_onb(2))
     expected = 2 * np.log(1 + params.P / 2)
     assert total[0] == pytest.approx(expected, abs=1e-12)
 

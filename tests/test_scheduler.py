@@ -87,8 +87,8 @@ def test_brute_predicted_rate_consistent():
     params = SystemParams(n_t=2, n_s=2, P=4.0)
     C = canonical_onb(2)
     vectors = np.array([list(_random_vectors(3, 2, SeedSpec(32)).values())])
-    users, beams, predicted = schedule_bruteforce_block(vectors, C, [params])
-    re_eval = realize_rates_block(users, beams, vectors[:, :, None, :], [params], C)[1]
+    users, beams, predicted = schedule_bruteforce_block(vectors, C, params.n_s, [params.P])
+    re_eval = realize_rates_block(users, beams, vectors[:, :, None, :], [params.P], C)[1]
     assert predicted[0] == pytest.approx(re_eval[0], abs=1e-12)
 
 
@@ -178,11 +178,11 @@ def _per_problem_greedy(pw, n_s, noise_per_user):
 @pytest.mark.parametrize("n_t,B", [(2, None), (3, None), (4, None), (4, 3)])
 def test_greedy_block_matches_per_problem_search(n_t, B):
     # 1,500 problems per case (6,000 in all) in stacked calls of 1..6
-    # users: zero vectors, fewer users than n_s, n_s = n_t and SNR from -20
-    # to 100 dB.  Users and beams equal the per-problem search's; the
-    # predicted sum may differ in the last bit, as the search now adds
-    # every set's rates in user order, and it equals the brute scheduler's
-    # score of the chosen set bit for bit
+    # users, one call per n_s: zero vectors, fewer users than n_s, n_s =
+    # n_t and SNR from -20 to 100 dB.  Users and beams equal the
+    # per-problem search's; the predicted sum may differ in the last bit,
+    # as the search now adds every set's rates in user order, and it
+    # equals the brute scheduler's score of the chosen set bit for bit
     from ramimo.feedback import beam_powers
     from ramimo.scheduler import _brute_scores, schedule_greedy_block
 
@@ -197,18 +197,21 @@ def test_greedy_block_matches_per_problem_search(n_t, B):
             SystemParams(n_t=n_t, n_s=int(n_s)).with_snr_db(float(snr))
             for n_s, snr in zip(rng.integers(1, n_t + 1, 25), rng.uniform(-20.0, 100.0, 25))
         ]
-        users, beams, rate = schedule_greedy_block(stack, C, params)
         pw = beam_powers(stack, C)
-        for p, problem in enumerate(params):
-            ref_users, ref_beams, ref_rate = _per_problem_greedy(pw[p], problem.n_s, 1.0 / problem.P)
-            k = len(ref_users)
-            assert users[p].tolist() == ref_users + [-1] * (users.shape[1] - k)
-            assert beams[p].tolist() == ref_beams + [-1] * (beams.shape[1] - k)
-            assert rate[p] == pytest.approx(ref_rate, rel=1e-12, abs=0.0)
-            if k:
-                gains = [[pw[p, u, b : b + 1] for b in ref_beams] for u in ref_users]
-                assert _brute_scores(gains, np.array([k / problem.P])).tolist() == [rate[p]]
-            checked += 1
+        for n_s in sorted({problem.n_s for problem in params}):
+            group = [p for p, problem in enumerate(params) if problem.n_s == n_s]
+            users, beams, rate = schedule_greedy_block(stack[group], C, n_s, [params[p].P for p in group])
+            for r, p in enumerate(group):
+                problem = params[p]
+                ref_users, ref_beams, ref_rate = _per_problem_greedy(pw[p], problem.n_s, 1.0 / problem.P)
+                k = len(ref_users)
+                assert users[r].tolist() == ref_users + [-1] * (users.shape[1] - k)
+                assert beams[r].tolist() == ref_beams + [-1] * (beams.shape[1] - k)
+                assert rate[r] == pytest.approx(ref_rate, rel=1e-12, abs=0.0)
+                if k:
+                    gains = [[pw[p, u, b : b + 1] for b in ref_beams] for u in ref_users]
+                    assert _brute_scores(gains, np.array([k / problem.P])).tolist() == [rate[r]]
+                checked += 1
     assert checked == 1500
 
 
@@ -274,7 +277,7 @@ def test_realize_multiantenna_on_mrc_channel(F):
             sub = user_channels_block([channels[m] for m in range(5)]).sub_h_hat
             users = [decision.assignment.users]
             beams = [[decision.assignment.pairs[m] for m in users[0]]]
-            expected = np.mean([realize_rates_block(users, beams, sub[None, :, f : f + 1], [params], C)[1][0] for f in range(F)])
+            expected = np.mean([realize_rates_block(users, beams, sub[None, :, f : f + 1], [params.P], C)[1][0] for f in range(F)])
             assert realized.sum == pytest.approx(expected, abs=1e-12)
 
 
@@ -380,13 +383,13 @@ def _brute_problems(n_t, seed):
 
 def _brute_block_decisions(problems, C):
     """ScheduleDecision of every (vectors, params) problem, from one
-    `schedule_bruteforce_block` call per user count."""
+    `schedule_bruteforce_block` call per (user count, n_s)."""
     out = [None] * len(problems)
-    for n in sorted({len(vectors) for vectors, _ in problems}):
-        group = [i for i, (vectors, _) in enumerate(problems) if len(vectors) == n]
+    for n, n_s in sorted({(len(vectors), params.n_s) for vectors, params in problems}):
+        group = [i for i, (vectors, params) in enumerate(problems) if (len(vectors), params.n_s) == (n, n_s)]
         ids = [sorted(problems[i][0]) for i in group]
         stack = np.array([[problems[i][0][m] for m in u] for i, u in zip(group, ids)])
-        users, beams, rate = schedule_bruteforce_block(stack, C, [problems[i][1] for i in group])
+        users, beams, rate = schedule_bruteforce_block(stack, C, n_s, [problems[i][1].P for i in group])
         assert ((users < 0) == (beams < 0)).all()
         for i, u, row_u, row_b, r in zip(group, ids, users.tolist(), beams.tolist(), rate.tolist()):
             assert row_u == sorted(row_u, key=lambda a: (a < 0, a))  # increasing, padding last
@@ -396,12 +399,12 @@ def _brute_block_decisions(problems, C):
 
 @pytest.mark.parametrize("block", [None, 5])
 def test_brute_block_matches_scalar_oracle(monkeypatch, block):
-    # one stacked call per user count, every problem with its own noise
-    # term and n_s, and
-    # candidates scored in passes of `block` (default or tiny), matches the
-    # enumeration oracle's winner, tie-break and predicted rate exactly: on
-    # codebooks of unit vectors (duplicated codewords included) the oracle's
-    # rates are bit-identical to the scheduler's, so exact ties agree too
+    # one stacked call per (user count, n_s), every problem with its own
+    # noise term, and candidates scored in passes of `block` (default or
+    # tiny), matches the enumeration oracle's winner, tie-break and
+    # predicted rate exactly: on codebooks of unit vectors (duplicated
+    # codewords included) the oracle's rates are bit-identical to the
+    # scheduler's, so exact ties agree too
     import ramimo.scheduler as sched
 
     if block is not None:
@@ -424,8 +427,8 @@ def test_brute_block_matches_scalar_oracle(monkeypatch, block):
             assert got[-3].assignment.pairs == {2: 0}  # twins 2 and 5 tie: the smaller user
             assert got[-2].assignment.pairs == {0: 1, 1: 0}
             assert got[-1].assignment.pairs == {0: 0}
-    users, beams, rate = schedule_bruteforce_block(np.zeros((0, 3, 2)), canonical_onb(2), [])
-    assert users.shape == beams.shape == (0, 0) and rate.shape == (0,)
+    users, beams, rate = schedule_bruteforce_block(np.zeros((0, 3, 2)), canonical_onb(2), 2, [])
+    assert users.shape == beams.shape == (0, 2) and rate.shape == (0,)
 
 
 def _reference_zf_beams(dirs):
@@ -500,7 +503,7 @@ def _zf_block(block, params):
         if ids[d]:
             stack[d, : len(ids[d])] = [vectors[m] for m in ids[d]]
     out = []
-    for u, b, predicted, draw_ids in zip(*zf_schedule_block(stack, [params] * len(block)), ids):
+    for u, b, predicted, draw_ids in zip(*zf_schedule_block(stack, params.n_s, [params.P] * len(block)), ids):
         k = np.count_nonzero(u >= 0)
         assert (u[k:] == -1).all() and not b[k:].any()
         out.append((PrecodedDecision(users=tuple(draw_ids[j] for j in u[:k].tolist()), beams=tuple(b[:k])), predicted))
@@ -545,8 +548,8 @@ def test_zf_block_matches_scalar_oracle(n_t, n_s):
         assert got[-2] == (PrecodedDecision(users=(), beams=()), 0.0)
         assert got[-1][0].users == (2,)
         assert len({len(decision.users) for decision, _ in got}) >= min(n_s, 2) + 1
-    users, beams, predicted = zf_schedule_block(np.zeros((0, 3, n_t)), [])
-    assert users.shape == (0, 0) and beams.shape == (0, 0, n_t) and predicted.shape == (0,)
+    users, beams, predicted = zf_schedule_block(np.zeros((0, 3, n_t)), n_s, [])
+    assert users.shape == (0, n_s) and beams.shape == (0, n_s, n_t) and predicted.shape == (0,)
 
 
 def test_zf_stops_when_no_candidate_improves():
@@ -635,7 +638,7 @@ def test_zf_block_keeps_exact_winner_among_near_ties(n_t, n_s):
     for snr_db in (0.0, 30.0, 100.0):
         params = SystemParams(n_t=n_t, n_s=n_s).with_snr_db(snr_db)
         stack = np.array([_near_dependent_vectors(rng, 6, n_t, 1e-16, 1e-13, spread=1.0) for _ in range(100)])
-        users, beams, predicted = zf_schedule_block(stack, [params] * len(stack))
+        users, beams, predicted = zf_schedule_block(stack, params.n_s, [params.P] * len(stack))
         for d, v in enumerate(stack):
             chosen, expected, best = exhaustive_zf_schedule(v, params)
             k = len(chosen)
@@ -680,7 +683,7 @@ def test_zf_pseudo_inverts_one_set_per_draw_and_step(monkeypatch):
         params = SystemParams(n_t=4, n_s=4).with_snr_db(snr_db)
         stack = rng.standard_normal((64, 10, 4)) + 1j * rng.standard_normal((64, 10, 4))
         sizes.clear()
-        users, _, _ = zf_schedule_block(stack, [params] * len(stack))
+        users, _, _ = zf_schedule_block(stack, params.n_s, [params.P] * len(stack))
         k = np.count_nonzero(users >= 0, axis=1)
         # step j runs every draw that grew at each step before it
         assert sizes == [np.count_nonzero(k >= j - 1) for j in range(1, 5)]
@@ -770,7 +773,7 @@ def _realize_block(problems, C):
                 users[r, : len(us)] = us
                 beams[r, : len(us)] = list(d.beams) if zf else [d.assignment.pairs[m] for m in us]
         subs = np.array([problems[i][1] for i in group])
-        per_user, total = realize_rates_block(users, beams, subs, [problems[i][2] for i in group], C=None if zf else C)
+        per_user, total = realize_rates_block(users, beams, subs, [problems[i][2].P for i in group], C=None if zf else C)
         for r, (i, us) in enumerate(zip(group, users_of)):
             assert not per_user[r, len(us) :].any()
             out[i] = RateReport(per_user=dict(zip(us, per_user[r, : len(us)].tolist())), sum=float(total[r]))
