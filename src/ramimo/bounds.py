@@ -11,7 +11,7 @@ for the n_t = 3 construction.
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -153,15 +153,19 @@ def _min_weighted_gaps(psis, phi_table, lam_tildes):
     an overshoot t b_i - a_i against an undershoot a_j - t b_j, over every
     ordered pair of beams (i, j).  That pair's minimum over [0, 1] sits at
     their crossing t = (a_i + a_j) / (b_i + b_j), clipped to [0, 1] (0
-    where both lines are flat and meet at zero).
+    where both lines are flat and meet at zero).  The crossing of (i, j)
+    is that of (j, i) bit for bit, and an undershoot is exactly the
+    negated overshoot, so the two orders of one unordered pair (i <= j)
+    together give max(|t b_i - a_i|, |t b_j - a_j|) at one crossing.
     """
     a = (lam_tildes[:, None] * psis)[:, None, :]  # (rows, 1, beams)
     b = phi_table  # (codewords, beams)
     value = np.zeros((len(psis), len(b)))
-    for i, j in product(range(b.shape[1]), repeat=2):
+    for i, j in combinations_with_replacement(range(b.shape[1]), 2):
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(np.nan_to_num((a[..., i] + a[..., j]) / (b[:, i] + b[:, j]), nan=0.0), 0.0, 1.0)
-        np.maximum(value, np.maximum(t * b[:, i] - a[..., i], a[..., j] - t * b[:, j]), out=value)
+            t = np.fmin(np.fmax((a[..., i] + a[..., j]) / (b[:, i] + b[:, j]), 0.0), 1.0)  # NaN to 0
+        for w in {i, j}:
+            np.maximum(value, np.abs(t * b[:, w] - a[..., w]), out=value)
     return value.min(axis=1)
 
 

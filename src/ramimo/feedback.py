@@ -275,6 +275,24 @@ def _excess(r_true, noise, table):
     return excess, coefficients
 
 
+def _start(coefficients, r_true, noise, columns):
+    """Each column's single-user start, for true rates and noise terms
+    (problems x configurations) and the search's columns (problem,
+    scale2, phi_cols): the root of the pair of single-user configurations
+    (table row j is beam j alone) whose zero crossings t_j / phi_j, t =
+    expm1(r_j) / kappa, kappa = scale2 over their noise term, lie furthest
+    apart (`numerics._pair_log_root` on their coefficients, U = 0), x = 0
+    for a NaN root, held in the bracket."""
+    problem, scale2, phi_cols = columns
+    kappa = (scale2 / noise[problem, 0])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cross = np.expm1(r_true[problem, : len(phi_cols) - 1]) / kappa * (1.0 / phi_cols[:-1]).T
+        a = np.argmax(np.where(np.isnan(cross), -np.inf, cross), axis=1)
+        b = np.argmin(np.where(np.isnan(cross), np.inf, cross), axis=1)
+        root = _pair_log_root(*(coefficients(j, *columns) for j in (a, b)))
+    return np.clip(np.nan_to_num(root, nan=0.0), -LOG_GAIN_BRACKET, LOG_GAIN_BRACKET)
+
+
 def _pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass):
     """Mask (problems, codewords) of the columns that cannot win their
     problem, and each problem's upper bound on its minimum, for the
@@ -297,9 +315,7 @@ def _pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass):
     The upper bound is the largest |excess|, for at most `per_pass`
     problems at a time, of the column whose single-user zero crossings
     t_j / phi_j, t = expm1(r) / kappa, spread least (largest over
-    smallest), at the root of its extreme pair (`numerics._pair_log_root`
-    on their coefficients, U = 0), x = 0 for a NaN root, held in the
-    bracket.
+    smallest), at its single-user start (`_start`).
     """
     n, n_b = len(r_true), len(phi_cols) - 1
     kappa, r_single = (scale2 / noise[:, 0])[:, None], r_true[:, :n_b]
@@ -315,12 +331,7 @@ def _pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass):
 
         t = np.expm1(r_single) / kappa
         least = np.argmin(np.nan_to_num(envelope(t, np.fmax) / envelope(t, np.fmin), nan=np.inf), axis=1)
-        cross, rows = t * inv_phi[:, least].T, np.arange(n)  # the chosen columns' crossings
-        # the extreme pair, as single-user configurations: table row j is beam j alone
-        a = np.argmax(np.where(np.isnan(cross), -np.inf, cross), axis=1)
-        b = np.argmin(np.where(np.isnan(cross), np.inf, cross), axis=1)
-        root = _pair_log_root(*(coefficients(j, rows, scale2, phi_cols[:, least]) for j in (a, b)))
-    x = np.clip(np.nan_to_num(root, nan=0.0), -LOG_GAIN_BRACKET, LOG_GAIN_BRACKET)
+    x = _start(coefficients, r_true, noise, (np.arange(n), scale2, phi_cols[:, least]))
     upper = np.empty(n)
     for lo in range(0, n, per_pass):
         p = np.arange(lo, min(n, lo + per_pass))
@@ -343,8 +354,9 @@ def _ra_messages(r_true, noise, scale2, phi, table):
     that minimax, and the winner's at most the upper bound plus the
     solver's certificate (1e-13), or the fallback's 7.3e-11, far below the
     margin.  The survivors are searched in chunks of at most
-    _BATCH_ELEMENTS (column, configuration) entries; the best codeword
-    wins, ties to the lowest index.
+    _BATCH_ELEMENTS (column, configuration) entries, each column started
+    at its single-user start (`_start`), as the pre-pass's bound is; the
+    best codeword wins, ties to the lowest index.
     """
     n, n_v = len(r_true), len(phi)
     excess, coefficients = _excess(r_true, noise, table)
@@ -352,10 +364,12 @@ def _ra_messages(r_true, noise, scale2, phi, table):
     per_pass = max(1, _BATCH_ELEMENTS // len(table))  # columns of one pass within the cap
     dropped, _ = _pre_pass(excess, coefficients, r_true, noise, scale2, phi_cols, per_pass)
     problem, cdi = np.nonzero(~dropped)
+    x0 = _start(coefficients, r_true, noise, (problem, scale2[problem], phi_cols[:, cdi]))
     x, gap = np.full((n, n_v), np.nan), np.full((n, n_v), np.inf)
     for lo in range(0, len(problem), per_pass):
-        p, v = problem[lo : lo + per_pass], cdi[lo : lo + per_pass]
-        x[p, v], gap[p, v], _ = minimax_log_gain(excess, coefficients, (p, scale2[p], phi_cols[:, v]))
+        part = slice(lo, lo + per_pass)
+        p, v = problem[part], cdi[part]
+        x[p, v], gap[p, v], _ = minimax_log_gain(excess, coefficients, (p, scale2[p], phi_cols[:, v]), x0[part])
     idx = np.argmin(gap, axis=1)
     rows = np.arange(n)
     return idx, np.exp(0.5 * x[rows, idx]), gap[rows, idx]

@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -73,6 +72,19 @@ def _real(name, value):
     return value
 
 
+class _Spec(dict):
+    """A codebook spec as a config holds it: a dict copy that refuses
+    changes, so a frozen config's spec stays the one its checks passed."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a SimConfig codebook spec is read-only; use SimConfig.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # pickle and deepcopy rebuild it whole, not item by item
+        return _Spec, (dict(self),)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: SystemParams
@@ -129,6 +141,7 @@ class SimConfig:
                 raise ValueError(f"{name} kind 'file' needs a string 'path', got {spec.get('path')!r}")
             if spec["kind"] != "file" and "path" in spec:
                 raise ValueError(f"{name} kind {spec['kind']!r} takes no 'path'")
+            object.__setattr__(self, name, _Spec(spec))  # a copy: a later change to the caller's dict escapes nothing
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         keys = [f"snr={s:g}" for s in self.snr_db_list]  # the CDF keys of result.json
         if len(set(keys)) < len(keys):
@@ -326,6 +339,8 @@ def _map_draws(kind, ctx):
     if cfg.workers <= 1:
         per_block = [_BLOCK_FNS[kind](ctx, draws) for draws in blocks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never import multiprocessing
+
         chunk = max(1, len(blocks) // (cfg.workers * 8))
         with ProcessPoolExecutor(
             max_workers=min(cfg.workers, len(blocks)), initializer=_init_worker, initargs=(kind, cfg.to_dict())

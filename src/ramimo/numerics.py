@@ -65,7 +65,7 @@ def _pair_log_root(pair_a, pair_b):
         return np.where(growth > 0, np.log(np.where(c2 >= 0, g, np.inf)), -np.inf)
 
 
-def minimax_log_gain(mismatch, coefficients, columns):
+def minimax_log_gain(mismatch, coefficients, columns, x0=None):
     """Minimize max_c |e_c(x)| over x in [-LOG_GAIN_BRACKET,
     LOG_GAIN_BRACKET] for many columns at once, each exactly and with a
     certificate.
@@ -92,25 +92,35 @@ def minimax_log_gain(mismatch, coefficients, columns):
     root, its value and the lower bound, and leaves later passes.  A
     rounding error in a root costs a round, never a wrong certificate.
 
-    A column that MINIMAX_ROUNDS root rounds leave uncertified falls back
-    to halving its bracket until it has taken MINIMAX_ITERS midpoints,
-    counting the first, x = 0.  Its last midpoint then lies within
-    80 * 2^-40 of the minimizer, so, as rates move by at most |dx|, its
-    best evaluated point (ties to the later) is within about 7e-11 of the
-    minimum; it reports that point, its value and a lower bound of -inf.
-    With no root rounds the solver is a plain bisection.  A column whose
-    mismatch is NaN takes the fallback and keeps x = 0 and value +inf.
-    The arithmetic is per column and a certified column is masked out of
-    later passes, so each column's result does not depend on which
-    columns share the call.  Returns x, value and lower bound arrays.
+    The first pass is at x = 0, or at x0, one start per column inside the
+    bracket, such as the root of the pair the caller expects to be active.
+    Both bounds hold at any x, so a start counts as a root round: a column
+    may certify there, and MINIMAX_ROUNDS root rounds follow.  A column
+    certified at a root reports the root of its final active pair, which
+    does not depend on the path taken, so a start moves no result except
+    where two pairs certify at different roots.
+
+    A column that the root rounds leave uncertified falls back to halving
+    its bracket until it has taken MINIMAX_ITERS midpoints, counting the
+    first pass at x = 0 but not a start x0, which is no midpoint.  Its
+    last midpoint then lies within 80 * 2^-40 of the minimizer, so, as
+    rates move by at most |dx|, its best evaluated point (ties to the
+    later) is within about 7e-11 of the minimum; it reports that point,
+    its value and a lower bound of -inf.  With no root rounds and no start
+    the solver is a plain bisection.  A column whose mismatch is NaN takes
+    the fallback and keeps x = 0 and value +inf.  The arithmetic is per
+    column and a certified column is masked out of later passes, so each
+    column's result does not depend on which columns share the call.
+    Returns x, value and lower bound arrays.
     """
     n = columns[0].shape[-1]
     x_out, value, lower = np.zeros(n), np.full(n, np.inf), np.full(n, -np.inf)
     act = np.arange(n)  # columns still searched, and their state below
     lo, hi = np.full(n, -LOG_GAIN_BRACKET), np.full(n, LOG_GAIN_BRACKET)
-    best_x, best, x = np.zeros(n), np.full(n, np.inf), np.zeros(n)
-    rounds = MINIMAX_ROUNDS
-    for step in range(rounds + MINIMAX_ITERS):
+    best_x, best = np.zeros(n), np.full(n, np.inf)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    rounds, first = MINIMAX_ROUNDS, int(x0 is None)  # first: the first step whose x is a root
+    for step in range(rounds + MINIMAX_ITERS + 1 - first):
         if not len(act):
             break
         cols = [c[..., act] for c in columns]
@@ -125,7 +135,7 @@ def minimax_log_gain(mismatch, coefficients, columns):
         rising = over >= under
         np.copyto(hi, x, where=rising)
         np.copyto(lo, x, where=~rising)
-        if 0 < step <= rounds:  # x is a root
+        if first <= step <= rounds:  # x is a root
             end = np.where(x >= LOG_GAIN_BRACKET, under, np.where(x <= -LOG_GAIN_BRACKET, over, -np.inf))
             bound = np.maximum(end, np.minimum(over, under))
             done = val - bound <= CERTIFY_TOL

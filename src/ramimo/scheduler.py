@@ -42,9 +42,10 @@ class PrecodedDecision:
 
 
 _BRUTE_TABLES = {}
-# (problem, subset, beam tuple) candidates evaluated per numpy block: at
-# 2^14 a pass's gain arrays stay in cache; at 2^16 a call on 409 problems
-# of the criterion-9 config took 28 us per problem against 18
+# (problem, subset, beam tuple) candidates scored per numpy pass, and the
+# (problem, user, beam tuple) entries of one rate table: at 2^14 a pass's
+# arrays stay in cache; a call on 50 problems of the criterion-9 config
+# took 0.29 ms against 0.33 at 2^13 and 0.45 at 2^15
 _BRUTE_BLOCK = 1 << 14
 
 
@@ -81,13 +82,21 @@ def schedule_bruteforce_block(vectors, C, n_s, P):
     tuple); a best rate of 0 schedules nobody.  Guarded against
     combinatorial blowup; use the greedy scheduler for larger instances.
 
-    For each set size k every (problem, subset, beam tuple) candidate is
-    scored in numpy passes of about `_BRUTE_BLOCK` candidates, each problem
-    with its own noise term, by the same elementwise arithmetic as the
-    rate formula on that candidate alone.  Subsets and beam tuples run in
-    lexicographic order, so the first row-major hit of a problem's maximum
-    within one k is that k's smallest key; the keys of different k are
-    compared explicitly.
+    A scheduled user's rate depends only on its own power row, the beam
+    tuple, its position i in it and its problem's noise term k / P.  So
+    for each set size k the rate table R_i[p, u, t] of every (problem,
+    user, beam tuple, position) is built once, by the elementwise
+    arithmetic of `_brute_scores` (interferers in position order), and a
+    (subset, beam tuple) candidate scores the position-order sum of
+    R_i[p, subset_i, t]: the same bits as scoring that candidate alone.
+    The tables are built for runs of at most `_BRUTE_BLOCK` / users beam
+    tuples and groups of problems, and their candidates scored in numpy
+    passes of about `_BRUTE_BLOCK`: whole problems at a time or, where one
+    problem holds more, runs of its subsets.  Subsets and beam tuples run
+    in lexicographic order, so a problem's first hit of its maximum over
+    the flattened (subset, beam tuple) axis, the first row-major hit of a
+    pass or, across passes, the smaller flat index, is that k's smallest
+    key; the keys of different k are compared explicitly.
     """
     n_users, power = _check_problems(vectors, C, n_s, P)
     if n_users > BRUTE_MAX_USERS or len(C) > BRUTE_MAX_BEAMS:
@@ -106,25 +115,38 @@ def schedule_bruteforce_block(vectors, C, n_s, P):
         subsets, beam_tuples = _brute_tables(n_users, len(C), k)
         if not len(subsets):
             break
-        # (problem, subset) rows, problem-major, subsets in lexicographic order
-        prob, sub = np.repeat(np.arange(n), len(subsets)), np.tile(np.arange(len(subsets)), n)
-        noise = k / power[prob]
-        row_top = np.empty(len(prob))
-        row_arg = np.empty(len(prob), dtype=int)
-        step = max(1, _BRUTE_BLOCK // len(beam_tuples))
-        for lo in range(0, len(prob), step):
-            part = slice(lo, lo + step)
-            held = pw[prob[part, None], subsets[sub[part]]]  # (rows, k, beams): power rows of each row's subset
-            # gains[i][j][r, t]: power of row r's i-th user on the beam at position j of tuple t
-            gains = [[held[:, i][:, beam_tuples[:, j]] for j in range(k)] for i in range(k)]
-            total = _brute_scores(gains, noise[part, None])
-            row_top[part] = np.fmax.reduce(total, axis=1)  # NaN only where a whole row is NaN
-            row_arg[part] = np.argmax(total == row_top[part, None], axis=1)
-        row_top, row_arg = row_top.reshape(n, len(subsets)), row_arg.reshape(n, len(subsets))
-        tops = np.fmax.reduce(row_top, axis=1)
-        # each problem's first hit, its smallest key of size k
-        first = np.argmax(row_top == tops[:, None], axis=1)
-        arg = row_arg[np.arange(n), first]
+        n_sub, n_tup = len(subsets), len(beam_tuples)
+        noise = k / power
+        tops, args = np.full(n, np.nan), np.zeros(n, dtype=int)  # each problem's best and its first flat (subset, tuple) hit
+        span = max(1, _BRUTE_BLOCK // n_users)  # beam tuples per rate table
+        for t0 in range(0, n_tup, span):
+            tuples = beam_tuples[t0 : t0 + span]
+            group = max(1, _BRUTE_BLOCK // (max(n_sub, n_users) * len(tuples)))  # problems per rate table
+            step = max(1, _BRUTE_BLOCK // (group * len(tuples)))  # subsets per pass
+            for p in range(0, n, group):
+                part = slice(p, p + group)
+                held = pw[part]
+                # gains[j][q, u, t]: power of user u of problem q on the beam at position j of tuple t
+                gains = [held[:, :, tuples[:, j]] for j in range(k)]
+                # table[i][q, u, t]: rate of that user scheduled at position i of tuple t
+                table = [rate(gains[i], gains[:i] + gains[i + 1 :], noise[part, None, None]) for i in range(k)]
+                for lo in range(0, n_sub, step):
+                    sub = subsets[lo : lo + step]
+                    total = ordered_sum(r[:, sub[:, i]] for i, r in enumerate(table)).reshape(len(held), -1)
+                    arg = np.argmax(total, axis=1)  # NaN-first, like max
+                    top = total[np.arange(len(total)), arg]
+                    odd = np.flatnonzero(np.isnan(top))
+                    if len(odd):  # the largest non-NaN score, NaN only where a whole row is NaN
+                        top[odd] = np.fmax.reduce(total[odd], axis=1)
+                        arg[odd] = np.argmax(total[odd] == top[odd, None], axis=1)
+                    s, t = np.divmod(arg, len(tuples))
+                    flat = (lo + s) * n_tup + t0 + t
+                    kept, kept_at = tops[part], args[part]  # views
+                    # a pass wins with a larger score, or an equal one at a smaller flat index
+                    better = (top > kept) | (top == kept) & (flat < kept_at) | np.isnan(kept) & ~np.isnan(top)
+                    np.copyto(kept, top, where=better)
+                    np.copyto(kept_at, flat, where=better)
+        first, arg = np.divmod(args, n_tup)
         win = tops > best_rate  # False for NaN
         # an exact tie with a scheduled winner goes to the smaller key; a 0 rate keeps ((), ())
         for i in np.flatnonzero((tops == best_rate) & (tops > 0)).tolist():

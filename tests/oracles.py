@@ -71,3 +71,20 @@ def reference_draw_channels(params, F, rho, rng, n_users):
             mats[f] = rho * mats[f - 1] + scale * mats[f]
         out.append((np.mean(mats, axis=0) if F > 1 else mats[0], np.array(mats)))
     return out
+
+
+def ordered_pair_weighted_gaps(psis, phi_table, lam_tildes):
+    """min over (theta_tilde in [0, 1], codeword) of max_w |lam_tilde
+    psi_w - theta_tilde phi_w| of every row of psis (rows, |C|), written
+    over every ordered beam pair (i, j): the overshoot t b_i - a_i against
+    the undershoot a_j - t b_j at their crossing t = (a_i + a_j) / (b_i +
+    b_j), clipped to [0, 1] after a NaN crossing is set to 0."""
+    a = (lam_tildes[:, None] * psis)[:, None, :]
+    b = phi_table
+    value = np.zeros((len(psis), len(b)))
+    for i in range(b.shape[1]):
+        for j in range(b.shape[1]):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.clip(np.nan_to_num((a[..., i] + a[..., j]) / (b[:, i] + b[:, j]), nan=0.0), 0.0, 1.0)
+            np.maximum(value, np.maximum(t * b[:, i] - a[..., i], a[..., j] - t * b[:, j]), out=value)
+    return value.min(axis=1)

@@ -243,6 +243,33 @@ def test_min_weighted_gaps_match_bisection_oracle(n_t, lam_tilde):
     assert np.array_equal(_min_weighted_gaps(psi, phi, lam), closed.min(axis=1))
 
 
+@pytest.mark.parametrize("n_t", [2, 3, 4])
+def test_min_weighted_gaps_match_ordered_pair_form_bitwise(n_t):
+    # one crossing per unordered beam pair gives the ordered-pair form's
+    # bits, on 300 random rows against random, zero-power, single-beam and
+    # duplicated codewords, with zero alignments, lam_tilde = 0 and
+    # lam_tilde near 1 among the rows
+    from oracles import ordered_pair_weighted_gaps
+    from ramimo.bounds import _min_weighted_gaps
+
+    rng = np.random.default_rng(60 + n_t)
+    C = canonical_onb(n_t)
+    V = rvq_codebook(n_t, 5, SeedSpec(61).derive("v", n_t))
+    phi = np.abs(V.vectors.conj() @ C.vectors.T) ** 2
+    phi = np.vstack([phi, np.zeros((1, n_t)), np.eye(n_t), phi[[2, 2]], 0.5 * np.eye(n_t)[-1:]])
+    h = rng.standard_normal((300, n_t)) + 1j * rng.standard_normal((300, n_t))
+    psi = np.abs(h.conj() @ C.vectors.T) ** 2 / np.sum(np.abs(h) ** 2, axis=1, keepdims=True)
+    psi[:20] = 0.0  # zero alignments
+    psi[20:40] = np.eye(n_t)[rng.integers(0, n_t, 20)]  # a channel on one beam
+    psi[40:60] = phi[rng.integers(0, len(phi), 20)]  # a channel on a codeword
+    lam = rng.uniform(0.0, 1.0, 300)
+    lam[::7] = 0.0
+    lam[1::7] = 1.0 - 1e-12
+    got = _min_weighted_gaps(psi, phi, lam)
+    assert got.tobytes() == ordered_pair_weighted_gaps(psi, phi, lam).tobytes()
+    assert got[::7].tobytes() == np.zeros(len(got[::7])).tobytes()  # lam_tilde = 0 meets t = 0
+
+
 def test_empirical_d_nonincreasing_in_b():
     params = SystemParams(n_t=3, n_s=2, P=10.0)
     C = canonical_onb(3)

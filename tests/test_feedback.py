@@ -898,7 +898,8 @@ def _file_codebook_searches(monkeypatch):
     dB over a `file`-style transmit codebook {e1, e2} at n_t = 3, which
     does not span, so e3 and every codeword near it have zero or little
     power on every beam; with a duplicated codeword and a zero channel at
-    every SNR.  Each is (mismatch, coefficients, columns)."""
+    every SNR.  Each is (mismatch, coefficients, columns, x0), x0 the
+    columns' single-user starts."""
     import ramimo.feedback as fb
     from ramimo.channel import mrc_effective_channel
 
@@ -914,9 +915,9 @@ def _file_codebook_searches(monkeypatch):
             params.append(p)
     searches, search = [], fb.minimax_log_gain
 
-    def recording_search(mismatch, coefficients, columns):
-        searches.append((mismatch, coefficients, columns))
-        return search(mismatch, coefficients, columns)
+    def recording_search(mismatch, coefficients, columns, x0=None):
+        searches.append((mismatch, coefficients, columns, x0))
+        return search(mismatch, coefficients, columns, x0)
 
     with monkeypatch.context() as mp:
         mp.setattr(fb, "PRUNE_MARGIN", np.inf)
@@ -927,13 +928,15 @@ def _file_codebook_searches(monkeypatch):
 
 @pytest.mark.parametrize("case", ["random", "degenerate", "file-codebook"])
 def test_gain_search_certifies_every_column_or_falls_back(monkeypatch, case):
-    # every searched column either is certified (its value within
-    # CERTIFY_TOL of its lower bound) or came out of the fallback, whose
-    # value is within the plain bisection's tolerance; the lower bound
-    # never exceeds the bisection's value, at 0-100 dB, with n_r = 2, zero
-    # channels, duplicated and zero-power codewords and roots clipped at
-    # both ends of the bracket.  With no root rounds every column takes
-    # the fallback, which reproduces the plain bisection bit for bit.
+    # every searched column, started at x = 0 or at its single-user start,
+    # either is certified (its value within CERTIFY_TOL of its lower
+    # bound) or came out of the fallback, whose value is within the plain
+    # bisection's tolerance; the lower bound never exceeds the bisection's
+    # value, at 0-100 dB, with n_r = 2, zero channels, duplicated and
+    # zero-power codewords and roots clipped at both ends of the bracket.
+    # With no root rounds every column takes the fallback, which without a
+    # start reproduces the plain bisection bit for bit and with one stays
+    # within its tolerance.
     import ramimo.feedback as fb
     import ramimo.numerics as numerics
     from oracles import plain_bisection
@@ -944,22 +947,56 @@ def test_gain_search_certifies_every_column_or_falls_back(monkeypatch, case):
         r_true, noise, scale2, phi, table = _hard_columns(case == "degenerate")
         p, v = np.divmod(np.arange(len(r_true) * len(phi)), len(phi))
         phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
-        searches = [(*fb._excess(r_true, noise, table), (p, scale2[p], phi_cols[:, v]))]
+        excess, coefficients = fb._excess(r_true, noise, table)
+        columns = (p, scale2[p], phi_cols[:, v])
+        x0 = fb._start(coefficients, r_true, noise, columns)
+        searches = [(excess, coefficients, columns, x0)]
     tol = 2 * numerics.LOG_GAIN_BRACKET * 2.0**-numerics.MINIMAX_ITERS
     certified = fallback = 0
-    for mismatch, coefficients, columns in searches:
-        _, value, lower = numerics.minimax_log_gain(mismatch, coefficients, columns)
+    for mismatch, coefficients, columns, x0 in searches:
         px, pv = plain_bisection(mismatch, columns)
-        ok = value - lower <= numerics.CERTIFY_TOL
-        assert np.all(lower <= pv + 1e-13)
-        assert np.all(value[ok] <= pv[ok] + 1e-13)
-        assert np.all(value[~ok] <= pv[~ok] + tol)
-        certified, fallback = certified + ok.sum(), fallback + (~ok).sum()
+        for start in (None, x0):
+            _, value, lower = numerics.minimax_log_gain(mismatch, coefficients, columns, start)
+            ok = value - lower <= numerics.CERTIFY_TOL
+            assert np.all(lower <= pv + 1e-13)
+            assert np.all(value[ok] <= pv[ok] + 1e-13)
+            assert np.all(value[~ok] <= pv[~ok] + tol)
+            certified, fallback = certified + ok.sum(), fallback + (~ok).sum()
         with monkeypatch.context() as mp:
             mp.setattr(numerics, "MINIMAX_ROUNDS", 0)
             fx, fv, _ = numerics.minimax_log_gain(mismatch, coefficients, columns)
+            _, wv, wl = numerics.minimax_log_gain(mismatch, coefficients, columns, x0)
         assert fx.tobytes() == px.tobytes() and fv.tobytes() == pv.tobytes()
+        warm_ok = wv - wl <= numerics.CERTIFY_TOL  # the start itself may certify
+        assert np.all(wv[warm_ok] <= pv[warm_ok] + 1e-13) and np.all(np.abs(wv - pv)[~warm_ok] <= tol)
+        assert (~warm_ok).any()
     assert certified > 0 and fallback == 0  # no column of these regimes needs the fallback
+
+
+def test_single_user_start_cuts_gain_search_passes():
+    # the single-user starts move no result on these columns and leave
+    # fewer (column, pass) evaluations than starting every column at x = 0
+    import ramimo.feedback as fb
+    from ramimo.numerics import minimax_log_gain
+
+    for degenerate in (False, True):
+        r_true, noise, scale2, phi, table = _hard_columns(degenerate)
+        p, v = np.divmod(np.arange(len(r_true) * len(phi)), len(phi))
+        phi_cols = np.vstack([phi.T, np.zeros(len(phi))])
+        excess, coefficients = fb._excess(r_true, noise, table)
+        columns = (p, scale2[p], phi_cols[:, v])
+        x0 = fb._start(coefficients, r_true, noise, columns)
+        work = []
+
+        def counted(x, *cols):
+            work.append(x.size)
+            return excess(x, *cols)
+
+        cold = minimax_log_gain(counted, coefficients, columns)
+        cold_work, work[:] = sum(work), []
+        warm = minimax_log_gain(counted, coefficients, columns, x0)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cold, warm))
+        assert sum(work) < cold_work
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,49 @@ def test_direct_construction_validates_codebook_specs(name, spec, message):
         SimConfig(SystemParams(n_t=4), **{name: spec})
 
 
+def test_codebook_specs_are_read_only_copies():
+    # a config keeps read-only copies of its codebook specs: a later change
+    # to the caller's dict cannot bypass the checks, the frozen config's
+    # spec cannot be changed, to_dict (so result.json and config_hash)
+    # still gives plain dicts, and the config still pickles and deep-copies
+    import copy
+    import pickle
+
+    from ramimo.codebook import dft_codebook
+
+    spec = {"kind": "dft"}
+    cfg = SimConfig(SystemParams(n_t=4), transmit_codebook=spec)
+    spec["kind"] = "file"
+    assert np.array_equal(build_transmit_codebook(cfg).vectors, dft_codebook(4).vectors)
+    with pytest.raises(TypeError, match="read-only"):
+        cfg.feedback_codebook["kind"] = "nope"
+    for change in (lambda s: s.update(kind="nope"), lambda s: s.pop("kind"), lambda s: s.clear()):
+        with pytest.raises(TypeError, match="read-only"):
+            change(cfg.transmit_codebook)
+    for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+        assert twin == cfg and twin.to_dict() == cfg.to_dict()
+        with pytest.raises(TypeError, match="read-only"):
+            twin.transmit_codebook["kind"] = "nope"
+    d = cfg.to_dict()
+    assert type(d["transmit_codebook"]) is dict and d["transmit_codebook"] == {"kind": "dft"}
+    assert type(d["feedback_codebook"]) is dict and d["feedback_codebook"] == {"kind": "rvq-union-tx"}
+    d["transmit_codebook"]["kind"] = "canonical"  # a copy: the config keeps its spec
+    assert cfg.transmit_codebook == {"kind": "dft"}
+    assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    assert cfg.config_hash() == SimConfig(SystemParams(n_t=4), transmit_codebook={"kind": "dft"}).config_hash()
+    assert SimConfig(SystemParams(n_t=4), transmit_codebook=cfg.transmit_codebook) == cfg
+
+
+def test_serial_import_leaves_multiprocessing_out():
+    # the process pool is imported only by a run with workers > 1, so
+    # importing the harness does not pay for multiprocessing
+    code = "import sys, ramimo.harness; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("data", [5, None, [1, 2]])
 def test_config_rejects_non_object_config(data):
     with pytest.raises(ValueError, match="config must be an object"):
@@ -252,6 +295,8 @@ def test_worker_pool_sized_to_the_blocks(monkeypatch):
     # executor records the size and the blocks and maps in this process,
     # so no process starts, and the results and metadata.workers stay as
     # requested
+    import concurrent.futures
+
     import ramimo.harness as harness
 
     sizes, blocks = [], []
@@ -271,7 +316,7 @@ def test_worker_pool_sized_to_the_blocks(monkeypatch):
             blocks.append([len(draws) for draws in items])
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(harness, "_WORKER_CTX", {})
     serial = run_sum_rate_experiment(_cfg(num_draws=1))
     one_block = run_sum_rate_experiment(_cfg(num_draws=1, workers=64))
@@ -481,7 +526,8 @@ def test_gain_search_passes_stay_within_the_memory_cap(monkeypatch, elements):
     # no excess pass of the gain search sees more than _BATCH_ELEMENTS
     # (column, configuration) entries, and at the default cap one search
     # covers the whole block, which makes at most 7 excess passes: the
-    # pre-pass's upper bound, x = 0 and at most 5 root rounds
+    # pre-pass's upper bound, the columns' single-user starts and at most
+    # 5 further root rounds
     import ramimo.feedback as fb
 
     if elements is not None:

@@ -431,6 +431,88 @@ def test_brute_block_matches_scalar_oracle(monkeypatch, block):
     assert users.shape == beams.shape == (0, 2) and rate.shape == (0,)
 
 
+def _near_tie_problems():
+    """Problems of six users at n_t = n_s = 4, 0-30 dB: users 0-3 close to
+    the four canonical beams, so four-user sets (three interferers per
+    user) compete, and users 4 and 5 copies of users 0 and 2 scaled by one
+    ulp up and down, or, in every third problem, exact copies; on the
+    canonical codebook their sets score within a few ulps of the
+    originals'."""
+    problems = []
+    for i, snr in enumerate((0.0, 10.0, 20.0, 30.0, 15.0, 25.0)):
+        noise = [sample_complex_gaussian(4, SeedSpec(91).derive(i, m)) for m in range(4)]
+        vectors = {m: np.eye(4, dtype=complex)[m] + 0.01 * noise[m] for m in range(4)}
+        ulp = 0.0 if i % 3 == 2 else 2.0**-52
+        vectors[4] = vectors[0] * (1.0 + ulp)
+        vectors[5] = vectors[2] * (1.0 - ulp)
+        problems.append((vectors, SystemParams(n_t=4, n_s=4).with_snr_db(snr)))
+    return problems
+
+
+def _enumerated_scores(vectors, C, params):
+    """Every (users, beam tuple) candidate's sum rate, as the enumeration
+    oracle scores it."""
+    users = sorted(vectors)
+    return {
+        (S, beams): sum(
+            rate_with_beams(vectors[m], C[b], [C[c] for c in beams if c != b], k, params) for m, b in zip(S, beams)
+        )
+        for k in range(1, params.n_s + 1)
+        for S in combinations(users, k)
+        for beams in permutations(range(len(C)), k)
+    }
+
+
+@pytest.mark.parametrize("block", [None, 7, 50, 720])
+def test_brute_block_matches_enumeration_among_near_ties(monkeypatch, block):
+    # at n_t = n_s = 4 a scheduled user's rate adds three interferers, in
+    # position order, and users that copy another up to one ulp put
+    # candidates within a few ulps of the winner; the stacked call picks
+    # the enumeration oracle's winner, tie-break and rate bit for bit with
+    # default passes, with rate tables of one beam tuple (7) or of a third
+    # of them (50), and with tables of two problems each (720)
+    import ramimo.scheduler as sched
+
+    if block is not None:
+        monkeypatch.setattr(sched, "_BRUTE_BLOCK", block)
+    C = canonical_onb(4)
+    problems = _near_tie_problems()
+    got = _brute_block_decisions(problems, C)
+    close = 0
+    for (vectors, params), decision in zip(problems, got):
+        ref_rate, ref_S, ref_beams = reference_enumerator(vectors, C, params)
+        assert (tuple(decision.assignment.users), tuple(decision.assignment.pairs[m] for m in ref_S)) == (ref_S, ref_beams)
+        assert decision.predicted_sum_rate == ref_rate
+        scores = _enumerated_scores(vectors, C, params)
+        assert max(scores.values()) == ref_rate and len(ref_S) == 4
+        close += any(0 < ref_rate - v <= 4 * np.spacing(ref_rate) for v in scores.values())
+    assert close >= 2  # some runner-up is within four ulps of its winner
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 5])
+def test_brute_block_ties_across_beam_tuple_runs(monkeypatch, block):
+    # users whose powers on the canonical beams are permutations of one
+    # another tie exactly between candidates whose beam tuples differ, so
+    # with rate tables over short runs of beam tuples a later run can hold
+    # an equal score at a smaller user subset; the first key still wins
+    import ramimo.scheduler as sched
+
+    if block is not None:
+        monkeypatch.setattr(sched, "_BRUTE_BLOCK", block)
+    C = canonical_onb(3)
+    problems = []
+    for i, (n_s, snr) in enumerate([(1, 10.0), (2, 0.0), (2, 30.0), (3, 20.0)]):
+        base = sample_complex_gaussian(3, SeedSpec(93).derive(i))
+        vectors = {m: base[list(order)] for m, order in enumerate(list(permutations(range(3)))[::-1])}
+        problems.append((vectors, SystemParams(n_t=3, n_s=n_s).with_snr_db(snr)))
+    got = _brute_block_decisions(problems, C)
+    for (vectors, params), decision in zip(problems, got):
+        ref_rate, ref_S, ref_beams = reference_enumerator(vectors, C, params)
+        assert (tuple(decision.assignment.users), tuple(decision.assignment.pairs[m] for m in ref_S)) == (ref_S, ref_beams)
+        assert decision.predicted_sum_rate == ref_rate
+        assert list(_enumerated_scores(vectors, C, params).values()).count(ref_rate) > 1  # an exact tie
+
+
 def _reference_zf_beams(dirs):
     """Unit pseudo-inverse columns of one direction set, None when the
     directions are linearly dependent (the arithmetic of zf_decision_for,
