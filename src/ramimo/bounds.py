@@ -55,14 +55,6 @@ def c_nt(n_t):
     return val ** (1.0 / d)
 
 
-def c_nt_table(n_lo=6, n_hi=20):
-    """(n_t, c(n_t)) table plus a monotonicity flag over the range."""
-    rows = [(n, c_nt(n)) for n in range(n_lo, n_hi + 1)]
-    vals = [v for _, v in rows]
-    nonincreasing = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
-    return rows, nonincreasing
-
-
 def lemma3_validity_threshold(n_t):
     """Feedback bits above which the quantization-error bound applies."""
     d = n_t - 1
@@ -137,15 +129,10 @@ def covering_number_bound(d, delta):
     return covering_density(d) * math.comb(2 * d, d) * vol_simplex / vol_ball
 
 
-def min_weighted_gap(psi, phi_table, lam_tilde):
-    """min over (theta_tilde, nu) of max_w |lam_tilde psi_w - theta_tilde phi_w|,
-    with theta_tilde in [0, 1]."""
-    return float(_min_weighted_gaps(np.asarray(psi)[None, :], phi_table, np.array([lam_tilde]))[0])
-
-
 def _min_weighted_gaps(psis, phi_table, lam_tildes):
-    """`min_weighted_gap` of every row of psis (n, |C|) with its lam_tilde,
-    exactly.
+    """min over (theta_tilde in [0, 1], codeword nu) of max_w |lam_tilde
+    psi_w - theta_tilde phi_w| of every row of psis (n, |C|) with its
+    lam_tilde, exactly.
 
     With a_w = lam_tilde psi_w and b_w = phi_w >= 0, every set
     {t in [0, 1] : |a_w - t b_w| <= c} is an interval, so by Helly's
@@ -167,11 +154,6 @@ def _min_weighted_gaps(psis, phi_table, lam_tildes):
         for w in {i, j}:
             np.maximum(value, np.abs(t * b[:, w] - a[..., w]), out=value)
     return value.min(axis=1)
-
-
-def min_direction_gap(psi, phi_table):
-    """min over nu of max_w |psi_w - phi_w| (direction-only error)."""
-    return float(np.max(np.abs(psi[None, :] - phi_table), axis=1).min())
 
 
 _EMPIRICAL_D_ROWS = 1 << 14  # (sample, codeword) entries per stacked pass

@@ -6,14 +6,12 @@ result.json plus curves.csv into --out.
 """
 
 import argparse
-import csv
-import json
 import math
-import os
 import sys
+from dataclasses import fields
 
 from . import __version__
-from .bounds import bounds_report, measure_worst_case_error, simplex_quantizer
+from .bounds import BoundsReport, bounds_report, measure_worst_case_error, simplex_quantizer
 from .codebook import (
     canonical_onb,
     dft_codebook,
@@ -31,78 +29,75 @@ from .harness import (
     run_delta_ra_experiment,
     run_scaling_experiment,
     run_sum_rate_experiment,
+    write_csv,
+    write_json,
 )
 from .numerics import SeedSpec
 
+_BOUNDS_COLUMNS = [f.name for f in fields(BoundsReport)]
+_BOUNDS_COLUMNS.insert(_BOUNDS_COLUMNS.index("B") + 1, "snr_db")
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--workers", type=int, help="override worker count")
-    p.add_argument("--bits", action="store_true", help="print rates in bits (log2) instead of nats")
+# codebook gen --kind -> the codebook, from the parsed arguments and the seed
+_CODEBOOK_KINDS = {
+    "canonical": lambda args, seed: canonical_onb(args.dim),
+    "dft": lambda args, seed: dft_codebook(args.dim),
+    "random-unitary": lambda args, seed: random_unitary(args.dim, seed),
+    "rvq": lambda args, seed: rvq_codebook(args.dim, args.gen_bits, seed),
+}
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config) if args.config else SimConfig.from_dict({})
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    return cfg
+    return load_config(args.config) if args.config else SimConfig.from_dict({})
 
 
-def _report_rate(value_nats, bits):
-    return value_nats / math.log(2.0) if bits else value_nats
-
-
-def _cmd_simulate(args):
-    cfg = _load_cfg(args)
-    result = run_sum_rate_experiment(cfg)
-    paths = emit(result, args.out)
-    unit = "bits" if args.bits else "nats"
+def _sum_rate_lines(result, rate):
     for row in result.tables:
-        print(
-            f"strategy={row['strategy']} snr={row['snr_db']:g} dB  "
-            f"mean sum rate = {_report_rate(row['mean_rate_nats'], args.bits):.4f} {unit}"
-        )
-    print(f"wrote {paths[0]} and {paths[1]}")
-    return 0
+        yield f"strategy={row['strategy']} snr={row['snr_db']:g} dB  mean sum rate = {rate(row['mean_rate_nats'])}"
 
 
-def _cmd_delta_ra(args):
-    cfg = _load_cfg(args)
-    result = run_delta_ra_experiment(cfg)
-    paths = emit(result, args.out)
-    unit = "bits" if args.bits else "nats"
+def _delta_ra_lines(result, rate):
     for row in result.tables:
-        line = (
-            f"snr={row['snr_db']:g} dB  gap = {_report_rate(row['delta_ra_nats'], args.bits):.4f} {unit}"
-            f" (se {row['stderr_nats']:.4f})"
-        )
+        line = f"snr={row['snr_db']:g} dB  gap = {rate(row['delta_ra_nats'])} (se {row['stderr_nats']:.4f})"
         if "lemma2_bound_empirical" in row:
-            line += f"  bound = {_report_rate(row['lemma2_bound_empirical'], args.bits):.4f} {unit}"
-        print(line)
+            line += f"  bound = {rate(row['lemma2_bound_empirical'])}"
+        yield line
     if "bounds_omitted" in result.metadata:
-        print(f"bound columns omitted: {result.metadata['bounds_omitted']}")
-    print(f"wrote {paths[0]} and {paths[1]}")
-    return 0
+        yield f"bound columns omitted: {result.metadata['bounds_omitted']}"
 
 
-def _cmd_scaling(args):
-    cfg = _load_cfg(args)
-    if args.b_list:
-        cfg = cfg.replace(b_list=[int(b) for b in args.b_list.split(",")])
-    result = run_scaling_experiment(cfg)
-    paths = emit(result, args.out)
+def _scaling_lines(result, rate):
     for row in result.tables:
-        print(f"B={row['B']}  D_hat = {row['D_hat_est']:.5f}  D = {row['D_est']:.5f}")
+        yield f"B={row['B']}  D_hat = {row['D_hat_est']:.5f}  D = {row['D_est']:.5f}"
     slope = result.metadata.get("log2_slope_d_hat")
     if slope is not None:
-        print(f"fitted log2 slope of D_hat: {slope:.3f} (target {result.metadata['target_slope']:.3f})")
+        yield f"fitted log2 slope of D_hat: {slope:.3f} (target {result.metadata['target_slope']:.3f})"
+
+
+# (subcommand, help, experiment, summary lines of its result); scaling
+# runs in one process and reports no rates, so it takes --b-list in place
+# of --workers and --bits
+_EXPERIMENTS = (
+    ("simulate", "sum-rate experiment over the SNR grid", run_sum_rate_experiment, _sum_rate_lines),
+    ("delta-ra", "worst-case rate-gap estimate with bounds", run_delta_ra_experiment, _delta_ra_lines),
+    ("scaling", "quantization-error decay over feedback bits", run_scaling_experiment, _scaling_lines),
+)
+
+
+def _cmd_experiment(args):
+    """Run the experiment of the subcommand's `_EXPERIMENTS` row on the
+    config with the flags' overrides, emit it and print its summary."""
+    cfg = _load_cfg(args)
+    overrides = {"master_seed": args.seed, "workers": getattr(args, "workers", None)}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if overrides:
+        cfg = cfg.replace(**overrides)
+    if getattr(args, "b_list", None):
+        cfg = cfg.replace(b_list=[int(b) for b in args.b_list.split(",")])
+    result = args.run(cfg)
+    paths = emit(result, args.out)
+    scale, unit = (math.log(2.0), "bits") if getattr(args, "bits", False) else (1.0, "nats")
+    for line in args.lines(result, lambda nats: f"{nats / scale:.4f} {unit}"):
+        print(line)
     print(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
@@ -113,38 +108,14 @@ def _cmd_bounds(args):
     b_list = [int(x) for x in args.b_list.split(",")] if args.b_list else [cfg.B]
     if args.snr_list:  # through the config, so its SNR check applies
         cfg = cfg.replace(snr_db_list=[float(x) for x in args.snr_list.split(",")])
-    rows = []
-    for n_t in n_t_list:
-        for B in b_list:
-            for snr_db in cfg.snr_db_list:
-                rep = bounds_report(n_t, B, cfg.params.with_snr_db(snr_db).P, min(cfg.params.n_s, n_t))
-                row = {"snr_db": snr_db, **rep.__dict__}
-                rows.append(row)
-    os.makedirs(args.out, exist_ok=True)
-    jpath = os.path.join(args.out, "bounds.json")
-    with open(jpath, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    cpath = os.path.join(args.out, "bounds.csv")
-    cols = [
-        "n_t",
-        "B",
-        "snr_db",
-        "n_s",
-        "mean_lambda_sq",
-        "c_nt",
-        "D_bound",
-        "lemma2_bound",
-        "theorem1_bound",
-        "jindal_gap",
-        "ra_nt3_gap",
-        "validity",
+    rows = [
+        {"snr_db": snr_db, **vars(bounds_report(n_t, B, cfg.params.with_snr_db(snr_db).P, min(cfg.params.n_s, n_t)))}
+        for n_t in n_t_list
+        for B in b_list
+        for snr_db in cfg.snr_db_list
     ]
-    with open(cpath, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    jpath = write_json(args.out, "bounds.json", rows)
+    cpath = write_csv(args.out, "bounds.csv", _BOUNDS_COLUMNS, rows)
     for row in rows:
         c = f"{row['c_nt']:.4f}" if row["c_nt"] is not None else "-"
         print(f"n_t={row['n_t']} B={row['B']} snr={row['snr_db']:g} dB  c={c}  jindal/user={row['jindal_gap']:.4f}")
@@ -155,21 +126,8 @@ def _cmd_bounds(args):
 def _cmd_quantizer(args):
     q = simplex_quantizer(args.quant_bits)
     measured = measure_worst_case_error(q, n_probes=args.probes)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"simplex_quantizer_B{args.quant_bits}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "B": q.B,
-                "idealized_delta": q.delta,
-                "measured_delta": measured,
-                "points": q.points.tolist(),
-            },
-            fh,
-            sort_keys=True,
-            indent=1,
-        )
-        fh.write("\n")
+    data = {"B": q.B, "idealized_delta": q.delta, "measured_delta": measured, "points": q.points.tolist()}
+    path = write_json(args.out, f"simplex_quantizer_B{args.quant_bits}.json", data)
     print(f"B={q.B}: {len(q.points)} points, delta {q.delta:.6f}, measured {measured:.6f}")
     print(f"wrote {path}")
     return 0
@@ -178,16 +136,7 @@ def _cmd_quantizer(args):
 def _cmd_codebook(args):
     if args.action == "gen":
         seed = SeedSpec(args.seed if args.seed is not None else 12345).derive("cbgen")
-        if args.kind == "canonical":
-            cb = canonical_onb(args.dim)
-        elif args.kind == "dft":
-            cb = dft_codebook(args.dim)
-        elif args.kind == "random-unitary":
-            cb = random_unitary(args.dim, seed)
-        elif args.kind == "rvq":
-            cb = rvq_codebook(args.dim, args.gen_bits, seed)
-        else:
-            raise ValueError(args.kind)
+        cb = _CODEBOOK_KINDS[args.kind](args, seed)
         save_codebook(cb, args.path)
         print(f"wrote {cb.size} x {cb.dim} codebook to {args.path}")
         return 0
@@ -206,21 +155,21 @@ def main(argv=None):
     parser.add_argument("--version", action="version", version=f"ramimo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="sum-rate experiment over the SNR grid")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("delta-ra", help="worst-case rate-gap estimate with bounds")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_delta_ra)
-
-    p = sub.add_parser("scaling", help="quantization-error decay over feedback bits")
-    _add_common(p)
-    p.add_argument("--b-list", help="comma-separated feedback bit counts, e.g. 4,6,8,10")
-    p.set_defaults(fn=_cmd_scaling)
+    for name, help_text, run, lines in _EXPERIMENTS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int, help="override master_seed")
+        p.add_argument("--out", default="out", help="output directory")
+        if run is run_scaling_experiment:
+            p.add_argument("--b-list", help="comma-separated feedback bit counts, e.g. 4,6,8,10")
+        else:
+            p.add_argument("--workers", type=int, help="override worker count")
+            p.add_argument("--bits", action="store_true", help="print rates in bits (log2) instead of nats")
+        p.set_defaults(fn=_cmd_experiment, run=run, lines=lines)
 
     p = sub.add_parser("bounds", help="closed-form bound tables over (n_t, B, SNR)")
-    _add_common(p)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--n-t-list", help="comma-separated n_t values")
     p.add_argument("--b-list", help="comma-separated B values")
     p.add_argument("--snr-list", help="comma-separated SNR values in dB")
@@ -235,7 +184,7 @@ def main(argv=None):
     p = sub.add_parser("codebook", help="generate or check codebook files")
     p.add_argument("action", choices=["gen", "check"])
     p.add_argument("path")
-    p.add_argument("--kind", default="dft", choices=["canonical", "dft", "random-unitary", "rvq"])
+    p.add_argument("--kind", default="dft", choices=list(_CODEBOOK_KINDS))
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--bits", dest="gen_bits", type=int, default=4, help="bits for rvq generation")
     p.add_argument("--seed", type=int)

@@ -104,6 +104,8 @@ class SimConfig:
     b_list: tuple = ()
 
     def __post_init__(self):
+        if self.params.P != 1.0:
+            raise ValueError(f"params.P must be 1.0, got {self.params.P!r}: a run's powers come from snr_db_list")
         for name, least in (("num_draws", 1), ("num_users", 1), ("B", 0), ("F", 1), ("master_seed", 0), ("workers", 1)):
             value = _integer(name, getattr(self, name))
             if value < least:
@@ -205,21 +207,27 @@ def load_config(path):
     return SimConfig.from_dict(data)
 
 
+def _file_codebook(cfg, name):
+    """The codebook file of spec `name`, whose dimension must be n_t."""
+    cb = load_codebook(getattr(cfg, name)["path"])
+    if cb.dim != cfg.params.n_t:
+        raise ValueError(f"{name} file has dimension {cb.dim}, but n_t = {cfg.params.n_t}")
+    return cb
+
+
 def build_transmit_codebook(cfg):
-    spec = cfg.transmit_codebook
-    kind = spec["kind"]
+    kind = cfg.transmit_codebook["kind"]
     if kind == "canonical":
         return canonical_onb(cfg.params.n_t)
     if kind == "dft":
         return dft_codebook(cfg.params.n_t)
     if kind == "random-unitary":
         return random_unitary(cfg.params.n_t, SeedSpec(cfg.master_seed).derive("txcb"))
-    return load_codebook(spec["path"])  # "file", the last kind SimConfig admits
+    return _file_codebook(cfg, "transmit_codebook")  # "file", the last kind SimConfig admits
 
 
 def build_feedback_codebook(cfg, C):
-    spec = cfg.feedback_codebook
-    kind = spec["kind"]
+    kind = cfg.feedback_codebook["kind"]
     seed = SeedSpec(cfg.master_seed).derive("fbcb")
     if kind == "rvq":
         return rvq_codebook(cfg.params.n_t, cfg.B, seed)
@@ -232,7 +240,7 @@ def build_feedback_codebook(cfg, C):
             return Codebook(C.vectors.copy())
         fill = rvq_codebook(cfg.params.n_t, int(math.ceil(math.log2(n_fill))) if n_fill > 1 else 0, seed)
         return concat_codebooks(C, Codebook(fill.vectors[:n_fill]))
-    return load_codebook(spec["path"])  # "file", the last kind SimConfig admits
+    return _file_codebook(cfg, "feedback_codebook")  # "file", the last kind SimConfig admits
 
 
 @dataclass
@@ -645,43 +653,39 @@ _CSV_COLUMNS = [
 ]
 
 
-def emit(result, out_dir):
-    """Write result.json (full metadata and aggregates) and curves.csv.
-
-    CSV has one row per CDF grid point for experiments with distributions,
-    one row per table entry otherwise; column order is fixed.
-    """
+def write_json(out_dir, name, data):
+    """Write `data` to out_dir/name as JSON (sorted keys, indent 1, one
+    final newline), creating out_dir; returns the path."""
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, "result.json")
-    payload = {
-        "kind": result.kind,
-        "config": result.config,
-        "config_hash": result.config_hash,
-        "version": result.version,
-        "metadata": result.metadata,
-        "tables": result.tables,
-        "cdf": result.cdf,
-        "draws": result.draws,
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    csv_path = os.path.join(out_dir, "curves.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS, extrasaction="ignore")
+    return path
+
+
+def write_csv(out_dir, name, columns, rows):
+    """Write the dicts `rows` to out_dir/name as CSV under a header of
+    `columns`, ignoring other keys, creating out_dir; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def emit(result, out_dir):
+    """Write result.json (every field of the result) and curves.csv, in the
+    fixed column order: one row per CDF grid point of each table row whose
+    SNR point has a distribution, the table row itself, its CDF cells
+    empty, otherwise."""
+
+    def rows():  # one at a time: perfbench emits after every timed call
         for row in result.tables:
-            base = dict(row)
-            base["kind"] = result.kind
-            key = f"snr={row['snr_db']:g}" if "snr_db" in row else None
-            if key and key in result.cdf:
-                xs = result.cdf[key]["x"]
-                ys = result.cdf[key]["y"]
-                for x, y in zip(xs, ys):
-                    out = dict(base)
-                    out["cdf_x"] = x
-                    out["cdf_y"] = y
-                    writer.writerow(out)
-            else:
-                writer.writerow(base)
-    return json_path, csv_path
+            curve = result.cdf.get(f"snr={row['snr_db']:g}") if "snr_db" in row else None
+            points = [(None, None)] if curve is None else zip(curve["x"], curve["y"])  # None writes as ""
+            yield from ({**row, "kind": result.kind, "cdf_x": x, "cdf_y": y} for x, y in points)
+
+    return write_json(out_dir, "result.json", vars(result)), write_csv(out_dir, "curves.csv", _CSV_COLUMNS, rows())

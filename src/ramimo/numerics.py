@@ -190,8 +190,6 @@ def sample_complex_gaussian(n, seed):
 
 
 def sample_complex_gaussian_matrix(n_rows, n_cols, seed):
-    """(n_rows, n_cols) matrix of i.i.d. CN(0, 1) entries."""
-    rng = seed.generator()
-    re = rng.standard_normal((n_rows, n_cols))
-    im = rng.standard_normal((n_rows, n_cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    """(n_rows, n_cols) matrix of i.i.d. CN(0, 1) entries, the
+    `sample_complex_gaussian` vector of n_rows * n_cols entries row by row."""
+    return sample_complex_gaussian(n_rows * n_cols, seed).reshape(n_rows, n_cols)

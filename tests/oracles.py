@@ -1,7 +1,8 @@
-"""Reference implementations that more than one test module compares against."""
+"""Reference implementations that the tests compare against."""
 
 import numpy as np
 
+from ramimo.bounds import _min_weighted_gaps, c_nt
 from ramimo.numerics import LOG_GAIN_BRACKET, MINIMAX_ITERS
 
 
@@ -88,3 +89,23 @@ def ordered_pair_weighted_gaps(psis, phi_table, lam_tildes):
                 t = np.clip(np.nan_to_num((a[..., i] + a[..., j]) / (b[:, i] + b[:, j]), nan=0.0), 0.0, 1.0)
             np.maximum(value, np.maximum(t * b[:, i] - a[..., i], a[..., j] - t * b[:, j]), out=value)
     return value.min(axis=1)
+
+
+def c_nt_table(n_lo=6, n_hi=20):
+    """(n_t, c(n_t)) table plus a monotonicity flag over the range."""
+    rows = [(n, c_nt(n)) for n in range(n_lo, n_hi + 1)]
+    vals = [v for _, v in rows]
+    nonincreasing = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
+    return rows, nonincreasing
+
+
+def min_weighted_gap(psi, phi_table, lam_tilde):
+    """min over (theta_tilde, nu) of max_w |lam_tilde psi_w - theta_tilde phi_w|,
+    with theta_tilde in [0, 1], of one row: the one-row case of
+    `bounds._min_weighted_gaps`."""
+    return float(_min_weighted_gaps(np.asarray(psi)[None, :], phi_table, np.array([lam_tilde]))[0])
+
+
+def min_direction_gap(psi, phi_table):
+    """min over nu of max_w |psi_w - phi_w| (direction-only error) of one row."""
+    return float(np.max(np.abs(psi[None, :] - phi_table), axis=1).min())

@@ -7,7 +7,6 @@ from ramimo.bounds import (
     SimplexQuantizer,
     bounds_report,
     c_nt,
-    c_nt_table,
     covering_density,
     covering_number_bound,
     empirical_D,
@@ -17,8 +16,6 @@ from ramimo.bounds import (
     lemma3_bound,
     lemma3_validity_threshold,
     measure_worst_case_error,
-    min_direction_gap,
-    min_weighted_gap,
     ra_nt3_gap,
     simplex_quantizer,
     theorem1_bound,
@@ -27,7 +24,7 @@ from ramimo.channel import SystemParams
 from ramimo.codebook import canonical_onb, rvq_codebook
 from ramimo.numerics import SeedSpec, sample_complex_gaussian
 
-from oracles import plain_bisection
+from oracles import c_nt_table, min_direction_gap, min_weighted_gap, plain_bisection
 
 
 def test_covering_density_small_dimensions():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import jumped_generator, reference_draw_channels
+from ramimo.bounds import BoundsReport
 from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel, user_channels_block
 from ramimo.cli import main as cli_main
 from ramimo.feedback import compute_feedback
@@ -22,6 +24,8 @@ from ramimo.harness import (
     run_delta_ra_experiment,
     run_scaling_experiment,
     run_sum_rate_experiment,
+    write_csv,
+    write_json,
 )
 from ramimo.numerics import SeedSpec
 from ramimo.scheduler import zf_schedule
@@ -171,6 +175,32 @@ def test_codebook_specs_are_read_only_copies():
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.config_hash() == SimConfig(SystemParams(n_t=4), transmit_codebook={"kind": "dft"}).config_hash()
     assert SimConfig(SystemParams(n_t=4), transmit_codebook=cfg.transmit_codebook) == cfg
+
+
+def test_config_rejects_a_power_nothing_reads():
+    # a run's powers come from snr_db_list: P = 1000 used to run exactly
+    # like P = 1, under the same config_hash, yet compare unequal
+    with pytest.raises(ValueError, match=r"params.P must be 1.0, got 1000.0: .*snr_db_list"):
+        SimConfig(SystemParams(n_t=4, P=1000.0))
+    assert SimConfig(SystemParams(n_t=4, P=1.0)) == SimConfig.from_dict({})
+
+
+@pytest.mark.parametrize("name", ["transmit_codebook", "feedback_codebook"])
+def test_file_codebook_of_the_wrong_dimension_fails_before_any_draw(tmp_path, monkeypatch, name):
+    # a dimension-3 file under n_t = 4 used to draw the channels and then
+    # die inside numpy's matmul; it is refused where the codebook is built
+    import ramimo.harness as harness
+    from ramimo.codebook import dft_codebook, save_codebook
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("channels were drawn")
+
+    path = tmp_path / "cb3.txt"
+    save_codebook(dft_codebook(3), str(path))
+    cfg = _cfg(system={"n_t": 4, "n_r": 1, "n_s": 2}, **{name: {"kind": "file", "path": str(path)}})
+    monkeypatch.setattr(harness, "draw_channel_stack", no_draws)
+    with pytest.raises(ValueError, match=f"^{name} file has dimension 3, but n_t = 4$"):
+        run_sum_rate_experiment(cfg)
 
 
 def test_serial_import_leaves_multiprocessing_out():
@@ -894,6 +924,48 @@ def test_cli_rejects_bad_bounds_and_quantizer_input(tmp_path, capsys, argv, mess
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--seed", "1"],
+        ["bounds", "--workers", "2"],
+        ["bounds", "--bits"],
+        ["scaling", "--b-list", "4,6", "--workers", "2"],
+        ["scaling", "--b-list", "4,6", "--bits"],
+    ],
+)
+def test_cli_refuses_flags_its_subcommand_does_not_read(tmp_path, capsys, argv):
+    # bounds reads no seed, worker count or unit, and scaling no worker
+    # count or unit: these flags are usage errors, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bounds_files_carry_every_report_field(tmp_path):
+    out = tmp_path / "b"
+    assert cli_main(["bounds", "--out", str(out), "--n-t-list", "2,3", "--b-list", "4", "--snr-list", "0,10"]) == 0
+    header = (out / "bounds.csv").read_text().splitlines()[0]
+    assert header == (
+        "n_t,B,snr_db,n_s,mean_lambda_sq,c_nt,D_bound,lemma2_bound,theorem1_bound,jindal_gap,ra_nt3_gap,validity"
+    )
+    rows = json.loads((out / "bounds.json").read_text())
+    assert [(row["n_t"], row["snr_db"]) for row in rows] == [(2, 0.0), (2, 10.0), (3, 0.0), (3, 10.0)]
+    for row in rows:
+        assert set(row) == {f.name for f in dataclasses.fields(BoundsReport)} | {"snr_db"}
+
+
+def test_writers_format(tmp_path):
+    # JSON: sorted keys, indent 1, exactly one final newline; CSV: the
+    # header, then each row's columns, other keys ignored
+    path = write_json(tmp_path / "new", "x.json", {"b": [1, 2], "a": {"d": None, "c": 1.5}})
+    assert open(path, encoding="utf-8").read() == '{\n "a": {\n  "c": 1.5,\n  "d": null\n },\n "b": [\n  1,\n  2\n ]\n}\n'
+    path = write_csv(tmp_path / "new", "x.csv", ["y", "x"], [{"x": 1, "y": 2, "z": 3}, {"x": 4}])
+    assert open(path, "rb").read() == b"y,x\r\n2,1\r\n,4\r\n"
 
 
 def test_bare_pytest_finds_the_package(tmp_path):

@@ -47,6 +47,18 @@ def test_sampling_streams_uncorrelated():
     assert corr < 0.02
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 1), (4, 4), (7, 3)])
+def test_gaussian_matrix_is_the_vector_sampler_row_by_row(shape):
+    # the same bits as two (rows, cols) draws of one generator, the real
+    # parts first, then the imaginary parts
+    seed = SeedSpec(21).derive("m", *shape)
+    rng = seed.generator()
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    got = numerics.sample_complex_gaussian_matrix(*shape, seed)
+    assert got.shape == shape
+    assert got.tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes()
+
+
 def test_import_loads_no_scipy():
     # the package runs on numpy alone; scipy is only a benchmark dependency
     code = "import sys, ramimo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
