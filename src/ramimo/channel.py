@@ -233,10 +233,18 @@ def effective_block(H, sub, out=None):
     The subcarriers' effective channels go to `out` (users, F, n_t), a new
     array by default; `out=sub[:, :, 0]` writes each over the first row of
     its matrix, a subcarrier at a time, so a caller that no longer needs
-    `sub` holds no second stack."""
+    `sub` holds no second stack.
+
+    With n_r = 1 the filter is 1 and every effective channel is its
+    conjugated row plus 0.0, written in place with no product: the bits
+    of the product with 1, whose sum turns a -0.0 part into +0.0."""
+    sub_h_hat = np.empty((len(sub), sub.shape[1], sub.shape[-1]), dtype=complex) if out is None else out
+    if H.shape[1] == 1:
+        h_hat = np.conj(H[:, 0]) + 0.0  # before `out`, which may share H's memory when F = 1
+        np.add(np.conj(sub[:, :, 0], out=sub_h_hat), 0.0, out=sub_h_hat)
+        return EffectiveBlock(h_hat, *_unit_rows(h_hat), sub_h_hat)
     u = _mrc_filters(H)
     h_hat = effective_channel(H, u)
-    sub_h_hat = np.empty((len(sub), sub.shape[1], sub.shape[-1]), dtype=complex) if out is None else out
     for f in range(sub.shape[1]):  # a subcarrier at a time: no conjugate copy of the whole stack
         effective_channel(sub[:, f], u, out=sub_h_hat[:, f])
     return EffectiveBlock(h_hat, *_unit_rows(h_hat), sub_h_hat)

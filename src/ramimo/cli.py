@@ -50,22 +50,23 @@ def _load_cfg(args):
     return load_config(args.config) if args.config else SimConfig.from_dict({})
 
 
-def _sum_rate_lines(result, rate):
+def _sum_rate_lines(result, value, unit):
     for row in result.tables:
-        yield f"strategy={row['strategy']} snr={row['snr_db']:g} dB  mean sum rate = {rate(row['mean_rate_nats'])}"
+        rate = value(row["mean_rate_nats"])
+        yield f"strategy={row['strategy']} snr={row['snr_db']:g} dB  mean sum rate = {rate} {unit}"
 
 
-def _delta_ra_lines(result, rate):
+def _delta_ra_lines(result, value, unit):
     for row in result.tables:
-        line = f"snr={row['snr_db']:g} dB  gap = {rate(row['delta_ra_nats'])} (se {row['stderr_nats']:.4f})"
+        line = f"snr={row['snr_db']:g} dB  gap = {value(row['delta_ra_nats'])} {unit} (se {value(row['stderr_nats'])})"
         if "lemma2_bound_empirical" in row:
-            line += f"  bound = {rate(row['lemma2_bound_empirical'])}"
+            line += f"  bound = {value(row['lemma2_bound_empirical'])} {unit}"
         yield line
     if "bounds_omitted" in result.metadata:
         yield f"bound columns omitted: {result.metadata['bounds_omitted']}"
 
 
-def _scaling_lines(result, rate):
+def _scaling_lines(result, value, unit):
     for row in result.tables:
         yield f"B={row['B']}  D_hat = {row['D_hat_est']:.5f}  D = {row['D_est']:.5f}"
     slope = result.metadata.get("log2_slope_d_hat")
@@ -96,7 +97,7 @@ def _cmd_experiment(args):
     result = args.run(cfg)
     paths = emit(result, args.out)
     scale, unit = (math.log(2.0), "bits") if getattr(args, "bits", False) else (1.0, "nats")
-    for line in args.lines(result, lambda nats: f"{nats / scale:.4f} {unit}"):
+    for line in args.lines(result, lambda nats: f"{nats / scale:.4f}", unit):
         print(line)
     print(f"wrote {paths[0]} and {paths[1]}")
     return 0
@@ -133,13 +134,15 @@ def _cmd_quantizer(args):
     return 0
 
 
-def _cmd_codebook(args):
-    if args.action == "gen":
-        seed = SeedSpec(args.seed if args.seed is not None else 12345).derive("cbgen")
-        cb = _CODEBOOK_KINDS[args.kind](args, seed)
-        save_codebook(cb, args.path)
-        print(f"wrote {cb.size} x {cb.dim} codebook to {args.path}")
-        return 0
+def _cmd_codebook_gen(args):
+    seed = SeedSpec(args.seed if args.seed is not None else 12345).derive("cbgen")
+    cb = _CODEBOOK_KINDS[args.kind](args, seed)
+    save_codebook(cb, args.path)
+    print(f"wrote {cb.size} x {cb.dim} codebook to {args.path}")
+    return 0
+
+
+def _cmd_codebook_check(args):
     cb = load_codebook(args.path)
     print(f"{args.path}: {cb.size} codewords of dimension {cb.dim}")
     try:
@@ -182,13 +185,17 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_quantizer)
 
     p = sub.add_parser("codebook", help="generate or check codebook files")
-    p.add_argument("action", choices=["gen", "check"])
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("gen", help="write a codebook file")
     p.add_argument("path")
     p.add_argument("--kind", default="dft", choices=list(_CODEBOOK_KINDS))
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--bits", dest="gen_bits", type=int, default=4, help="bits for rvq generation")
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=_cmd_codebook)
+    p.set_defaults(fn=_cmd_codebook_gen)
+    p = actions.add_parser("check", help="report a codebook file's size and frame constant")
+    p.add_argument("path")
+    p.set_defaults(fn=_cmd_codebook_check)
 
     args = parser.parse_args(argv)
     try:

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import platform
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -261,6 +262,30 @@ class ExperimentResult:
 
 _WORKER_CTX = {}
 
+# glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD and the
+# values a process sets them to: arrays under 32 MiB come from the heap,
+# and freed heap memory stays mapped until 64 MiB of it sit at the top, so
+# the next block reuses it.  glibc's defaults give an array over 128 KiB
+# its own mapping, or trim the freed heap, and every call faults its
+# working set in again: 90-410 minor faults per benchmark call.
+_MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))
+_heap_kept = False  # True once this process has set them
+
+
+def _keep_heap_mapped():
+    """Set glibc's allocator thresholds to _MALLOPT, once per process;
+    other C libraries keep their defaults."""
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    if platform.libc_ver()[0] == "glibc":
+        import ctypes  # numpy has imported it already
+
+        libc = ctypes.CDLL(None)
+        for param, value in _MALLOPT:
+            libc.mallopt(param, value)
+
 
 class _Context:
     """Per-process precomputed state shared by all draws."""
@@ -291,6 +316,7 @@ class _Context:
 
 
 def _init_worker(kind, cfg_dict):
+    _keep_heap_mapped()
     cfg = SimConfig.from_dict(cfg_dict)
     _WORKER_CTX["ctx"] = _Context(cfg)
     _WORKER_CTX["kind"] = kind
@@ -345,6 +371,7 @@ def _map_draws(kind, ctx):
     size = _block_size(kind, ctx)
     blocks = [range(lo, min(lo + size, cfg.num_draws)) for lo in range(0, cfg.num_draws, size)]
     if cfg.workers <= 1:
+        _keep_heap_mapped()
         per_block = [_BLOCK_FNS[kind](ctx, draws) for draws in blocks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never import multiprocessing
@@ -458,7 +485,9 @@ def _point_summary(samples):
     samples = np.asarray(samples, dtype=float)
     se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
     grid = np.linspace(float(samples.min()), float(samples.max()), CDF_GRID_POINTS)
-    y = (samples[:, None] <= grid[None, :]).mean(axis=0)
+    # the share of samples <= each grid point; a NaN point (any NaN sample) has none
+    at_most = np.searchsorted(np.sort(samples), grid, side="right")
+    y = np.where(np.isnan(grid), 0, at_most) / len(samples)
     return float(samples.mean()), se, {"x": grid.tolist(), "y": y.tolist()}
 
 

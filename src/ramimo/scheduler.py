@@ -315,6 +315,36 @@ def zf_decision_for(users, cdis, params):
     return PrecodedDecision(users=tuple(users), beams=tuple(B[0].T / row_norms(B[0].T)[:, None]))
 
 
+def _zf_exact(v, B, noise):
+    """Exact ZF score of each set of a stack: v (sets, k, n_t) its members'
+    vectors, B (sets, n_t, k) its pseudo-inverse from `_zf_solve`, noise
+    its k / P.  Each column of B over its norm is a member's beam, which
+    nulls the others, so a member's rate is `rates.rate` of its own-beam
+    power; the rates are added in position order, as a sum over users."""
+    units = B / np.linalg.norm(B, axis=1, keepdims=True)
+    sig = np.abs(np.einsum("cin,cni->ci", v.conj(), units)) ** 2
+    return ordered_sum(rate(sig, (), noise[:, None]).T)
+
+
+ZF_PARALLEL = 1e-24  # largest squared residual, per unit of the combination's squared norm, of a dropped set
+
+
+def _zf_parallel(held, prev, cands):
+    """Which candidates' conjugated unit directions cands (sets, n_t) lie
+    in the span of their chosen set's, prev (sets, k-1, n_t), whose
+    pseudo-inverse has columns held (sets, k-1, n_t): the coefficients
+    y = cands B give the residual r = cands - y prev, and a candidate is
+    parallel when |r|^2 < ZF_PARALLEL (1 + |y|^2).
+
+    The grown set's rows combined with weights (-y, 1) leave r, so its
+    smallest singular value is at most |r| / sqrt(1 + |y|^2) < 1e-12;
+    rounding r adds about 1e-15 of that norm, so `_zf_solve`'s rank rule
+    (all singular values above 1e-10) rejects every set this drops."""
+    y = np.einsum("sn,sin->si", cands, held)
+    r = cands - np.einsum("si,sin->sn", y, prev)
+    return np.vecdot(r, r).real < ZF_PARALLEL * (1.0 + np.vecdot(y, y).real)
+
+
 def zf_schedule_block(vectors, n_s, P):
     """Greedy zeroforcing user selection of at most n_s users on the
     reported vectors (draws, users, n_t) of many draws, P holding each
@@ -333,16 +363,30 @@ def zf_schedule_block(vectors, n_s, P):
     Every draw still running takes greedy step k together.  First every
     (draw, candidate) set gets bounds on its score from a closed form on
     the previous winner's pseudo-inverse (`_zf_score_bounds`, no LAPACK
-    call).  Only each draw's shortlist, the sets whose upper bound reaches
-    the draw's best lower bound (every set the closed form cannot bound
-    among them, usually one set in all), then goes through one stacked rank
-    test and pseudo-inverse (`_zf_solve`) and the exact score.  A set off
-    the shortlist scores strictly below a shortlisted one, so the winner,
-    its exact score and ties to the smallest user are those of scoring
-    every set exactly.  Unit directions and the winners' beams are
-    normalized by stacked `row_norms` passes, each norm equal to that of
-    its vector alone, so each beam equals `zf_decision_for`'s on the same
-    set bit for bit; the stacked scores only pick the winner.
+    call).  At k >= 2 an unbounded candidate whose direction lies in the
+    chosen set's span (`_zf_parallel`: smallest singular value of the grown
+    set at most its normalized residual, below 1e-12) is dropped, as the
+    rank test would reject it.  Only each draw's shortlist, the sets whose
+    upper bound reaches the draw's best lower bound (every remaining set
+    the closed form cannot bound among them, usually one set in all), then
+    goes through one stacked rank test and pseudo-inverse (`_zf_solve`) and
+    the exact score.  A set off the shortlist scores strictly below a
+    shortlisted one, so the winner, its exact score and ties to the
+    smallest user are those of scoring every set exactly.
+
+    A draw whose step-1 shortlist is one bounded set with a positive lower
+    bound adds that user without a pseudo-inverse: the set's exact score
+    exceeds the empty schedule's 0.  Step 2 bounds its sets from the
+    closed-form pseudo-inverse of the one unit row a, conj(a) / |a|^2,
+    whose rounding ZF_SLACK covers, and the draw grows where its exact
+    step-2 top exceeds the step-1 upper bound.  Only where it does not, so
+    that the draw stops at one user or its growth is left open, is the
+    step-1 set solved and scored exactly, as step 1 would have.
+
+    Unit directions and the winners' beams are normalized by stacked
+    `row_norms` passes, each norm equal to that of its vector alone, so
+    each beam equals `zf_decision_for`'s on the same set bit for bit; the
+    stacked scores only pick the winner.
     """
     raw = np.asarray(vectors, dtype=complex)
     n_draws, width, n_t = raw.shape
@@ -356,46 +400,71 @@ def zf_schedule_block(vectors, n_s, P):
     k_max = min(n_s, n_t)
     users = np.full((n_draws, k_max), -1)  # each draw's users, in the order they were added
     beams = np.zeros((n_draws, k_max, n_t), dtype=complex)  # the pseudo-inverse columns of their last step
+    deferred = np.zeros(n_draws, dtype=bool)  # one user added at step 1 with no exact score yet
+    deferred_hi = np.zeros(n_draws)  # that set's step-1 upper bound
     for k in range(1, k_max + 1):
         rows = np.arange(len(running))
         open_ = usable[running]
         open_[rows[:, None], chosen] = False
         noise = k / power[running]
-        lo, hi = _zf_score_bounds(
-            beams[running, : k - 1],
-            conj_units[running[:, None], chosen],
-            conj_units[running],
-            norm[running[:, None], chosen] ** 2,
-            norm[running] ** 2,
-            noise,
-        )
+        held, prev = beams[running, : k - 1], conj_units[running[:, None], chosen]
+        prev_sq = norm[running[:, None], chosen] ** 2
+        lo, hi = _zf_score_bounds(held, prev, conj_units[running], prev_sq, norm[running] ** 2, noise)
+        if k > 1:
+            r_u, j_u = np.nonzero(open_ & (lo == -np.inf))
+            open_[r_u, j_u] = ~_zf_parallel(held[r_u], prev[r_u], conj_units[running[r_u], j_u])
         # a set whose upper bound is below another set's lower bound cannot win
         short = open_ & (hi >= np.max(lo, axis=1, where=open_, initial=-np.inf)[:, None])
+        lone = np.zeros(len(running), dtype=bool)  # draws that add their step-1 user unsolved
+        if k == 1 < k_max:
+            lone_j = np.argmax(short, axis=1)
+            a = conj_units[running, lone_j]
+            a_sq = np.vecdot(a, a).real  # above 0.5, the row's one singular value passes the rank test
+            lone = (np.count_nonzero(short, axis=1) == 1) & (lo[rows, lone_j] > 0) & (a_sq > 0.5)
+            short[lone] = False
         r_idx, j_idx = np.nonzero(short)  # row-major: a draw's sets in user order
-        if not len(r_idx):
+        pending = deferred[running]
+        if not len(r_idx) and not lone.any():
+            _settle_deferred(running[pending], chosen[pending], raw, conj_units, power, best_sum, beams)
             break
-        sets = np.concatenate([chosen[r_idx], j_idx[:, None]], axis=1)
-        d_idx = running[r_idx]
-        full, B = _zf_solve(conj_units[d_idx[:, None], sets])
-        units = B / np.linalg.norm(B, axis=1, keepdims=True)
-        v = raw[d_idx[full][:, None], sets[full]]
-        sig = np.abs(np.einsum("cin,cni->ci", v.conj(), units)) ** 2
-        rates = rate(sig, (), noise[r_idx[full], None])  # interference is nulled
-        total = ordered_sum(rates.T)  # in position order, as a sum over users
         score = np.full((len(running), width), -np.inf)
-        score[r_idx[full], j_idx[full]] = total
         where = np.zeros((len(running), width), dtype=int)
-        where[r_idx[full], j_idx[full]] = np.arange(len(total))
+        if len(r_idx):
+            sets = np.concatenate([chosen[r_idx], j_idx[:, None]], axis=1)
+            d_idx = running[r_idx]
+            full, B = _zf_solve(conj_units[d_idx[:, None], sets])
+            score[r_idx[full], j_idx[full]] = _zf_exact(raw[d_idx[full][:, None], sets[full]], B, noise[r_idx[full]])
+            where[r_idx[full], j_idx[full]] = np.arange(len(B))
         pick = np.argmax(score, axis=1)
         top = score[rows, pick]
-        grow = ~(top <= best_sum[running])
+        late = pending & (top <= deferred_hi[running])  # stops at one user, or its growth is left open
+        _settle_deferred(running[late], chosen[late], raw, conj_units, power, best_sum, beams)
+        grow = ~(top <= best_sum[running]) | pending & ~late | lone
+        solved = grow & ~lone
+        if solved.any():
+            best_sum[running[solved]] = top[solved]
+            beams[running[solved], :k] = np.swapaxes(B[where[solved, pick[solved]]], 1, 2)
+        if lone.any():
+            pick[lone] = lone_j[lone]
+            beams[running[lone], 0] = np.conj(a[lone]) / a_sq[lone, None]  # the closed-form pseudo-inverse row
+            deferred_hi[running[lone]] = hi[lone, lone_j[lone]]
+        deferred[running] = lone
         chosen = np.concatenate([chosen, pick[:, None]], axis=1)[grow]
         running = running[grow]
-        best_sum[running] = top[grow]
         users[running, :k] = chosen
-        beams[running, :k] = np.swapaxes(B[where[grow, pick[grow]]], 1, 2)
     norm = row_norms(beams)
     return users, beams / np.where(norm == 0, 1.0, norm)[..., None], best_sum
+
+
+def _settle_deferred(d, chosen, raw, conj_units, power, best_sum, beams):
+    """Solve and score exactly the one-user sets chosen[:, 0] of the draws
+    d, which step 1 added without a pseudo-inverse, and set their
+    predicted sums and beams as step 1 would have."""
+    if len(d):
+        sets = chosen[:, :1]
+        B = _zf_solve(conj_units[d[:, None], sets])[1]  # full rank: a unit row
+        best_sum[d] = _zf_exact(raw[d[:, None], sets], B, 1 / power[d])
+        beams[d, :1] = np.swapaxes(B, 1, 2)
 
 
 def zf_schedule(vectors, params):

@@ -310,3 +310,33 @@ def test_effective_block_matches_per_user_oracle(n_r, F):
         assert user_channels_block([uc]).sub_h_hat[0].tobytes() == sub.tobytes()
     zero_eff = effs[-3 if F > 1 else -2]
     assert zero_eff.lambda_sq == 0.0 and zero_eff.h.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("F", [1, 8])
+def test_single_antenna_effective_block_is_the_filter_product(F):
+    # with n_r = 1 the block conjugates each row in place of multiplying by
+    # the filter 1: the same bits as the product, for drawn channels, zero
+    # rows and entries with +-0.0 parts, averaged and per subcarrier,
+    # written to a new array or over the stack
+    params = SystemParams(n_t=4, n_r=1, n_s=2)
+    H, sub = draw_channel_stack(params, F, 0.9, SeedSpec(31).derive(F), range(40), 3)
+    signed = np.array([0.0, -0.0, 1.5, -2.0])
+    rng = np.random.default_rng(F)
+    odd = rng.choice(signed, (8, F, 1, 4)) + 1j * rng.choice(signed, (8, F, 1, 4))
+    odd[0] = 0.0
+    odd[1] = complex(-0.0, -0.0)
+    odd[2, :, 0, 1] = complex(-0.0, 0.0)
+    odd[3, :, 0, 2] = complex(0.0, -0.0)
+    sub = np.concatenate([sub, odd])
+    # F = 1: H is the stack's one subcarrier, as `draw_channel_stack` returns it
+    H = sub[:, 0] if F == 1 else np.concatenate([H, odd.mean(axis=1)])
+    H[-1] = complex(-0.0, 0.0)
+    one = np.ones((len(H), 1), dtype=complex)
+    h_hat = effective_channel(H, one)
+    sub_h_hat = np.array([effective_channel(sub[:, f], one) for f in range(F)]).swapaxes(0, 1)
+    block = effective_block(H, sub)
+    assert block.h_hat.tobytes() == h_hat.tobytes() and block.sub_h_hat.tobytes() == sub_h_hat.tobytes()
+    over = effective_block(H, sub, out=sub[:, :, 0])
+    assert np.shares_memory(over.sub_h_hat, sub) and over.sub_h_hat.tobytes() == sub_h_hat.tobytes()
+    assert over.h_hat.tobytes() == h_hat.tobytes()  # H is read before the stack is written over it
+

@@ -1,6 +1,9 @@
+import ctypes
 import dataclasses
 import json
+import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import jumped_generator, reference_draw_channels
+from ramimo import harness
 from ramimo.bounds import BoundsReport
 from ramimo.channel import SystemParams, UserChannel, mrc_effective_channel, user_channels_block
 from ramimo.cli import main as cli_main
@@ -1058,3 +1062,92 @@ def test_context_channels_use_derived_streams():
         for m, (ref_H, ref_sub) in enumerate(ref):
             assert sub[d * cfg.num_users + m].tobytes() == ref_sub.tobytes()
             assert H[d * cfg.num_users + m].tobytes() == ref_H.tobytes()
+
+
+def test_delta_ra_bits_prints_the_standard_error_in_bits(tmp_path, capsys):
+    # under --bits the gap, its standard error and the bound are all in
+    # bits; without it all three are nats, the se with no unit as before
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _cfg(num_users=2, num_draws=12, strategy="ra-full", B=4, snr_db_list=[0.0, 20.0])
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    lines = {}
+    for flags in ([], ["--bits"]):
+        out = tmp_path / ("bits" if flags else "nats")
+        assert cli_main(["delta-ra", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+        lines[bool(flags)] = capsys.readouterr().out.splitlines()
+        rows = json.loads((out / "result.json").read_text())["tables"]
+    for bits, scale, unit in ((False, 1.0, "nats"), (True, math.log(2.0), "bits")):
+        for line, row in zip(lines[bits], rows):
+            assert line == (
+                f"snr={row['snr_db']:g} dB  gap = {row['delta_ra_nats'] / scale:.4f} {unit}"
+                f" (se {row['stderr_nats'] / scale:.4f})  bound = {row['lemma2_bound_empirical'] / scale:.4f} {unit}"
+            )
+    assert rows[0]["stderr_nats"] > 0.0
+
+
+@pytest.mark.parametrize("flag", [["--kind", "rvq"], ["--dim", "9"], ["--bits", "3"], ["--seed", "5"]])
+def test_cli_codebook_check_refuses_the_gen_flags(tmp_path, capsys, flag):
+    # only `codebook gen` reads --kind, --dim, --bits and --seed: each is a
+    # usage error for `codebook check`, which still checks a plain path
+    path = tmp_path / "cb.txt"
+    assert cli_main(["codebook", "gen", str(path), "--kind", "rvq", "--dim", "3", "--bits", "3"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["codebook", "check", str(path), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli_main(["codebook", "check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"{path}: 8 codewords of dimension 3\n")
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [2.5],
+        [3.0] * 7,
+        [0.0, -0.0, 1.0, 1.0, 1.0, 2.0],
+        np.round(np.random.default_rng(52).standard_normal(1000), 1),  # many ties, on grid points too
+        np.random.default_rng(53).standard_normal(25),
+        [1.0, float("nan"), 2.0],
+        [float("nan")],
+    ],
+)
+def test_point_summary_cdf_is_the_comparison_mean(samples):
+    # the CDF from the sorted samples has the bits of the share of samples
+    # at most each grid point, with ties, one sample, constant samples and
+    # NaN samples (whose NaN grid counts no sample)
+    samples = np.asarray(samples, dtype=float)
+    grid = np.linspace(float(samples.min()), float(samples.max()), harness.CDF_GRID_POINTS)
+    share = (samples[:, None] <= grid[None, :]).mean(axis=0)
+    _, _, cdf = harness._point_summary(samples)
+    assert np.array(cdf["x"]).tobytes() == grid.tobytes()
+    assert np.array(cdf["y"]).tobytes() == share.tobytes()
+
+
+def test_heap_thresholds_are_set_once_per_process(monkeypatch):
+    # the allocator thresholds are set once per process, from the serial
+    # path or the worker initializer, and only under glibc
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(harness, "_heap_kept", False)
+    run_sum_rate_experiment(_cfg(num_draws=2))
+    run_sum_rate_experiment(_cfg(num_draws=2))
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    calls.clear()
+    monkeypatch.setattr(harness, "_heap_kept", False)
+    monkeypatch.setattr(harness, "_WORKER_CTX", {})
+    harness._init_worker("sum-rate", _cfg().to_dict())
+    harness._init_worker("sum-rate", _cfg().to_dict())
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    calls.clear()
+    monkeypatch.setattr(harness, "_heap_kept", False)
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    run_sum_rate_experiment(_cfg(num_draws=2))
+    assert calls == [] and harness._heap_kept

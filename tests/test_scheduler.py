@@ -751,25 +751,33 @@ def test_reference_zf_schedule_is_a_value_level_oracle_among_near_ties(n_t, n_s)
 
 def test_zf_pseudo_inverts_one_set_per_draw_and_step(monkeypatch):
     # on random continuous vectors the closed-form scores leave one set
-    # per running draw and greedy step to the rank test and pseudo-inverse
-    sizes = []
+    # per running draw and greedy step to the rank test and pseudo-inverse,
+    # and step 1 none: every draw's step-1 shortlist is one bounded set
+    # with a positive lower bound, so its user is added unsolved.  In draws
+    # whose users all copy one direction (times complex scales) step 2
+    # drops every candidate as parallel, and only those draws, which stop
+    # at one user, solve their step-1 set, after step 2's call
+    shapes = []
 
     def counting(A):
-        sizes.append(len(A))
+        shapes.append(A.shape[:2])
         return solve(A)
 
     solve = scheduler._zf_solve
     monkeypatch.setattr(scheduler, "_zf_solve", counting)
     rng = np.random.default_rng(47)
-    for snr_db in (0.0, 30.0):
+    for snr_db, parallel in ((0.0, 0), (30.0, 0), (30.0, 16)):
         params = SystemParams(n_t=4, n_s=4).with_snr_db(snr_db)
         stack = rng.standard_normal((64, 10, 4)) + 1j * rng.standard_normal((64, 10, 4))
-        sizes.clear()
+        scales = rng.uniform(0.5, 2.0, (parallel, 10, 1)) * np.exp(2j * np.pi * rng.random((parallel, 10, 1)))
+        stack[:parallel] = scales * stack[:parallel, :1]
+        shapes.clear()
         users, _, _ = zf_schedule_block(stack, params.n_s, [params.P] * len(stack))
         k = np.count_nonzero(users >= 0, axis=1)
+        assert (k[:parallel] == 1).all() and (k[parallel:] >= 2).all() and k.max() == 4
         # step j runs every draw that grew at each step before it
-        assert sizes == [np.count_nonzero(k >= j - 1) for j in range(1, 5)]
-        assert k.max() == 4
+        settled = [(parallel, 1)] if parallel else []
+        assert shapes == [(len(k) - parallel, 2), *settled, (np.count_nonzero(k >= 2), 3), (np.count_nonzero(k >= 3), 4)]
 
 
 def test_zf_score_bounds_hold_the_exact_score():
@@ -813,6 +821,102 @@ def test_zf_score_bounds_hold_the_exact_score():
                         checked += 1
                         near += hi[d, k - 1 + j] - lo[d, k - 1 + j] > 2 * scheduler.ZF_SLACK * k * 1e4  # Gram-inverse diagonal above 100
     assert checked > 15000 and near > 500
+
+
+def test_zf_step2_bounds_from_the_closed_form_row_hold_the_exact_score():
+    # a draw that adds its step-1 user unsolved bounds its step-2 sets from
+    # the closed-form pseudo-inverse conj(a) / |a|^2 of the one unit row a:
+    # every set those bounds bound has its exact score within them, on
+    # random and near-dependent pairs at 0-150 dB
+    rng = np.random.default_rng(49)
+    checked = 0
+    for n_t in (2, 3, 4, 6, 8):
+        for snr_db in (0.0, 60.0, 150.0):
+            for dependent in (False, True):
+                raw = np.array([_near_dependent_vectors(rng, 8, n_t, largest=0.1) for _ in range(30)])
+                if not dependent:
+                    raw = rng.standard_normal(raw.shape) + 1j * rng.standard_normal(raw.shape)
+                norm = row_norms(raw)
+                conj_units = np.conj(raw / norm[..., None])
+                a = conj_units[:, 0]
+                held = (np.conj(a) / np.vecdot(a, a).real[:, None])[:, None]
+                noise = np.full(len(raw), 2 / 10.0 ** (snr_db / 10.0))
+                lo, hi = scheduler._zf_score_bounds(held, conj_units[:, :1], conj_units, norm[:, :1] ** 2, norm**2, noise)
+                for d, j in zip(*np.nonzero(np.isfinite(lo[:, 1:]))):
+                    members = [0, 1 + j]
+                    ok, B = scheduler._zf_solve(conj_units[d, members][None])
+                    assert ok[0]
+                    exact = scheduler._zf_exact(raw[d, members][None], B, noise[d : d + 1])[0]
+                    assert lo[d, 1 + j] <= exact <= hi[d, 1 + j]
+                    checked += 1
+    assert checked > 5000
+
+
+def test_zf_solves_step_one_where_its_bounds_leave_growth_open():
+    # at -40 dB a lone user of norm 1e-8 scores 1e-20 and one of norm
+    # 3e-161 scores 0, both below the closed form's slack, so step 1
+    # cannot tell that either improves on the empty schedule: each is
+    # solved exactly there, the first is scheduled and the second is not
+    params = SystemParams(n_t=4, n_s=2).with_snr_db(-40.0)
+    v = _random_vectors(1, 4, SeedSpec(51))[0]
+    zero = np.zeros(4, dtype=complex)
+    block = [{0: 1e-8 * v, 1: zero}, {0: zero, 1: 3e-161 * v}, {0: 1e-8 * v}, {0: 3e-161 * v}]
+    got = _zf_block(block, params)
+    for vectors, out in zip(block, got):
+        _assert_same_zf(out, reference_zf_schedule(vectors, params))
+    assert [decision.users for decision, _ in got] == [(0,), (), (0,), ()]
+    assert got[0][1] > 0.0 and got[1][1] == 0.0
+
+
+def _counting_zf_solve(monkeypatch):
+    """Record the rows of every set `_zf_solve` receives, as bytes."""
+    seen = set()
+    solve = scheduler._zf_solve
+
+    def counting(A):
+        seen.update(tuple(row.tobytes() for row in members) for members in A)
+        return solve(A)
+
+    monkeypatch.setattr(scheduler, "_zf_solve", counting)
+    return seen
+
+
+@pytest.mark.parametrize("n_s", [2, 3])
+def test_zf_drops_parallel_sets_before_the_rank_test(monkeypatch, n_s):
+    # user 0 is each draw's step-1 winner; users 1-3 copy its direction
+    # times complex scales, users 4-7 copy it plus an orthogonal
+    # perturbation of squared size 1e-22 to 1e-9, users 8-9 are random.
+    # No set that grows a chosen set by an exact copy reaches `_zf_solve`;
+    # every set with a perturbed copy still does, the rank test keeps or
+    # rejects it, and every draw gets the oracle's users and beams
+    rng = np.random.default_rng(50 + n_s)
+    n_t, n_draws = 4, 40
+    raw = rng.standard_normal((n_draws, 10, n_t)) + 1j * rng.standard_normal((n_draws, 10, n_t))
+    unit = raw[:, 0] / np.linalg.norm(raw[:, 0], axis=1, keepdims=True)
+    raw[:, 0] = 10.0 * unit
+    phases = rng.uniform(0.3, 1.0, (n_draws, 8, 1)) * np.exp(2j * np.pi * rng.random((n_draws, 8, 1)))
+    raw[:, 1:4] = phases[:, :3] * unit[:, None]
+    ortho = raw[:, 4:8] - np.einsum("dn,dun->du", unit.conj(), raw[:, 4:8])[..., None] * unit[:, None]
+    ortho /= np.linalg.norm(ortho, axis=-1, keepdims=True)
+    size = np.sqrt(10.0 ** rng.uniform(-22.0, -9.0, (n_draws, 4, 1)))
+    raw[:, 4:8] = phases[:, 3:7] * (unit[:, None] + size * ortho)
+    seen = _counting_zf_solve(monkeypatch)
+    params = SystemParams(n_t=n_t, n_s=n_s).with_snr_db(30.0)
+    users, beams, predicted = zf_schedule_block(raw, n_s, [params.P] * n_draws)
+    norm = row_norms(raw)
+    rows = np.conj(raw / norm[..., None])
+    for d in range(n_draws):
+        k = np.count_nonzero(users[d] >= 0)
+        assert users[d, 0] == 0 and k >= 2
+        first, second = rows[d, 0].tobytes(), rows[d, users[d, 1]].tobytes()
+        for m in range(1, 8):
+            assert ((first, rows[d, m].tobytes()) in seen) == (m >= 4)
+            assert (first, second, rows[d, m].tobytes()) not in seen or m >= 4
+        decision = PrecodedDecision(users=tuple(users[d, :k].tolist()), beams=tuple(beams[d, :k]))
+        _assert_same_zf((decision, predicted[d]), reference_zf_schedule(dict(enumerate(raw[d])), params))
+    # both sides of the rank test's 1e-10 singular-value rule are reached
+    kept = [scheduler._zf_solve(rows[d, [0, m]][None])[0][0] for d in range(n_draws) for m in range(4, 8)]
+    assert any(kept) and not all(kept)
 
 
 def scalar_rate(v, own_beam, other_beams, n_active, params):
